@@ -72,13 +72,3 @@ def dominant_instance_id(frame: FrameBundle, bbox: BBox2D) -> int:
         return 0
     ids, counts = np.unique(fg, return_counts=True)
     return int(ids[np.argmax(counts)])
-
-
-def median_depth_in_bbox(frame: FrameBundle, bbox: BBox2D) -> float:
-    """Median of valid depths inside a detection box, 0.0 when none."""
-    x0, x1, y0, y1 = bbox_pixel_rect(frame, bbox)
-    patch = frame.depth[y0:y1, x0:x1]
-    valid = patch[patch > 0]
-    if valid.size == 0:
-        return 0.0
-    return float(np.median(valid))

@@ -35,6 +35,10 @@ OPACITY_MARGIN = 5e-3
 SCALE_MIN = 1e-4
 SCALE_MAX = 1.0
 
+# the per-Gaussian arrays of a GaussianStore, and the ones training updates
+STORE_ARRAYS = ("means", "scales", "quats", "opacities", "colors", "object_ids", "kinds")
+TRAINABLE = ("means", "colors", "opacities", "scales", "quats")
+
 
 @dataclass
 class GaussianPrimitive:
@@ -50,34 +54,48 @@ class GaussianPrimitive:
 
 
 class GaussianStore:
-    """Structure-of-arrays Gaussian container; insertion order is stable."""
+    """Structure-of-arrays Gaussian container; insertion order is stable.
 
-    def __init__(self):
-        self.means = np.empty((0, 3))
-        self.scales = np.empty((0, 3))
-        self.quats = np.empty((0, 4))
-        self.opacities = np.empty(0)
-        self.colors = np.empty((0, 3))
-        self.object_ids = np.empty(0, dtype=np.int32)
-        self.kinds = np.empty(0, dtype=np.uint8)
+    Missing arrays start empty; every array is converted to the store's
+    dtypes (float64 parameters, int32 object ids, uint8 kinds).
+    """
+
+    def __init__(self, means=(), scales=(), quats=(), opacities=(), colors=(),
+                 object_ids=(), kinds=()):
+        self.means = np.asarray(means, dtype=float).reshape(-1, 3)
+        self.scales = np.asarray(scales, dtype=float).reshape(-1, 3)
+        self.quats = np.asarray(quats, dtype=float).reshape(-1, 4)
+        self.opacities = np.asarray(opacities, dtype=float).reshape(-1)
+        self.colors = np.asarray(colors, dtype=float).reshape(-1, 3)
+        self.object_ids = np.asarray(object_ids, dtype=np.int32).reshape(-1)
+        self.kinds = np.asarray(kinds, dtype=np.uint8).reshape(-1)
+
+    @classmethod
+    def from_primitives(cls, primitives: list[GaussianPrimitive]) -> "GaussianStore":
+        return cls(
+            means=[p.mean for p in primitives],
+            scales=[p.scale for p in primitives],
+            quats=[p.rotation for p in primitives],
+            opacities=[p.opacity for p in primitives],
+            colors=[p.color for p in primitives],
+            object_ids=[p.object_id for p in primitives],
+            kinds=[p.kind for p in primitives],
+        )
 
     def __len__(self) -> int:
         return len(self.means)
 
-    def extend(self, primitives: list[GaussianPrimitive]) -> None:
-        if not primitives:
-            return
-        self.means = np.vstack([self.means, [p.mean for p in primitives]])
-        self.scales = np.vstack([self.scales, [p.scale for p in primitives]])
-        self.quats = np.vstack([self.quats, [p.rotation for p in primitives]])
-        self.opacities = np.concatenate([self.opacities, [p.opacity for p in primitives]])
-        self.colors = np.vstack([self.colors, [p.color for p in primitives]])
-        self.object_ids = np.concatenate(
-            [self.object_ids, np.asarray([p.object_id for p in primitives], dtype=np.int32)]
-        )
-        self.kinds = np.concatenate(
-            [self.kinds, np.asarray([p.kind for p in primitives], dtype=np.uint8)]
-        )
+    def subset(self, idx) -> "GaussianStore":
+        """The Gaussians at `idx` as a new store; a slice shares this store's memory."""
+        return GaussianStore(**{name: getattr(self, name)[idx] for name in STORE_ARRAYS})
+
+    def copy(self) -> "GaussianStore":
+        return GaussianStore(**{name: getattr(self, name).copy() for name in STORE_ARRAYS})
+
+    def extend(self, other: "GaussianStore") -> None:
+        """Append every Gaussian of `other`, keeping its order."""
+        for name in STORE_ARRAYS:
+            setattr(self, name, np.concatenate([getattr(self, name), getattr(other, name)]))
 
     def primitive(self, i: int) -> GaussianPrimitive:
         return GaussianPrimitive(
@@ -102,19 +120,21 @@ class GaussianStore:
         self.object_ids[idx] = new_id
         return int(np.count_nonzero(idx))
 
-    def clamp_parameters(self) -> None:
-        """Enforce opacity class bands, scale range, unit quaternions."""
-        opaque = self.kinds == KIND_OPAQUE
-        self.opacities[opaque] = np.clip(
-            self.opacities[opaque], OPACITY_SPLIT, 1.0 - OPACITY_MARGIN
+    def clamp_parameters(self, idx=slice(None)) -> None:
+        """Enforce opacity class bands, scale range, unit quaternions.
+
+        Only the rows at `idx` (default: all) are touched.
+        """
+        opacities = self.opacities[idx]
+        self.opacities[idx] = np.where(
+            self.kinds[idx] == KIND_OPAQUE,
+            np.clip(opacities, OPACITY_SPLIT, 1.0 - OPACITY_MARGIN),
+            np.clip(opacities, OPACITY_MARGIN, OPACITY_SPLIT),
         )
-        self.opacities[~opaque] = np.clip(
-            self.opacities[~opaque], OPACITY_MARGIN, OPACITY_SPLIT
-        )
-        self.scales = np.clip(self.scales, SCALE_MIN, SCALE_MAX)
-        self.colors = np.clip(self.colors, 0.0, 1.0)
-        norms = np.linalg.norm(self.quats, axis=1, keepdims=True)
-        self.quats = self.quats / np.maximum(norms, 1e-12)
+        self.scales[idx] = np.clip(self.scales[idx], SCALE_MIN, SCALE_MAX)
+        self.colors[idx] = np.clip(self.colors[idx], 0.0, 1.0)
+        quats = self.quats[idx]
+        self.quats[idx] = quats / np.maximum(np.linalg.norm(quats, axis=1, keepdims=True), 1e-12)
 
 
 def extract_object(store: GaussianStore, object_id: int) -> list[GaussianPrimitive]:
@@ -219,14 +239,32 @@ class DensifyConfig:
     max_new_per_frame: int = 0  # 0 = unlimited; else cap spawns (scan order)
 
 
+def _spawn(frame: FrameBundle, ys: np.ndarray, xs: np.ndarray, depths: np.ndarray,
+           kind: int, stride: int, config: DensifyConfig) -> GaussianStore:
+    """Isotropic, axis-aligned Gaussians back-projected at the given pixels."""
+    n = len(xs)
+    scales = np.maximum(depths / frame.camera.fx * stride * config.scale_factor, SCALE_MIN)
+    opacity = OPAQUE_INIT_OPACITY if kind == KIND_OPAQUE else TRANSPARENT_INIT_OPACITY
+    return GaussianStore(
+        means=frame.camera.backproject(np.stack([xs + 0.5, ys + 0.5], axis=1), depths),
+        scales=np.repeat(scales[:, None], 3, axis=1),
+        quats=np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)),
+        opacities=np.full(n, opacity),
+        colors=frame.rgb[ys, xs],
+        object_ids=frame.instance[ys, xs],
+        kinds=np.full(n, kind),
+    )
+
+
 def densify_from_mask(
     frame: FrameBundle, masks: UpdateMasks, render, config: DensifyConfig | None = None
-) -> list[GaussianPrimitive]:
+) -> GaussianStore:
     """Spawn Gaussians on a stride grid over the masked pixels.
 
     Geometry pixels back-project at the observed depth as opaque Gaussians;
     color pixels spawn transparent Gaussians at the rendered surface depth.
-    Zero-depth pixels are skipped.
+    Zero-depth pixels are skipped.  The result holds only the new Gaussians:
+    opaque ones first, each kind in pixel scan order.
     """
     config = config or DensifyConfig()
     h, w = frame.shape
@@ -235,52 +273,17 @@ def densify_from_mask(
     grid = np.zeros((h, w), dtype=bool)
     grid[off::stride, off::stride] = True
 
-    out: list[GaussianPrimitive] = []
-    identity_q = np.array([1.0, 0.0, 0.0, 0.0])
-
     geo_sel = masks.geo_mask & grid & (frame.depth > 0)
     ys, xs = np.nonzero(geo_sel)
-    if len(xs):
-        depths = frame.depth[ys, xs]
-        pts = frame.camera.backproject(np.stack([xs + 0.5, ys + 0.5], axis=1), depths)
-        scales = depths / frame.camera.fx * stride * config.scale_factor
-        for j in range(len(xs)):
-            out.append(
-                GaussianPrimitive(
-                    mean=pts[j],
-                    scale=np.full(3, max(scales[j], SCALE_MIN)),
-                    rotation=identity_q.copy(),
-                    opacity=OPAQUE_INIT_OPACITY,
-                    color=frame.rgb[ys[j], xs[j]].astype(float),
-                    object_id=int(frame.instance[ys[j], xs[j]]),
-                    kind=KIND_OPAQUE,
-                )
-            )
+    out = _spawn(frame, ys, xs, frame.depth[ys, xs], KIND_OPAQUE, stride, config)
 
-    rgb_sel = masks.rgb_mask & grid & ~geo_sel
-    ys, xs = np.nonzero(rgb_sel)
-    if len(xs):
-        rendered_depth = render.depth[ys, xs]
-        usable = rendered_depth > 0
-        ys, xs, rendered_depth = ys[usable], xs[usable], rendered_depth[usable]
-        pts = frame.camera.backproject(
-            np.stack([xs + 0.5, ys + 0.5], axis=1), rendered_depth
-        )
-        scales = rendered_depth / frame.camera.fx * stride * config.scale_factor
-        for j in range(len(xs)):
-            out.append(
-                GaussianPrimitive(
-                    mean=pts[j],
-                    scale=np.full(3, max(scales[j], SCALE_MIN)),
-                    rotation=identity_q.copy(),
-                    opacity=TRANSPARENT_INIT_OPACITY,
-                    color=frame.rgb[ys[j], xs[j]].astype(float),
-                    object_id=int(frame.instance[ys[j], xs[j]]),
-                    kind=KIND_TRANSPARENT,
-                )
-            )
+    ys, xs = np.nonzero(masks.rgb_mask & grid & ~geo_sel)
+    rendered_depth = render.depth[ys, xs]
+    usable = rendered_depth > 0
+    out.extend(_spawn(frame, ys[usable], xs[usable], rendered_depth[usable],
+                      KIND_TRANSPARENT, stride, config))
     if config.max_new_per_frame > 0:
-        out = out[: config.max_new_per_frame]
+        out = out.subset(slice(config.max_new_per_frame))
     return out
 
 

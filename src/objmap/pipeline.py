@@ -2,11 +2,12 @@
 
 The coordinator owns the object map and the Gaussian store.  Each frame is
 processed as: associate detections to tracks (spawning / merging as needed),
-re-id merged Gaussians, periodically refine track quadrics against their
-observation histories, then render, mask, densify and optimize the Gaussians
-of each masked object.  Per-object optimizations run against a frame-start
-snapshot and are committed in ascending object id, so results are identical
-for any worker count.
+periodically refine track quadrics against their observation histories, then
+render, mask, densify and optimize the Gaussians of each masked object.
+Gaussians carry the dataset's instance ids, not track ids, and a track merge
+leaves the store unchanged.  Per-object optimizations run against a
+frame-start snapshot and are committed in ascending object id, so results are
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .association import AssocConfig, ObjectMap, associate_frame
 from .errors import DatasetError, InvalidParameterError, UnoptimizableError
 from .frames import FrameBundle, dominant_instance_id
 from .gaussians import (
+    STORE_ARRAYS,
+    TRAINABLE,
     DensifyConfig,
     GaussianStore,
     MaskThresholds,
@@ -35,7 +38,8 @@ from .gaussians import (
 from .quadric_fit import OptimConfig, optimize_quadric
 from .quadrics import DualQuadric, conic_to_bbox, iou_2d, iou_3d, project_to_conic
 from .renderer import TrainConfig, render
-from .simulator import load, quat_to_rotation, _rotation_to_quat
+from .simulator import _rotation_to_quat, load, quat_to_rotation
+from .simulator import dataset_cameras  # noqa: F401  (part of the pipeline API)
 
 logger = logging.getLogger(__name__)
 
@@ -62,8 +66,6 @@ class PipelineConfig:
     include_background: bool = False
     # gaussians
     enable_gaussians: bool = True
-    og_opacity: float = 0.9
-    tg_opacity: float = 0.1
     stride: int = 4
     max_new_per_frame: int = 0
     gaussian_iters: int = 30
@@ -81,7 +83,6 @@ class PipelineConfig:
     yaw_only: bool = False
     # runtime
     workers: int = 1
-    seed: int = 0
 
     def assoc(self) -> AssocConfig:
         return AssocConfig(
@@ -137,6 +138,11 @@ class PipelineConfig:
                 raw = json.load(f)
         except (OSError, json.JSONDecodeError) as e:
             raise InvalidParameterError(f"cannot read config {path}: {e}") from e
+        return cls.from_dict(raw)
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "PipelineConfig":
+        """Config from a flat dict; raises InvalidParameterError on unknown keys."""
         known = {f_.name for f_ in cls.__dataclass_fields__.values()}
         unknown = set(raw) - known
         if unknown:
@@ -273,10 +279,7 @@ def _map_frame(store: GaussianStore, frame: FrameBundle, config: PipelineConfig,
     if config.include_background:
         allowed.add(0)
     _restrict_masks_to_ids(masks, frame, allowed)
-    new = densify_from_mask(frame, masks, out, densify_cfg)
-    for p in new:
-        p.opacity = config.og_opacity if p.kind == 0 else config.tg_opacity
-    store.extend(new)
+    store.extend(densify_from_mask(frame, masks, out, densify_cfg))
 
     if config.train_all:
         # ablation mode: every object's gaussians train every frame
@@ -297,19 +300,12 @@ def _map_frame(store: GaussianStore, frame: FrameBundle, config: PipelineConfig,
     # every object trains against the same frame-start snapshot; results are
     # committed in ascending id order so any worker count gives identical maps
     train_cfg = config.training()
-    snapshot = _copy_store(store)
+    snapshot = store.copy()
 
     def run(k):
-        local = _copy_store(snapshot)
+        local = snapshot.copy()
         optimize_object(local, k, [frame], selections[k], train_cfg)
-        sel = selections[k]
-        return k, {
-            "means": local.means[sel],
-            "colors": local.colors[sel],
-            "opacities": local.opacities[sel],
-            "scales": local.scales[sel],
-            "quats": local.quats[sel],
-        }
+        return k, {name: getattr(local, name)[selections[k]] for name in TRAINABLE}
 
     order = sorted(selections)
     if config.workers > 1 and len(order) > 1:
@@ -318,12 +314,8 @@ def _map_frame(store: GaussianStore, frame: FrameBundle, config: PipelineConfig,
     else:
         results = dict(run(k) for k in order)
     for k in order:
-        sel = selections[k]
-        store.means[sel] = results[k]["means"]
-        store.colors[sel] = results[k]["colors"]
-        store.opacities[sel] = results[k]["opacities"]
-        store.scales[sel] = results[k]["scales"]
-        store.quats[sel] = results[k]["quats"]
+        for name in TRAINABLE:
+            getattr(store, name)[selections[k]] = results[k][name]
     return sum(len(s) for s in selections.values())
 
 
@@ -337,18 +329,6 @@ def _restrict_masks_to_ids(masks, frame: FrameBundle, allowed: set[int]) -> None
     masks.rgb_mask &= ~bad
     for k in disallowed:
         masks.per_object.pop(k, None)
-
-
-def _copy_store(store: GaussianStore) -> GaussianStore:
-    out = GaussianStore()
-    out.means = store.means.copy()
-    out.scales = store.scales.copy()
-    out.quats = store.quats.copy()
-    out.opacities = store.opacities.copy()
-    out.colors = store.colors.copy()
-    out.object_ids = store.object_ids.copy()
-    out.kinds = store.kinds.copy()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -384,21 +364,29 @@ def save_state(result: PipelineResult, out_dir: str) -> str:
     s = result.store
     np.savez(
         os.path.join(out_dir, "gaussians.npz"),
-        means=s.means, scales=s.scales, quats=s.quats,
-        opacities=s.opacities, colors=s.colors,
-        object_ids=s.object_ids, kinds=s.kinds,
+        **{name: getattr(s, name) for name in STORE_ARRAYS},
     )
     return out_dir
 
 
 def load_state(state_dir: str) -> PipelineResult:
+    """Read a directory written by save_state.
+
+    Raises DatasetError naming state.json when it is missing, is not JSON,
+    lacks a required key or carries config keys PipelineConfig does not know.
+    """
     path = os.path.join(state_dir, "state.json")
     if not os.path.isfile(path):
         raise DatasetError(f"missing state file: {path}")
-    with open(path) as f:
-        state = json.load(f)
+    try:
+        with open(path) as f:
+            state = json.load(f)
+        entries, next_id = state["tracks"], state["next_id"]
+        config = PipelineConfig.from_dict(state.get("config", {}))
+    except (json.JSONDecodeError, KeyError, TypeError, InvalidParameterError) as e:
+        raise DatasetError(f"malformed state file {path}: {e}") from e
     obj_map = ObjectMap()
-    for entry in state["tracks"]:
+    for entry in entries:
         track = obj_map.new_track(entry["class_id"])
         # preserve original ids
         obj_map.tracks.pop(track.object_id)
@@ -412,20 +400,13 @@ def load_state(state_dir: str) -> PipelineResult:
                 quat_to_rotation(entry["rotation_wxyz"]),
                 np.asarray(entry["semi_axes"]),
             )
-    obj_map._next_id = state["next_id"]
+    obj_map._next_id = next_id
     obj_map.retired_ids = set(state.get("retired_ids", []))
     store = GaussianStore()
     gz = os.path.join(state_dir, "gaussians.npz")
     if os.path.isfile(gz):
-        data = np.load(gz)
-        store.means = data["means"]
-        store.scales = data["scales"]
-        store.quats = data["quats"]
-        store.opacities = data["opacities"]
-        store.colors = data["colors"]
-        store.object_ids = data["object_ids"].astype(np.int32)
-        store.kinds = data["kinds"].astype(np.uint8)
-    config = PipelineConfig(**state.get("config", {}))
+        with np.load(gz) as data:
+            store = GaussianStore(**{name: data[name] for name in STORE_ARRAYS})
     logs = [FrameLog(**lg) for lg in state.get("frame_logs", [])]
     return PipelineResult(object_map=obj_map, store=store, logs=logs, config=config)
 
@@ -599,11 +580,3 @@ def export_objects(result: PipelineResult, out_dir: str) -> dict:
         json.dump(manifest, f, indent=1, sort_keys=True)
         f.write("\n")
     return manifest
-
-
-def dataset_cameras(dataset_dir: str) -> list:
-    """All frame cameras of a dataset (poses only, images not decoded)."""
-    cams = []
-    for frame in load(dataset_dir):
-        cams.append(frame.camera)
-    return cams

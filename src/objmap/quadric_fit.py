@@ -15,20 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BehindCameraError,
-    DegenerateConicError,
-    InvalidParameterError,
-    UnoptimizableError,
-)
-from .quadrics import (
-    BBox2D,
-    CameraModel,
-    DualQuadric,
-    conic_to_bbox,
-    iou_2d,
-    project_to_conic,
-)
+from .errors import InvalidParameterError, UnoptimizableError
+from .quadrics import BBox2D, CameraModel, DualQuadric
 
 logger = logging.getLogger(__name__)
 
@@ -181,15 +169,11 @@ def _fast_terms(x: np.ndarray, prep: list[tuple]) -> tuple[float, int]:
     return loss, skipped
 
 
-def _loss_terms(params: QuadricParams, observations: list[Observation]) -> tuple[float, int]:
-    return _fast_terms(params.as_vector(), _prepare(observations))
-
-
 def pose_loss(params: QuadricParams, observations: list[Observation]) -> float:
     """Sum of (1 - IoU) between projected and observed boxes."""
     if not observations:
         raise InvalidParameterError("pose_loss requires at least one observation")
-    return _loss_terms(params, observations)[0]
+    return _fast_terms(params.as_vector(), _prepare(observations))[0]
 
 
 def _gradient(x: np.ndarray, prep: list[tuple], config: OptimConfig) -> np.ndarray:
@@ -292,15 +276,3 @@ def optimize_quadric(
         degenerate_geometry=degenerate,
         converged=stall >= config.patience or loss <= 1e-12,
     )
-
-
-def optimize_track(track, config: OptimConfig | None = None) -> OptimResult | None:
-    """Convenience wrapper: optimize a track in place when it qualifies."""
-    config = config or OptimConfig()
-    if track.quadric is None or len(track.observations) < config.min_obs:
-        return None
-    observations = [(o.bbox, o.camera) for o in track.observations]
-    result = optimize_quadric(track.quadric, observations, config)
-    if result.loss <= result.initial_loss:
-        track.quadric = result.params.to_quadric()
-    return result

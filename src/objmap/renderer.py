@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .frames import FrameBundle
-from .gaussians import KIND_OPAQUE, GaussianStore
+from .gaussians import KIND_OPAQUE, TRAINABLE, GaussianStore
 from .quadrics import CameraModel
 
 logger = logging.getLogger(__name__)
@@ -140,11 +140,9 @@ def project_gaussian_subset(
     radii = np.minimum(3.0 * np.sqrt(np.maximum(lam_max, 0.0)) + 0.5, max_radius)
 
     return {
-        "idx": np.asarray(idx),
         "p_cam": p_cam,
         "z": z,
         "means2d": means2d,
-        "cov2d": cov2d,
         "inv_cov": inv,
         "radii": radii,
         "valid": valid,
@@ -273,6 +271,46 @@ def _instance_subset_flags(
     return opaque & (ids > 0)
 
 
+def _forward(
+    store: GaussianStore,
+    camera: CameraModel,
+    config: RenderConfig,
+    instance_id: int | None = None,
+    instance_ref: np.ndarray | None = None,
+):
+    """Project, sort and composite every Gaussian of the store at one camera.
+
+    Returns (proj, ent, images, per_entry).  images are the flat per-pixel
+    color (HW,3), alpha, depth-weighted sum and instance accumulation, all
+    zero when nothing rasterizes (ent and per_entry are then None);
+    per_entry holds each sorted entry's color, depth and instance flag for
+    the backward pass.
+    """
+    h, w = camera.height, camera.width
+    hw = h * w
+    color = np.zeros((hw, 3))
+    proj = ent = None
+    if len(store):
+        proj = project_gaussian_subset(
+            store, np.arange(len(store)), camera,
+            lowpass=config.lowpass, z_near=config.z_near, max_radius=config.max_radius,
+        )
+        ent = _flat_entries(proj, store.opacities, h, w)
+    if ent is None:
+        return proj, None, (color, np.zeros(hw), np.zeros(hw), np.zeros(hw)), None
+
+    row, pix, weight = ent["row"], ent["pix"], ent["weight"]
+    colors_e = store.colors[row]
+    z_e = proj["z"][row]
+    sub = _instance_subset_flags(store, row, pix, instance_id, instance_ref)
+    for ch in range(3):
+        color[:, ch] = np.bincount(pix, weights=weight * colors_e[:, ch], minlength=hw)
+    alpha = np.bincount(pix, weights=weight, minlength=hw)
+    draw = np.bincount(pix, weights=weight * z_e, minlength=hw)
+    ins = np.bincount(pix, weights=weight * sub, minlength=hw)
+    return proj, ent, (color, alpha, draw, ins), (colors_e, z_e, sub)
+
+
 def render(
     store: GaussianStore,
     camera: CameraModel,
@@ -286,39 +324,13 @@ def render(
     given; with `instance_ref` (an (H,W) id map) each pixel accumulates the
     opaque Gaussians of its reference id; otherwise all foreground objects.
     """
-    config = config or RenderConfig()
     h, w = camera.height, camera.width
-    hw = h * w
-    empty = RenderOutput(
-        color=np.zeros((h, w, 3)),
-        depth=np.zeros((h, w)),
-        instance=np.zeros((h, w)),
-        alpha=np.zeros((h, w)),
-        transmittance=np.ones((h, w)),
+    _, ent, (color, alpha, draw, ins), _ = _forward(
+        store, camera, config or RenderConfig(), instance_id, instance_ref
     )
-    if len(store) == 0:
-        return empty
-    proj = project_gaussian_subset(
-        store, np.arange(len(store)), camera,
-        lowpass=config.lowpass, z_near=config.z_near, max_radius=config.max_radius,
-    )
-    ent = _flat_entries(proj, store.opacities, h, w)
-    if ent is None:
-        return empty
-
-    weight = ent["weight"]
-    pix = ent["pix"]
-    row = ent["row"]
-    color = np.zeros((hw, 3))
-    for ch in range(3):
-        color[:, ch] = np.bincount(pix, weights=weight * store.colors[row, ch], minlength=hw)
-    alpha = np.bincount(pix, weights=weight, minlength=hw)
-    draw = np.bincount(pix, weights=weight * proj["z"][row], minlength=hw)
-    sub = _instance_subset_flags(store, row, pix, instance_id, instance_ref)
-    ins = np.bincount(pix, weights=weight * sub, minlength=hw)
-
-    tn = np.ones(hw)
-    tn[pix[ent["seg_starts"]]] = np.exp(ent["log_tn"][ent["seg_starts"]])
+    tn = np.ones(h * w)
+    if ent is not None:
+        tn[ent["pix"][ent["seg_starts"]]] = np.exp(ent["log_tn"][ent["seg_starts"]])
 
     depth = np.where(alpha >= DEPTH_ALPHA_MIN, draw / np.maximum(alpha, DEPTH_ALPHA_MIN), 0.0)
     return RenderOutput(
@@ -392,7 +404,7 @@ def loss_and_gradients(
 
     The forward pass composites every Gaussian in the store (occluders
     matter); gradients are reported only for `trainable_idx`.  Raises
-    InvalidArgument-style errors for stale indices.
+    InvalidParameterError for stale indices.
     """
     config = config or RenderConfig()
     trainable_idx = np.asarray(trainable_idx, dtype=int)
@@ -403,57 +415,21 @@ def loss_and_gradients(
     h, w = frame.shape
     if (frame.camera.height, frame.camera.width) != (h, w):
         raise InvalidParameterError("frame camera does not match image size")
-    hw = h * w
     n = len(store)
 
-    def empty_grads():
-        t = len(trainable_idx)
-        return GaussianGradients(
-            indices=trainable_idx,
-            means=np.zeros((t, 3)),
-            colors=np.zeros((t, 3)),
-            opacities=np.zeros(t),
-            scales=np.zeros((t, 3)),
-            quats=np.zeros((t, 4)),
-        )
-
-    if n == 0:
-        loss, parts, *_ = _loss_upstream(
-            np.zeros((hw, 3)), np.zeros(hw), np.zeros(hw), np.zeros(hw),
-            frame, object_id, lam,
-        )
-        return loss, empty_grads(), parts
-
-    proj = project_gaussian_subset(
-        store, np.arange(n), camera=frame.camera,
-        lowpass=config.lowpass, z_near=config.z_near, max_radius=config.max_radius,
-    )
-    ent = _flat_entries(proj, store.opacities, h, w)
-    if ent is None:
-        loss, parts, *_ = _loss_upstream(
-            np.zeros((hw, 3)), np.zeros(hw), np.zeros(hw), np.zeros(hw),
-            frame, object_id, lam,
-        )
-        return loss, empty_grads(), parts
-
-    row, pix, weight = ent["row"], ent["pix"], ent["weight"]
-    alpha_e, T = ent["alpha"], ent["T"]
-    sub = (store.kinds[row] == KIND_OPAQUE) & (store.object_ids[row] == object_id)
-
-    color_img = np.zeros((hw, 3))
-    colors_e = store.colors[row]
-    for ch in range(3):
-        color_img[:, ch] = np.bincount(pix, weights=weight * colors_e[:, ch], minlength=hw)
-    alpha_img = np.bincount(pix, weights=weight, minlength=hw)
-    z_e = proj["z"][row]
-    draw_img = np.bincount(pix, weights=weight * z_e, minlength=hw)
-    ins_img = np.bincount(pix, weights=weight * sub, minlength=hw)
-
+    proj, ent, images, per_entry = _forward(store, frame.camera, config, instance_id=object_id)
     loss, parts, g_color_img, g_draw_img, g_alpha_img, g_ins_img = _loss_upstream(
-        color_img, alpha_img, draw_img, ins_img, frame, object_id, lam
+        *images, frame, object_id, lam
     )
+    if ent is None:
+        zeros = {name: np.zeros((len(trainable_idx),) + getattr(store, name).shape[1:])
+                 for name in TRAINABLE}
+        return loss, GaussianGradients(indices=trainable_idx, **zeros), parts
 
     # ---- backward over entries -------------------------------------------
+    row, pix, weight = ent["row"], ent["pix"], ent["weight"]
+    alpha_e, T = ent["alpha"], ent["T"]
+    colors_e, z_e, sub = per_entry
     seg_id = ent["seg_id"]
     ends = ent["seg_ends"]
 
@@ -649,94 +625,45 @@ def optimize_object(
                 if acc is None:
                     acc = grads
                 else:
-                    acc.means += grads.means
-                    acc.colors += grads.colors
-                    acc.opacities += grads.opacities
-                    acc.scales += grads.scales
-                    acc.quats += grads.quats
+                    for name in TRAINABLE:
+                        getattr(acc, name)[...] += getattr(grads, name)
         return loss, acc
 
     sel = trainable_idx
-    vel = {
-        "means": np.zeros((len(sel), 3)),
-        "colors": np.zeros((len(sel), 3)),
-        "opacities": np.zeros(len(sel)),
-        "scales": np.zeros((len(sel), 3)),
-        "quats": np.zeros((len(sel), 4)),
-    }
-    lrs = {
-        "means": config.lr_mean,
-        "colors": config.lr_color,
-        "opacities": config.lr_opacity,
-        "scales": config.lr_scale if config.optimize_scale_rot else 0.0,
-        "quats": config.lr_quat if config.optimize_scale_rot else 0.0,
-    }
+    vel = {name: np.zeros((len(sel),) + getattr(store, name).shape[1:]) for name in TRAINABLE}
+    scale_rot = config.optimize_scale_rot
+    lrs = dict(zip(TRAINABLE, (
+        config.lr_mean, config.lr_color, config.lr_opacity,
+        config.lr_scale if scale_rot else 0.0, config.lr_quat if scale_rot else 0.0,
+    )))
     scale_down = 1.0
     loss, _ = total_loss_grads(False)
     trace = [loss]
 
     for _ in range(config.iters):
         _, grads = total_loss_grads(True)
-        backup = {
-            "means": store.means[sel].copy(),
-            "colors": store.colors[sel].copy(),
-            "opacities": store.opacities[sel].copy(),
-            "scales": store.scales[sel].copy(),
-            "quats": store.quats[sel].copy(),
-        }
-        for name, g in (
-            ("means", grads.means),
-            ("colors", grads.colors),
-            ("opacities", grads.opacities),
-            ("scales", grads.scales),
-            ("quats", grads.quats),
-        ):
+        backup = {name: getattr(store, name)[sel].copy() for name in TRAINABLE}
+        for name in TRAINABLE:
+            g = getattr(grads, name)
             rms = float(np.sqrt(np.mean(g**2)))
             if rms < 1e-15 or lrs[name] == 0.0:
                 continue
             step = -(lrs[name] * scale_down) * g / rms
             vel[name] = config.momentum * vel[name] + step
-            _apply_update(store, sel, name, vel[name])
-        store.clamp_parameters()
+            getattr(store, name)[sel] += vel[name]
+        store.clamp_parameters(sel)  # frozen Gaussians stay bit-identical
         new_loss, _ = total_loss_grads(False)
         if new_loss <= trace[-1]:
             trace.append(new_loss)
         else:
-            for name, val in backup.items():
-                _apply_set(store, sel, name, val)
-            for name in vel:
+            for name in TRAINABLE:
+                getattr(store, name)[sel] = backup[name]
                 vel[name][:] = 0.0
             scale_down *= 0.5
             trace.append(trace[-1])
             if scale_down < 1e-4:
                 break
     return trace
-
-
-def _apply_update(store: GaussianStore, sel: np.ndarray, name: str, delta) -> None:
-    if name == "means":
-        store.means[sel] += delta
-    elif name == "colors":
-        store.colors[sel] += delta
-    elif name == "opacities":
-        store.opacities[sel] += delta
-    elif name == "scales":
-        store.scales[sel] += delta
-    elif name == "quats":
-        store.quats[sel] += delta
-
-
-def _apply_set(store: GaussianStore, sel: np.ndarray, name: str, value) -> None:
-    if name == "means":
-        store.means[sel] = value
-    elif name == "colors":
-        store.colors[sel] = value
-    elif name == "opacities":
-        store.opacities[sel] = value
-    elif name == "scales":
-        store.scales[sel] = value
-    elif name == "quats":
-        store.quats[sel] = value
 
 
 def dump_render_pngs(out: RenderOutput, prefix: str) -> list[str]:

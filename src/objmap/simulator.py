@@ -566,23 +566,22 @@ def _write_json(path: str, payload) -> None:
 # Loading
 
 
-def load(dataset_dir: str):
-    """Stream FrameBundles from a dataset directory in index order.
+def _read_header(dataset_dir: str):
+    """Parse intrinsics.json and poses.txt.
 
-    Raises DatasetError naming the offending file on any malformed input;
-    frames before the bad one are yielded normally.
+    Returns (intrinsics dict, depth_scale, {index: (R, t)}); raises
+    DatasetError naming the offending file (and line) on malformed input.
     """
     intr_path = os.path.join(dataset_dir, "intrinsics.json")
     if not os.path.isfile(intr_path):
         raise DatasetError(f"missing intrinsics file: {intr_path}")
     try:
         with open(intr_path) as f:
-            intr = json.load(f)
-        fx, fy = float(intr["fx"]), float(intr["fy"])
-        cx, cy = float(intr["cx"]), float(intr["cy"])
-        width, height = int(intr["width"]), int(intr["height"])
-        depth_scale = float(intr["depth_scale"])
-    except (KeyError, ValueError, json.JSONDecodeError) as e:
+            raw = json.load(f)
+        intr = {k: float(raw[k]) for k in ("fx", "fy", "cx", "cy")}
+        intr.update(width=int(raw["width"]), height=int(raw["height"]))
+        depth_scale = float(raw["depth_scale"])
+    except (KeyError, ValueError, TypeError, json.JSONDecodeError) as e:
         raise DatasetError(f"malformed intrinsics file {intr_path}: {e}") from e
 
     poses_path = os.path.join(dataset_dir, "poses.txt")
@@ -596,17 +595,36 @@ def load(dataset_dir: str):
                 continue
             if len(parts) != 8:
                 raise DatasetError(f"{poses_path}:{line_no}: expected 8 fields")
-            idx = int(parts[0])
-            tx, ty, tz, qx, qy, qz, qw = map(float, parts[1:])
+            try:
+                idx = int(parts[0])
+                tx, ty, tz, qx, qy, qz, qw = map(float, parts[1:])
+            except ValueError as e:
+                raise DatasetError(f"{poses_path}:{line_no}: {e}") from e
             poses[idx] = (quat_to_rotation([qw, qx, qy, qz]), np.array([tx, ty, tz]))
+    return intr, depth_scale, poses
+
+
+def dataset_cameras(dataset_dir: str) -> list[CameraModel]:
+    """All frame cameras of a dataset in index order.
+
+    Reads only intrinsics.json and poses.txt; no image is decoded.
+    """
+    intr, _, poses = _read_header(dataset_dir)
+    return [CameraModel(**intr, rotation=R, translation=t) for _, (R, t) in sorted(poses.items())]
+
+
+def load(dataset_dir: str):
+    """Stream FrameBundles from a dataset directory in index order.
+
+    Raises DatasetError naming the offending file on any malformed input;
+    frames before the bad one are yielded normally.
+    """
+    intr, depth_scale, poses = _read_header(dataset_dir)
 
     def frames():
         for idx in sorted(poses):
             R, t = poses[idx]
-            camera = CameraModel(
-                fx=fx, fy=fy, cx=cx, cy=cy, width=width, height=height,
-                rotation=R, translation=t,
-            )
+            camera = CameraModel(**intr, rotation=R, translation=t)
             rgb_path = os.path.join(dataset_dir, "rgb", f"{idx:06d}.png")
             depth_path = os.path.join(dataset_dir, "depth", f"{idx:06d}.png")
             inst_path = os.path.join(dataset_dir, "instance", f"{idx:06d}.png")

@@ -179,7 +179,6 @@ def test_criterion_4_pose_recovery():
 
 
 def _gradcheck_scene(rng, n_gauss):
-    store = GaussianStore()
     prims = []
     for i in range(n_gauss):
         z = 1.5 + 0.25 * i + rng.uniform(0, 0.1)
@@ -195,8 +194,7 @@ def _gradcheck_scene(rng, n_gauss):
                 kind=KIND_OPAQUE if i % 3 != 2 else 1,
             )
         )
-    store.extend(prims)
-    return store
+    return GaussianStore.from_primitives(prims)
 
 
 def test_criterion_5_renderer_gradients():
@@ -275,9 +273,8 @@ def test_criterion_6_compositing_invariants():
     unity = float(np.abs(out.alpha + out.transmittance - 1.0).max())
     ins_ok = out.instance.min() >= 0.0 and out.instance.max() <= 1.0
 
-    single = GaussianStore()
     z = 2.0
-    single.extend([
+    single = GaussianStore.from_primitives([
         GaussianPrimitive(
             mean=np.array([0.5 / 80 * z, 0.5 / 80 * z, z]),
             scale=np.full(3, 0.05),
@@ -416,8 +413,7 @@ def test_criterion_9_determinism_roundtrips(tmp_path, recon_run):
     p1 = tmp_path / "o1.ply"
     export_object_ply(first.store, 1, p1)
     back = import_object_ply(p1)
-    store2 = GaussianStore()
-    store2.extend(back)
+    store2 = GaussianStore.from_primitives(back)
     p2 = tmp_path / "o2.ply"
     export_object_ply(store2, 1, p2)
     ply_roundtrip = p1.read_bytes() == p2.read_bytes()

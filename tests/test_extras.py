@@ -37,10 +37,9 @@ def gradcheck_frame(store, cam):
 class TestRotationScaleGradients:
     def _scene(self, seed):
         rng = np.random.default_rng(seed)
-        store = GaussianStore()
         q = rng.normal(size=4)
         q /= np.linalg.norm(q)
-        store.extend([
+        return GaussianStore.from_primitives([
             GaussianPrimitive(
                 mean=np.array([rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1), 2.0]),
                 scale=rng.uniform(0.04, 0.12, 3),
@@ -51,7 +50,6 @@ class TestRotationScaleGradients:
                 kind=KIND_OPAQUE,
             )
         ])
-        return store
 
     @pytest.mark.parametrize("seed", [9, 19, 29])
     def test_quaternion_gradient_matches_fd(self, seed):

@@ -6,6 +6,7 @@ from objmap.frames import FrameBundle
 from objmap.gaussians import (
     KIND_OPAQUE,
     KIND_TRANSPARENT,
+    STORE_ARRAYS,
     DensifyConfig,
     GaussianPrimitive,
     GaussianStore,
@@ -63,22 +64,27 @@ def empty_render(frame):
 class TestStore:
     def test_extend_and_extract(self):
         store = GaussianStore()
-        prims = [
+        store.extend(GaussianStore.from_primitives([
             GaussianPrimitive(np.zeros(3), np.full(3, 0.01), np.array([1.0, 0, 0, 0]),
                               0.9, np.zeros(3), object_id=1)
             for _ in range(10)
-        ] + [
+        ]))
+        store.extend(GaussianStore.from_primitives([
             GaussianPrimitive(np.ones(3), np.full(3, 0.01), np.array([1.0, 0, 0, 0]),
-                              0.9, np.ones(3), object_id=2)
+                              0.1, np.ones(3), object_id=2, kind=KIND_TRANSPARENT)
             for _ in range(5)
-        ]
-        store.extend(prims)
+        ]))
         assert len(extract_object(store, 2)) == 5
         assert len(extract_object(store, 1)) == 10
         assert extract_object(store, 99) == []
+        # appended in order, with the store's dtypes
+        assert np.array_equal(store.object_ids, [1] * 10 + [2] * 5)
+        assert np.array_equal(store.kinds, [KIND_OPAQUE] * 10 + [KIND_TRANSPARENT] * 5)
+        assert np.array_equal(store.opacities, [0.9] * 10 + [0.1] * 5)
+        assert store.object_ids.dtype == np.int32 and store.kinds.dtype == np.uint8
+        assert store.means.shape == (15, 3) and store.quats.shape == (15, 4)
 
     def test_partition_property(self):
-        store = GaussianStore()
         rng = np.random.default_rng(0)
         prims = [
             GaussianPrimitive(rng.normal(size=3), np.full(3, 0.01),
@@ -86,13 +92,12 @@ class TestStore:
                               object_id=int(rng.integers(0, 4)))
             for _ in range(40)
         ]
-        store.extend(prims)
+        store = GaussianStore.from_primitives(prims)
         total = sum(len(extract_object(store, k)) for k in store.present_ids())
         assert total == len(store)
 
     def test_rewrite_object_id_atomic(self):
-        store = GaussianStore()
-        store.extend([
+        store = GaussianStore.from_primitives([
             GaussianPrimitive(np.zeros(3), np.full(3, 0.01), np.array([1.0, 0, 0, 0]),
                               0.9, np.zeros(3), object_id=3)
             for _ in range(7)
@@ -103,8 +108,7 @@ class TestStore:
         assert len(extract_object(store, 8)) == 7
 
     def test_clamp_keeps_classes(self):
-        store = GaussianStore()
-        store.extend([
+        store = GaussianStore.from_primitives([
             GaussianPrimitive(np.zeros(3), np.full(3, 0.01), np.array([1.0, 0, 0, 0]),
                               0.9, np.zeros(3), object_id=1, kind=KIND_OPAQUE),
             GaussianPrimitive(np.zeros(3), np.full(3, 0.01), np.array([1.0, 0, 0, 0]),
@@ -179,15 +183,15 @@ class TestDensify:
         masks = compute_update_masks(frame, empty_render(frame), MaskThresholds())
         new = densify_from_mask(frame, masks, empty_render(frame), DensifyConfig(stride=4))
         assert len(new) == pytest.approx(625, abs=60)
-        assert all(p.object_id == 1 for p in new)
-        assert all(p.kind == KIND_OPAQUE for p in new)
-        assert all(p.opacity == 0.9 for p in new)
+        assert np.all(new.object_ids == 1) and new.object_ids.dtype == np.int32
+        assert np.all(new.kinds == KIND_OPAQUE) and new.kinds.dtype == np.uint8
+        assert np.all(new.opacities == 0.9)
 
     def test_empty_masks_no_spawn(self):
         cam = camera()
         frame = synthetic_frame(cam, object_box=(10, 10, 40, 40))
         masks = compute_update_masks(frame, perfect_render(frame), MaskThresholds())
-        assert densify_from_mask(frame, masks, perfect_render(frame), DensifyConfig()) == []
+        assert len(densify_from_mask(frame, masks, perfect_render(frame), DensifyConfig())) == 0
 
     def test_backprojection_at_principal_point(self):
         cam = camera(w=80, h=60, f=100.0)
@@ -195,9 +199,9 @@ class TestDensify:
         masks = compute_update_masks(frame, empty_render(frame), MaskThresholds())
         new = densify_from_mask(frame, masks, empty_render(frame), DensifyConfig(stride=2))
         # gaussian spawned at the principal point pixel: mean on the optical axis
-        best = min(new, key=lambda p: abs(p.mean[0]) + abs(p.mean[1]))
-        assert np.allclose(best.mean[2], 2.0, atol=1e-9)
-        assert abs(best.mean[0]) < 2.0 / 100.0  # within one pixel of the axis
+        best = new.means[np.argmin(np.abs(new.means[:, 0]) + np.abs(new.means[:, 1]))]
+        assert np.allclose(best[2], 2.0, atol=1e-9)
+        assert abs(best[0]) < 2.0 / 100.0  # within one pixel of the axis
 
     def test_zero_depth_pixels_skipped(self):
         cam = camera()
@@ -205,7 +209,7 @@ class TestDensify:
         frame.depth[:, :40] = 0.0
         masks = compute_update_masks(frame, empty_render(frame), MaskThresholds())
         new = densify_from_mask(frame, masks, empty_render(frame), DensifyConfig(stride=2))
-        px, _ = frame.camera.project_points(np.array([p.mean for p in new]))
+        px, _ = frame.camera.project_points(new.means)
         assert np.all(px[:, 0] >= 39.0)
 
     def test_transparent_spawned_at_rendered_depth(self):
@@ -217,10 +221,10 @@ class TestDensify:
         masks = compute_update_masks(frame, rout, MaskThresholds())
         assert masks.masked_counts()[0] == 0  # no geo pixels
         new = densify_from_mask(frame, masks, rout, DensifyConfig(stride=4))
-        tg = [p for p in new if p.kind == KIND_TRANSPARENT]
-        assert tg
-        assert all(p.opacity == 0.1 for p in tg)
-        cam_depth = np.array([cam.to_camera(p.mean)[0, 2] for p in tg])
+        tg = new.kinds == KIND_TRANSPARENT
+        assert np.any(tg)
+        assert np.all(new.opacities[tg] == 0.1)
+        cam_depth = cam.to_camera(new.means[tg])[:, 2]
         assert np.allclose(cam_depth, 1.95, atol=1e-9)
 
     def test_spawn_budget(self):
@@ -230,6 +234,24 @@ class TestDensify:
         new = densify_from_mask(frame, masks, empty_render(frame),
                                 DensifyConfig(stride=1, max_new_per_frame=100))
         assert len(new) == 100
+        # the cap keeps the first spawns in scan order
+        full = densify_from_mask(frame, masks, empty_render(frame), DensifyConfig(stride=1))
+        for name in STORE_ARRAYS:
+            assert np.array_equal(getattr(new, name), getattr(full, name)[:100])
+
+    def test_geometry_spawns_before_color(self):
+        cam = camera()
+        frame = synthetic_frame(cam, object_box=(0, 0, 80, 60))
+        rout = perfect_render(frame)
+        rout.color[:, :, 0] += 0.3       # color error everywhere
+        rout.depth[:, :40] = 1.5         # depth error on the left half only
+        masks = compute_update_masks(frame, rout, MaskThresholds())
+        new = densify_from_mask(frame, masks, rout, DensifyConfig(stride=2))
+        n_geo = np.count_nonzero(new.kinds == KIND_OPAQUE)
+        assert 0 < n_geo < len(new)
+        assert np.all(new.kinds[:n_geo] == KIND_OPAQUE)
+        assert np.all(new.kinds[n_geo:] == KIND_TRANSPARENT)
+        assert np.all(new.opacities[:n_geo] == 0.9) and np.all(new.opacities[n_geo:] == 0.1)
 
 
 class TestSelectTrainable:
@@ -283,9 +305,8 @@ class TestSelectTrainable:
 
 class TestPlyRoundtrip:
     def test_export_import_exact(self, tmp_path):
-        store = GaussianStore()
         rng = np.random.default_rng(1)
-        store.extend([
+        store = GaussianStore.from_primitives([
             GaussianPrimitive(rng.normal(size=3), np.full(3, 0.02),
                               np.array([1.0, 0, 0, 0]), 0.9, rng.uniform(0, 1, 3),
                               object_id=4)
@@ -297,8 +318,7 @@ class TestPlyRoundtrip:
         back = import_object_ply(path)
         assert len(back) == 20
         # float32 payload round-trips bit-exactly on re-export
-        store2 = GaussianStore()
-        store2.extend(back)
+        store2 = GaussianStore.from_primitives(back)
         path2 = tmp_path / "obj4_again.ply"
         export_object_ply(store2, 4, path2)
         assert path.read_bytes() == path2.read_bytes()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from objmap.cli import main as cli_main
-from objmap.errors import InvalidParameterError
+from objmap.errors import DatasetError, InvalidParameterError
 from objmap.gaussians import KIND_OPAQUE
 from objmap.pipeline import (
     PipelineConfig,
@@ -263,6 +263,18 @@ class TestExportAndState:
         path.write_text(json.dumps({"no_such_threshold": 1.0}))
         with pytest.raises(InvalidParameterError):
             PipelineConfig.from_json(str(path))
+
+
+    @pytest.mark.parametrize("content", [
+        "{\"tracks\": [",
+        json.dumps({"next_id": 1}),
+        json.dumps({"tracks": []}),
+        json.dumps({"tracks": [], "next_id": 1, "config": {"og_opacity": 0.9}}),
+    ], ids=["not-json", "no-tracks", "no-next-id", "unknown-config-key"])
+    def test_load_state_rejects_malformed(self, tmp_path, content):
+        (tmp_path / "state.json").write_text(content)
+        with pytest.raises(DatasetError, match="state.json"):
+            load_state(str(tmp_path))
 
 
 class TestCli:

@@ -6,6 +6,8 @@ from objmap.frames import FrameBundle
 from objmap.gaussians import (
     KIND_OPAQUE,
     KIND_TRANSPARENT,
+    STORE_ARRAYS,
+    TRAINABLE,
     GaussianPrimitive,
     GaussianStore,
 )
@@ -38,7 +40,6 @@ def prim(mean, scale=0.05, opacity=0.9, color=(1.0, 0.0, 0.0), object_id=1,
 
 
 def random_scene(rng, n, image_cam=None):
-    store = GaussianStore()
     prims = []
     for i in range(n):
         z = 1.5 + 0.25 * i + rng.uniform(0, 0.1)
@@ -53,8 +54,7 @@ def random_scene(rng, n, image_cam=None):
                 kind=KIND_OPAQUE if i % 3 != 2 else KIND_TRANSPARENT,
             )
         )
-    store.extend(prims)
-    return store
+    return GaussianStore.from_primitives(prims)
 
 
 def _rand_quat(rng):
@@ -90,18 +90,16 @@ class TestForward:
     def test_single_gaussian_on_pixel_center(self):
         # mean projects exactly onto pixel center (32,32): u = 80*x/z + 32 = 32.5
         cam = camera_64()
-        store = GaussianStore()
         z = 2.0
-        store.extend([prim([0.5 / 80 * z, 0.5 / 80 * z, z], opacity=0.9)])
+        store = GaussianStore.from_primitives([prim([0.5 / 80 * z, 0.5 / 80 * z, z], opacity=0.9)])
         out = render(store, cam)
         assert out.alpha[32, 32] == pytest.approx(0.9, abs=1e-12)
         assert out.depth[32, 32] == pytest.approx(2.0, abs=1e-12)
 
     def test_two_layer_transmittance(self):
         cam = camera_64()
-        store = GaussianStore()
         z1, z2 = 2.0, 3.0
-        store.extend([
+        store = GaussianStore.from_primitives([
             prim([0.5 / 80 * z1, 0.5 / 80 * z1, z1], opacity=0.9),
             prim([0.5 / 80 * z2, 0.5 / 80 * z2, z2], opacity=0.9, color=(0, 1, 0)),
         ])
@@ -137,9 +135,8 @@ class TestForward:
 
     def test_instance_restricted_to_opaque(self):
         cam = camera_64()
-        store = GaussianStore()
         z = 2.0
-        store.extend([
+        store = GaussianStore.from_primitives([
             prim([0.5 / 80 * z, 0.5 / 80 * z, z], opacity=0.4, kind=KIND_TRANSPARENT,
                  object_id=1),
         ])
@@ -152,8 +149,8 @@ class TestGradients:
     def test_color_gradient_single_gaussian(self):
         # color target differs -> analytic color gradient matches FD at 1e-4
         cam = camera_64()
-        store = GaussianStore()
-        store.extend([prim([0.0125 * 2, 0.0125 * 2, 2.0], color=(0.5, 0.5, 0.5))])
+        store = GaussianStore.from_primitives(
+            [prim([0.0125 * 2, 0.0125 * 2, 2.0], color=(0.5, 0.5, 0.5))])
         frame = gradcheck_frame(store, cam, 1)
         _, grads, _ = loss_and_gradients(store, np.arange(1), frame, lam=0.5, object_id=1)
         h = 1e-4
@@ -238,8 +235,7 @@ class TestGradients:
 class TestOptimizeObject:
     def _target_setup(self, rng):
         cam = camera_64()
-        target = GaussianStore()
-        target.extend([
+        target = GaussianStore.from_primitives([
             prim([0.0, 0.0, 2.0], scale=0.12, opacity=0.95, color=(0.2, 0.8, 0.3)),
         ])
         t_out = render(target, cam, instance_id=1)
@@ -249,8 +245,7 @@ class TestOptimizeObject:
             instance=(t_out.instance > 0.5).astype(np.int32),
             camera=cam, detections=[], index=0,
         )
-        fit = GaussianStore()
-        fit.extend([
+        fit = GaussianStore.from_primitives([
             prim([0.05, -0.04, 2.1], scale=0.1, opacity=0.9, color=(0.5, 0.5, 0.5)),
         ])
         return cam, frame, fit
@@ -275,18 +270,34 @@ class TestOptimizeObject:
         assert trace == []
         assert np.array_equal(fit.means, before)
 
+    def test_frozen_gaussians_bit_identical(self):
+        cam = camera_64()
+        store = random_scene(np.random.default_rng(11), 12)
+        frame = gradcheck_frame(store, cam, 1)
+        before = {name: getattr(store, name).copy() for name in STORE_ARRAYS}
+        train = store.object_indices(1)[:3]
+        frozen = np.setdiff1d(np.arange(len(store)), train)
+        optimize_object(store, 1, [frame], train, TrainConfig(iters=10))
+        for name in TRAINABLE:
+            after = getattr(store, name)
+            assert after[frozen].tobytes() == before[name][frozen].tobytes(), name
+            assert not np.array_equal(after[train], before[name][train]), name
+        assert np.array_equal(store.object_ids, before["object_ids"])
+        assert np.array_equal(store.kinds, before["kinds"])
+
     def test_opacity_class_preserved(self):
         cam, frame, fit = self._target_setup(np.random.default_rng(0))
-        fit.extend([prim([0.0, 0.0, 2.05], opacity=0.1, kind=KIND_TRANSPARENT,
-                         color=(0.9, 0.1, 0.1))])
+        fit.extend(GaussianStore.from_primitives([
+            prim([0.0, 0.0, 2.05], opacity=0.1, kind=KIND_TRANSPARENT, color=(0.9, 0.1, 0.1)),
+        ]))
         optimize_object(fit, 1, [frame], np.arange(2), TrainConfig(iters=30))
         assert fit.opacities[0] >= 0.5   # opaque stays opaque
         assert fit.opacities[1] <= 0.5   # transparent stays transparent
 
     def test_transparent_only_improves_color(self):
         cam = camera_64()
-        target = GaussianStore()
-        target.extend([prim([0.0, 0.0, 2.0], scale=0.12, opacity=0.95, color=(0.9, 0.2, 0.2))])
+        target = GaussianStore.from_primitives(
+            [prim([0.0, 0.0, 2.0], scale=0.12, opacity=0.95, color=(0.9, 0.2, 0.2))])
         t_out = render(target, cam, instance_id=1)
         frame = FrameBundle(
             rgb=t_out.color,
@@ -295,15 +306,15 @@ class TestOptimizeObject:
             camera=cam, detections=[], index=0,
         )
         # opaque base with wrong color, frozen; transparent correctors trainable
-        fit = GaussianStore()
-        fit.extend([prim([0.0, 0.0, 2.0], scale=0.12, opacity=0.95, color=(0.4, 0.4, 0.4))])
+        fit = GaussianStore.from_primitives(
+            [prim([0.0, 0.0, 2.0], scale=0.12, opacity=0.95, color=(0.4, 0.4, 0.4))])
         rng = np.random.default_rng(0)
         tg = []
         for _ in range(12):
             offset = rng.uniform(-0.1, 0.1, 2)
             tg.append(prim([offset[0], offset[1], 1.98], scale=0.05, opacity=0.1,
                            kind=KIND_TRANSPARENT, color=(0.5, 0.5, 0.5)))
-        fit.extend(tg)
+        fit.extend(GaussianStore.from_primitives(tg))
         depth_before = render(fit, cam).depth.copy()
         l0, _, p0 = loss_and_gradients(fit, np.empty(0, int), frame, lam=0.0, object_id=1)
         optimize_object(fit, 1, [frame], np.arange(1, 13), TrainConfig(iters=40))

@@ -1,5 +1,7 @@
 import hashlib
+import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from objmap.simulator import (
     OrbitTrajectory,
     SceneSpec,
     WaypointTrajectory,
+    dataset_cameras,
     frame_bundles,
     generate,
     load,
@@ -188,6 +191,45 @@ class TestDataset:
         os.remove(os.path.join(d, "intrinsics.json"))
         with pytest.raises(DatasetError, match="intrinsics"):
             load(d)
+
+    def test_non_numeric_pose_field(self, tmp_path):
+        d = generate(one_sphere_spec(n_frames=3), str(tmp_path / "ds"))
+        path = os.path.join(d, "poses.txt")
+        with open(path) as f:
+            lines = f.read().splitlines()
+        fields = lines[1].split()
+        fields[4] = "0.1x"
+        lines[1] = " ".join(fields)
+        with open(path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        for read in (load, dataset_cameras):
+            with pytest.raises(DatasetError, match=r"poses\.txt:2"):
+                read(d)
+
+    def test_null_intrinsics_field(self, tmp_path):
+        d = generate(one_sphere_spec(n_frames=1), str(tmp_path / "ds"))
+        path = os.path.join(d, "intrinsics.json")
+        with open(path) as f:
+            intr = json.load(f)
+        intr["fx"] = None
+        with open(path, "w") as f:
+            json.dump(intr, f)
+        for read in (load, dataset_cameras):
+            with pytest.raises(DatasetError, match="intrinsics"):
+                read(d)
+
+    def test_dataset_cameras_read_only_poses(self, tmp_path):
+        d = generate(one_sphere_spec(n_frames=3), str(tmp_path / "ds"))
+        expected = [f.camera for f in load(d)]
+        for sub in ("rgb", "depth", "instance"):
+            shutil.rmtree(os.path.join(d, sub))
+        cams = dataset_cameras(d)
+        assert len(cams) == len(expected) == 3
+        for a, b in zip(cams, expected):
+            assert (a.fx, a.fy, a.cx, a.cy, a.width, a.height) == (
+                b.fx, b.fy, b.cx, b.cy, b.width, b.height)
+            assert np.array_equal(a.rotation, b.rotation)
+            assert np.array_equal(a.translation, b.translation)
 
     def test_truncated_depth_png_stops_after_prior_frames(self, tmp_path):
         spec = one_sphere_spec(n_frames=3)
