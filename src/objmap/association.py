@@ -7,7 +7,7 @@ initialized from the detection (fine).  Unmatched detections spawn new
 tracks, and an occlusion pass merges redundant tracks of the same class
 whose current projections are nested.
 
-Two merge routes are supported (both configurable):
+Two merge routes are tried for every same-class pair:
   - fragment: the nested track's quadric is very DISSIMILAR (similarity
     below `merge_d`), the signature of a piece of an occlusion-split object;
   - duplicate: the two quadrics describe the same volume (near-zero raw
@@ -21,7 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BehindCameraError, CannotInitializeError, DegenerateConicError
+from .errors import (
+    BehindCameraError,
+    CannotInitializeError,
+    DegenerateConicError,
+    InvalidParameterError,
+)
 from .frames import Detection2D, FrameBundle, bbox_pixel_rect, dominant_instance_id
 from .quadrics import (
     BBox2D,
@@ -50,15 +55,13 @@ class AssocConfig:
     tau: float = 1.0
     t_thre: float = 0.85
     merge_d: float = 0.1
-    merge_fragments: bool = True
-    merge_duplicates: bool = True
     merge_duplicate_raw: float = 0.1
     merge_iou3d: float = 0.2
     stable_obs: int = 5
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError(f"association mode must be one of {MODES}")
+            raise InvalidParameterError(f"association mode must be one of {MODES}")
 
 
 @dataclass
@@ -390,7 +393,7 @@ def merge_occluded(
 ) -> list[tuple[int, int]]:
     """Pop redundant same-class tracks (occlusion fragments and twins).
 
-    Two routes, both configurable:
+    Two routes, the duplicate one tried first for each pair:
       - fragment: projections nest this frame (for the pair with
         Area(box_j) < Area(box_i), t = overlap / Area(box_j) exceeds t_thre)
         and the quadrics are very dissimilar (QD similarity < merge_d) --
@@ -422,23 +425,20 @@ def merge_occluded(
                 continue
             if ti.class_id != tj.class_id:
                 continue
-            if config.merge_duplicates:
-                raw = quadric_raw_distance(tj.quadric, ti.quadric)
-                # a same-class track whose center falls inside the other's
-                # ellipsoid box is a second hypothesis of the same object
-                center_inside = bool(
-                    ti.quadric.contains(tj.quadric.center[None, :])[0]
-                    or tj.quadric.contains(ti.quadric.center[None, :])[0]
-                )
-                if (
-                    raw < config.merge_duplicate_raw
-                    or center_inside
-                    or iou_3d(tj.quadric, ti.quadric) > config.merge_iou3d
-                ):
-                    best_i = i
-                    break
-            if not config.merge_fragments:
-                continue
+            raw = quadric_raw_distance(tj.quadric, ti.quadric)
+            # a same-class track whose center falls inside the other's
+            # ellipsoid box is a second hypothesis of the same object
+            center_inside = bool(
+                ti.quadric.contains(tj.quadric.center[None, :])[0]
+                or tj.quadric.contains(ti.quadric.center[None, :])[0]
+            )
+            if (
+                raw < config.merge_duplicate_raw
+                or center_inside
+                or iou_3d(tj.quadric, ti.quadric) > config.merge_iou3d
+            ):
+                best_i = i
+                break
             if i not in proj or j not in proj:
                 continue
             area_i, area_j = proj[i].area, proj[j].area

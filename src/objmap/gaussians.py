@@ -318,21 +318,13 @@ def select_trainable(
     from .renderer import project_gaussian_subset
 
     proj = project_gaussian_subset(store, idx, camera, lowpass=lowpass)
-    selected = []
-    for row, i in enumerate(idx):
-        if not proj["valid"][row]:
-            continue
-        u, v = proj["means2d"][row]
-        r = proj["radii"][row]
-        x0 = int(np.clip(np.floor(u - r), 0, w))
-        x1 = int(np.clip(np.ceil(u + r) + 1, 0, w))
-        y0 = int(np.clip(np.floor(v - r), 0, h))
-        y1 = int(np.clip(np.ceil(v + r) + 1, 0, h))
-        if x1 <= x0 or y1 <= y0:
-            continue
-        count = (
-            integral[y1, x1] - integral[y0, x1] - integral[y1, x0] + integral[y0, x0]
-        )
-        if count > 0:
-            selected.append(int(i))
-    return np.asarray(selected, dtype=int)
+    valid = proj["valid"]
+    idx = idx[valid]
+    u, v = proj["means2d"][valid].T
+    r = proj["radii"][valid]
+    x0 = np.clip(np.floor(u - r), 0, w).astype(int)
+    x1 = np.clip(np.ceil(u + r) + 1, 0, w).astype(int)
+    y0 = np.clip(np.floor(v - r), 0, h).astype(int)
+    y1 = np.clip(np.ceil(v + r) + 1, 0, h).astype(int)
+    count = integral[y1, x1] - integral[y0, x1] - integral[y1, x0] + integral[y0, x0]
+    return idx[(x1 > x0) & (y1 > y0) & (count > 0)]

@@ -55,8 +55,6 @@ class PipelineConfig:
     tau: float = 1.0
     t_thre: float = 0.85
     merge_d: float = 0.1
-    merge_fragments: bool = True
-    merge_duplicates: bool = True
     merge_duplicate_raw: float = 0.1
     merge_iou3d: float = 0.2
     # update masks
@@ -92,8 +90,6 @@ class PipelineConfig:
             tau=self.tau,
             t_thre=self.t_thre,
             merge_d=self.merge_d,
-            merge_fragments=self.merge_fragments,
-            merge_duplicates=self.merge_duplicates,
             merge_duplicate_raw=self.merge_duplicate_raw,
             merge_iou3d=self.merge_iou3d,
         )
@@ -175,6 +171,16 @@ class PipelineResult:
         return len(self.object_map)
 
 
+def _ordered_map(fn, items: list, workers: int) -> list:
+    """[fn(x) for x in items], on a thread pool when workers > 1 and there
+    is more than one item; results come back in item order either way.
+    """
+    if workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
 def _optimize_dirty_tracks(obj_map: ObjectMap, dirty: list[int],
                            config: PipelineConfig, iters: int | None = None) -> None:
     """Refine quadrics of the given tracks; parallel-safe, committed by id."""
@@ -185,8 +191,6 @@ def _optimize_dirty_tracks(obj_map: ObjectMap, dirty: list[int],
             continue
         obs = [(o.bbox, o.camera) for o in track.observations]
         jobs.append((track, obs))
-    if not jobs:
-        return
 
     def run(job):
         track, obs = job
@@ -197,12 +201,7 @@ def _optimize_dirty_tracks(obj_map: ObjectMap, dirty: list[int],
                            track.object_id, e)
             return None
 
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
-    for (track, _), res in zip(jobs, results):
+    for (track, _), res in zip(jobs, _ordered_map(run, jobs, config.workers)):
         if res is not None and res.loss <= res.initial_loss:
             track.quadric = res.params.to_quadric()
 
@@ -294,28 +293,21 @@ def _map_frame(store: GaussianStore, frame: FrameBundle, config: PipelineConfig,
             sel = select_trainable(store, masks, k, frame.camera)
         if len(sel):
             selections[k] = sel
-    if not selections:
-        return 0
 
-    # every object trains against the same frame-start snapshot; results are
-    # committed in ascending id order so any worker count gives identical maps
+    # every object trains on its own copy of the frame-start store, which
+    # nothing writes to until all jobs have returned; results are committed
+    # in ascending id order so any worker count gives identical maps
     train_cfg = config.training()
-    snapshot = store.copy()
 
     def run(k):
-        local = snapshot.copy()
+        local = store.copy()
         optimize_object(local, k, [frame], selections[k], train_cfg)
-        return k, {name: getattr(local, name)[selections[k]] for name in TRAINABLE}
+        return {name: getattr(local, name)[selections[k]] for name in TRAINABLE}
 
     order = sorted(selections)
-    if config.workers > 1 and len(order) > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = dict(pool.map(run, order))
-    else:
-        results = dict(run(k) for k in order)
-    for k in order:
+    for k, trained in zip(order, _ordered_map(run, order, config.workers)):
         for name in TRAINABLE:
-            getattr(store, name)[selections[k]] = results[k][name]
+            getattr(store, name)[selections[k]] = trained[name]
     return sum(len(s) for s in selections.values())
 
 
@@ -373,40 +365,47 @@ def load_state(state_dir: str) -> PipelineResult:
     """Read a directory written by save_state.
 
     Raises DatasetError naming state.json when it is missing, is not JSON,
-    lacks a required key or carries config keys PipelineConfig does not know.
+    lacks a required key (also in a track entry) or carries config keys
+    PipelineConfig does not know, and naming gaussians.npz when it lacks a
+    store array or its arrays differ in length.
     """
     path = os.path.join(state_dir, "state.json")
     if not os.path.isfile(path):
         raise DatasetError(f"missing state file: {path}")
+    obj_map = ObjectMap()
     try:
         with open(path) as f:
             state = json.load(f)
         entries, next_id = state["tracks"], state["next_id"]
         config = PipelineConfig.from_dict(state.get("config", {}))
-    except (json.JSONDecodeError, KeyError, TypeError, InvalidParameterError) as e:
+        for entry in entries:
+            track = obj_map.new_track(entry["class_id"])
+            # preserve original ids
+            obj_map.tracks.pop(track.object_id)
+            track.object_id = entry["object_id"]
+            obj_map.tracks[track.object_id] = track
+            track.status = entry["status"]
+            track.last_seen = entry["last_seen"]
+            if "center" in entry:
+                track.quadric = DualQuadric(
+                    np.asarray(entry["center"]),
+                    quat_to_rotation(entry["rotation_wxyz"]),
+                    np.asarray(entry["semi_axes"]),
+                )
+    except (KeyError, TypeError, ValueError) as e:  # JSON and config errors included
         raise DatasetError(f"malformed state file {path}: {e}") from e
-    obj_map = ObjectMap()
-    for entry in entries:
-        track = obj_map.new_track(entry["class_id"])
-        # preserve original ids
-        obj_map.tracks.pop(track.object_id)
-        track.object_id = entry["object_id"]
-        obj_map.tracks[track.object_id] = track
-        track.status = entry["status"]
-        track.last_seen = entry["last_seen"]
-        if "center" in entry:
-            track.quadric = DualQuadric(
-                np.asarray(entry["center"]),
-                quat_to_rotation(entry["rotation_wxyz"]),
-                np.asarray(entry["semi_axes"]),
-            )
     obj_map._next_id = next_id
     obj_map.retired_ids = set(state.get("retired_ids", []))
     store = GaussianStore()
     gz = os.path.join(state_dir, "gaussians.npz")
     if os.path.isfile(gz):
-        with np.load(gz) as data:
-            store = GaussianStore(**{name: data[name] for name in STORE_ARRAYS})
+        try:
+            with np.load(gz) as data:
+                store = GaussianStore(**{name: data[name] for name in STORE_ARRAYS})
+        except (KeyError, ValueError) as e:
+            raise DatasetError(f"malformed Gaussian file {gz}: {e}") from e
+        if len({len(getattr(store, name)) for name in STORE_ARRAYS}) > 1:
+            raise DatasetError(f"malformed Gaussian file {gz}: arrays differ in length")
     logs = [FrameLog(**lg) for lg in state.get("frame_logs", [])]
     return PipelineResult(object_map=obj_map, store=store, logs=logs, config=config)
 

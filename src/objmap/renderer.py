@@ -602,7 +602,8 @@ def optimize_object(
     Each step accumulates gradients over the frame window, takes an
     RMS-normalized step per parameter group, and rejects (reverts, halves
     the rate, resets momentum) any step that increases the loss, so the
-    returned trace of accepted losses is non-increasing.
+    returned trace of accepted losses is non-increasing.  Each step evaluates
+    once, at the trial point; a rejected step keeps the gradients it had.
     """
     config = config or TrainConfig()
     trainable_idx = np.asarray(trainable_idx, dtype=int)
@@ -612,7 +613,7 @@ def optimize_object(
     if not frames:
         return []
 
-    def total_loss_grads(need_grads: bool):
+    def total_loss_grads():
         loss = 0.0
         acc = None
         for frame in frames:
@@ -621,12 +622,11 @@ def optimize_object(
                 object_id=object_id, config=config.render,
             )
             loss += f_loss
-            if need_grads:
-                if acc is None:
-                    acc = grads
-                else:
-                    for name in TRAINABLE:
-                        getattr(acc, name)[...] += getattr(grads, name)
+            if acc is None:
+                acc = grads
+            else:
+                for name in TRAINABLE:
+                    getattr(acc, name)[...] += getattr(grads, name)
         return loss, acc
 
     sel = trainable_idx
@@ -637,11 +637,10 @@ def optimize_object(
         config.lr_scale if scale_rot else 0.0, config.lr_quat if scale_rot else 0.0,
     )))
     scale_down = 1.0
-    loss, _ = total_loss_grads(False)
+    loss, grads = total_loss_grads()
     trace = [loss]
 
     for _ in range(config.iters):
-        _, grads = total_loss_grads(True)
         backup = {name: getattr(store, name)[sel].copy() for name in TRAINABLE}
         for name in TRAINABLE:
             g = getattr(grads, name)
@@ -652,9 +651,10 @@ def optimize_object(
             vel[name] = config.momentum * vel[name] + step
             getattr(store, name)[sel] += vel[name]
         store.clamp_parameters(sel)  # frozen Gaussians stay bit-identical
-        new_loss, _ = total_loss_grads(False)
+        new_loss, new_grads = total_loss_grads()
         if new_loss <= trace[-1]:
             trace.append(new_loss)
+            grads = new_grads
         else:
             for name in TRAINABLE:
                 getattr(store, name)[sel] = backup[name]

@@ -600,6 +600,10 @@ def _read_header(dataset_dir: str):
                 tx, ty, tz, qx, qy, qz, qw = map(float, parts[1:])
             except ValueError as e:
                 raise DatasetError(f"{poses_path}:{line_no}: {e}") from e
+            if not np.all(np.isfinite([tx, ty, tz, qx, qy, qz, qw])):
+                raise DatasetError(f"{poses_path}:{line_no}: non-finite field")
+            if qx == qy == qz == qw == 0.0:
+                raise DatasetError(f"{poses_path}:{line_no}: zero quaternion")
             poses[idx] = (quat_to_rotation([qw, qx, qy, qz]), np.array([tx, ty, tz]))
     return intr, depth_scale, poses
 

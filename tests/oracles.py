@@ -2,14 +2,17 @@
 
 These deliberately avoid the closed-form code paths they check: projection
 boxes come from dense surface sampling, box IoU from Monte-Carlo volume
-estimation, and nearest-neighbor metrics from full pairwise distances.
+estimation, nearest-neighbor metrics from full pairwise distances, and
+trainable selection from one footprint query per Gaussian.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from objmap.gaussians import GaussianStore, UpdateMasks
 from objmap.quadrics import BBox2D, CameraModel, DualQuadric
+from objmap.renderer import project_gaussian_subset
 
 
 _DIRECTION_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -110,3 +113,44 @@ def camera_looking_at(
         fx=fx, fy=fy, cx=width / 2, cy=height / 2,
         width=width, height=height, rotation=R, translation=eye,
     )
+
+
+def per_gaussian_select_trainable(
+    store: GaussianStore,
+    masks: UpdateMasks,
+    object_id: int,
+    camera: CameraModel,
+    lowpass: float = 0.3,
+) -> np.ndarray:
+    """select_trainable as a Python loop: one summed-area query per Gaussian."""
+    idx = store.object_indices(object_id)
+    if len(idx) == 0 or object_id not in masks.per_object:
+        return np.empty(0, dtype=int)
+    geo_px, rgb_px = masks.per_object[object_id]
+    all_px = np.concatenate([geo_px, rgb_px])
+    if len(all_px) == 0:
+        return np.empty(0, dtype=int)
+
+    h, w = masks.geo_mask.shape
+    obj_mask = np.zeros(h * w, dtype=bool)
+    obj_mask[all_px] = True
+    integral = np.zeros((h + 1, w + 1), dtype=np.int64)
+    integral[1:, 1:] = np.cumsum(np.cumsum(obj_mask.reshape(h, w), axis=0), axis=1)
+
+    proj = project_gaussian_subset(store, idx, camera, lowpass=lowpass)
+    selected = []
+    for row, i in enumerate(idx):
+        if not proj["valid"][row]:
+            continue
+        u, v = proj["means2d"][row]
+        r = proj["radii"][row]
+        x0 = int(np.clip(np.floor(u - r), 0, w))
+        x1 = int(np.clip(np.ceil(u + r) + 1, 0, w))
+        y0 = int(np.clip(np.floor(v - r), 0, h))
+        y1 = int(np.clip(np.ceil(v + r) + 1, 0, h))
+        if x1 <= x0 or y1 <= y0:
+            continue
+        count = integral[y1, x1] - integral[y0, x1] - integral[y1, x0] + integral[y0, x0]
+        if count > 0:
+            selected.append(int(i))
+    return np.asarray(selected, dtype=int)

@@ -11,6 +11,7 @@ from objmap.gaussians import (
     GaussianPrimitive,
     GaussianStore,
     MaskThresholds,
+    UpdateMasks,
     compute_update_masks,
     densify_from_mask,
     export_object_ply,
@@ -21,6 +22,7 @@ from objmap.gaussians import (
 from objmap.quadrics import CameraModel
 from objmap.renderer import RenderOutput, render
 from objmap.simulator import ObjectSpec, OrbitTrajectory, SceneSpec, frame_bundles
+from oracles import per_gaussian_select_trainable
 
 
 def camera(w=80, h=60, f=70.0):
@@ -301,6 +303,45 @@ class TestSelectTrainable:
         bundle, store = self._scene_with_two_objects()
         masks = compute_update_masks(bundle, empty_render(bundle), MaskThresholds())
         assert len(select_trainable(store, masks, 42, bundle.camera)) == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_gaussian_reference(self, seed):
+        """Random stores with Gaussians behind the camera and off the image;
+        object 3 has no masked pixels and object 4 no Gaussians."""
+        rng = np.random.default_rng(seed)
+        cam = camera()
+        n = 300
+        store = GaussianStore(
+            means=np.column_stack([rng.uniform(-3, 3, n), rng.uniform(-3, 3, n),
+                                   rng.uniform(-1, 4, n)]),
+            scales=rng.uniform(0.01, 0.5, (n, 3)),
+            quats=rng.normal(size=(n, 4)),
+            opacities=np.full(n, 0.9),
+            colors=np.full((n, 3), 0.5),
+            object_ids=rng.integers(1, 4, n),
+            kinds=np.full(n, KIND_OPAQUE),
+        )
+        # the camera sits at the origin looking down +z
+        x, z = store.means[:, 0], store.means[:, 2]
+        u = cam.fx * x / np.where(z > 0, z, 1.0) + cam.cx
+        assert np.any(z < 0) and np.any((z > 0) & ((u < 0) | (u > cam.width)))
+
+        h, w = cam.height, cam.width
+        geo = rng.random(h * w) < 0.02
+        rgb = (rng.random(h * w) < 0.02) & ~geo
+        owner = rng.integers(1, 3, h * w)
+        per_object = {k: (np.flatnonzero(geo & (owner == k)), np.flatnonzero(rgb & (owner == k)))
+                      for k in (1, 2)}
+        per_object[3] = (np.empty(0, dtype=int), np.empty(0, dtype=int))
+        masks = UpdateMasks(geo_mask=geo.reshape(h, w), rgb_mask=rgb.reshape(h, w),
+                            per_object=per_object)
+        for k in (1, 2, 3, 4):
+            want = per_gaussian_select_trainable(store, masks, k, cam)
+            got = select_trainable(store, masks, k, cam)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            if k in (1, 2):  # the sparse mask catches some footprints, not all
+                assert 0 < len(want) < len(store.object_indices(k))
 
 
 class TestPlyRoundtrip:

@@ -23,6 +23,21 @@ from objmap.simulator import ObjectSpec, OrbitTrajectory, SceneSpec, generate, l
 from oracles import brute_force_nn_means
 
 
+def npz_arrays(n_scales=2, drop=None):
+    """gaussians.npz arrays of two Gaussians but n_scales scales, without `drop`."""
+    arrays = {
+        "means": np.zeros((2, 3)),
+        "scales": np.full((n_scales, 3), 0.01),
+        "quats": np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)),
+        "opacities": np.full(2, 0.9),
+        "colors": np.zeros((2, 3)),
+        "object_ids": np.ones(2, dtype=np.int32),
+        "kinds": np.zeros(2, dtype=np.uint8),
+    }
+    arrays.pop(drop, None)
+    return arrays
+
+
 def small_scene(**kw):
     args = dict(
         objects=[
@@ -265,15 +280,23 @@ class TestExportAndState:
             PipelineConfig.from_json(str(path))
 
 
-    @pytest.mark.parametrize("content", [
-        "{\"tracks\": [",
-        json.dumps({"next_id": 1}),
-        json.dumps({"tracks": []}),
-        json.dumps({"tracks": [], "next_id": 1, "config": {"og_opacity": 0.9}}),
-    ], ids=["not-json", "no-tracks", "no-next-id", "unknown-config-key"])
-    def test_load_state_rejects_malformed(self, tmp_path, content):
+    @pytest.mark.parametrize("content, arrays, bad_file", [
+        ("{\"tracks\": [", None, "state.json"),
+        (json.dumps({"next_id": 1}), None, "state.json"),
+        (json.dumps({"tracks": []}), None, "state.json"),
+        (json.dumps({"tracks": [], "next_id": 1, "config": {"og_opacity": 0.9}}), None,
+         "state.json"),
+        (json.dumps({"tracks": [{"object_id": 1, "status": "stable", "last_seen": 0}],
+                     "next_id": 2}), None, "state.json"),
+        (json.dumps({"tracks": [], "next_id": 1}), npz_arrays(drop="scales"), "gaussians.npz"),
+        (json.dumps({"tracks": [], "next_id": 1}), npz_arrays(n_scales=5), "gaussians.npz"),
+    ], ids=["not-json", "no-tracks", "no-next-id", "unknown-config-key",
+            "track-without-class-id", "npz-without-scales", "npz-length-mismatch"])
+    def test_load_state_rejects_malformed(self, tmp_path, content, arrays, bad_file):
         (tmp_path / "state.json").write_text(content)
-        with pytest.raises(DatasetError, match="state.json"):
+        if arrays is not None:
+            np.savez(tmp_path / "gaussians.npz", **arrays)
+        with pytest.raises(DatasetError, match=bad_file):
             load_state(str(tmp_path))
 
 
@@ -305,3 +328,5 @@ class TestCli:
         bad_cfg.write_text("{\"bogus\": 1}")
         assert cli_main(["run", "--dataset", str(tmp_path), "--out-state",
                          str(tmp_path / "s"), "--config", str(bad_cfg)]) == 2
+        assert cli_main(["run", "--dataset", str(tmp_path), "--out-state",
+                         str(tmp_path / "s"), "--assoc-mode", "bogus"]) == 2

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from objmap import renderer
 from objmap.errors import InvalidParameterError
 from objmap.frames import FrameBundle
 from objmap.gaussians import (
@@ -284,6 +285,26 @@ class TestOptimizeObject:
             assert not np.array_equal(after[train], before[name][train]), name
         assert np.array_equal(store.object_ids, before["object_ids"])
         assert np.array_equal(store.kinds, before["kinds"])
+
+    def test_one_evaluation_per_step(self, monkeypatch):
+        """Every frame of the window is evaluated once at the start and once
+        per step, accepted or rejected."""
+        cam = camera_64()
+        store = random_scene(np.random.default_rng(5), 12)
+        frames = [gradcheck_frame(store, cam, 1) for _ in range(3)]
+        store.means[:, :2] += 0.02  # start away from the target
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return loss_and_gradients(*args, **kwargs)
+
+        monkeypatch.setattr(renderer, "loss_and_gradients", counting)
+        trace = optimize_object(store, 1, frames, store.object_indices(1),
+                                TrainConfig(iters=20, lr_mean=0.05, lr_color=0.2))
+        rejected = sum(trace[i + 1] == trace[i] for i in range(len(trace) - 1))
+        assert len(trace) == 21 and 0 < rejected < 20
+        assert len(calls) == len(frames) * len(trace)
 
     def test_opacity_class_preserved(self):
         cam, frame, fit = self._target_setup(np.random.default_rng(0))

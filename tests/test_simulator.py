@@ -192,13 +192,19 @@ class TestDataset:
         with pytest.raises(DatasetError, match="intrinsics"):
             load(d)
 
-    def test_non_numeric_pose_field(self, tmp_path):
+    @pytest.mark.parametrize("replace", [
+        {4: "0.1x"},
+        {4: "0", 5: "0", 6: "0", 7: "0"},
+        {2: "nan"},
+    ], ids=["non-numeric", "zero-quaternion", "nan"])
+    def test_non_numeric_pose_field(self, tmp_path, replace):
         d = generate(one_sphere_spec(n_frames=3), str(tmp_path / "ds"))
         path = os.path.join(d, "poses.txt")
         with open(path) as f:
             lines = f.read().splitlines()
-        fields = lines[1].split()
-        fields[4] = "0.1x"
+        fields = lines[1].split()  # index tx ty tz qx qy qz qw
+        for i, value in replace.items():
+            fields[i] = value
         lines[1] = " ".join(fields)
         with open(path, "w") as f:
             f.write("\n".join(lines) + "\n")
