@@ -33,6 +33,7 @@ from .pipeline import (
     run_pipeline,
     save_state,
 )
+from .renderer import dump_render_pngs, render
 from .scenes import PRESETS, make_scene
 from .simulator import generate, load, load_gt
 
@@ -212,8 +213,6 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_render_frame(args) -> int:
-    from .renderer import dump_render_pngs, render
-
     result = load_state(args.state)
     frame = None
     for f in load(args.dataset):

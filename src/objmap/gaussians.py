@@ -315,7 +315,7 @@ def select_trainable(
     integral = np.zeros((h + 1, w + 1), dtype=np.int64)
     integral[1:, 1:] = np.cumsum(np.cumsum(obj_mask, axis=0), axis=1)
 
-    from .renderer import project_gaussian_subset
+    from .renderer import project_gaussian_subset  # renderer imports this module
 
     proj = project_gaussian_subset(store, idx, camera, lowpass=lowpass)
     valid = proj["valid"]

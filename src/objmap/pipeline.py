@@ -22,7 +22,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .association import AssocConfig, ObjectMap, associate_frame
-from .errors import DatasetError, InvalidParameterError, UnoptimizableError
+from .errors import (
+    BehindCameraError,
+    DatasetError,
+    DegenerateConicError,
+    InvalidParameterError,
+    UnoptimizableError,
+)
 from .frames import FrameBundle, dominant_instance_id
 from .gaussians import (
     STORE_ARRAYS,
@@ -270,7 +276,7 @@ def _map_frame(store: GaussianStore, frame: FrameBundle, config: PipelineConfig,
     Only instance ids that have produced at least one detection are mapped:
     without observations an object stays out of the Gaussian store entirely.
     """
-    from .renderer import optimize_object
+    from .renderer import optimize_object  # looked up per call: tracing swaps it
 
     out = render(store, frame.camera, instance_ref=frame.instance)
     masks = compute_update_masks(frame, out, thresholds)
@@ -467,8 +473,6 @@ class EvalReport:
 
 
 def _visible_bbox(quadric: DualQuadric, camera) -> object | None:
-    from .errors import BehindCameraError, DegenerateConicError
-
     try:
         box = conic_to_bbox(project_to_conic(quadric, camera))
     except (BehindCameraError, DegenerateConicError):
@@ -543,7 +547,7 @@ def eval_recon(
     est_points: np.ndarray, gt_points: np.ndarray, threshold_cm: float = 5.0
 ) -> tuple[float, float, float]:
     """(Accuracy cm, Completion cm, Completion-Ratio %) via exact NN search."""
-    from scipy.spatial import cKDTree
+    from scipy.spatial import cKDTree  # deferred: mapping needs no SciPy
 
     est = np.asarray(est_points, dtype=float)
     gt = np.asarray(gt_points, dtype=float)

@@ -83,7 +83,10 @@ def read_point_ply(path) -> dict[str, np.ndarray]:
     count = None
     for line in header.decode("ascii", errors="replace").splitlines():
         if line.startswith("element vertex"):
-            count = int(line.split()[-1])
+            value = line.split()[-1]
+            if not value.isdigit():
+                raise DatasetError(f"{path}: bad vertex count: {line}")
+            count = int(value)
         if line.startswith("format") and "binary_little_endian" not in line:
             raise DatasetError(f"{path}: unsupported PLY format: {line}")
     if count is None:

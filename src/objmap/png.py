@@ -72,9 +72,14 @@ def read_png(path) -> np.ndarray:
         (length,) = struct.unpack(">I", blob[pos : pos + 4])
         tag = blob[pos + 4 : pos + 8]
         payload = blob[pos + 8 : pos + 8 + length]
-        if len(payload) != length:
+        crc = blob[pos + 8 + length : pos + 12 + length]
+        if len(payload) != length or len(crc) != 4:
             raise DatasetError(f"{path}: truncated chunk {tag!r}")
+        if struct.unpack(">I", crc)[0] != zlib.crc32(payload, zlib.crc32(tag)):
+            raise DatasetError(f"{path}: CRC mismatch in chunk {tag!r}")
         if tag == b"IHDR":
+            if length != 13:
+                raise DatasetError(f"{path}: IHDR chunk is {length} bytes, not 13")
             header = struct.unpack(">IIBBBBB", payload)
         elif tag == b"IDAT":
             idat += payload

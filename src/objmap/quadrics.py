@@ -420,7 +420,7 @@ def iou_3d(a: DualQuadric, b: DualQuadric) -> float:
     box corners inside the other box plus edge/face intersection points, so
     the volume is the convex hull volume of that candidate set.
     """
-    from scipy.spatial import ConvexHull, QhullError
+    from scipy.spatial import ConvexHull, QhullError  # deferred: only exact IoU needs SciPy
 
     pts = _clip_hull_points(a, b)
     inter = 0.0

@@ -34,6 +34,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .frames import FrameBundle
 from .gaussians import KIND_OPAQUE, TRAINABLE, GaussianStore
+from .png import write_png
 from .quadrics import CameraModel
 
 logger = logging.getLogger(__name__)
@@ -668,8 +669,6 @@ def optimize_object(
 
 def dump_render_pngs(out: RenderOutput, prefix: str) -> list[str]:
     """Debug dump: 8-bit color, 16-bit depth in millimeters, 8-bit instance."""
-    from .png import write_png
-
     paths = []
     color8 = np.round(np.clip(out.color, 0, 1) * 255).astype(np.uint8)
     write_png(f"{prefix}_color.png", color8)

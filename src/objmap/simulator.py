@@ -26,11 +26,10 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DatasetError, InvalidParameterError
 from .frames import Detection2D, FrameBundle
-from .plyio import write_point_ply
+from .plyio import read_point_ply, write_point_ply
 from .png import read_png, write_png
 from .quadrics import BBox2D, CameraModel, DualQuadric
 
@@ -369,6 +368,8 @@ def _detections_for_frame(
     spec: SceneSpec, index: int, instance: np.ndarray, rng: np.random.Generator
 ) -> list[Detection2D]:
     """Tight boxes (pixel centers) per visible connected component, noised."""
+    from scipy import ndimage  # deferred: loading a dataset needs no SciPy
+
     h, w = instance.shape
     dets: list[Detection2D] = []
     for k, obj in enumerate(spec.objects, start=1):
@@ -662,8 +663,6 @@ def load(dataset_dir: str):
 
 def load_gt(dataset_dir: str) -> dict:
     """Ground truth: {'objects': [...], 'points': {id: (N,3) array}}."""
-    from .plyio import read_point_ply
-
     path = os.path.join(dataset_dir, "gt", "objects.json")
     if not os.path.isfile(path):
         raise DatasetError(f"missing ground-truth file: {path}")

@@ -1,5 +1,5 @@
-"""Supplementary coverage: rotation/scale gradients, PNG row filters,
-quadric-only association, config wiring."""
+"""Supplementary coverage: rotation/scale gradients, PNG row filters and
+chunk checks, PLY vertex counts, quadric-only association, config wiring."""
 
 import struct
 import zlib
@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from objmap.association import AssocConfig, ObjectMap, associate_frame
+from objmap.errors import DatasetError
 from objmap.frames import Detection2D, FrameBundle
 from objmap.gaussians import KIND_OPAQUE, GaussianPrimitive, GaussianStore
 from objmap.pipeline import PipelineConfig
+from objmap.plyio import read_point_ply, write_point_ply
 from objmap.png import read_png, write_png
 from objmap.quadrics import BBox2D, CameraModel, DualQuadric, conic_to_bbox, project_to_conic
 from objmap.renderer import loss_and_gradients, render
@@ -149,6 +151,40 @@ class TestPngFilters:
             p = tmp_path / f"c{i}.png"
             write_png(str(p), img)
             assert np.array_equal(read_png(str(p)), img)
+
+
+class TestPngChunks:
+    def _png(self, tmp_path):
+        path = tmp_path / "c.png"
+        write_png(str(path), np.arange(12, dtype=np.uint8).reshape(3, 4))
+        return path, bytearray(path.read_bytes())
+
+    def test_crc_mismatch_rejected(self, tmp_path):
+        path, blob = self._png(tmp_path)
+        blob[8 + 8 + 13] ^= 0xFF  # first byte of the IHDR CRC
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DatasetError, match="c.png.*CRC"):
+            read_png(str(path))
+
+    def test_short_ihdr_rejected(self, tmp_path):
+        path, blob = self._png(tmp_path)
+        payload = bytes(blob[16:21])
+        short_ihdr = (struct.pack(">I", 5) + b"IHDR" + payload
+                      + struct.pack(">I", zlib.crc32(b"IHDR" + payload)))
+        path.write_bytes(bytes(blob[:8]) + short_ihdr + bytes(blob[8 + 25:]))
+        with pytest.raises(DatasetError, match="c.png.*IHDR"):
+            read_png(str(path))
+
+
+class TestPlyVertexCount:
+    @pytest.mark.parametrize("count", ["x", "-1"])
+    def test_bad_count_rejected(self, tmp_path, count):
+        path = tmp_path / "p.ply"
+        write_point_ply(str(path), np.zeros((2, 3)))
+        path.write_bytes(path.read_bytes().replace(
+            b"element vertex 2\n", f"element vertex {count}\n".encode()))
+        with pytest.raises(DatasetError, match="p.ply.*vertex count"):
+            read_point_ply(str(path))
 
 
 class TestQdOnlyMode:

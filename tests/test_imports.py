@@ -1,0 +1,51 @@
+"""Import cost: importing the package and opening a dataset load no SciPy.
+
+Each check runs in a fresh interpreter, because the test process itself has
+SciPy loaded by other tests.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+from objmap.scenes import make_scene
+from objmap.simulator import generate, load
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+MAPPING_PATH = """
+import json, sys
+import objmap, objmap.pipeline, objmap.cli, objmap.scenes
+from objmap.pipeline import dataset_cameras
+from objmap.simulator import load
+frame = next(iter(load(sys.argv[1])))
+print(json.dumps({
+    "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+    "index": frame.index,
+    "cameras": len(dataset_cameras(sys.argv[1])),
+}))
+"""
+
+
+def run_fresh(*args: str) -> str:
+    """Run `python *args` in a new interpreter with `src` on the path."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_mapping_path_loads_no_scipy(tmp_path):
+    spec = make_scene("sphere", n_frames=2, width=48, height=36)
+    d = generate(spec, str(tmp_path / "ds"))
+    got = json.loads(run_fresh("-c", MAPPING_PATH, d))
+    assert got == {"scipy": [], "index": 0, "cameras": 2}
+
+
+def test_generation_in_fresh_interpreter(tmp_path):
+    d = str(tmp_path / "ds")
+    run_fresh("-m", "objmap.cli", "simulate", "--preset", "sphere",
+              "--frames", "2", "--width", "48", "--height", "36", "--out", d)
+    assert [len(f.detections) for f in load(d)] == [1, 1]
