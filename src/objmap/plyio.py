@@ -43,6 +43,7 @@ property float opacity
 property int object_id
 end_header
 """
+_PROPERTIES = [line for line in _HEADER.splitlines() if line.startswith("property")]
 
 
 def write_point_ply(
@@ -80,17 +81,25 @@ def read_point_ply(path) -> dict[str, np.ndarray]:
     if not blob.startswith(b"ply") or end < 0:
         raise DatasetError(f"{path}: not a PLY file")
     header = blob[: end + len(b"end_header\n")]
-    count = None
+    count, properties, elements = None, [], []
     for line in header.decode("ascii", errors="replace").splitlines():
-        if line.startswith("element vertex"):
-            value = line.split()[-1]
-            if not value.isdigit():
-                raise DatasetError(f"{path}: bad vertex count: {line}")
-            count = int(value)
+        words = line.split()
         if line.startswith("format") and "binary_little_endian" not in line:
             raise DatasetError(f"{path}: unsupported PLY format: {line}")
+        if words[:1] == ["element"]:
+            elements.append(line)
+        if words[:2] == ["element", "vertex"]:
+            if not words[-1].isdigit():
+                raise DatasetError(f"{path}: bad vertex count: {line}")
+            count = int(words[-1])
+        if words[:1] == ["property"]:
+            properties.append(" ".join(words))
     if count is None:
         raise DatasetError(f"{path}: missing vertex element")
+    # The body is decoded with _DTYPE, so any other element or vertex
+    # layout would decode to garbage.
+    if len(elements) != 1 or properties != _PROPERTIES:
+        raise DatasetError(f"{path}: unsupported PLY layout: {'; '.join(elements + properties)}")
     body = blob[end + len(b"end_header\n") :]
     if len(body) < count * _DTYPE.itemsize:
         raise DatasetError(f"{path}: truncated PLY body")

@@ -30,6 +30,11 @@ from .errors import (
 )
 
 _ORTHO_TOL = 1e-9
+# Box corners as axis signs, x slowest; corner i and j share an edge when
+# their indices differ in one bit.
+_CORNER_SIGNS = np.array(
+    [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=float
+)
 
 
 def _as_vec3(v, name: str) -> np.ndarray:
@@ -79,11 +84,7 @@ class DualQuadric:
 
     def corners(self) -> np.ndarray:
         """(8,3) world corners of the oriented bounding box of the ellipsoid."""
-        signs = np.array(
-            [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
-            dtype=float,
-        )
-        return self.center + (signs * self.semi_axes) @ self.rotation.T
+        return self.center + (_CORNER_SIGNS * self.semi_axes) @ self.rotation.T
 
     def contains(self, points: np.ndarray, pad: float = 0.0) -> np.ndarray:
         """Boolean mask: points inside the oriented bounding box (+pad)."""
@@ -366,69 +367,84 @@ def iou_2d(a: BBox2D, b: BBox2D) -> float:
     return float(inter / union)
 
 
+# Box faces in _halfspaces order: the +/- face across each box axis, and the
+# two other box axes, which span the face plane.
+_FACE_AXES = np.repeat(np.arange(3), 2)
+_FACE_SIGNS = np.tile([1.0, -1.0], 3)
+_FACE_SPAN = np.stack([(_FACE_AXES + 1) % 3, (_FACE_AXES + 2) % 3], axis=1)
+# The 12 box edges as pairs of corner indices.
+_EDGES = np.array(
+    [(i, j) for i in range(8) for j in range(i + 1, 8) if bin(i ^ j).count("1") == 1]
+)
+
+
 def _halfspaces(q: DualQuadric) -> np.ndarray:
     """(6,4) half-space rows (n, d): inside means n.x + d <= 0."""
-    rows = []
-    for k in range(3):
-        n = q.rotation[:, k]
-        e = q.semi_axes[k]
-        off = n @ q.center
-        rows.append([*n, -(off + e)])
-        rows.append([*(-n), off - e])
-    return np.array(rows)
+    normals = q.rotation.T[_FACE_AXES] * _FACE_SIGNS[:, None]
+    offsets = -(normals @ q.center) - q.semi_axes[_FACE_AXES]
+    return np.column_stack([normals, offsets])
 
 
-def _clip_hull_points(subject: DualQuadric, clipper: DualQuadric) -> np.ndarray:
+def _intersection_vertices(subject: DualQuadric, clipper: DualQuadric) -> np.ndarray:
     """Candidate vertices of the intersection polytope of two oriented boxes."""
-    pts = []
     ca, cb = subject.corners(), clipper.corners()
-    pts.append(ca[clipper.contains(ca, pad=1e-12)])
-    pts.append(cb[subject.contains(cb, pad=1e-12)])
-    # Edges of each box clipped against the other box's face planes.
-    edge_idx = [
-        (i, j) for i in range(8) for j in range(i + 1, 8)
-        if bin(i ^ j).count("1") == 1
-    ]
-    for corners, other in ((ca, clipper), (cb, subject)):
-        p0 = corners[[i for i, _ in edge_idx]]
-        p1 = corners[[j for _, j in edge_idx]]
-        d = p1 - p0
-        for n_d in _halfspaces(other):
-            n, off = n_d[:3], n_d[3]
-            denom = d @ n
-            num = -(p0 @ n + off)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = num / denom
-            valid = np.isfinite(t) & (t >= -1e-12) & (t <= 1 + 1e-12)
-            if np.any(valid):
-                x = p0[valid] + t[valid, None] * d[valid]
-                keep = other.contains(x, pad=1e-9)
-                # Also inside the box the edge belongs to, up to tolerance.
-                owner = subject if corners is ca else clipper
-                keep &= owner.contains(x, pad=1e-9)
-                pts.append(x[keep])
-    pts = [p for p in pts if len(p)]
-    if not pts:
-        return np.empty((0, 3))
+    pts = [ca[clipper.contains(ca, pad=1e-12)], cb[subject.contains(cb, pad=1e-12)]]
+    # Edges of each box clipped against the other box's face planes, all
+    # (6 planes x 12 edges) crossings at once.
+    for corners, owner, other in ((ca, subject, clipper), (cb, clipper, subject)):
+        p0 = corners[_EDGES[:, 0]]
+        d = corners[_EDGES[:, 1]] - p0
+        h = _halfspaces(other)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = -(h[:, :3] @ p0.T + h[:, 3:]) / (h[:, :3] @ d.T)
+        plane, edge = np.nonzero(np.isfinite(t) & (t >= -1e-12) & (t <= 1 + 1e-12))
+        x = p0[edge] + t[plane, edge, None] * d[edge]
+        # Inside the other box, and inside the edge's own box, up to tolerance.
+        pts.append(x[other.contains(x, pad=1e-9) & owner.contains(x, pad=1e-9)])
     return np.vstack(pts)
+
+
+def _intersection_volume(a: DualQuadric, b: DualQuadric, pts: np.ndarray) -> float:
+    """Volume of the convex polytope with vertices pts, bounded by the box faces.
+
+    Every face of the intersection lies on one of the 12 face planes of the
+    two boxes.  Each face is the polygon of the vertices on its plane; the
+    volume is the sum of the pyramids from the vertex centroid to the faces.
+    """
+    planes = np.vstack([_halfspaces(a), _halfspaces(b)])
+    span = np.concatenate([a.rotation.T[_FACE_SPAN], b.rotation.T[_FACE_SPAN]])
+    tol = 1e-9 * max(np.abs(pts).max(), np.abs(planes[:, 3]).max())
+    on = np.abs(planes[:, :3] @ pts.T + planes[:, 3:]) <= tol
+    # A face plane the two boxes share selects the same vertices twice: keep one.
+    same = np.all(on[:, None, :] == on[None, :, :], axis=2)
+    on &= ~np.triu(same, 1).any(axis=0)[:, None]
+    count = on.sum(axis=1)
+    # Each face's vertices in in-plane coordinates about their centroid, in
+    # angular order; the ring is padded past its end with its first vertex
+    # so that the wrap-around term of the shoelace sum closes the polygon.
+    # A plane with fewer than 3 vertices (or all on one point) gets area 0.
+    uv = np.einsum("fij,mj->fmi", span, pts)
+    uv -= (on[:, :, None] * uv).sum(axis=1, keepdims=True) / np.maximum(count, 1)[:, None, None]
+    angle = np.where(on, np.arctan2(uv[..., 1], uv[..., 0]), np.inf)
+    ring = np.take_along_axis(uv, np.argsort(angle, axis=1)[..., None], axis=1)
+    ring = np.where((np.arange(len(pts)) < count[:, None])[..., None], ring, ring[:, :1])
+    nxt = np.roll(ring, -1, axis=1)
+    area = 0.5 * np.abs(np.sum(ring[..., 0] * nxt[..., 1] - ring[..., 1] * nxt[..., 0], axis=1))
+    height = -(planes[:, :3] @ pts.mean(axis=0) + planes[:, 3])
+    return float(np.sum(area * height) / 3.0)
 
 
 def iou_3d(a: DualQuadric, b: DualQuadric) -> float:
     """Exact IoU of the two oriented bounding boxes derived from the quadrics.
 
-    The intersection of two convex boxes is itself convex; its vertices are
-    box corners inside the other box plus edge/face intersection points, so
-    the volume is the convex hull volume of that candidate set.
+    The intersection of two boxes is a convex polytope.  Its vertices are box
+    corners inside the other box plus the crossings of each box's edges with
+    the other box's face planes, and each of its faces lies on one of the 12
+    face planes.  Its volume is the sum over faces of area * h / 3, with h
+    the distance of the vertex centroid to the face plane.
     """
-    from scipy.spatial import ConvexHull, QhullError  # deferred: only exact IoU needs SciPy
-
-    pts = _clip_hull_points(a, b)
-    inter = 0.0
-    if len(pts) >= 4:
-        try:
-            inter = float(ConvexHull(pts).volume)
-        except QhullError:
-            inter = 0.0  # flat or degenerate intersection
+    pts = _intersection_vertices(a, b)
+    inter = max(_intersection_volume(a, b, pts), 0.0) if len(pts) >= 4 else 0.0
     union = a.volume() + b.volume() - inter
     if union <= 0:
         return 0.0

@@ -2,13 +2,17 @@
 
 These deliberately avoid the closed-form code paths they check: projection
 boxes come from dense surface sampling, box IoU from Monte-Carlo volume
-estimation, nearest-neighbor metrics from full pairwise distances, and
-trainable selection from one footprint query per Gaussian.
+estimation or from the convex hull of brute-force vertices, nearest-neighbor
+metrics from full pairwise distances, and trainable selection from one
+footprint query per Gaussian.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from objmap.gaussians import GaussianStore, UpdateMasks
 from objmap.quadrics import BBox2D, CameraModel, DualQuadric
@@ -63,6 +67,35 @@ def monte_carlo_box_iou(
     if union == 0:
         return 0.0
     return np.count_nonzero(in_a & in_b) / union
+
+
+def convex_hull_box_iou(a: DualQuadric, b: DualQuadric) -> float:
+    """IoU of the two oriented boxes from the convex hull of their intersection.
+
+    Candidate vertices are the meeting points of every triple of the 12 face
+    planes that lie inside both boxes; the intersection volume is the hull
+    volume of those points (zero when they are flat or fewer than 4).
+    """
+    normals, limits = [], []
+    for q in (a, b):
+        for k in range(3):
+            n = q.rotation[:, k]
+            for sign in (1.0, -1.0):
+                normals.append(sign * n)
+                limits.append(sign * (n @ q.center) + q.semi_axes[k])
+    normals, limits = np.array(normals), np.array(limits)
+    triples = np.array(list(combinations(range(12), 3)))
+    systems = normals[triples]
+    solvable = np.abs(np.linalg.det(systems)) > 1e-12
+    pts = np.linalg.solve(systems[solvable], limits[triples[solvable]][..., None])[..., 0]
+    pts = pts[a.contains(pts, pad=1e-9) & b.contains(pts, pad=1e-9)]
+    inter = 0.0
+    if len(pts) >= 4:
+        try:
+            inter = ConvexHull(pts).volume
+        except QhullError:
+            inter = 0.0  # flat intersection
+    return float(inter / (a.volume() + b.volume() - inter))
 
 
 def brute_force_nn_means(est: np.ndarray, gt: np.ndarray) -> tuple[float, float]:

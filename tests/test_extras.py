@@ -1,5 +1,6 @@
 """Supplementary coverage: rotation/scale gradients, PNG row filters and
-chunk checks, PLY vertex counts, quadric-only association, config wiring."""
+chunk checks, PLY vertex counts and layouts, quadric-only association,
+config wiring."""
 
 import struct
 import zlib
@@ -184,6 +185,32 @@ class TestPlyVertexCount:
         path.write_bytes(path.read_bytes().replace(
             b"element vertex 2\n", f"element vertex {count}\n".encode()))
         with pytest.raises(DatasetError, match="p.ply.*vertex count"):
+            read_point_ply(str(path))
+
+
+class TestPlyLayout:
+    def test_float_xyz_normals_rejected(self, tmp_path):
+        # 3 vertices of 6 floats: a 72-byte body, long enough for 3 records
+        # of the writer's 23-byte layout, so only the header tells them apart.
+        header = "ply\nformat binary_little_endian 1.0\nelement vertex 3\n" + "".join(
+            f"property float {name}\n" for name in ("x", "y", "z", "nx", "ny", "nz")
+        ) + "end_header\n"
+        body = np.arange(18, dtype="<f4").tobytes()
+        assert len(body) == 72
+        path = tmp_path / "normals.ply"
+        path.write_bytes(header.encode() + body)
+        with pytest.raises(DatasetError, match="normals.ply.*layout"):
+            read_point_ply(str(path))
+
+    def test_reordered_properties_rejected(self, tmp_path):
+        path = tmp_path / "swapped.ply"
+        write_point_ply(str(path), np.zeros((2, 3)))
+        blob = path.read_bytes().replace(
+            b"property float opacity\nproperty int object_id\n",
+            b"property int object_id\nproperty float opacity\n",
+        )
+        path.write_bytes(blob)
+        with pytest.raises(DatasetError, match="swapped.ply.*layout"):
             read_point_ply(str(path))
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from objmap.quadrics import (
 )
 from oracles import (
     camera_looking_at,
+    convex_hull_box_iou,
     monte_carlo_box_iou,
     random_quadric,
     random_rotation,
@@ -247,6 +250,32 @@ class TestIoU3D:
             a, b = random_quadric(rng), random_quadric(rng)
             ref = monte_carlo_box_iou(a, b, n=300_000, seed=i)
             assert iou_3d(a, b) == pytest.approx(ref, abs=0.01)
+
+    @pytest.mark.parametrize("center_scale", [0.5, 2.0])
+    def test_matches_convex_hull_oracle(self, center_scale):
+        rng = np.random.default_rng(11)
+        overlapping = 0
+        for _ in range(300):
+            a, b = random_quadric(rng, center_scale), random_quadric(rng, center_scale)
+            ref = convex_hull_box_iou(a, b)
+            overlapping += ref > 0
+            assert iou_3d(a, b) == pytest.approx(ref, abs=1e-12)
+        assert overlapping >= 100
+
+    def test_degenerate_intersections(self):
+        def box(center, axes, rotation=np.eye(3)):
+            return assemble_dual_quadric(center, rotation, axes)
+
+        cube = box([0.5, 0.5, 0.5], [0.5, 0.5, 0.5])
+        rotated = box([0.3, -0.2, 1.0], [0.5, 0.8, 1.1], random_rotation(np.random.default_rng(3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert iou_3d(rotated, rotated) == pytest.approx(1.0, abs=1e-12)
+            # nested, sharing the bottom face and four side faces of the cube
+            assert iou_3d(cube, box([0.5, 0.5, 0.2], [0.5, 0.5, 0.2])) == pytest.approx(0.4, abs=1e-12)
+            assert iou_3d(cube, box([1.5, 1.5, 0.5], [0.5, 0.5, 0.5])) == 0.0  # edge
+            assert iou_3d(cube, box([1.5, 1.5, 1.5], [0.5, 0.5, 0.5])) == 0.0  # corner
+            assert iou_3d(cube, box([3.0, 3.0, 3.0], [0.5, 0.5, 0.5])) == 0.0  # disjoint
 
 
 class TestQuadricDistance:
