@@ -45,6 +45,7 @@ MODES = ("iou", "qd", "qd+iou")
 STATUS_CANDIDATE = "candidate"
 STATUS_INITIALIZED = "initialized"
 STATUS_STABLE = "stable"
+STABLE_OBS = 5  # observations after which an initialized track counts as stable
 
 
 @dataclass
@@ -57,7 +58,6 @@ class AssocConfig:
     merge_d: float = 0.1
     merge_duplicate_raw: float = 0.1
     merge_iou3d: float = 0.2
-    stable_obs: int = 5
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -81,12 +81,12 @@ class ObjectTrack:
     status: str = STATUS_CANDIDATE
     last_seen: int = -1
 
-    def add_observation(self, obs: TrackObservation, stable_after: int = 5) -> None:
+    def add_observation(self, obs: TrackObservation) -> None:
         self.observations.append(obs)
         self.last_seen = obs.frame_index
         if self.quadric is not None:
             self.status = (
-                STATUS_STABLE if len(self.observations) >= stable_after else STATUS_INITIALIZED
+                STATUS_STABLE if len(self.observations) >= STABLE_OBS else STATUS_INITIALIZED
             )
 
 
@@ -349,10 +349,7 @@ def associate_frame(
         track = obj_map.tracks[tid]
         det = dets[d_idx]
         hint = center_depth_hint(frame, det.bbox)
-        track.add_observation(
-            TrackObservation(frame.index, det.bbox, frame.camera, hint),
-            stable_after=config.stable_obs,
-        )
+        track.add_observation(TrackObservation(frame.index, det.bbox, frame.camera, hint))
         if track.quadric is None:
             _try_initialize(track)
 
@@ -364,10 +361,7 @@ def associate_frame(
         preferred = det.instance_id or dominant_instance_id(frame, det.bbox)
         track = obj_map.new_track(det.class_id, preferred_id=preferred)
         hint = center_depth_hint(frame, det.bbox)
-        track.add_observation(
-            TrackObservation(frame.index, det.bbox, frame.camera, hint),
-            stable_after=config.stable_obs,
-        )
+        track.add_observation(TrackObservation(frame.index, det.bbox, frame.camera, hint))
         _try_initialize(track)
         result.new_tracks.append(d_idx)
 

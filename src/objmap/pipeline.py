@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import operator
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -124,7 +125,6 @@ class PipelineConfig:
     def quadric_optim(self, iters: int | None = None) -> OptimConfig:
         return OptimConfig(
             max_iters=self.quadric_iters if iters is None else iters,
-            min_obs=self.quadric_min_obs,
             yaw_only=self.yaw_only,
         )
 
@@ -371,9 +371,10 @@ def load_state(state_dir: str) -> PipelineResult:
     """Read a directory written by save_state.
 
     Raises DatasetError naming state.json when it is missing, is not JSON,
-    lacks a required key (also in a track entry) or carries config keys
-    PipelineConfig does not know, and naming gaussians.npz when it lacks a
-    store array or its arrays differ in length.
+    lacks a required key (also in a track entry), carries config keys
+    PipelineConfig does not know, or holds non-integer ids or malformed frame
+    logs; and naming gaussians.npz when it lacks a store array or its arrays
+    differ in length.
     """
     path = os.path.join(state_dir, "state.json")
     if not os.path.isfile(path):
@@ -382,7 +383,10 @@ def load_state(state_dir: str) -> PipelineResult:
     try:
         with open(path) as f:
             state = json.load(f)
-        entries, next_id = state["tracks"], state["next_id"]
+        entries = state["tracks"]
+        next_id = operator.index(state["next_id"])
+        retired_ids = {operator.index(i) for i in state.get("retired_ids", [])}
+        logs = [FrameLog(**lg) for lg in state.get("frame_logs", [])]
         config = PipelineConfig.from_dict(state.get("config", {}))
         for entry in entries:
             track = obj_map.new_track(entry["class_id"])
@@ -401,7 +405,7 @@ def load_state(state_dir: str) -> PipelineResult:
     except (KeyError, TypeError, ValueError) as e:  # JSON and config errors included
         raise DatasetError(f"malformed state file {path}: {e}") from e
     obj_map._next_id = next_id
-    obj_map.retired_ids = set(state.get("retired_ids", []))
+    obj_map.retired_ids = retired_ids
     store = GaussianStore()
     gz = os.path.join(state_dir, "gaussians.npz")
     if os.path.isfile(gz):
@@ -412,7 +416,6 @@ def load_state(state_dir: str) -> PipelineResult:
             raise DatasetError(f"malformed Gaussian file {gz}: {e}") from e
         if len({len(getattr(store, name)) for name in STORE_ARRAYS}) > 1:
             raise DatasetError(f"malformed Gaussian file {gz}: arrays differ in length")
-    logs = [FrameLog(**lg) for lg in state.get("frame_logs", [])]
     return PipelineResult(object_map=obj_map, store=store, logs=logs, config=config)
 
 

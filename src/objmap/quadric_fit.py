@@ -1,11 +1,12 @@
 """Quadric refinement by minimizing box reprojection misfit.
 
 The loss for a track is the sum over its observations of
-(1 - IoU(projected box, observed box)).  Box IoU is piecewise smooth in the
-quadric parameters, so the optimizer uses central finite-difference
-gradients with per-block parameter scaling (center meters, rotation
-axis-angle radians, log semi-axes) and a backtracking step search that
-guarantees a non-increasing loss trace.
+(1 - IoU(projected box, observed box)).  One array kernel, `_losses`,
+scores K parameter vectors against all M observations at once.  Box IoU is
+piecewise smooth in the quadric parameters, so the optimizer uses central
+finite-difference gradients with per-block parameter scaling (center meters,
+rotation axis-angle radians, log semi-axes) and a backtracking step search
+that guarantees a non-increasing loss trace.
 """
 
 from __future__ import annotations
@@ -92,15 +93,8 @@ def rotation_to_axis_angle(R: np.ndarray) -> np.ndarray:
 @dataclass
 class OptimConfig:
     max_iters: int = 200
-    min_obs: int = 3
-    rel_tol: float = 1e-4
     patience: int = 5
-    step_center: float = 0.01     # meters
-    step_rotation: float = 0.01   # radians
-    step_axes: float = 0.01       # log units
-    fd_eps: float = 1e-5
     yaw_only: bool = False
-    max_backtracks: int = 30
 
 
 @dataclass
@@ -109,84 +103,78 @@ class OptimResult:
     loss: float
     iterations: int
     initial_loss: float
-    skipped_projections: int = 0
     degenerate_geometry: bool = False
-    converged: bool = False
 
 
-def _prepare(observations: list[Observation]) -> list[tuple]:
-    """Precompute per-observation projection data for the hot loss loop."""
-    prep = []
-    for bbox, cam in observations:
-        P = cam.projection_matrix()
-        R_cw, t_cw = cam.world_to_camera()
-        prep.append((bbox.as_array(), P, R_cw[2], float(t_cw[2])))
-    return prep
+STEP = 0.01           # preconditioner scale of every block: meters, radians, log units
+FD_EPS = 1e-5         # central-difference half step
+REL_TOL = 1e-4        # relative improvement below which a step counts as a stall
+MAX_BACKTRACKS = 30
+_YAW_ONLY = np.array([0, 1, 2, 5, 6, 7, 8])  # the x/y rotation components stay frozen
 
 
-def _fast_terms(x: np.ndarray, prep: list[tuple]) -> tuple[float, int]:
-    """(loss, unprojectable count) for a parameter vector; misses count 1."""
-    center = x[:3]
-    R = axis_angle_to_rotation(x[3:6])
-    A = np.exp(2.0 * x[6:9])
-    Q = np.empty((4, 4))
-    Q[:3, :3] = (R * A) @ R.T - np.outer(center, center)
-    Q[:3, 3] = -center
-    Q[3, :3] = -center
-    Q[3, 3] = -1.0
-    loss = 0.0
-    skipped = 0
-    for bb, P, rz, tz in prep:
-        z = rz @ center + tz
-        if z <= 0:
-            loss += 1.0
-            skipped += 1
-            continue
-        C = P @ Q @ P.T
-        c22 = C[2, 2]
-        if abs(c22) < 1e-15:
-            loss += 1.0
-            skipped += 1
-            continue
-        C = C / -c22
-        disc_x = C[0, 2] ** 2 + C[0, 0]
-        disc_y = C[1, 2] ** 2 + C[1, 1]
-        if disc_x <= 0 or disc_y <= 0:
-            loss += 1.0
-            skipped += 1
-            continue
+def _prepare(observations: list[Observation]) -> tuple[np.ndarray, ...]:
+    """Stack observation data: boxes (M,4), P (M,3,4), depth rows (M,3), offsets (M,)."""
+    boxes = np.array([bbox.as_array() for bbox, _ in observations])
+    P = np.array([cam.projection_matrix() for _, cam in observations])
+    w2c = [cam.world_to_camera() for _, cam in observations]
+    rz = np.array([R_cw[2] for R_cw, _ in w2c])
+    tz = np.array([t_cw[2] for _, t_cw in w2c], dtype=float)
+    return boxes, P, rz, tz
+
+
+def _losses(X: np.ndarray, prep: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(K,) losses and unprojectable counts for K parameter rows; misses count 1."""
+    boxes, P, rz, tz = prep
+    Q = np.empty((len(X), 4, 4))
+    for q, x in zip(Q, X):
+        center = x[:3]
+        R = axis_angle_to_rotation(x[3:6])
+        q[:3, :3] = (R * np.exp(2.0 * x[6:9])) @ R.T - np.outer(center, center)
+        q[:3, 3] = -center
+        q[3, :3] = -center
+        q[3, 3] = -1.0
+    # (K, M) center depths: the reference loop's 3-term dot product plus offset, same bits
+    z = X[:, :3] @ rz.T + tz
+    C = P @ Q[:, None] @ P.transpose(0, 2, 1)  # (K, M, 3, 3) conics
+    c22 = C[..., 2, 2]
+    bx0, by0, bx1, by1 = boxes.T
+    with np.errstate(all="ignore"):  # masked-out terms may divide by 0 or take sqrt(<0)
+        scale = -c22  # normalizes C; only these four entries are read
+        cx, cy = C[..., 0, 2] / scale, C[..., 1, 2] / scale
+        # float_power calls libm pow like a scalar ** 2; array ** 2 differs by an ulp
+        disc_x = np.float_power(cx, 2.0) + C[..., 0, 0] / scale
+        disc_y = np.float_power(cy, 2.0) + C[..., 1, 1] / scale
+        unprojectable = (z <= 0) | (np.abs(c22) < 1e-15) | (disc_x <= 0) | (disc_y <= 0)
         rx, ry = np.sqrt(disc_x), np.sqrt(disc_y)
-        x0, x1 = -C[0, 2] - rx, -C[0, 2] + rx
-        y0, y1 = -C[1, 2] - ry, -C[1, 2] + ry
-        ix = min(x1, bb[2]) - max(x0, bb[0])
-        iy = min(y1, bb[3]) - max(y0, bb[1])
-        if ix <= 0 or iy <= 0:
-            loss += 1.0
-            continue
+        x0, x1 = -cx - rx, -cx + rx
+        y0, y1 = -cy - ry, -cy + ry
+        ix = np.minimum(x1, bx1) - np.maximum(x0, bx0)
+        iy = np.minimum(y1, by1) - np.maximum(y0, by0)
         inter = ix * iy
-        union = (x1 - x0) * (y1 - y0) + (bb[2] - bb[0]) * (bb[3] - bb[1]) - inter
-        loss += 1.0 - inter / union if union > 0 else 1.0
-    return loss, skipped
+        union = (x1 - x0) * (y1 - y0) + (bx1 - bx0) * (by1 - by0) - inter
+        hit = ~unprojectable & (ix > 0) & (iy > 0) & (union > 0)
+        terms = np.where(hit, 1.0 - inter / union, 1.0)
+    # cumsum adds in observation order, one term at a time; sum would add pairwise
+    return np.cumsum(terms, axis=1)[:, -1], np.count_nonzero(unprojectable, axis=1)
 
 
 def pose_loss(params: QuadricParams, observations: list[Observation]) -> float:
     """Sum of (1 - IoU) between projected and observed boxes."""
     if not observations:
         raise InvalidParameterError("pose_loss requires at least one observation")
-    return _fast_terms(params.as_vector(), _prepare(observations))[0]
+    return float(_losses(params.as_vector()[None], _prepare(observations))[0][0])
 
 
-def _gradient(x: np.ndarray, prep: list[tuple], config: OptimConfig) -> np.ndarray:
+def _gradient(x: np.ndarray, prep: tuple[np.ndarray, ...], active: np.ndarray) -> np.ndarray:
+    """Central finite differences over the active components, in one kernel call."""
+    n = len(active)
+    X = np.tile(x, (2 * n, 1))
+    X[np.arange(n), active] += FD_EPS
+    X[np.arange(n, 2 * n), active] -= FD_EPS
+    losses, _ = _losses(X, prep)
     g = np.zeros(9)
-    active = list(range(9))
-    if config.yaw_only:
-        active = [0, 1, 2, 5, 6, 7, 8]  # freeze the x/y rotation components
-    for k in active:
-        e = config.fd_eps
-        xp, xm = x.copy(), x.copy()
-        xp[k] += e
-        xm[k] -= e
-        g[k] = (_fast_terms(xp, prep)[0] - _fast_terms(xm, prep)[0]) / (2 * e)
+    g[active] = (losses[:n] - losses[n:]) / (2 * FD_EPS)
     return g
 
 
@@ -224,7 +212,8 @@ def optimize_quadric(
 
     prep = _prepare(observations)
     x = QuadricParams.from_quadric(quadric).as_vector()
-    loss, skipped = _fast_terms(x, prep)
+    losses, counts = _losses(x[None], prep)
+    loss, skipped = float(losses[0]), int(counts[0])
     if skipped == len(observations):
         raise UnoptimizableError("all observations are behind the camera")
     if skipped:
@@ -236,43 +225,35 @@ def optimize_quadric(
         logger.warning("observation geometry is near-collinear; pose weakly constrained")
 
     initial_loss = loss
-    precond = np.concatenate([
-        np.full(3, config.step_center**2),
-        np.full(3, config.step_rotation**2),
-        np.full(3, config.step_axes**2),
-    ])
-
+    active = _YAW_ONLY if config.yaw_only else np.arange(9)
     alpha = 1.0
     stall = 0
     iterations = 0
     for iterations in range(1, config.max_iters + 1):
-        g = _gradient(x, prep, config)
+        g = _gradient(x, prep, active)
         if not np.any(g):
             break
-        direction = -precond * g
+        direction = -STEP**2 * g
         accepted = False
         step = alpha
-        for _ in range(config.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             trial = x + step * direction
-            trial_loss, _ = _fast_terms(trial, prep)
+            trial_loss = float(_losses(trial[None], prep)[0][0])
             if trial_loss < loss:
                 improvement = (loss - trial_loss) / max(loss, 1e-12)
                 x, loss = trial, trial_loss
                 alpha = min(step * 1.5, 1e4)
                 accepted = True
-                stall = stall + 1 if improvement < config.rel_tol else 0
+                stall = stall + 1 if improvement < REL_TOL else 0
                 break
             step *= 0.5
         if not accepted or stall >= config.patience or loss <= 1e-12:
             break
 
-    params = QuadricParams.from_vector(x)
     return OptimResult(
-        params=params,
+        params=QuadricParams.from_vector(x),
         loss=loss,
         iterations=iterations,
         initial_loss=initial_loss,
-        skipped_projections=_fast_terms(x, prep)[1],
         degenerate_geometry=degenerate,
-        converged=stall >= config.patience or loss <= 1e-12,
     )

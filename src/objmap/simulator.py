@@ -584,6 +584,11 @@ def _read_header(dataset_dir: str):
         depth_scale = float(raw["depth_scale"])
     except (KeyError, ValueError, TypeError, json.JSONDecodeError) as e:
         raise DatasetError(f"malformed intrinsics file {intr_path}: {e}") from e
+    if not (intr["fx"] > 0 and intr["fy"] > 0):
+        raise DatasetError(f"malformed intrinsics file {intr_path}: focal lengths must be > 0")
+    if not 0 < depth_scale < np.inf:
+        raise DatasetError(
+            f"malformed intrinsics file {intr_path}: depth_scale must be finite and > 0")
 
     poses_path = os.path.join(dataset_dir, "poses.txt")
     if not os.path.isfile(poses_path):
@@ -662,30 +667,36 @@ def load(dataset_dir: str):
 
 
 def load_gt(dataset_dir: str) -> dict:
-    """Ground truth: {'objects': [...], 'points': {id: (N,3) array}}."""
+    """Ground truth: {'objects': [...], 'points': {id: (N,3) array}}.
+
+    Raises DatasetError naming gt/objects.json when it is missing, is not
+    JSON or holds a malformed object entry.
+    """
     path = os.path.join(dataset_dir, "gt", "objects.json")
     if not os.path.isfile(path):
         raise DatasetError(f"missing ground-truth file: {path}")
-    with open(path) as f:
-        raw = json.load(f)
-    objects = []
-    points = {}
-    for entry in raw:
-        quadric = DualQuadric(
-            np.asarray(entry["center"], dtype=float),
-            quat_to_rotation(entry["rotation_wxyz"]),
-            np.asarray(entry["semi_axes"], dtype=float),
-        )
-        objects.append(
+    try:
+        with open(path) as f:
+            raw = json.load(f)
+        objects = [
             {
                 "id": int(entry["id"]),
                 "class_id": int(entry["class_id"]),
                 "shape": entry["shape"],
-                "quadric": quadric,
+                "quadric": DualQuadric(
+                    np.asarray(entry["center"], dtype=float),
+                    quat_to_rotation(entry["rotation_wxyz"]),
+                    np.asarray(entry["semi_axes"], dtype=float),
+                ),
                 "albedo": np.asarray(entry["albedo"], dtype=float),
             }
-        )
-        ply = os.path.join(dataset_dir, "gt", f"points_{entry['id']:03d}.ply")
+            for entry in raw
+        ]
+    except (KeyError, ValueError, TypeError) as e:  # JSON errors included
+        raise DatasetError(f"malformed ground-truth file {path}: {e}") from e
+    points = {}
+    for obj in objects:
+        ply = os.path.join(dataset_dir, "gt", f"points_{obj['id']:03d}.ply")
         if os.path.isfile(ply):
-            points[int(entry["id"])] = read_point_ply(ply)["points"].astype(float)
+            points[obj["id"]] = read_point_ply(ply)["points"].astype(float)
     return {"objects": objects, "points": points}

@@ -4,7 +4,8 @@ These deliberately avoid the closed-form code paths they check: projection
 boxes come from dense surface sampling, box IoU from Monte-Carlo volume
 estimation or from the convex hull of brute-force vertices, nearest-neighbor
 metrics from full pairwise distances, and trainable selection from one
-footprint query per Gaussian.
+footprint query per Gaussian, and the quadric pose loss from a Python loop
+over observations.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from objmap.gaussians import GaussianStore, UpdateMasks
+from objmap.quadric_fit import axis_angle_to_rotation
 from objmap.quadrics import BBox2D, CameraModel, DualQuadric
 from objmap.renderer import project_gaussian_subset
 
@@ -187,3 +189,58 @@ def per_gaussian_select_trainable(
         if count > 0:
             selected.append(int(i))
     return np.asarray(selected, dtype=int)
+
+
+def per_observation_prep(observations: list[tuple[BBox2D, CameraModel]]) -> list[tuple]:
+    """(box, P, depth row, depth offset) of each observation, for _fast_terms."""
+    prep = []
+    for bbox, cam in observations:
+        P = cam.projection_matrix()
+        R_cw, t_cw = cam.world_to_camera()
+        prep.append((bbox.as_array(), P, R_cw[2], float(t_cw[2])))
+    return prep
+
+
+def _fast_terms(x: np.ndarray, prep: list[tuple]) -> tuple[float, int]:
+    """(loss, unprojectable count) for a parameter vector; misses count 1."""
+    center = x[:3]
+    R = axis_angle_to_rotation(x[3:6])
+    A = np.exp(2.0 * x[6:9])
+    Q = np.empty((4, 4))
+    Q[:3, :3] = (R * A) @ R.T - np.outer(center, center)
+    Q[:3, 3] = -center
+    Q[3, :3] = -center
+    Q[3, 3] = -1.0
+    loss = 0.0
+    skipped = 0
+    for bb, P, rz, tz in prep:
+        z = rz @ center + tz
+        if z <= 0:
+            loss += 1.0
+            skipped += 1
+            continue
+        C = P @ Q @ P.T
+        c22 = C[2, 2]
+        if abs(c22) < 1e-15:
+            loss += 1.0
+            skipped += 1
+            continue
+        C = C / -c22
+        disc_x = C[0, 2] ** 2 + C[0, 0]
+        disc_y = C[1, 2] ** 2 + C[1, 1]
+        if disc_x <= 0 or disc_y <= 0:
+            loss += 1.0
+            skipped += 1
+            continue
+        rx, ry = np.sqrt(disc_x), np.sqrt(disc_y)
+        x0, x1 = -C[0, 2] - rx, -C[0, 2] + rx
+        y0, y1 = -C[1, 2] - ry, -C[1, 2] + ry
+        ix = min(x1, bb[2]) - max(x0, bb[0])
+        iy = min(y1, bb[3]) - max(y0, bb[1])
+        if ix <= 0 or iy <= 0:
+            loss += 1.0
+            continue
+        inter = ix * iy
+        union = (x1 - x0) * (y1 - y0) + (bb[2] - bb[0]) * (bb[3] - bb[1]) - inter
+        loss += 1.0 - inter / union if union > 0 else 1.0
+    return loss, skipped

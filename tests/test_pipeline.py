@@ -290,8 +290,13 @@ class TestExportAndState:
                      "next_id": 2}), None, "state.json"),
         (json.dumps({"tracks": [], "next_id": 1}), npz_arrays(drop="scales"), "gaussians.npz"),
         (json.dumps({"tracks": [], "next_id": 1}), npz_arrays(n_scales=5), "gaussians.npz"),
+        (json.dumps({"tracks": [], "next_id": 1, "retired_ids": 5}), None, "state.json"),
+        (json.dumps({"tracks": [], "next_id": "2"}), None, "state.json"),
+        (json.dumps({"tracks": [], "next_id": 1, "frame_logs": [{"bogus": 1}]}), None,
+         "state.json"),
     ], ids=["not-json", "no-tracks", "no-next-id", "unknown-config-key",
-            "track-without-class-id", "npz-without-scales", "npz-length-mismatch"])
+            "track-without-class-id", "npz-without-scales", "npz-length-mismatch",
+            "retired-ids-not-list", "next-id-not-int", "frame-log-unknown-key"])
     def test_load_state_rejects_malformed(self, tmp_path, content, arrays, bad_file):
         (tmp_path / "state.json").write_text(content)
         if arrays is not None:

@@ -3,16 +3,34 @@ import pytest
 
 from objmap.errors import InvalidParameterError, UnoptimizableError
 from objmap.quadric_fit import (
+    _YAW_ONLY,
+    FD_EPS,
     OptimConfig,
     QuadricParams,
+    _gradient,
+    _losses,
+    _prepare,
     axis_angle_to_rotation,
     observation_geometry_rank,
     optimize_quadric,
     pose_loss,
     rotation_to_axis_angle,
 )
-from objmap.quadrics import DualQuadric, conic_to_bbox, iou_3d, project_to_conic
-from oracles import camera_looking_at, random_rotation, sampled_projection_bbox
+from objmap.quadrics import (
+    BBox2D,
+    CameraModel,
+    DualQuadric,
+    conic_to_bbox,
+    iou_3d,
+    project_to_conic,
+)
+from oracles import (
+    _fast_terms,
+    camera_looking_at,
+    per_observation_prep,
+    random_rotation,
+    sampled_projection_bbox,
+)
 
 
 def ring_observations(quadric, n=20, radius=2.5, height=1.3, **cam_kw):
@@ -167,8 +185,6 @@ class TestOptimize:
 
     def test_gradient_slope_consistency(self):
         # directional secants with halved steps converge toward a stable slope
-        from objmap.quadric_fit import _fast_terms, _prepare
-
         obs = ring_observations(GT, n=12)
         prep = _prepare(obs)
         x0 = QuadricParams.from_quadric(
@@ -182,8 +198,7 @@ class TestOptimize:
             d /= np.linalg.norm(d)
             slopes = []
             for h in (1e-3, 5e-4, 2.5e-4):
-                lp = _fast_terms(x0 + h * d, prep)[0]
-                lm = _fast_terms(x0 - h * d, prep)[0]
+                lp, lm = _losses(np.stack([x0 + h * d, x0 - h * d]), prep)[0]
                 slopes.append((lp - lm) / (2 * h))
             if abs(slopes[-1]) < 1e-3:
                 continue  # flat kink region, skip
@@ -191,6 +206,94 @@ class TestOptimize:
             assert ratio == pytest.approx(1.0, abs=0.05)
             checked += 1
         assert checked >= 5
+
+
+# identity camera at the origin: P = [I | 0], so a quadric's conic is its
+# upper-left 3x3 block and every branch of the loss can be hit exactly
+ORIGIN_CAM = CameraModel(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=4, height=4)
+UNIT_AT_2 = np.array([0, 0, 2.0, 0, 0, 0, 0, 0, 0])  # unit sphere at depth 2: box +-sqrt(1/3)
+
+
+def random_track(rng):
+    """A random quadric seen from cameras at mixed distances, some inside it."""
+    center = rng.uniform(-1, 1, 3)
+    q = DualQuadric(center, random_rotation(rng), rng.uniform(0.1, 0.6, 3))
+    obs = []
+    for _ in range(rng.integers(1, 16)):
+        eye = center + rng.normal(size=3) * rng.uniform(0.2, 4.0)
+        cam = camera_looking_at(eye, center + rng.normal(size=3) * 0.3,
+                                fx=120, fy=120, width=160, height=120)
+        try:
+            box = conic_to_bbox(project_to_conic(q, cam))
+        except ValueError:  # behind the camera or no real ellipse
+            box = BBox2D(10, 10, 50, 60)
+        obs.append((box, cam))
+    return QuadricParams.from_quadric(q).as_vector(), obs
+
+
+class TestLossKernel:
+    """_losses against the per-observation loop in oracles._fast_terms, bit for bit."""
+
+    def assert_matches_loop(self, X, obs):
+        losses, counts = _losses(X, _prepare(obs))
+        ref = [_fast_terms(x, per_observation_prep(obs)) for x in X]
+        assert losses.tolist() == [loss for loss, _ in ref]
+        assert counts.tolist() == [count for _, count in ref]
+        return ref
+
+    def test_random_tracks(self):
+        rng = np.random.default_rng(11)
+        skipped = 0
+        for _ in range(40):
+            x0, obs = random_track(rng)
+            X = x0 + rng.normal(size=(20, 9)) * rng.uniform(0, 0.5, (20, 1))
+            skipped += sum(count for _, count in self.assert_matches_loop(X, obs))
+        assert skipped > 0
+
+    @pytest.mark.parametrize("x, box, loss, count", [
+        ([0, 0, -2.0, 0, 0, 0, 0, 0, 0], (-1, -1, 1, 1), 1.0, 1),  # camera behind the center
+        ([0, 0, 1.0, 0, 0, 0, 0, 0, 0], (-1, -1, 1, 1), 1.0, 1),   # degenerate conic: c22 = 0
+        ([0, 0, 0.5, 0, 0, 0, 0, 0, 0], (-1, -1, 1, 1), 1.0, 1),   # camera inside: no ellipse
+        (UNIT_AT_2, (5, 5, 6, 6), 1.0, 0),                         # disjoint boxes
+        (UNIT_AT_2, (np.sqrt(1 / 3), -1, 2, 1), 1.0, 0),           # touching: ix == 0
+        (UNIT_AT_2, (-0.5, -0.5, 0.5, 0.5), None, 0),              # overlapping
+    ], ids=["behind", "degenerate-conic", "camera-inside", "disjoint", "touching", "overlap"])
+    def test_branches(self, x, box, loss, count):
+        obs = [(BBox2D(*box), ORIGIN_CAM)]
+        [(ref_loss, ref_count)] = self.assert_matches_loop(np.array([x], dtype=float), obs)
+        assert ref_count == count
+        if loss is None:
+            assert 0.0 < ref_loss < 1.0
+        else:
+            assert ref_loss == loss
+
+    def test_mixed_branches_in_one_track(self):
+        rng = np.random.default_rng(3)
+        x0, obs = random_track(rng)
+        boxes = [(-1, -1, 1, 1), (5, 5, 6, 6), (np.sqrt(1 / 3), -1, 2, 1), (-0.5, -0.5, 0.5, 0.5)]
+        obs += [(BBox2D(*b), ORIGIN_CAM) for b in boxes]
+        X = np.array([x0, UNIT_AT_2, [0, 0, 1.0, 0, 0, 0, 0, 0, 0], [0, 0, -2.0, 0, 0, 0, 0, 0, 0]])
+        self.assert_matches_loop(X, obs)
+
+    @pytest.mark.parametrize("yaw_only", [False, True])
+    def test_gradient_rows(self, yaw_only):
+        rng = np.random.default_rng(5)
+        active = _YAW_ONLY if yaw_only else np.arange(9)
+        for _ in range(10):
+            x0, obs = random_track(rng)
+            x = x0 + rng.normal(size=9) * 0.05
+            ref_prep = per_observation_prep(obs)
+            expected = np.zeros(9)
+            for k in active:
+                xp, xm = x.copy(), x.copy()
+                xp[k] += FD_EPS
+                xm[k] -= FD_EPS
+                expected[k] = (_fast_terms(xp, ref_prep)[0]
+                               - _fast_terms(xm, ref_prep)[0]) / (2 * FD_EPS)
+            g = _gradient(x, _prepare(obs), active)
+            assert g.tolist() == expected.tolist()
+            if yaw_only:
+                assert g[3] == g[4] == 0.0
 
 
 class TestGeometryRank:

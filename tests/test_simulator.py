@@ -212,16 +212,20 @@ class TestDataset:
             with pytest.raises(DatasetError, match=r"poses\.txt:2"):
                 read(d)
 
-    def test_null_intrinsics_field(self, tmp_path):
+    @pytest.mark.parametrize("field, value", [
+        ("fx", None), ("fx", -120.0), ("fy", 0), ("depth_scale", 0),
+        ("depth_scale", float("inf")),
+    ], ids=["null-fx", "negative-fx", "zero-fy", "zero-depth-scale", "infinite-depth-scale"])
+    def test_bad_intrinsics_field(self, tmp_path, field, value):
         d = generate(one_sphere_spec(n_frames=1), str(tmp_path / "ds"))
         path = os.path.join(d, "intrinsics.json")
         with open(path) as f:
             intr = json.load(f)
-        intr["fx"] = None
+        intr[field] = value
         with open(path, "w") as f:
             json.dump(intr, f)
         for read in (load, dataset_cameras):
-            with pytest.raises(DatasetError, match="intrinsics"):
+            with pytest.raises(DatasetError, match=r"intrinsics\.json"):
                 read(d)
 
     def test_dataset_cameras_read_only_poses(self, tmp_path):
@@ -259,6 +263,15 @@ class TestDataset:
         assert len(gt["objects"]) == 4
         for entry in gt["objects"]:
             assert gt["points"][entry["id"]].shape == (10_000, 3)
+
+    @pytest.mark.parametrize("content", ["{\"objects\": [", json.dumps({"objects": 1})],
+                             ids=["not-json", "objects-not-list"])
+    def test_malformed_gt(self, tmp_path, content):
+        d = generate(one_sphere_spec(n_frames=1), str(tmp_path / "ds"))
+        with open(os.path.join(d, "gt", "objects.json"), "w") as f:
+            f.write(content)
+        with pytest.raises(DatasetError, match=r"objects\.json"):
+            load_gt(d)
 
     def test_degenerate_spec_rejected(self):
         with pytest.raises(InvalidParameterError):
