@@ -46,7 +46,7 @@ print(f"alpha+transmittance check: max |a+T-1| = "
 trainable = select_trainable(store, masks, 1, frame.camera)
 trace = optimize_object(
     store, 1, [frame], trainable,
-    TrainConfig(iters=12, lr_mean=0.0, optimize_scale_rot=False),
+    TrainConfig(iters=12, lr_mean=0.0, lr_scale=0.0, lr_quat=0.0),
 )
 print("\nloss trace (appearance optimization):")
 print("  " + " -> ".join(f"{v:.1f}" for v in trace[::3]))

@@ -45,6 +45,7 @@ MODES = ("iou", "qd", "qd+iou")
 STATUS_CANDIDATE = "candidate"
 STATUS_INITIALIZED = "initialized"
 STATUS_STABLE = "stable"
+STATUSES = (STATUS_CANDIDATE, STATUS_INITIALIZED, STATUS_STABLE)
 STABLE_OBS = 5  # observations after which an initialized track counts as stable
 
 
@@ -358,7 +359,7 @@ def associate_frame(
     for d_idx, det in enumerate(dets):
         if d_idx in used_dets:
             continue
-        preferred = det.instance_id or dominant_instance_id(frame, det.bbox)
+        preferred = dominant_instance_id(frame, det.bbox)
         track = obj_map.new_track(det.class_id, preferred_id=preferred)
         hint = center_depth_hint(frame, det.bbox)
         track.add_observation(TrackObservation(frame.index, det.bbox, frame.camera, hint))

@@ -43,13 +43,22 @@ EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return _BOOLS[text.lower()]
+    except KeyError:
+        raise argparse.ArgumentTypeError(f"expected one of {'/'.join(_BOOLS)}, got {text!r}")
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     """One flag per PipelineConfig field, defaulting to 'leave unchanged'."""
     for f in fields(PipelineConfig):
         flag = "--" + f.name.replace("_", "-")
-        if f.type == "bool" or isinstance(f.default, bool):
-            parser.add_argument(flag, type=lambda s: s.lower() in ("1", "true", "yes"),
-                                default=None, metavar="BOOL")
+        if isinstance(f.default, bool):
+            parser.add_argument(flag, type=_parse_bool, default=None, metavar="BOOL")
         elif isinstance(f.default, int):
             parser.add_argument(flag, type=int, default=None)
         elif isinstance(f.default, float):

@@ -34,23 +34,11 @@ OPACITY_SPLIT = 0.5  # class boundary: opaque stays above, transparent below
 OPACITY_MARGIN = 5e-3
 SCALE_MIN = 1e-4
 SCALE_MAX = 1.0
+SPAWN_SCALE = 0.5  # a new Gaussian's scale = depth / fx * stride * SPAWN_SCALE
 
 # the per-Gaussian arrays of a GaussianStore, and the ones training updates
 STORE_ARRAYS = ("means", "scales", "quats", "opacities", "colors", "object_ids", "kinds")
 TRAINABLE = ("means", "colors", "opacities", "scales", "quats")
-
-
-@dataclass
-class GaussianPrimitive:
-    """One Gaussian: position, anisotropic scale, orientation, appearance."""
-
-    mean: np.ndarray
-    scale: np.ndarray
-    rotation: np.ndarray  # unit quaternion (w, x, y, z)
-    opacity: float
-    color: np.ndarray
-    object_id: int
-    kind: int = KIND_OPAQUE
 
 
 class GaussianStore:
@@ -70,18 +58,6 @@ class GaussianStore:
         self.object_ids = np.asarray(object_ids, dtype=np.int32).reshape(-1)
         self.kinds = np.asarray(kinds, dtype=np.uint8).reshape(-1)
 
-    @classmethod
-    def from_primitives(cls, primitives: list[GaussianPrimitive]) -> "GaussianStore":
-        return cls(
-            means=[p.mean for p in primitives],
-            scales=[p.scale for p in primitives],
-            quats=[p.rotation for p in primitives],
-            opacities=[p.opacity for p in primitives],
-            colors=[p.color for p in primitives],
-            object_ids=[p.object_id for p in primitives],
-            kinds=[p.kind for p in primitives],
-        )
-
     def __len__(self) -> int:
         return len(self.means)
 
@@ -96,17 +72,6 @@ class GaussianStore:
         """Append every Gaussian of `other`, keeping its order."""
         for name in STORE_ARRAYS:
             setattr(self, name, np.concatenate([getattr(self, name), getattr(other, name)]))
-
-    def primitive(self, i: int) -> GaussianPrimitive:
-        return GaussianPrimitive(
-            mean=self.means[i].copy(),
-            scale=self.scales[i].copy(),
-            rotation=self.quats[i].copy(),
-            opacity=float(self.opacities[i]),
-            color=self.colors[i].copy(),
-            object_id=int(self.object_ids[i]),
-            kind=int(self.kinds[i]),
-        )
 
     def object_indices(self, object_id: int) -> np.ndarray:
         return np.nonzero(self.object_ids == object_id)[0]
@@ -137,9 +102,12 @@ class GaussianStore:
         self.quats[idx] = quats / np.maximum(np.linalg.norm(quats, axis=1, keepdims=True), 1e-12)
 
 
-def extract_object(store: GaussianStore, object_id: int) -> list[GaussianPrimitive]:
-    """All Gaussians of one object, in insertion order; unknown id -> []."""
-    return [store.primitive(int(i)) for i in store.object_indices(object_id)]
+def extract_object(store: GaussianStore, object_id: int) -> GaussianStore:
+    """All Gaussians of one object as a new store, in insertion order.
+
+    An unknown id gives an empty store.
+    """
+    return store.subset(store.object_indices(object_id))
 
 
 def export_object_ply(store: GaussianStore, object_id: int, path) -> int:
@@ -155,24 +123,19 @@ def export_object_ply(store: GaussianStore, object_id: int, path) -> int:
     return len(idx)
 
 
-def import_object_ply(path) -> list[GaussianPrimitive]:
-    """Read a point cloud back as (isotropic) Gaussian primitives."""
+def import_object_ply(path) -> GaussianStore:
+    """Read a point cloud back as isotropic, axis-aligned Gaussians."""
     data = read_point_ply(path)
-    out = []
-    for i in range(len(data["points"])):
-        opacity = float(data["opacities"][i])
-        out.append(
-            GaussianPrimitive(
-                mean=data["points"][i].astype(float),
-                scale=np.full(3, 0.01),
-                rotation=np.array([1.0, 0.0, 0.0, 0.0]),
-                opacity=opacity,
-                color=data["colors"][i].astype(float),
-                object_id=int(data["object_ids"][i]),
-                kind=KIND_OPAQUE if opacity > OPACITY_SPLIT else KIND_TRANSPARENT,
-            )
-        )
-    return out
+    n = len(data["points"])
+    return GaussianStore(
+        means=data["points"],
+        scales=np.full((n, 3), 0.01),
+        quats=np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)),
+        opacities=data["opacities"],
+        colors=data["colors"],
+        object_ids=data["object_ids"],
+        kinds=np.where(data["opacities"] > OPACITY_SPLIT, KIND_OPAQUE, KIND_TRANSPARENT),
+    )
 
 
 @dataclass
@@ -235,15 +198,14 @@ def compute_update_masks(frame: FrameBundle, render, thresholds: MaskThresholds)
 @dataclass
 class DensifyConfig:
     stride: int = 4
-    scale_factor: float = 0.5  # initial scale = depth / fx * stride * factor
     max_new_per_frame: int = 0  # 0 = unlimited; else cap spawns (scan order)
 
 
 def _spawn(frame: FrameBundle, ys: np.ndarray, xs: np.ndarray, depths: np.ndarray,
-           kind: int, stride: int, config: DensifyConfig) -> GaussianStore:
+           kind: int, stride: int) -> GaussianStore:
     """Isotropic, axis-aligned Gaussians back-projected at the given pixels."""
     n = len(xs)
-    scales = np.maximum(depths / frame.camera.fx * stride * config.scale_factor, SCALE_MIN)
+    scales = np.maximum(depths / frame.camera.fx * stride * SPAWN_SCALE, SCALE_MIN)
     opacity = OPAQUE_INIT_OPACITY if kind == KIND_OPAQUE else TRANSPARENT_INIT_OPACITY
     return GaussianStore(
         means=frame.camera.backproject(np.stack([xs + 0.5, ys + 0.5], axis=1), depths),
@@ -275,13 +237,13 @@ def densify_from_mask(
 
     geo_sel = masks.geo_mask & grid & (frame.depth > 0)
     ys, xs = np.nonzero(geo_sel)
-    out = _spawn(frame, ys, xs, frame.depth[ys, xs], KIND_OPAQUE, stride, config)
+    out = _spawn(frame, ys, xs, frame.depth[ys, xs], KIND_OPAQUE, stride)
 
     ys, xs = np.nonzero(masks.rgb_mask & grid & ~geo_sel)
     rendered_depth = render.depth[ys, xs]
     usable = rendered_depth > 0
     out.extend(_spawn(frame, ys[usable], xs[usable], rendered_depth[usable],
-                      KIND_TRANSPARENT, stride, config))
+                      KIND_TRANSPARENT, stride))
     if config.max_new_per_frame > 0:
         out = out.subset(slice(config.max_new_per_frame))
     return out
@@ -292,7 +254,6 @@ def select_trainable(
     masks: UpdateMasks,
     object_id: int,
     camera: CameraModel,
-    lowpass: float = 0.3,
 ) -> np.ndarray:
     """Indices of the object's Gaussians whose 3-sigma footprint hits its mask.
 
@@ -317,7 +278,7 @@ def select_trainable(
 
     from .renderer import project_gaussian_subset  # renderer imports this module
 
-    proj = project_gaussian_subset(store, idx, camera, lowpass=lowpass)
+    proj = project_gaussian_subset(store, idx, camera)
     valid = proj["valid"]
     idx = idx[valid]
     u, v = proj["means2d"][valid].T

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .association import AssocConfig, ObjectMap, associate_frame
+from .association import STATUSES, AssocConfig, ObjectMap, associate_frame
 from .errors import (
     BehindCameraError,
     DatasetError,
@@ -78,7 +78,6 @@ class PipelineConfig:
     lr_mean: float = 0.004
     lr_color: float = 0.04
     lr_opacity: float = 0.02
-    optimize_scale_rot: bool = False
     train_all: bool = False
     # quadric optimization
     quadric_min_obs: int = 3
@@ -119,7 +118,10 @@ class PipelineConfig:
             lr_mean=self.lr_mean,
             lr_color=self.lr_color,
             lr_opacity=self.lr_opacity,
-            optimize_scale_rot=self.optimize_scale_rot,
+            # the pipeline trains no Gaussian shape: scales and rotations
+            # keep their spawn values
+            lr_scale=0.0,
+            lr_quat=0.0,
         )
 
     def quadric_optim(self, iters: int | None = None) -> OptimConfig:
@@ -144,11 +146,22 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        """Config from a flat dict; raises InvalidParameterError on unknown keys."""
-        known = {f_.name for f_ in cls.__dataclass_fields__.values()}
-        unknown = set(raw) - known
+        """Config from a flat dict.
+
+        Raises InvalidParameterError on unknown keys and on values whose type
+        differs from the field's: a bool is no int, an int is a float.
+        """
+        known = cls.__dataclass_fields__
+        unknown = set(raw) - set(known)
         if unknown:
             raise InvalidParameterError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in raw.items():
+            want = type(known[name].default)
+            accepted = (int, float) if want is float else want
+            if isinstance(value, bool) != (want is bool) or not isinstance(value, accepted):
+                raise InvalidParameterError(
+                    f"config key {name!r} must be {want.__name__}, got {value!r}"
+                )
         return cls(**raw)
 
 
@@ -372,7 +385,8 @@ def load_state(state_dir: str) -> PipelineResult:
 
     Raises DatasetError naming state.json when it is missing, is not JSON,
     lacks a required key (also in a track entry), carries config keys
-    PipelineConfig does not know, or holds non-integer ids or malformed frame
+    PipelineConfig does not know or config values of the wrong type, or holds
+    non-integer ids or frames, an unknown track status or malformed frame
     logs; and naming gaussians.npz when it lacks a store array or its arrays
     differ in length.
     """
@@ -389,13 +403,15 @@ def load_state(state_dir: str) -> PipelineResult:
         logs = [FrameLog(**lg) for lg in state.get("frame_logs", [])]
         config = PipelineConfig.from_dict(state.get("config", {}))
         for entry in entries:
-            track = obj_map.new_track(entry["class_id"])
+            track = obj_map.new_track(operator.index(entry["class_id"]))
             # preserve original ids
             obj_map.tracks.pop(track.object_id)
-            track.object_id = entry["object_id"]
+            track.object_id = operator.index(entry["object_id"])
             obj_map.tracks[track.object_id] = track
+            if entry["status"] not in STATUSES:
+                raise ValueError(f"unknown track status {entry['status']!r}")
             track.status = entry["status"]
-            track.last_seen = entry["last_seen"]
+            track.last_seen = operator.index(entry["last_seen"])
             if "center" in entry:
                 track.quadric = DualQuadric(
                     np.asarray(entry["center"]),

@@ -27,7 +27,7 @@ object's rendered opaque-Gaussian accumulation and its binary instance mask.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +43,10 @@ Q_MAX = 9.0         # 3-sigma support
 Q_FADE_START = 8.0  # C1 window fades over q in [8, 9]
 ALPHA_CAP = 0.999
 DEPTH_ALPHA_MIN = 1e-4
+LOWPASS = 0.3       # pixels^2 added to the 2D covariance
+MAX_RADIUS = 96.0   # pixel clamp on footprint radius
+Z_NEAR = 0.05       # meters; nearer Gaussians are not drawn
+MOMENTUM = 0.7      # training's velocity decay per step
 
 
 def _support_window(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -51,13 +55,6 @@ def _support_window(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s = 1.0 - u * u * (3.0 - 2.0 * u)
     ds = -6.0 * u * (1.0 - u) / (Q_MAX - Q_FADE_START)
     return s, ds
-
-
-@dataclass
-class RenderConfig:
-    lowpass: float = 0.3       # pixels^2 added to the 2D covariance
-    max_radius: float = 96.0   # pixel clamp on footprint radius
-    z_near: float = 0.05
 
 
 @dataclass
@@ -91,16 +88,13 @@ def project_gaussian_subset(
     store: GaussianStore,
     idx: np.ndarray,
     camera: CameraModel,
-    lowpass: float = 0.3,
-    z_near: float = 0.05,
-    max_radius: float = 96.0,
 ) -> dict:
     """Project a subset of Gaussians; returns the quantities both passes need."""
     means = store.means[idx]
     R_cw, t_cw = camera.world_to_camera()
     p_cam = means @ R_cw.T + t_cw
     z = p_cam[:, 2]
-    valid = z > z_near
+    valid = z > Z_NEAR
 
     fx, fy = camera.fx, camera.fy
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -121,8 +115,8 @@ def project_gaussian_subset(
         J[:, 0, 2] = -fx * p_cam[:, 0] / z**2
         J[:, 1, 2] = -fy * p_cam[:, 1] / z**2
     cov2d = np.einsum("nij,njk,nlk->nil", J, B, J)
-    cov2d[:, 0, 0] += lowpass
-    cov2d[:, 1, 1] += lowpass
+    cov2d[:, 0, 0] += LOWPASS
+    cov2d[:, 1, 1] += LOWPASS
 
     a = cov2d[:, 0, 0]
     b = cov2d[:, 0, 1]
@@ -138,7 +132,7 @@ def project_gaussian_subset(
     tr = 0.5 * (a + c)
     gap = np.sqrt(np.maximum(tr * tr - det, 0.0))
     lam_max = tr + gap
-    radii = np.minimum(3.0 * np.sqrt(np.maximum(lam_max, 0.0)) + 0.5, max_radius)
+    radii = np.minimum(3.0 * np.sqrt(np.maximum(lam_max, 0.0)) + 0.5, MAX_RADIUS)
 
     return {
         "p_cam": p_cam,
@@ -275,7 +269,6 @@ def _instance_subset_flags(
 def _forward(
     store: GaussianStore,
     camera: CameraModel,
-    config: RenderConfig,
     instance_id: int | None = None,
     instance_ref: np.ndarray | None = None,
 ):
@@ -292,10 +285,7 @@ def _forward(
     color = np.zeros((hw, 3))
     proj = ent = None
     if len(store):
-        proj = project_gaussian_subset(
-            store, np.arange(len(store)), camera,
-            lowpass=config.lowpass, z_near=config.z_near, max_radius=config.max_radius,
-        )
+        proj = project_gaussian_subset(store, np.arange(len(store)), camera)
         ent = _flat_entries(proj, store.opacities, h, w)
     if ent is None:
         return proj, None, (color, np.zeros(hw), np.zeros(hw), np.zeros(hw)), None
@@ -317,7 +307,6 @@ def render(
     camera: CameraModel,
     instance_id: int | None = None,
     instance_ref: np.ndarray | None = None,
-    config: RenderConfig | None = None,
 ) -> RenderOutput:
     """Composite the full map into color/depth/instance/alpha images.
 
@@ -326,9 +315,7 @@ def render(
     opaque Gaussians of its reference id; otherwise all foreground objects.
     """
     h, w = camera.height, camera.width
-    _, ent, (color, alpha, draw, ins), _ = _forward(
-        store, camera, config or RenderConfig(), instance_id, instance_ref
-    )
+    _, ent, (color, alpha, draw, ins), _ = _forward(store, camera, instance_id, instance_ref)
     tn = np.ones(h * w)
     if ent is not None:
         tn[ent["pix"][ent["seg_starts"]]] = np.exp(ent["log_tn"][ent["seg_starts"]])
@@ -399,7 +386,6 @@ def loss_and_gradients(
     frame: FrameBundle,
     lam: float = 0.5,
     object_id: int = 0,
-    config: RenderConfig | None = None,
 ) -> tuple[float, GaussianGradients, dict]:
     """Training loss for one frame plus analytic gradients on the trainable set.
 
@@ -407,7 +393,6 @@ def loss_and_gradients(
     matter); gradients are reported only for `trainable_idx`.  Raises
     InvalidParameterError for stale indices.
     """
-    config = config or RenderConfig()
     trainable_idx = np.asarray(trainable_idx, dtype=int)
     if len(trainable_idx) and (
         trainable_idx.min() < 0 or trainable_idx.max() >= len(store)
@@ -418,7 +403,7 @@ def loss_and_gradients(
         raise InvalidParameterError("frame camera does not match image size")
     n = len(store)
 
-    proj, ent, images, per_entry = _forward(store, frame.camera, config, instance_id=object_id)
+    proj, ent, images, per_entry = _forward(store, frame.camera, instance_id=object_id)
     loss, parts, g_color_img, g_draw_img, g_alpha_img, g_ins_img = _loss_upstream(
         *images, frame, object_id, lam
     )
@@ -579,6 +564,8 @@ def _quat_gradients(
 
 @dataclass
 class TrainConfig:
+    """Knobs of optimize_object; a group whose learning rate is 0 stays fixed."""
+
     iters: int = 30
     lam: float = 0.5
     lr_mean: float = 0.004      # meters per (rms-normalized) step
@@ -586,9 +573,6 @@ class TrainConfig:
     lr_opacity: float = 0.02
     lr_scale: float = 0.001
     lr_quat: float = 0.01
-    momentum: float = 0.7
-    optimize_scale_rot: bool = True
-    render: RenderConfig = field(default_factory=RenderConfig)
 
 
 def optimize_object(
@@ -619,8 +603,7 @@ def optimize_object(
         acc = None
         for frame in frames:
             f_loss, grads, _ = loss_and_gradients(
-                store, trainable_idx, frame, lam=config.lam,
-                object_id=object_id, config=config.render,
+                store, trainable_idx, frame, lam=config.lam, object_id=object_id
             )
             loss += f_loss
             if acc is None:
@@ -632,10 +615,8 @@ def optimize_object(
 
     sel = trainable_idx
     vel = {name: np.zeros((len(sel),) + getattr(store, name).shape[1:]) for name in TRAINABLE}
-    scale_rot = config.optimize_scale_rot
     lrs = dict(zip(TRAINABLE, (
-        config.lr_mean, config.lr_color, config.lr_opacity,
-        config.lr_scale if scale_rot else 0.0, config.lr_quat if scale_rot else 0.0,
+        config.lr_mean, config.lr_color, config.lr_opacity, config.lr_scale, config.lr_quat,
     )))
     scale_down = 1.0
     loss, grads = total_loss_grads()
@@ -649,7 +630,7 @@ def optimize_object(
             if rms < 1e-15 or lrs[name] == 0.0:
                 continue
             step = -(lrs[name] * scale_down) * g / rms
-            vel[name] = config.momentum * vel[name] + step
+            vel[name] = MOMENTUM * vel[name] + step
             getattr(store, name)[sel] += vel[name]
         store.clamp_parameters(sel)  # frozen Gaussians stay bit-identical
         new_loss, new_grads = total_loss_grads()

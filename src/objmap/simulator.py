@@ -203,18 +203,18 @@ def _superellipsoid_hit(
     oc, dc = o[cand], d[cand]
     lo, hi = t_box[cand], t_exit[cand]
 
-    def f(tt):
-        p = oc + tt[:, None] * dc
+    def f(o_, d_, tt):
+        p = o_ + tt[:, None] * d_
         return np.sum(np.abs(p / s) ** power, axis=1) - 1.0
 
     # march to bracket the first surface crossing
     n_steps = 48
     t_in = np.full(len(oc), np.nan)
     prev = lo
-    prev_f = f(lo)
+    prev_f = f(oc, dc, lo)
     for k in range(1, n_steps + 1):
         cur = lo + (hi - lo) * k / n_steps
-        cur_f = f(cur)
+        cur_f = f(oc, dc, cur)
         crossing = np.isnan(t_in) & (prev_f > 0) & (cur_f <= 0)
         t_in[crossing] = prev[crossing]
         prev = np.where(np.isnan(t_in), cur, prev)
@@ -222,15 +222,10 @@ def _superellipsoid_hit(
     found = ~np.isnan(t_in)
     a = t_in[found]
     b = a + (hi - lo)[found] / n_steps
-    oc2, dc2 = oc[found], dc[found]
-
-    def f2(tt):
-        p = oc2 + tt[:, None] * dc2
-        return np.sum(np.abs(p / s) ** power, axis=1) - 1.0
-
+    oc_found, dc_found = oc[found], dc[found]
     for _ in range(48):
         mid = 0.5 * (a + b)
-        outside = f2(mid) > 0
+        outside = f(oc_found, dc_found, mid) > 0
         a = np.where(outside, mid, a)
         b = np.where(outside, b, mid)
     out = np.full(len(oc), np.inf)
@@ -276,19 +271,18 @@ def render_scene_frame(
     dirs = camera.pixel_rays(pix)
     origins = np.broadcast_to(camera.translation, dirs.shape)
 
+    # objects are 1..n; occluders are -1..-m: they shade pixels but report
+    # instance 0
+    shapes = list(enumerate(spec.objects, start=1))
+    shapes += [(-j, obj) for j, obj in enumerate(spec.occluders, start=1)]
     n_rays = len(dirs)
     best_t = np.full(n_rays, np.inf)
     best_id = np.zeros(n_rays, dtype=np.int32)
-    for k, obj in enumerate(spec.objects, start=1):
+    for k, obj in shapes:
         t = _ray_shape_hits(obj, origins, dirs)
         closer = t < best_t
         best_t[closer] = t[closer]
         best_id[closer] = k
-    for j, obj in enumerate(spec.occluders, start=1):
-        t = _ray_shape_hits(obj, origins, dirs)
-        closer = t < best_t
-        best_t[closer] = t[closer]
-        best_id[closer] = -j  # occluders shade pixels but report instance 0
 
     # background: ground plane z=0 and four walls at +-room_extent
     E = spec.room_extent
@@ -326,15 +320,8 @@ def render_scene_frame(
     hit = np.isfinite(best_t)
     pts = origins + best_t[:, None] * dirs
 
-    for k, obj in enumerate(spec.objects, start=1):
+    for k, obj in shapes:
         m = hit & (best_id == k)
-        if not np.any(m):
-            continue
-        normals = _shape_normal(obj, pts[m])
-        shade = 0.65 + 0.35 * np.maximum(0.0, normals @ _LIGHT)
-        rgb[m] = np.asarray(obj.albedo) * shade[:, None]
-    for j, obj in enumerate(spec.occluders, start=1):
-        m = hit & (best_id == -j)
         if not np.any(m):
             continue
         normals = _shape_normal(obj, pts[m])

@@ -5,7 +5,7 @@ boxes come from dense surface sampling, box IoU from Monte-Carlo volume
 estimation or from the convex hull of brute-force vertices, nearest-neighbor
 metrics from full pairwise distances, and trainable selection from one
 footprint query per Gaussian, and the quadric pose loss from a Python loop
-over observations.
+over observations.  `store_of` builds small test stores from rows.
 """
 
 from __future__ import annotations
@@ -15,10 +15,15 @@ from itertools import combinations
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from objmap.gaussians import GaussianStore, UpdateMasks
+from objmap.gaussians import STORE_ARRAYS, GaussianStore, UpdateMasks
 from objmap.quadric_fit import axis_angle_to_rotation
 from objmap.quadrics import BBox2D, CameraModel, DualQuadric
 from objmap.renderer import project_gaussian_subset
+
+
+def store_of(rows) -> GaussianStore:
+    """A store from (mean, scale, quat, opacity, color, object_id, kind) rows."""
+    return GaussianStore(**dict(zip(STORE_ARRAYS, zip(*rows))))
 
 
 _DIRECTION_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -155,7 +160,6 @@ def per_gaussian_select_trainable(
     masks: UpdateMasks,
     object_id: int,
     camera: CameraModel,
-    lowpass: float = 0.3,
 ) -> np.ndarray:
     """select_trainable as a Python loop: one summed-area query per Gaussian."""
     idx = store.object_indices(object_id)
@@ -172,7 +176,7 @@ def per_gaussian_select_trainable(
     integral = np.zeros((h + 1, w + 1), dtype=np.int64)
     integral[1:, 1:] = np.cumsum(np.cumsum(obj_mask.reshape(h, w), axis=0), axis=1)
 
-    proj = project_gaussian_subset(store, idx, camera, lowpass=lowpass)
+    proj = project_gaussian_subset(store, idx, camera)
     selected = []
     for row, i in enumerate(idx):
         if not proj["valid"][row]:

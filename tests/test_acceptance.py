@@ -15,11 +15,7 @@ import pytest
 
 logging.disable(logging.WARNING)
 
-from objmap.gaussians import (
-    KIND_OPAQUE,
-    GaussianPrimitive,
-    GaussianStore,
-)
+from objmap.gaussians import KIND_OPAQUE
 from objmap.pipeline import PipelineConfig, eval_pose, eval_recon, run_pipeline
 from objmap.quadric_fit import OptimConfig, optimize_quadric
 from objmap.quadrics import (
@@ -40,6 +36,7 @@ from oracles import (
     monte_carlo_box_iou,
     random_quadric,
     sampled_projection_bbox,
+    store_of,
 )
 
 
@@ -179,22 +176,20 @@ def test_criterion_4_pose_recovery():
 
 
 def _gradcheck_scene(rng, n_gauss):
-    prims = []
+    rows = []
     for i in range(n_gauss):
         z = 1.5 + 0.25 * i + rng.uniform(0, 0.1)
         q = rng.normal(size=4)
-        prims.append(
-            GaussianPrimitive(
-                mean=np.array([rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), z]),
-                scale=rng.uniform(0.05, 0.12, 3),
-                rotation=q / np.linalg.norm(q),
-                opacity=rng.uniform(0.3, 0.9),
-                color=rng.uniform(0.2, 0.8, 3),
-                object_id=1 if i % 2 == 0 else 2,
-                kind=KIND_OPAQUE if i % 3 != 2 else 1,
-            )
-        )
-    return GaussianStore.from_primitives(prims)
+        rows.append((
+            np.array([rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), z]),
+            rng.uniform(0.05, 0.12, 3),
+            q / np.linalg.norm(q),
+            rng.uniform(0.3, 0.9),
+            rng.uniform(0.2, 0.8, 3),
+            1 if i % 2 == 0 else 2,
+            KIND_OPAQUE if i % 3 != 2 else 1,
+        ))
+    return store_of(rows)
 
 
 def test_criterion_5_renderer_gradients():
@@ -274,16 +269,15 @@ def test_criterion_6_compositing_invariants():
     ins_ok = out.instance.min() >= 0.0 and out.instance.max() <= 1.0
 
     z = 2.0
-    single = GaussianStore.from_primitives([
-        GaussianPrimitive(
-            mean=np.array([0.5 / 80 * z, 0.5 / 80 * z, z]),
-            scale=np.full(3, 0.05),
-            rotation=np.array([1.0, 0, 0, 0]),
-            opacity=0.9,
-            color=np.array([1.0, 0, 0]),
-            object_id=1,
-        )
-    ])
+    single = store_of([(
+        np.array([0.5 / 80 * z, 0.5 / 80 * z, z]),
+        np.full(3, 0.05),
+        np.array([1.0, 0, 0, 0]),
+        0.9,
+        np.array([1.0, 0, 0]),
+        1,
+        KIND_OPAQUE,
+    )])
     o1 = render(single, cam)
     depth_exact = abs(o1.depth[32, 32] - 2.0) <= 1e-12 and abs(o1.alpha[32, 32] - 0.9) <= 1e-12
     ok = unity <= 1e-6 and ins_ok and depth_exact
@@ -412,10 +406,8 @@ def test_criterion_9_determinism_roundtrips(tmp_path, recon_run):
 
     p1 = tmp_path / "o1.ply"
     export_object_ply(first.store, 1, p1)
-    back = import_object_ply(p1)
-    store2 = GaussianStore.from_primitives(back)
     p2 = tmp_path / "o2.ply"
-    export_object_ply(store2, 1, p2)
+    export_object_ply(import_object_ply(p1), 1, p2)
     ply_roundtrip = p1.read_bytes() == p2.read_bytes()
 
     ok = dataset_identical and report_identical and ply_roundtrip

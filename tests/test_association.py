@@ -112,6 +112,17 @@ class TestAssociateFrame:
         assert res.new_tracks == [0]
         assert len(obj_map) == 2
 
+    def test_new_track_id_from_instance_mask(self):
+        # the detection's own instance_id is a simulator label that dataset
+        # files do not carry, so it must not pick the track id
+        cam = make_camera()
+        det = Detection2D(bbox=BBox2D(40, 40, 80, 80), class_id=3, instance_id=9)
+        frame = make_frame(cam, [det])
+        frame.instance[40:80, 40:80] = 4
+        obj_map = ObjectMap()
+        associate_frame(obj_map, frame, AssocConfig())
+        assert list(obj_map.tracks) == [4]
+
     def test_empty_frame(self):
         obj_map = ObjectMap()
         frame = make_frame(make_camera(), [])

@@ -11,12 +11,13 @@ import pytest
 from objmap.association import AssocConfig, ObjectMap, associate_frame
 from objmap.errors import DatasetError
 from objmap.frames import Detection2D, FrameBundle
-from objmap.gaussians import KIND_OPAQUE, GaussianPrimitive, GaussianStore
+from objmap.gaussians import KIND_OPAQUE
 from objmap.pipeline import PipelineConfig
 from objmap.plyio import read_point_ply, write_point_ply
 from objmap.png import read_png, write_png
 from objmap.quadrics import BBox2D, CameraModel, DualQuadric, conic_to_bbox, project_to_conic
 from objmap.renderer import loss_and_gradients, render
+from oracles import store_of
 
 
 def camera_64():
@@ -42,17 +43,15 @@ class TestRotationScaleGradients:
         rng = np.random.default_rng(seed)
         q = rng.normal(size=4)
         q /= np.linalg.norm(q)
-        return GaussianStore.from_primitives([
-            GaussianPrimitive(
-                mean=np.array([rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1), 2.0]),
-                scale=rng.uniform(0.04, 0.12, 3),
-                rotation=q,
-                opacity=rng.uniform(0.5, 0.9),
-                color=rng.uniform(0.2, 0.8, 3),
-                object_id=1,
-                kind=KIND_OPAQUE,
-            )
-        ])
+        return store_of([(
+            np.array([rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1), 2.0]),
+            rng.uniform(0.04, 0.12, 3),
+            q,
+            rng.uniform(0.5, 0.9),
+            rng.uniform(0.2, 0.8, 3),
+            1,
+            KIND_OPAQUE,
+        )])
 
     @pytest.mark.parametrize("seed", [9, 19, 29])
     def test_quaternion_gradient_matches_fd(self, seed):
@@ -281,7 +280,7 @@ class TestConfigWiring:
             0.44, 0.055, 0.066, 0.077)
 
     def test_training_wiring(self):
-        cfg = PipelineConfig(gaussian_iters=7, lam=0.9, lr_mean=0.123,
-                             optimize_scale_rot=True)
+        cfg = PipelineConfig(gaussian_iters=7, lam=0.9, lr_mean=0.123)
         t = cfg.training()
-        assert (t.iters, t.lam, t.lr_mean, t.optimize_scale_rot) == (7, 0.9, 0.123, True)
+        assert (t.iters, t.lam, t.lr_mean) == (7, 0.9, 0.123)
+        assert t.lr_scale == t.lr_quat == 0.0  # the pipeline trains no shape

@@ -8,7 +8,6 @@ from objmap.gaussians import (
     KIND_TRANSPARENT,
     STORE_ARRAYS,
     DensifyConfig,
-    GaussianPrimitive,
     GaussianStore,
     MaskThresholds,
     UpdateMasks,
@@ -22,7 +21,9 @@ from objmap.gaussians import (
 from objmap.quadrics import CameraModel
 from objmap.renderer import RenderOutput, render
 from objmap.simulator import ObjectSpec, OrbitTrajectory, SceneSpec, frame_bundles
-from oracles import per_gaussian_select_trainable
+from oracles import per_gaussian_select_trainable, store_of
+
+IDENTITY = np.array([1.0, 0, 0, 0])
 
 
 def camera(w=80, h=60, f=70.0):
@@ -66,19 +67,25 @@ def empty_render(frame):
 class TestStore:
     def test_extend_and_extract(self):
         store = GaussianStore()
-        store.extend(GaussianStore.from_primitives([
-            GaussianPrimitive(np.zeros(3), np.full(3, 0.01), np.array([1.0, 0, 0, 0]),
-                              0.9, np.zeros(3), object_id=1)
+        store.extend(store_of([
+            (np.zeros(3), np.full(3, 0.01), IDENTITY, 0.9, np.zeros(3), 1, KIND_OPAQUE)
             for _ in range(10)
         ]))
-        store.extend(GaussianStore.from_primitives([
-            GaussianPrimitive(np.ones(3), np.full(3, 0.01), np.array([1.0, 0, 0, 0]),
-                              0.1, np.ones(3), object_id=2, kind=KIND_TRANSPARENT)
+        store.extend(store_of([
+            (np.ones(3), np.full(3, 0.01), IDENTITY, 0.1, np.ones(3), 2, KIND_TRANSPARENT)
             for _ in range(5)
         ]))
+        store.means[:] = np.arange(45).reshape(15, 3)  # tell the rows apart
         assert len(extract_object(store, 2)) == 5
         assert len(extract_object(store, 1)) == 10
-        assert extract_object(store, 99) == []
+        # the object's rows, in order, as a store of their own
+        for k, rows in ((1, slice(0, 10)), (2, slice(10, 15))):
+            obj = extract_object(store, k)
+            assert isinstance(obj, GaussianStore)
+            for name in STORE_ARRAYS:
+                assert np.array_equal(getattr(obj, name), getattr(store, name)[rows]), name
+        empty = extract_object(store, 99)
+        assert isinstance(empty, GaussianStore) and len(empty) == 0
         # appended in order, with the store's dtypes
         assert np.array_equal(store.object_ids, [1] * 10 + [2] * 5)
         assert np.array_equal(store.kinds, [KIND_OPAQUE] * 10 + [KIND_TRANSPARENT] * 5)
@@ -88,20 +95,17 @@ class TestStore:
 
     def test_partition_property(self):
         rng = np.random.default_rng(0)
-        prims = [
-            GaussianPrimitive(rng.normal(size=3), np.full(3, 0.01),
-                              np.array([1.0, 0, 0, 0]), 0.9, rng.uniform(0, 1, 3),
-                              object_id=int(rng.integers(0, 4)))
+        store = store_of([
+            (rng.normal(size=3), np.full(3, 0.01), IDENTITY, 0.9, rng.uniform(0, 1, 3),
+             int(rng.integers(0, 4)), KIND_OPAQUE)
             for _ in range(40)
-        ]
-        store = GaussianStore.from_primitives(prims)
+        ])
         total = sum(len(extract_object(store, k)) for k in store.present_ids())
         assert total == len(store)
 
     def test_rewrite_object_id_atomic(self):
-        store = GaussianStore.from_primitives([
-            GaussianPrimitive(np.zeros(3), np.full(3, 0.01), np.array([1.0, 0, 0, 0]),
-                              0.9, np.zeros(3), object_id=3)
+        store = store_of([
+            (np.zeros(3), np.full(3, 0.01), IDENTITY, 0.9, np.zeros(3), 3, KIND_OPAQUE)
             for _ in range(7)
         ])
         moved = store.rewrite_object_id(3, 8)
@@ -110,11 +114,9 @@ class TestStore:
         assert len(extract_object(store, 8)) == 7
 
     def test_clamp_keeps_classes(self):
-        store = GaussianStore.from_primitives([
-            GaussianPrimitive(np.zeros(3), np.full(3, 0.01), np.array([1.0, 0, 0, 0]),
-                              0.9, np.zeros(3), object_id=1, kind=KIND_OPAQUE),
-            GaussianPrimitive(np.zeros(3), np.full(3, 0.01), np.array([1.0, 0, 0, 0]),
-                              0.1, np.zeros(3), object_id=1, kind=KIND_TRANSPARENT),
+        store = store_of([
+            (np.zeros(3), np.full(3, 0.01), IDENTITY, 0.9, np.zeros(3), 1, KIND_OPAQUE),
+            (np.zeros(3), np.full(3, 0.01), IDENTITY, 0.1, np.zeros(3), 1, KIND_TRANSPARENT),
         ])
         store.opacities[0] = 0.2   # drifted below the class band
         store.opacities[1] = 0.8   # drifted above
@@ -347,10 +349,9 @@ class TestSelectTrainable:
 class TestPlyRoundtrip:
     def test_export_import_exact(self, tmp_path):
         rng = np.random.default_rng(1)
-        store = GaussianStore.from_primitives([
-            GaussianPrimitive(rng.normal(size=3), np.full(3, 0.02),
-                              np.array([1.0, 0, 0, 0]), 0.9, rng.uniform(0, 1, 3),
-                              object_id=4)
+        store = store_of([
+            (rng.normal(size=3), np.full(3, 0.02), IDENTITY, 0.9, rng.uniform(0, 1, 3),
+             4, KIND_OPAQUE)
             for _ in range(20)
         ])
         path = tmp_path / "obj4.ply"
@@ -359,9 +360,9 @@ class TestPlyRoundtrip:
         back = import_object_ply(path)
         assert len(back) == 20
         # float32 payload round-trips bit-exactly on re-export
-        store2 = GaussianStore.from_primitives(back)
         path2 = tmp_path / "obj4_again.ply"
-        export_object_ply(store2, 4, path2)
+        export_object_ply(back, 4, path2)
         assert path.read_bytes() == path2.read_bytes()
-        assert np.allclose(store.means[store.object_indices(4)],
-                           np.array([p.mean for p in back]), atol=1e-6)
+        assert np.allclose(store.means[store.object_indices(4)], back.means, atol=1e-6)
+        assert np.all(back.scales == 0.01) and np.all(back.quats == IDENTITY)
+        assert np.all(back.kinds == KIND_OPAQUE)

@@ -38,6 +38,10 @@ def npz_arrays(n_scales=2, drop=None):
     return arrays
 
 
+# a well-formed state.json track entry
+TRACK = {"object_id": 7, "class_id": 2, "status": "stable", "last_seen": 0}
+
+
 def small_scene(**kw):
     args = dict(
         objects=[
@@ -279,6 +283,18 @@ class TestExportAndState:
         with pytest.raises(InvalidParameterError):
             PipelineConfig.from_json(str(path))
 
+    @pytest.mark.parametrize("raw", [
+        {"stride": "2"}, {"stride": True}, {"stride": 2.0}, {"tau": "1"}, {"tau": False},
+        {"enable_gaussians": 0}, {"enable_gaussians": "false"}, {"assoc_mode": 3},
+    ], ids=["str-for-int", "bool-for-int", "float-for-int", "str-for-float", "bool-for-float",
+            "int-for-bool", "str-for-bool", "int-for-str"])
+    def test_config_rejects_wrong_value_types(self, raw):
+        with pytest.raises(InvalidParameterError, match=next(iter(raw))):
+            PipelineConfig.from_dict(raw)
+
+    def test_config_accepts_int_for_float(self):
+        assert PipelineConfig.from_dict({"tau": 1, "stride": 2}).tau == 1
+
 
     @pytest.mark.parametrize("content, arrays, bad_file", [
         ("{\"tracks\": [", None, "state.json"),
@@ -294,9 +310,21 @@ class TestExportAndState:
         (json.dumps({"tracks": [], "next_id": "2"}), None, "state.json"),
         (json.dumps({"tracks": [], "next_id": 1, "frame_logs": [{"bogus": 1}]}), None,
          "state.json"),
+        (json.dumps({"tracks": [dict(TRACK, object_id="7")], "next_id": 8}), None,
+         "state.json"),
+        (json.dumps({"tracks": [dict(TRACK, class_id="2")], "next_id": 8}), None,
+         "state.json"),
+        (json.dumps({"tracks": [dict(TRACK, status="weird")], "next_id": 8}), None,
+         "state.json"),
+        (json.dumps({"tracks": [dict(TRACK, last_seen="x")], "next_id": 8}), None,
+         "state.json"),
+        (json.dumps({"tracks": [], "next_id": 1, "config": {"stride": "2"}}), None,
+         "state.json"),
     ], ids=["not-json", "no-tracks", "no-next-id", "unknown-config-key",
             "track-without-class-id", "npz-without-scales", "npz-length-mismatch",
-            "retired-ids-not-list", "next-id-not-int", "frame-log-unknown-key"])
+            "retired-ids-not-list", "next-id-not-int", "frame-log-unknown-key",
+            "object-id-not-int", "class-id-not-int", "unknown-status", "last-seen-not-int",
+            "config-value-not-int"])
     def test_load_state_rejects_malformed(self, tmp_path, content, arrays, bad_file):
         (tmp_path / "state.json").write_text(content)
         if arrays is not None:
@@ -325,7 +353,7 @@ class TestCli:
         report = json.loads((tmp_path / "pose.json").read_text())
         assert report["gt_count"] == 1
 
-    def test_exit_codes(self, tmp_path):
+    def test_exit_codes(self, tmp_path, small_dataset):
         assert cli_main(["run", "--dataset", "/does/not/exist",
                          "--out-state", str(tmp_path / "s")]) == 1
         assert cli_main(["run", "--dataset", str(tmp_path)]) == 2  # missing flag
@@ -335,3 +363,9 @@ class TestCli:
                          str(tmp_path / "s"), "--config", str(bad_cfg)]) == 2
         assert cli_main(["run", "--dataset", str(tmp_path), "--out-state",
                          str(tmp_path / "s"), "--assoc-mode", "bogus"]) == 2
+        # wrong value types on a readable dataset: refused before mapping
+        bad_cfg.write_text("{\"stride\": \"2\"}")
+        assert cli_main(["run", "--dataset", small_dataset, "--out-state",
+                         str(tmp_path / "s"), "--config", str(bad_cfg)]) == 2
+        assert cli_main(["run", "--dataset", small_dataset, "--out-state",
+                         str(tmp_path / "s"), "--enable-gaussians", "flase"]) == 2

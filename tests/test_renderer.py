@@ -9,18 +9,17 @@ from objmap.gaussians import (
     KIND_TRANSPARENT,
     STORE_ARRAYS,
     TRAINABLE,
-    GaussianPrimitive,
     GaussianStore,
 )
 from objmap.quadrics import CameraModel
 from objmap.renderer import (
-    RenderConfig,
     TrainConfig,
     dump_render_pngs,
     loss_and_gradients,
     optimize_object,
     render,
 )
+from oracles import store_of
 
 
 def camera_64():
@@ -29,33 +28,24 @@ def camera_64():
 
 def prim(mean, scale=0.05, opacity=0.9, color=(1.0, 0.0, 0.0), object_id=1,
          kind=KIND_OPAQUE, rotation=(1.0, 0.0, 0.0, 0.0)):
-    return GaussianPrimitive(
-        mean=np.asarray(mean, dtype=float),
-        scale=np.full(3, scale) if np.isscalar(scale) else np.asarray(scale),
-        rotation=np.asarray(rotation, dtype=float),
-        opacity=opacity,
-        color=np.asarray(color, dtype=float),
-        object_id=object_id,
-        kind=kind,
-    )
+    """One store_of row."""
+    return (mean, np.broadcast_to(scale, 3), rotation, opacity, color, object_id, kind)
 
 
 def random_scene(rng, n, image_cam=None):
-    prims = []
+    rows = []
     for i in range(n):
         z = 1.5 + 0.25 * i + rng.uniform(0, 0.1)
-        prims.append(
-            GaussianPrimitive(
-                mean=np.array([rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), z]),
-                scale=rng.uniform(0.05, 0.12, 3),
-                rotation=_rand_quat(rng),
-                opacity=rng.uniform(0.3, 0.9),
-                color=rng.uniform(0.2, 0.8, 3),
-                object_id=1 if i % 2 == 0 else 2,
-                kind=KIND_OPAQUE if i % 3 != 2 else KIND_TRANSPARENT,
-            )
-        )
-    return GaussianStore.from_primitives(prims)
+        rows.append((
+            np.array([rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), z]),
+            rng.uniform(0.05, 0.12, 3),
+            _rand_quat(rng),
+            rng.uniform(0.3, 0.9),
+            rng.uniform(0.2, 0.8, 3),
+            1 if i % 2 == 0 else 2,
+            KIND_OPAQUE if i % 3 != 2 else KIND_TRANSPARENT,
+        ))
+    return store_of(rows)
 
 
 def _rand_quat(rng):
@@ -92,7 +82,7 @@ class TestForward:
         # mean projects exactly onto pixel center (32,32): u = 80*x/z + 32 = 32.5
         cam = camera_64()
         z = 2.0
-        store = GaussianStore.from_primitives([prim([0.5 / 80 * z, 0.5 / 80 * z, z], opacity=0.9)])
+        store = store_of([prim([0.5 / 80 * z, 0.5 / 80 * z, z], opacity=0.9)])
         out = render(store, cam)
         assert out.alpha[32, 32] == pytest.approx(0.9, abs=1e-12)
         assert out.depth[32, 32] == pytest.approx(2.0, abs=1e-12)
@@ -100,7 +90,7 @@ class TestForward:
     def test_two_layer_transmittance(self):
         cam = camera_64()
         z1, z2 = 2.0, 3.0
-        store = GaussianStore.from_primitives([
+        store = store_of([
             prim([0.5 / 80 * z1, 0.5 / 80 * z1, z1], opacity=0.9),
             prim([0.5 / 80 * z2, 0.5 / 80 * z2, z2], opacity=0.9, color=(0, 1, 0)),
         ])
@@ -137,7 +127,7 @@ class TestForward:
     def test_instance_restricted_to_opaque(self):
         cam = camera_64()
         z = 2.0
-        store = GaussianStore.from_primitives([
+        store = store_of([
             prim([0.5 / 80 * z, 0.5 / 80 * z, z], opacity=0.4, kind=KIND_TRANSPARENT,
                  object_id=1),
         ])
@@ -150,7 +140,7 @@ class TestGradients:
     def test_color_gradient_single_gaussian(self):
         # color target differs -> analytic color gradient matches FD at 1e-4
         cam = camera_64()
-        store = GaussianStore.from_primitives(
+        store = store_of(
             [prim([0.0125 * 2, 0.0125 * 2, 2.0], color=(0.5, 0.5, 0.5))])
         frame = gradcheck_frame(store, cam, 1)
         _, grads, _ = loss_and_gradients(store, np.arange(1), frame, lam=0.5, object_id=1)
@@ -236,7 +226,7 @@ class TestGradients:
 class TestOptimizeObject:
     def _target_setup(self, rng):
         cam = camera_64()
-        target = GaussianStore.from_primitives([
+        target = store_of([
             prim([0.0, 0.0, 2.0], scale=0.12, opacity=0.95, color=(0.2, 0.8, 0.3)),
         ])
         t_out = render(target, cam, instance_id=1)
@@ -246,7 +236,7 @@ class TestOptimizeObject:
             instance=(t_out.instance > 0.5).astype(np.int32),
             camera=cam, detections=[], index=0,
         )
-        fit = GaussianStore.from_primitives([
+        fit = store_of([
             prim([0.05, -0.04, 2.1], scale=0.1, opacity=0.9, color=(0.5, 0.5, 0.5)),
         ])
         return cam, frame, fit
@@ -308,7 +298,7 @@ class TestOptimizeObject:
 
     def test_opacity_class_preserved(self):
         cam, frame, fit = self._target_setup(np.random.default_rng(0))
-        fit.extend(GaussianStore.from_primitives([
+        fit.extend(store_of([
             prim([0.0, 0.0, 2.05], opacity=0.1, kind=KIND_TRANSPARENT, color=(0.9, 0.1, 0.1)),
         ]))
         optimize_object(fit, 1, [frame], np.arange(2), TrainConfig(iters=30))
@@ -317,7 +307,7 @@ class TestOptimizeObject:
 
     def test_transparent_only_improves_color(self):
         cam = camera_64()
-        target = GaussianStore.from_primitives(
+        target = store_of(
             [prim([0.0, 0.0, 2.0], scale=0.12, opacity=0.95, color=(0.9, 0.2, 0.2))])
         t_out = render(target, cam, instance_id=1)
         frame = FrameBundle(
@@ -327,7 +317,7 @@ class TestOptimizeObject:
             camera=cam, detections=[], index=0,
         )
         # opaque base with wrong color, frozen; transparent correctors trainable
-        fit = GaussianStore.from_primitives(
+        fit = store_of(
             [prim([0.0, 0.0, 2.0], scale=0.12, opacity=0.95, color=(0.4, 0.4, 0.4))])
         rng = np.random.default_rng(0)
         tg = []
@@ -335,7 +325,7 @@ class TestOptimizeObject:
             offset = rng.uniform(-0.1, 0.1, 2)
             tg.append(prim([offset[0], offset[1], 1.98], scale=0.05, opacity=0.1,
                            kind=KIND_TRANSPARENT, color=(0.5, 0.5, 0.5)))
-        fit.extend(GaussianStore.from_primitives(tg))
+        fit.extend(store_of(tg))
         depth_before = render(fit, cam).depth.copy()
         l0, _, p0 = loss_and_gradients(fit, np.empty(0, int), frame, lam=0.0, object_id=1)
         optimize_object(fit, 1, [frame], np.arange(1, 13), TrainConfig(iters=40))
