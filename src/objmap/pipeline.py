@@ -144,12 +144,32 @@ class PipelineConfig:
             raise InvalidParameterError(f"cannot read config {path}: {e}") from e
         return cls.from_dict(raw)
 
+    def check(self) -> None:
+        """Raise InvalidParameterError naming the first value out of range.
+
+        Every float must be finite, `stride` and `workers` at least 1 and the
+        other counts at least 0.  `run_pipeline` and `from_dict` call this, so
+        a value set on a constructed config (as the CLI flags are) is checked
+        too.
+        """
+        for name, f in self.__dataclass_fields__.items():
+            value = getattr(self, name)
+            kind = type(f.default)
+            if kind is float and not np.isfinite(value):
+                raise InvalidParameterError(f"config key {name!r} must be finite, got {value!r}")
+            low = 1 if name in ("stride", "workers") else 0
+            if kind is int and value < low:
+                raise InvalidParameterError(
+                    f"config key {name!r} must be at least {low}, got {value!r}"
+                )
+
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
         """Config from a flat dict.
 
-        Raises InvalidParameterError on unknown keys and on values whose type
-        differs from the field's: a bool is no int, an int is a float.
+        Raises InvalidParameterError on unknown keys, on values whose type
+        differs from the field's (a bool is no int, an int is a float) and on
+        values out of range (see `check`).
         """
         known = cls.__dataclass_fields__
         unknown = set(raw) - set(known)
@@ -162,7 +182,9 @@ class PipelineConfig:
                 raise InvalidParameterError(
                     f"config key {name!r} must be {want.__name__}, got {value!r}"
                 )
-        return cls(**raw)
+        config = cls(**raw)
+        config.check()
+        return config
 
 
 @dataclass
@@ -226,8 +248,12 @@ def _optimize_dirty_tracks(obj_map: ObjectMap, dirty: list[int],
 
 
 def run_pipeline(dataset_dir: str, config: PipelineConfig | None = None):
-    """Process a dataset; returns PipelineResult with per-frame logs."""
+    """Process a dataset; returns PipelineResult with per-frame logs.
+
+    Raises InvalidParameterError when a config value is out of range.
+    """
     config = config or PipelineConfig()
+    config.check()
     obj_map = ObjectMap()
     store = GaussianStore()
     logs: list[FrameLog] = []

@@ -16,7 +16,11 @@ difference checks of the analytic gradients stay clean at any step size.
 
 Backward pass: analytic gradients of the training loss for color, opacity,
 mean (including the Jacobian dependence of the 2D covariance), scale, and
-rotation, accumulated race-free via fixed-order segmented suffix sums.
+rotation, accumulated race-free via fixed-order segmented suffix sums.  The
+geometry chain (mean, scale, rotation) runs only when asked for:
+`optimize_object` asks when a mean, scale or rotation learning rate is
+non-zero, and `render` never builds the per-entry terms it needs.  Skipping
+it leaves the loss and the color and opacity gradients bit-identical.
 
 Losses (per object k):  L = L_rgb + L_depth + lambda * L_ins with
 L_rgb the per-pixel color residual norm, L_depth the absolute depth residual
@@ -148,18 +152,27 @@ def project_gaussian_subset(
     }
 
 
-def _flat_entries(proj: dict, opacities: np.ndarray, h: int, w: int):
+def _flat_entries(proj: dict, opacities: np.ndarray, h: int, w: int,
+                  geometry: bool = True):
     """Expand footprints into sorted flat entries with alpha and transmittance.
 
     Returns None when nothing rasterizes, else a dict of per-entry arrays
-    sorted by (pixel, depth, gaussian index).
+    sorted by (pixel, depth, gaussian index).  The pixel offsets `du`, `dv`
+    and `draw_dq` (d raw / d q) are included only with `geometry`: nothing
+    but the geometry backward reads them.
+
+    Expansion keeps at most six entry-length arrays alive, and each array is
+    dropped once read.  The in-place steps repeat the operation order of
+    `q = ia*du*du + 2*ib*du*dv + ic*dv*dv` and of the other expressions, so
+    every value is bit-for-bit what the plain expressions give.
     """
     valid = proj["valid"]
     rows = np.flatnonzero(valid)
     if len(rows) == 0:
         return None
-    u = proj["means2d"][rows, 0]
-    v = proj["means2d"][rows, 1]
+    means2d = proj["means2d"]
+    u = means2d[rows, 0]
+    v = means2d[rows, 1]
     r = proj["radii"][rows]
     x0 = np.clip(np.floor(u - r).astype(int), 0, w)
     x1 = np.clip(np.floor(u + r).astype(int) + 1, 0, w)
@@ -169,85 +182,115 @@ def _flat_entries(proj: dict, opacities: np.ndarray, h: int, w: int):
     heights = np.maximum(y1 - y0, 0)
     counts = widths * heights
     keep = counts > 0
-    rows, x0, y0, widths, heights, counts = (
-        rows[keep], x0[keep], y0[keep], widths[keep], heights[keep], counts[keep],
-    )
+    rows, x0, y0, widths, counts = rows[keep], x0[keep], y0[keep], widths[keep], counts[keep]
     if len(rows) == 0:
         return None
 
+    # pixel (px, py) of each entry: footprint corner + divmod(offset, width)
     total = int(counts.sum())
     entry_row = np.repeat(rows, counts)
-    base = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    local = np.arange(total) - np.repeat(base, counts)
+    px = np.arange(total)
+    px -= np.repeat(np.cumsum(counts) - counts, counts)
     w_rep = np.repeat(widths, counts)
-    dx = local % w_rep
-    dy = local // w_rep
-    px = np.repeat(x0, counts) + dx
-    py = np.repeat(y0, counts) + dy
-    pix = py * w + px
+    py = px // w_rep
+    px %= w_rep
+    del w_rep
+    px += np.repeat(x0, counts)
+    py += np.repeat(y0, counts)
+    pix = py * w
+    pix += px
 
-    du = px + 0.5 - proj["means2d"][entry_row, 0]
-    dv = py + 0.5 - proj["means2d"][entry_row, 1]
-    ia = proj["inv_cov"][entry_row, 0, 0]
-    ib = proj["inv_cov"][entry_row, 0, 1]
-    ic = proj["inv_cov"][entry_row, 1, 1]
-    q = ia * du * du + 2.0 * ib * du * dv + ic * dv * dv
+    du = px + 0.5
+    del px
+    du -= means2d[entry_row, 0]
+    dv = py + 0.5
+    del py
+    dv -= means2d[entry_row, 1]
+    inv = proj["inv_cov"]
+    q = inv[entry_row, 0, 0]
+    q *= du
+    q *= du
+    t = inv[entry_row, 0, 1]
+    t *= 2.0
+    t *= du
+    t *= dv
+    q += t
+    del t
+    t = inv[entry_row, 1, 1]
+    t *= dv
+    t *= dv
+    q += t
+    del t
+    if not geometry:
+        del du, dv
 
     inside = q < Q_MAX
     if not np.any(inside):
         return None
     entry_row = entry_row[inside]
     pix = pix[inside]
-    du, dv, q = du[inside], dv[inside], q[inside]
+    q = q[inside]
+    if geometry:
+        du, dv = du[inside], dv[inside]
+    del inside
 
     G = np.exp(-0.5 * q)
     s_win, ds_win = _support_window(q)
+    del q
     raw = G * s_win
-    draw_dq = G * (-0.5 * s_win + ds_win)
-    alpha_unclamped = opacities[entry_row] * raw
-    alpha = np.minimum(alpha_unclamped, ALPHA_CAP)
-    clamped = alpha_unclamped > ALPHA_CAP
+    if geometry:
+        draw_dq = G * (-0.5 * s_win + ds_win)
+    del G, s_win, ds_win
+    alpha = opacities[entry_row] * raw
+    clamped = alpha > ALPHA_CAP
+    np.minimum(alpha, ALPHA_CAP, out=alpha)
 
     order = np.lexsort((entry_row, proj["z"][entry_row], pix))
     entry_row = entry_row[order]
     pix = pix[order]
     alpha = alpha[order]
     raw = raw[order]
-    draw_dq = draw_dq[order]
-    du, dv = du[order], dv[order]
     clamped = clamped[order]
+    if geometry:
+        draw_dq = draw_dq[order]
+        du, dv = du[order], dv[order]
+    del order
 
     is_start = np.empty(len(pix), dtype=bool)
     is_start[0] = True
     is_start[1:] = pix[1:] != pix[:-1]
     seg_id = np.cumsum(is_start) - 1
     starts = np.flatnonzero(is_start)
+    del is_start
     ends = np.append(starts[1:] - 1, len(pix) - 1)
 
-    lg = np.log1p(-alpha)
-    cs = np.cumsum(lg)
-    prefix_excl = cs - lg
-    seg_base = prefix_excl[starts][seg_id]
-    T = np.exp(prefix_excl - seg_base)
+    cs = np.log1p(-alpha)
+    T = cs.copy()
+    np.cumsum(cs, out=cs)
+    np.subtract(cs, T, out=T)         # exclusive prefix sum of log(1 - alpha)
+    seg_base = T[starts]
+    seg_log_tn = cs[ends] - seg_base  # total log transmittance per segment
+    del cs
+    T -= seg_base[seg_id]
+    np.exp(T, out=T)
     weight = alpha * T
-    log_tn = cs[ends][seg_id] - seg_base  # total log transmittance per segment
 
-    return {
+    ent = {
         "row": entry_row,
         "pix": pix,
         "alpha": alpha,
         "raw": raw,
-        "draw_dq": draw_dq,
-        "du": du,
-        "dv": dv,
         "clamped": clamped,
         "T": T,
         "weight": weight,
         "seg_id": seg_id,
         "seg_starts": starts,
         "seg_ends": ends,
-        "log_tn": log_tn,
+        "seg_log_tn": seg_log_tn,
     }
+    if geometry:
+        ent.update(draw_dq=draw_dq, du=du, dv=dv)
+    return ent
 
 
 def _instance_subset_flags(
@@ -271,14 +314,15 @@ def _forward(
     camera: CameraModel,
     instance_id: int | None = None,
     instance_ref: np.ndarray | None = None,
+    geometry: bool = True,
 ):
     """Project, sort and composite every Gaussian of the store at one camera.
 
     Returns (proj, ent, images, per_entry).  images are the flat per-pixel
     color (HW,3), alpha, depth-weighted sum and instance accumulation, all
     zero when nothing rasterizes (ent and per_entry are then None);
-    per_entry holds each sorted entry's color, depth and instance flag for
-    the backward pass.
+    per_entry holds each sorted entry's depth and instance flag for the
+    backward pass.  `geometry` is passed on to `_flat_entries`.
     """
     h, w = camera.height, camera.width
     hw = h * w
@@ -286,20 +330,19 @@ def _forward(
     proj = ent = None
     if len(store):
         proj = project_gaussian_subset(store, np.arange(len(store)), camera)
-        ent = _flat_entries(proj, store.opacities, h, w)
+        ent = _flat_entries(proj, store.opacities, h, w, geometry)
     if ent is None:
         return proj, None, (color, np.zeros(hw), np.zeros(hw), np.zeros(hw)), None
 
     row, pix, weight = ent["row"], ent["pix"], ent["weight"]
-    colors_e = store.colors[row]
     z_e = proj["z"][row]
     sub = _instance_subset_flags(store, row, pix, instance_id, instance_ref)
     for ch in range(3):
-        color[:, ch] = np.bincount(pix, weights=weight * colors_e[:, ch], minlength=hw)
+        color[:, ch] = np.bincount(pix, weights=weight * store.colors[row, ch], minlength=hw)
     alpha = np.bincount(pix, weights=weight, minlength=hw)
     draw = np.bincount(pix, weights=weight * z_e, minlength=hw)
     ins = np.bincount(pix, weights=weight * sub, minlength=hw)
-    return proj, ent, (color, alpha, draw, ins), (colors_e, z_e, sub)
+    return proj, ent, (color, alpha, draw, ins), (z_e, sub)
 
 
 def render(
@@ -315,10 +358,12 @@ def render(
     opaque Gaussians of its reference id; otherwise all foreground objects.
     """
     h, w = camera.height, camera.width
-    _, ent, (color, alpha, draw, ins), _ = _forward(store, camera, instance_id, instance_ref)
+    _, ent, (color, alpha, draw, ins), _ = _forward(
+        store, camera, instance_id, instance_ref, geometry=False
+    )
     tn = np.ones(h * w)
     if ent is not None:
-        tn[ent["pix"][ent["seg_starts"]]] = np.exp(ent["log_tn"][ent["seg_starts"]])
+        tn[ent["pix"][ent["seg_starts"]]] = np.exp(ent["seg_log_tn"])
 
     depth = np.where(alpha >= DEPTH_ALPHA_MIN, draw / np.maximum(alpha, DEPTH_ALPHA_MIN), 0.0)
     return RenderOutput(
@@ -386,12 +431,16 @@ def loss_and_gradients(
     frame: FrameBundle,
     lam: float = 0.5,
     object_id: int = 0,
+    geometry: bool = True,
 ) -> tuple[float, GaussianGradients, dict]:
     """Training loss for one frame plus analytic gradients on the trainable set.
 
     The forward pass composites every Gaussian in the store (occluders
-    matter); gradients are reported only for `trainable_idx`.  Raises
-    InvalidParameterError for stale indices.
+    matter); gradients are reported only for `trainable_idx`.  With
+    `geometry=False` the geometry backward is skipped and the mean, scale and
+    rotation gradients are zero; the loss and the color and opacity
+    gradients are the same bits either way.  Raises InvalidParameterError
+    for stale indices.
     """
     trainable_idx = np.asarray(trainable_idx, dtype=int)
     if len(trainable_idx) and (
@@ -403,46 +452,89 @@ def loss_and_gradients(
         raise InvalidParameterError("frame camera does not match image size")
     n = len(store)
 
-    proj, ent, images, per_entry = _forward(store, frame.camera, instance_id=object_id)
+    proj, ent, images, per_entry = _forward(
+        store, frame.camera, instance_id=object_id, geometry=geometry
+    )
     loss, parts, g_color_img, g_draw_img, g_alpha_img, g_ins_img = _loss_upstream(
         *images, frame, object_id, lam
     )
+    sel = trainable_idx
+    grads = GaussianGradients(indices=sel, **{
+        name: np.zeros((len(sel),) + getattr(store, name).shape[1:]) for name in TRAINABLE
+    })
     if ent is None:
-        zeros = {name: np.zeros((len(trainable_idx),) + getattr(store, name).shape[1:])
-                 for name in TRAINABLE}
-        return loss, GaussianGradients(indices=trainable_idx, **zeros), parts
+        return loss, grads, parts
 
     # ---- backward over entries -------------------------------------------
     row, pix, weight = ent["row"], ent["pix"], ent["weight"]
     alpha_e, T = ent["alpha"], ent["T"]
-    colors_e, z_e, sub = per_entry
+    z_e, sub = per_entry
     seg_id = ent["seg_id"]
     ends = ent["seg_ends"]
 
     def suffix_after(contrib: np.ndarray) -> np.ndarray:
         cs = np.cumsum(contrib)
-        return cs[ends][seg_id] - cs
+        after = cs[ends][seg_id]
+        after -= cs
+        return after
 
-    gc_e = g_color_img[pix]          # (E,3)
-    gD_e = g_draw_img[pix]
-    gA_e = g_alpha_img[pix]
-    gI_e = g_ins_img[pix]
-
+    # upstreams are gathered one channel at a time and each entry-length
+    # temporary is dropped once read: together they set the evaluation's
+    # memory peak
     one_minus = 1.0 - alpha_e
     dL_dalpha = np.zeros(len(row))
+    grad_color = np.zeros((n, 3))
     for ch in range(3):
-        contrib = weight * colors_e[:, ch]
-        dL_dalpha += gc_e[:, ch] * (colors_e[:, ch] * T - suffix_after(contrib) / one_minus)
+        gc_e = g_color_img[pix, ch]
+        c_e = store.colors[row, ch]
+        contrib = weight * c_e
+        dL_dalpha += gc_e * (c_e * T - suffix_after(contrib) / one_minus)
+        grad_color[:, ch] = np.bincount(row, weights=gc_e * weight, minlength=n)
+    del gc_e, c_e, contrib
+    gD_e = g_draw_img[pix]
     contrib_z = weight * z_e
     dL_dalpha += gD_e * (z_e * T - suffix_after(contrib_z) / one_minus)
+    del contrib_z
+    gA_e = g_alpha_img[pix]
     dL_dalpha += gA_e * (T - suffix_after(weight) / one_minus)
+    del gA_e
+    gI_e = g_ins_img[pix]
     contrib_i = weight * sub
     dL_dalpha += gI_e * (sub * T - suffix_after(contrib_i) / one_minus)
+    del gI_e, contrib_i
 
     free = ~ent["clamped"]
-    raw = ent["raw"]
+    dL_do_e = np.where(free, dL_dalpha * ent["raw"], 0.0)
+    grad_opacity = np.bincount(row, weights=dL_do_e, minlength=n)
+    del dL_do_e
+    grads.colors = grad_color[sel]
+    grads.opacities = grad_opacity[sel]
+    if geometry:
+        grad_mean, grad_scale, grad_quat = _geometry_backward(
+            store, frame.camera, proj, ent, dL_dalpha, free, gD_e
+        )
+        grads.means, grads.scales, grads.quats = grad_mean[sel], grad_scale[sel], grad_quat[sel]
+    return loss, grads, parts
+
+
+def _geometry_backward(
+    store: GaussianStore,
+    camera: CameraModel,
+    proj: dict,
+    ent: dict,
+    dL_dalpha: np.ndarray,
+    free: np.ndarray,
+    gD_e: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, scale and rotation gradients of every Gaussian of the store.
+
+    Chains each entry's alpha upstream `dL_dalpha` (not applied where the
+    entry's alpha is clamped, `~free`) and depth-sum upstream `gD_e` through
+    the footprint quadratic form, the 2D covariance and the projection.
+    """
+    n = len(store)
+    row, weight = ent["row"], ent["weight"]
     opac_e = store.opacities[row]
-    dL_do_e = np.where(free, dL_dalpha * raw, 0.0)
     dL_dq_e = np.where(free, dL_dalpha * opac_e * ent["draw_dq"], 0.0)
 
     ia = proj["inv_cov"][row, 0, 0]
@@ -452,10 +544,6 @@ def loss_and_gradients(
     Ad1 = ib * ent["du"] + ic * ent["dv"]
 
     # per-gaussian accumulations
-    grad_color = np.zeros((n, 3))
-    for ch in range(3):
-        grad_color[:, ch] = np.bincount(row, weights=gc_e[:, ch] * weight, minlength=n)
-    grad_opacity = np.bincount(row, weights=dL_do_e, minlength=n)
     grad_mean2d = np.stack(
         [
             np.bincount(row, weights=dL_dq_e * (-2.0) * Ad0, minlength=n),
@@ -471,7 +559,7 @@ def loss_and_gradients(
     gM[:, 1, 1] = np.bincount(row, weights=dL_dq_e * (-(Ad1 * Ad1)), minlength=n)
 
     # ---- chain projective geometry per gaussian ---------------------------
-    fx, fy = frame.camera.fx, frame.camera.fy
+    fx, fy = camera.fx, camera.fy
     p_cam = proj["p_cam"]
     z = np.maximum(proj["z"], 1e-9)
     J, B, R3, R_cw = proj["J"], proj["B"], proj["R3"], proj["R_cw"]
@@ -500,17 +588,7 @@ def loss_and_gradients(
 
     qn = store.quats / np.maximum(np.linalg.norm(store.quats, axis=1, keepdims=True), 1e-12)
     grad_quat = _quat_gradients(grad_sigma, R3, s**2, qn)
-
-    sel = trainable_idx
-    grads = GaussianGradients(
-        indices=sel,
-        means=grad_mean[sel],
-        colors=grad_color[sel],
-        opacities=grad_opacity[sel],
-        scales=grad_scale[sel],
-        quats=grad_quat[sel],
-    )
-    return loss, grads, parts
+    return grad_mean, grad_scale, grad_quat
 
 
 def _quat_gradients(
@@ -564,7 +642,12 @@ def _quat_gradients(
 
 @dataclass
 class TrainConfig:
-    """Knobs of optimize_object; a group whose learning rate is 0 stays fixed."""
+    """Knobs of optimize_object; a group whose learning rate is 0 stays fixed.
+
+    The geometry backward (mean, scale and rotation gradients) runs only
+    when one of `lr_mean`, `lr_scale`, `lr_quat` is non-zero; with all three
+    at 0 a step costs the forward pass plus the color and opacity backward.
+    """
 
     iters: int = 30
     lam: float = 0.5
@@ -598,12 +681,16 @@ def optimize_object(
     if not frames:
         return []
 
+    # the geometry backward runs only when a mean, scale or rotation trains
+    geometry = any(lr != 0.0 for lr in (config.lr_mean, config.lr_scale, config.lr_quat))
+
     def total_loss_grads():
         loss = 0.0
         acc = None
         for frame in frames:
             f_loss, grads, _ = loss_and_gradients(
-                store, trainable_idx, frame, lam=config.lam, object_id=object_id
+                store, trainable_idx, frame, lam=config.lam, object_id=object_id,
+                geometry=geometry,
             )
             loss += f_loss
             if acc is None:

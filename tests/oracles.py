@@ -5,7 +5,9 @@ boxes come from dense surface sampling, box IoU from Monte-Carlo volume
 estimation or from the convex hull of brute-force vertices, nearest-neighbor
 metrics from full pairwise distances, and trainable selection from one
 footprint query per Gaussian, and the quadric pose loss from a Python loop
-over observations.  `store_of` builds small test stores from rows.
+over observations.  `reference_flat_entries` is the renderer's footprint
+expansion written as plain expressions, without in-place steps or early
+frees.  `store_of` builds small test stores from rows.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from scipy.spatial import ConvexHull, QhullError
 from objmap.gaussians import STORE_ARRAYS, GaussianStore, UpdateMasks
 from objmap.quadric_fit import axis_angle_to_rotation
 from objmap.quadrics import BBox2D, CameraModel, DualQuadric
-from objmap.renderer import project_gaussian_subset
+from objmap.renderer import ALPHA_CAP, Q_MAX, _support_window, project_gaussian_subset
 
 
 def store_of(rows) -> GaussianStore:
@@ -248,3 +250,103 @@ def _fast_terms(x: np.ndarray, prep: list[tuple]) -> tuple[float, int]:
         union = (x1 - x0) * (y1 - y0) + (bb[2] - bb[0]) * (bb[3] - bb[1]) - inter
         loss += 1.0 - inter / union if union > 0 else 1.0
     return loss, skipped
+
+
+def reference_flat_entries(proj: dict, opacities: np.ndarray, h: int, w: int,
+                           geometry: bool = True):
+    """`renderer._flat_entries` as plain expressions; always returns du, dv
+    and draw_dq, whatever `geometry` says."""
+    valid = proj["valid"]
+    rows = np.flatnonzero(valid)
+    if len(rows) == 0:
+        return None
+    u = proj["means2d"][rows, 0]
+    v = proj["means2d"][rows, 1]
+    r = proj["radii"][rows]
+    x0 = np.clip(np.floor(u - r).astype(int), 0, w)
+    x1 = np.clip(np.floor(u + r).astype(int) + 1, 0, w)
+    y0 = np.clip(np.floor(v - r).astype(int), 0, h)
+    y1 = np.clip(np.floor(v + r).astype(int) + 1, 0, h)
+    widths = np.maximum(x1 - x0, 0)
+    heights = np.maximum(y1 - y0, 0)
+    counts = widths * heights
+    keep = counts > 0
+    rows, x0, y0, widths, heights, counts = (
+        rows[keep], x0[keep], y0[keep], widths[keep], heights[keep], counts[keep],
+    )
+    if len(rows) == 0:
+        return None
+
+    total = int(counts.sum())
+    entry_row = np.repeat(rows, counts)
+    base = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    local = np.arange(total) - np.repeat(base, counts)
+    w_rep = np.repeat(widths, counts)
+    dx = local % w_rep
+    dy = local // w_rep
+    px = np.repeat(x0, counts) + dx
+    py = np.repeat(y0, counts) + dy
+    pix = py * w + px
+
+    du = px + 0.5 - proj["means2d"][entry_row, 0]
+    dv = py + 0.5 - proj["means2d"][entry_row, 1]
+    ia = proj["inv_cov"][entry_row, 0, 0]
+    ib = proj["inv_cov"][entry_row, 0, 1]
+    ic = proj["inv_cov"][entry_row, 1, 1]
+    q = ia * du * du + 2.0 * ib * du * dv + ic * dv * dv
+
+    inside = q < Q_MAX
+    if not np.any(inside):
+        return None
+    entry_row = entry_row[inside]
+    pix = pix[inside]
+    du, dv, q = du[inside], dv[inside], q[inside]
+
+    G = np.exp(-0.5 * q)
+    s_win, ds_win = _support_window(q)
+    raw = G * s_win
+    draw_dq = G * (-0.5 * s_win + ds_win)
+    alpha_unclamped = opacities[entry_row] * raw
+    alpha = np.minimum(alpha_unclamped, ALPHA_CAP)
+    clamped = alpha_unclamped > ALPHA_CAP
+
+    order = np.lexsort((entry_row, proj["z"][entry_row], pix))
+    entry_row = entry_row[order]
+    pix = pix[order]
+    alpha = alpha[order]
+    raw = raw[order]
+    draw_dq = draw_dq[order]
+    du, dv = du[order], dv[order]
+    clamped = clamped[order]
+
+    is_start = np.empty(len(pix), dtype=bool)
+    is_start[0] = True
+    is_start[1:] = pix[1:] != pix[:-1]
+    seg_id = np.cumsum(is_start) - 1
+    starts = np.flatnonzero(is_start)
+    ends = np.append(starts[1:] - 1, len(pix) - 1)
+
+    lg = np.log1p(-alpha)
+    cs = np.cumsum(lg)
+    prefix_excl = cs - lg
+    seg_base = prefix_excl[starts][seg_id]
+    T = np.exp(prefix_excl - seg_base)
+    weight = alpha * T
+    log_tn = cs[ends][seg_id] - seg_base  # total log transmittance per segment
+
+    return {
+        "row": entry_row,
+        "pix": pix,
+        "alpha": alpha,
+        "raw": raw,
+        "draw_dq": draw_dq,
+        "du": du,
+        "dv": dv,
+        "clamped": clamped,
+        "T": T,
+        "weight": weight,
+        "seg_id": seg_id,
+        "seg_starts": starts,
+        "seg_ends": ends,
+        "seg_log_tn": log_tn[starts],
+    }

@@ -295,6 +295,33 @@ class TestExportAndState:
     def test_config_accepts_int_for_float(self):
         assert PipelineConfig.from_dict({"tau": 1, "stride": 2}).tau == 1
 
+    @pytest.mark.parametrize("name, value", [
+        ("theta_d", float("nan")), ("iou_gate", float("nan")), ("tau", float("inf")),
+        ("lr_color", float("-inf")), ("stride", 0), ("workers", -3), ("workers", 0),
+        ("gaussian_iters", -2), ("max_new_per_frame", -1), ("quadric_min_obs", -1),
+        ("quadric_every", -1), ("quadric_iters", -1), ("quadric_final_iters", -1),
+    ])
+    def test_config_rejects_out_of_range_values(self, name, value):
+        with pytest.raises(InvalidParameterError, match=name):
+            PipelineConfig.from_dict({name: value})
+        # a value set after construction is caught before the dataset is read
+        config = PipelineConfig()
+        setattr(config, name, value)
+        with pytest.raises(InvalidParameterError, match=name):
+            run_pipeline("/does/not/exist", config)
+
+    def test_config_accepts_range_edges(self):
+        edges = {"stride": 1, "workers": 1, "gaussian_iters": 0, "max_new_per_frame": 0,
+                 "quadric_min_obs": 0, "quadric_every": 0, "quadric_iters": 0,
+                 "quadric_final_iters": 0, "tau": 0.0}
+        assert PipelineConfig.from_dict(edges).stride == 1
+
+    def test_config_json_rejects_nan(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"theta_d": NaN}')
+        with pytest.raises(InvalidParameterError, match="theta_d"):
+            PipelineConfig.from_json(str(path))
+
 
     @pytest.mark.parametrize("content, arrays, bad_file", [
         ("{\"tracks\": [", None, "state.json"),
@@ -320,11 +347,13 @@ class TestExportAndState:
          "state.json"),
         (json.dumps({"tracks": [], "next_id": 1, "config": {"stride": "2"}}), None,
          "state.json"),
+        (json.dumps({"tracks": [], "next_id": 1, "config": {"theta_d": float("nan")}}), None,
+         "state.json"),
     ], ids=["not-json", "no-tracks", "no-next-id", "unknown-config-key",
             "track-without-class-id", "npz-without-scales", "npz-length-mismatch",
             "retired-ids-not-list", "next-id-not-int", "frame-log-unknown-key",
             "object-id-not-int", "class-id-not-int", "unknown-status", "last-seen-not-int",
-            "config-value-not-int"])
+            "config-value-not-int", "config-value-nan"])
     def test_load_state_rejects_malformed(self, tmp_path, content, arrays, bad_file):
         (tmp_path / "state.json").write_text(content)
         if arrays is not None:
@@ -369,3 +398,12 @@ class TestCli:
                          str(tmp_path / "s"), "--config", str(bad_cfg)]) == 2
         assert cli_main(["run", "--dataset", small_dataset, "--out-state",
                          str(tmp_path / "s"), "--enable-gaussians", "flase"]) == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--theta-d", "nan"), ("--iou-gate", "nan"), ("--stride", "0"), ("--workers", "-3"),
+        ("--gaussian-iters", "-2"),
+    ])
+    def test_out_of_range_flag_exits_2(self, tmp_path, small_dataset, flag, value):
+        assert cli_main(["run", "--dataset", small_dataset, "--out-state",
+                         str(tmp_path / "s"), flag, value]) == 2
+        assert not (tmp_path / "s").exists()
