@@ -20,7 +20,7 @@ spec = pose_scene(seed=5, width=200, height=150)
 observations = []
 for bundle, _ in frame_bundles(spec):
     for det in bundle.detections:
-        if det.instance_id == 1:
+        if det.class_id == spec.objects[0].class_id:  # each object has its own class
             observations.append((det.bbox, bundle.camera))
 print(f"collected {len(observations)} box observations of object 1")
 

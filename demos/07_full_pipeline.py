@@ -45,9 +45,11 @@ report = eval_pose(result, gt, dataset_cameras(ds))
 print("\npose evaluation:")
 print(report.table())
 
+# the sphere's Gaussians carry the id of the track that eval_pose matched to it
+(sphere,) = report.per_object
 store = result.store
-sel = (store.object_ids == 1) & (store.kinds == KIND_OPAQUE)
-acc, comp, ratio = eval_recon(store.means[sel], gt["points"][1], threshold_cm=5.0)
+sel = (store.object_ids == sphere.track_id) & (store.kinds == KIND_OPAQUE)
+acc, comp, ratio = eval_recon(store.means[sel], gt["points"][sphere.gt_id], threshold_cm=5.0)
 print(f"\nreconstruction: accuracy {acc:.2f} cm, completion {comp:.2f} cm, "
       f"ratio<5cm {ratio:.1f}%")
 

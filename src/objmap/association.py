@@ -7,6 +7,10 @@ initialized from the detection (fine).  Unmatched detections spawn new
 tracks, and an occlusion pass merges redundant tracks of the same class
 whose current projections are nested.
 
+Track ids are the only object ids.  `associate_frame` reports each
+detection's track id after the frame's merges, so the caller can rename the
+frame's instance segments, which may change ids from frame to frame.
+
 Two merge routes are tried for every same-class pair:
   - fragment: the nested track's quadric is very DISSIMILAR (similarity
     below `merge_d`), the signature of a piece of an occlusion-split object;
@@ -96,35 +100,23 @@ class AssociationResult:
     matches: list[tuple[int, int]] = field(default_factory=list)
     new_tracks: list[int] = field(default_factory=list)
     merges: list[tuple[int, int]] = field(default_factory=list)
+    track_ids: list[int] = field(default_factory=list)  # per detection, after merges
 
 
 class ObjectMap:
-    """Track registry; ids are unique forever (popped ids are never reused)."""
+    """Track registry; ids are serial and unique forever (popped ids are never reused)."""
 
     def __init__(self):
         self.tracks: dict[int, ObjectTrack] = {}
         self._next_id = 1
-        self.retired_ids: set[int] = set()
 
-    def new_track(self, class_id: int, preferred_id: int | None = None) -> ObjectTrack:
-        """Create a track, adopting `preferred_id` (e.g. the detection's
-        instance id) when it is still free; otherwise the next serial id."""
-        if (
-            preferred_id is not None
-            and preferred_id > 0
-            and preferred_id not in self.tracks
-            and preferred_id not in self.retired_ids
-        ):
-            oid = preferred_id
-        else:
-            oid = self._next_id
-        track = ObjectTrack(object_id=oid, class_id=class_id)
-        self.tracks[oid] = track
-        self._next_id = max(self._next_id, oid) + 1
+    def new_track(self, class_id: int) -> ObjectTrack:
+        track = ObjectTrack(object_id=self._next_id, class_id=class_id)
+        self.tracks[track.object_id] = track
+        self._next_id += 1
         return track
 
     def pop_track(self, object_id: int) -> ObjectTrack:
-        self.retired_ids.add(object_id)
         return self.tracks.pop(object_id)
 
     def live_tracks(self) -> list[ObjectTrack]:
@@ -238,21 +230,18 @@ def _project_track(track: ObjectTrack, camera: CameraModel) -> BBox2D | None:
 def center_depth_hint(frame: FrameBundle, bbox: BBox2D, min_pixels: int = 6) -> float:
     """Estimated depth of the OBJECT CENTER behind a detection box.
 
-    Depth samples come from the dominant nonzero instance id inside the box
-    when the frame carries instance labels (the usual case: instance frames
-    are a system input), which keeps occluder and background pixels out of
-    the estimate.  The median measures the visible front surface; the
-    center sits about 0.7 box-implied radii further away.
+    Depth samples come from the segment the detection owns (its dominant
+    nonzero instance id) when the frame carries instance labels (the usual
+    case: instance frames are a system input), which keeps occluder and
+    background pixels out of the estimate.  The median measures the visible
+    front surface; the center sits about 0.7 box-implied radii further away.
     """
     x0, x1, y0, y1 = bbox_pixel_rect(frame, bbox)
-    inst = frame.instance[y0:y1, x0:x1]
     depth = frame.depth[y0:y1, x0:x1]
     depths = None
-    fg = inst[inst > 0]
-    if fg.size >= min_pixels:
-        ids, counts = np.unique(fg, return_counts=True)
-        dominant = int(ids[np.argmax(counts)])
-        sel = depth[(inst == dominant) & (depth > 0)]
+    segment = dominant_instance_id(frame, bbox)
+    if segment > 0:
+        sel = depth[(frame.instance[y0:y1, x0:x1] == segment) & (depth > 0)]
         if sel.size >= min_pixels:
             depths = sel
     if depths is None:
@@ -286,6 +275,7 @@ def associate_frame(
     dets = frame.detections
     if not dets and len(obj_map) == 0:
         return result
+    track_ids = [0] * len(dets)
 
     tracks = obj_map.live_tracks()
     proj: dict[int, BBox2D] = {}
@@ -344,6 +334,7 @@ def associate_frame(
         used_tracks.add(tid)
         used_dets.add(d_idx)
         result.matches.append((tid, d_idx))
+        track_ids[d_idx] = tid
 
     # commit matches
     for tid, d_idx in result.matches:
@@ -354,20 +345,23 @@ def associate_frame(
         if track.quadric is None:
             _try_initialize(track)
 
-    # unmatched detections become new candidate tracks; the detection's
-    # dominant instance id is adopted as the track id when still free
+    # unmatched detections become new candidate tracks
     for d_idx, det in enumerate(dets):
         if d_idx in used_dets:
             continue
-        preferred = dominant_instance_id(frame, det.bbox)
-        track = obj_map.new_track(det.class_id, preferred_id=preferred)
+        track = obj_map.new_track(det.class_id)
         hint = center_depth_hint(frame, det.bbox)
         track.add_observation(TrackObservation(frame.index, det.bbox, frame.camera, hint))
         _try_initialize(track)
         result.new_tracks.append(d_idx)
+        track_ids[d_idx] = track.object_id
 
     if config.mode in ("qd", "qd+iou"):
         result.merges = merge_occluded(obj_map, frame, config)
+    # in merge order, so a keeper popped later passes its detections on
+    for keeper, popped in result.merges:
+        track_ids = [keeper if t == popped else t for t in track_ids]
+    result.track_ids = track_ids
     return result
 
 
@@ -398,7 +392,8 @@ def merge_occluded(
         two hypotheses of one object, which distinct rigid neighbors of the
         same class never produce.
     The survivor keeps the union of both observation histories and its
-    quadric is re-initialized from it.
+    quadric is re-initialized from it.  Returns the (keeper, popped) pairs
+    in merge order; a keeper may be popped by a later pair.
     """
     merges: list[tuple[int, int]] = []
     live = [t for t in obj_map.live_tracks() if t.quadric is not None]

@@ -162,16 +162,14 @@ def _cmd_eval_recon(args) -> int:
     gt = load_gt(args.dataset)
     report = {"threshold_cm": args.threshold_cm, "objects": []}
     store = result.store
-    # match exported objects to GT by 3D IoU through the pose report
-    cams = []
-    pose = eval_pose(result, gt, cams)
+    # each GT object is scored on the Gaussians of the track that the pose
+    # report matched to it by 3D IoU
+    pose = eval_pose(result, gt, [])
     for entry in pose.per_object:
         if entry.track_id is None:
             report["objects"].append({"gt_id": entry.gt_id, "matched": False})
             continue
-        # gaussian ids follow the dataset instance ids, which for this
-        # layout are the ground-truth object ids
-        sel = (store.object_ids == entry.gt_id) & (store.kinds == KIND_OPAQUE)
+        sel = (store.object_ids == entry.track_id) & (store.kinds == KIND_OPAQUE)
         est = store.means[sel]
         gt_pts = gt["points"].get(entry.gt_id)
         if gt_pts is None or len(est) == 0:
@@ -230,7 +228,7 @@ def _cmd_render_frame(args) -> int:
             break
     if frame is None:
         raise DatasetError(f"frame {args.frame} not found in {args.dataset}")
-    out = render(result.store, frame.camera, instance_ref=frame.instance)
+    out = render(result.store, frame.camera)
     paths = dump_render_pngs(out, args.out_prefix)
     print("wrote " + ", ".join(paths))
     return EXIT_OK

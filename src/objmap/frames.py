@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -12,12 +12,11 @@ from .quadrics import BBox2D, CameraModel
 
 @dataclass(frozen=True)
 class Detection2D:
-    """One 2D detector output: box, class, confidence, optional GT instance id."""
+    """One 2D detector output: box, class, confidence."""
 
     bbox: BBox2D
     class_id: int
     score: float = 1.0
-    instance_id: int | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.score <= 1.0:
@@ -29,7 +28,8 @@ class FrameBundle:
     """Posed RGB-D frame with instance ids and detections.
 
     rgb: (H,W,3) float in [0,1]; depth: (H,W) meters, 0 = invalid;
-    instance: (H,W) integer ids, 0 = background.
+    instance: (H,W) integer segment ids, 0 = background; they name segments
+    within this frame only (see `relabel_instances`).
     """
 
     rgb: np.ndarray
@@ -64,7 +64,8 @@ def bbox_pixel_rect(frame: FrameBundle, bbox: BBox2D) -> tuple[int, int, int, in
 
 
 def dominant_instance_id(frame: FrameBundle, bbox: BBox2D) -> int:
-    """Most frequent nonzero instance id inside a detection box (0 if none)."""
+    """The segment a detection box owns: the most frequent nonzero instance
+    id inside it (0 if none)."""
     x0, x1, y0, y1 = bbox_pixel_rect(frame, bbox)
     inst = frame.instance[y0:y1, x0:x1]
     fg = inst[inst > 0]
@@ -72,3 +73,23 @@ def dominant_instance_id(frame: FrameBundle, bbox: BBox2D) -> int:
         return 0
     ids, counts = np.unique(fg, return_counts=True)
     return int(ids[np.argmax(counts)])
+
+
+UNCLAIMED = -1  # id of a segment that no detection claims in its frame
+
+
+def relabel_instances(frame: FrameBundle, labels: list[int]) -> FrameBundle:
+    """The frame with each detection's segment renamed to its label.
+
+    `labels[i]` is the new id of detection i's dominant segment; the first
+    detection in frame order claims a shared segment.  Background stays 0
+    and every other segment becomes UNCLAIMED.  Input ids must be
+    non-negative, as the 16-bit ids of a dataset are.
+    """
+    claimed = {0: 0}
+    for det, label in zip(frame.detections, labels):
+        claimed.setdefault(dominant_instance_id(frame, det.bbox), label)
+    new_ids = np.full(int(frame.instance.max()) + 1, UNCLAIMED, dtype=np.int32)
+    for segment, label in claimed.items():
+        new_ids[segment] = label
+    return replace(frame, instance=new_ids[frame.instance])

@@ -161,8 +161,9 @@ def compute_update_masks(frame: FrameBundle, render, thresholds: MaskThresholds)
 
     geo: instance accumulation below theta_alpha OR depth error above
     theta_d (only where the observed depth is valid).  rgb: max channel
-    error above theta_c.  Both masks are restricted to pixels with a nonzero
-    instance id unless include_background is set.
+    error above theta_c.  Both masks are restricted to pixels with a positive
+    instance id, or a non-negative one when include_background is set: a
+    negative id marks a segment that is not mapped in this frame.
     """
     h, w = frame.shape
     if render.color.shape[:2] != (h, w):
@@ -178,10 +179,9 @@ def compute_update_masks(frame: FrameBundle, render, thresholds: MaskThresholds)
     color_err = np.max(np.abs(frame.rgb - render.color), axis=2)
     rgb = color_err > thresholds.theta_c
 
-    if not thresholds.include_background:
-        fg = frame.instance > 0
-        geo &= fg
-        rgb &= fg
+    mapped = frame.instance >= 0 if thresholds.include_background else frame.instance > 0
+    geo &= mapped
+    rgb &= mapped
     rgb &= ~geo  # geometry fixes take precedence at a pixel
 
     per_object: dict[int, tuple[np.ndarray, np.ndarray]] = {}

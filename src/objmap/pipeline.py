@@ -4,10 +4,11 @@ The coordinator owns the object map and the Gaussian store.  Each frame is
 processed as: associate detections to tracks (spawning / merging as needed),
 periodically refine track quadrics against their observation histories, then
 render, mask, densify and optimize the Gaussians of each masked object.
-Gaussians carry the dataset's instance ids, not track ids, and a track merge
-leaves the store unchanged.  Per-object optimizations run against a
-frame-start snapshot and are committed in ascending object id, so results are
-identical for any worker count.
+Gaussians carry track ids: each frame's instance segments are renamed to the
+track ids of the detections that claim them (unclaimed ones are not mapped),
+and a track merge moves the popped track's Gaussians to the keeper.
+Per-object optimizations run against a frame-start snapshot and are committed
+in ascending object id, so results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ import logging
 import operator
 import os
 import time
+import zipfile
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .association import STATUSES, AssocConfig, ObjectMap, associate_frame
+from .association import STATUSES, AssocConfig, ObjectMap, ObjectTrack, associate_frame
 from .errors import (
     BehindCameraError,
     DatasetError,
@@ -30,7 +33,7 @@ from .errors import (
     InvalidParameterError,
     UnoptimizableError,
 )
-from .frames import FrameBundle, dominant_instance_id
+from .frames import FrameBundle, relabel_instances
 from .gaussians import (
     STORE_ARRAYS,
     TRAINABLE,
@@ -49,6 +52,20 @@ from .simulator import _rotation_to_quat, load, quat_to_rotation
 from .simulator import dataset_cameras  # noqa: F401  (part of the pipeline API)
 
 logger = logging.getLogger(__name__)
+
+
+_AT_LEAST_0 = ("at least 0", lambda v: v >= 0)
+_UNIT = ("in [0, 1]", lambda v: 0 <= v <= 1)
+
+# allowed values of the numeric PipelineConfig fields; those not listed
+# (learning rates, loss weight, distances, counts) must be at least 0
+_RANGES = {
+    **dict.fromkeys(
+        ("iou_gate", "qd_accept", "t_thre", "merge_d", "merge_iou3d", "theta_alpha"), _UNIT
+    ),
+    "tau": ("above 0", lambda v: v > 0),
+    **dict.fromkeys(("stride", "workers"), ("at least 1", lambda v: v >= 1)),
+}
 
 
 @dataclass
@@ -147,21 +164,21 @@ class PipelineConfig:
     def check(self) -> None:
         """Raise InvalidParameterError naming the first value out of range.
 
-        Every float must be finite, `stride` and `workers` at least 1 and the
-        other counts at least 0.  `run_pipeline` and `from_dict` call this, so
-        a value set on a constructed config (as the CLI flags are) is checked
-        too.
+        Every float must be finite and every number lie in its `_RANGES`
+        entry.  `run_pipeline` and `from_dict` call this, so a value set on a
+        constructed config (as the CLI flags are) is checked too.
         """
         for name, f in self.__dataclass_fields__.items():
             value = getattr(self, name)
             kind = type(f.default)
             if kind is float and not np.isfinite(value):
                 raise InvalidParameterError(f"config key {name!r} must be finite, got {value!r}")
-            low = 1 if name in ("stride", "workers") else 0
-            if kind is int and value < low:
-                raise InvalidParameterError(
-                    f"config key {name!r} must be at least {low}, got {value!r}"
-                )
+            if kind in (int, float):
+                text, ok = _RANGES.get(name, _AT_LEAST_0)
+                if not ok(value):
+                    raise InvalidParameterError(
+                        f"config key {name!r} must be {text}, got {value!r}"
+                    )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
@@ -261,14 +278,11 @@ def run_pipeline(dataset_dir: str, config: PipelineConfig | None = None):
     thresholds = config.thresholds()
     densify_cfg = config.densify()
 
-    seen_instance_ids: set[int] = set()
     for frame in load(dataset_dir):
         t0 = time.perf_counter()
         result = associate_frame(obj_map, frame, assoc_cfg)
-        for det in frame.detections:
-            k = dominant_instance_id(frame, det.bbox)
-            if k > 0:
-                seen_instance_ids.add(k)
+        for keeper, popped in result.merges:
+            store.rewrite_object_id(popped, keeper)
         t_assoc = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -281,7 +295,7 @@ def run_pipeline(dataset_dir: str, config: PipelineConfig | None = None):
         trainable_total = 0
         if config.enable_gaussians:
             trainable_total = _map_frame(
-                store, frame, config, thresholds, densify_cfg, seen_instance_ids
+                store, relabel_instances(frame, result.track_ids), config, thresholds, densify_cfg
             )
         t_map = time.perf_counter() - t0
 
@@ -308,21 +322,15 @@ def run_pipeline(dataset_dir: str, config: PipelineConfig | None = None):
 
 
 def _map_frame(store: GaussianStore, frame: FrameBundle, config: PipelineConfig,
-               thresholds: MaskThresholds, densify_cfg: DensifyConfig,
-               seen_instance_ids: set[int]) -> int:
+               thresholds: MaskThresholds, densify_cfg: DensifyConfig) -> int:
     """Render -> masks -> densify -> per-object optimize; returns trainable count.
 
-    Only instance ids that have produced at least one detection are mapped:
-    without observations an object stays out of the Gaussian store entirely.
+    `frame.instance` holds track ids (see `relabel_instances`).
     """
     from .renderer import optimize_object  # looked up per call: tracing swaps it
 
     out = render(store, frame.camera, instance_ref=frame.instance)
     masks = compute_update_masks(frame, out, thresholds)
-    allowed = set(seen_instance_ids)
-    if config.include_background:
-        allowed.add(0)
-    _restrict_masks_to_ids(masks, frame, allowed)
     store.extend(densify_from_mask(frame, masks, out, densify_cfg))
 
     if config.train_all:
@@ -356,18 +364,6 @@ def _map_frame(store: GaussianStore, frame: FrameBundle, config: PipelineConfig,
     return sum(len(s) for s in selections.values())
 
 
-def _restrict_masks_to_ids(masks, frame: FrameBundle, allowed: set[int]) -> None:
-    """Drop mask pixels of instance ids that have never been detected."""
-    disallowed = [k for k in masks.per_object if k not in allowed]
-    if not disallowed:
-        return
-    bad = np.isin(frame.instance, list(disallowed))
-    masks.geo_mask &= ~bad
-    masks.rgb_mask &= ~bad
-    for k in disallowed:
-        masks.per_object.pop(k, None)
-
-
 # ---------------------------------------------------------------------------
 # State serialization
 
@@ -390,7 +386,6 @@ def save_state(result: PipelineResult, out_dir: str) -> str:
         tracks.append(entry)
     state = {
         "tracks": tracks,
-        "retired_ids": sorted(result.object_map.retired_ids),
         "next_id": result.object_map._next_id,
         "config": asdict(result.config),
         "frame_logs": [asdict(lg) for lg in result.logs],
@@ -412,9 +407,11 @@ def load_state(state_dir: str) -> PipelineResult:
     Raises DatasetError naming state.json when it is missing, is not JSON,
     lacks a required key (also in a track entry), carries config keys
     PipelineConfig does not know or config values of the wrong type, or holds
-    non-integer ids or frames, an unknown track status or malformed frame
-    logs; and naming gaussians.npz when it lacks a store array or its arrays
-    differ in length.
+    non-integer ids or frames, an unknown track status, malformed frame logs,
+    a duplicate track id or a track id outside [1, next_id); and naming
+    gaussians.npz when it is not a readable archive, lacks a store array, its
+    arrays differ in length or a Gaussian's object id is neither 0 nor a
+    track id.
     """
     path = os.path.join(state_dir, "state.json")
     if not os.path.isfile(path):
@@ -424,40 +421,50 @@ def load_state(state_dir: str) -> PipelineResult:
         with open(path) as f:
             state = json.load(f)
         entries = state["tracks"]
-        next_id = operator.index(state["next_id"])
-        retired_ids = {operator.index(i) for i in state.get("retired_ids", [])}
+        obj_map._next_id = operator.index(state["next_id"])
         logs = [FrameLog(**lg) for lg in state.get("frame_logs", [])]
         config = PipelineConfig.from_dict(state.get("config", {}))
         for entry in entries:
-            track = obj_map.new_track(operator.index(entry["class_id"]))
-            # preserve original ids
-            obj_map.tracks.pop(track.object_id)
-            track.object_id = operator.index(entry["object_id"])
-            obj_map.tracks[track.object_id] = track
-            if entry["status"] not in STATUSES:
-                raise ValueError(f"unknown track status {entry['status']!r}")
-            track.status = entry["status"]
-            track.last_seen = operator.index(entry["last_seen"])
+            track = ObjectTrack(
+                object_id=operator.index(entry["object_id"]),
+                class_id=operator.index(entry["class_id"]),
+                status=entry["status"],
+                last_seen=operator.index(entry["last_seen"]),
+            )
+            if track.status not in STATUSES:
+                raise ValueError(f"unknown track status {track.status!r}")
+            if track.object_id in obj_map.tracks:
+                raise ValueError(f"duplicate track id {track.object_id}")
+            if not 0 < track.object_id < obj_map._next_id:
+                raise ValueError(
+                    f"track id {track.object_id} outside [1, next_id={obj_map._next_id})"
+                )
             if "center" in entry:
                 track.quadric = DualQuadric(
                     np.asarray(entry["center"]),
                     quat_to_rotation(entry["rotation_wxyz"]),
                     np.asarray(entry["semi_axes"]),
                 )
+            obj_map.tracks[track.object_id] = track
     except (KeyError, TypeError, ValueError) as e:  # JSON and config errors included
         raise DatasetError(f"malformed state file {path}: {e}") from e
-    obj_map._next_id = next_id
-    obj_map.retired_ids = retired_ids
     store = GaussianStore()
     gz = os.path.join(state_dir, "gaussians.npz")
     if os.path.isfile(gz):
         try:
             with np.load(gz) as data:
                 store = GaussianStore(**{name: data[name] for name in STORE_ARRAYS})
-        except (KeyError, ValueError) as e:
+        # what a damaged archive raises from zipfile, zlib and numpy's reader
+        except (KeyError, ValueError, EOFError, OSError, RuntimeError, NotImplementedError,
+                zipfile.BadZipFile, zlib.error) as e:
             raise DatasetError(f"malformed Gaussian file {gz}: {e}") from e
         if len({len(getattr(store, name)) for name in STORE_ARRAYS}) > 1:
             raise DatasetError(f"malformed Gaussian file {gz}: arrays differ in length")
+        stray = set(store.present_ids()) - {0} - set(obj_map.tracks)
+        if stray:
+            raise DatasetError(
+                f"malformed Gaussian file {gz}: object ids {sorted(stray)} name no track"
+            )
     return PipelineResult(object_map=obj_map, store=store, logs=logs, config=config)
 
 
@@ -607,22 +614,18 @@ def eval_recon(
 
 
 def export_objects(result: PipelineResult, out_dir: str) -> dict:
-    """One PLY per object id plus a manifest; returns the manifest dict."""
+    """One PLY per live track plus a manifest; returns the manifest dict."""
     os.makedirs(out_dir, exist_ok=True)
-    track_by_id = {t.object_id: t for t in result.object_map.live_tracks()}
-    ids = sorted(set(result.store.present_ids()) - {0} | set(track_by_id))
     manifest = {"objects": []}
-    for k in ids:
+    for track in result.object_map.live_tracks():
+        k = track.object_id
         ply_name = f"object_{k:03d}.ply"
         count = export_object_ply(result.store, k, os.path.join(out_dir, ply_name))
-        entry = {"id": k, "gaussians": count, "ply": ply_name}
-        track = track_by_id.get(k)
-        if track is not None:
-            entry["class_id"] = track.class_id
-            if track.quadric is not None:
-                entry["center"] = track.quadric.center.tolist()
-                entry["rotation_wxyz"] = _rotation_to_quat(track.quadric.rotation).tolist()
-                entry["semi_axes"] = track.quadric.semi_axes.tolist()
+        entry = {"id": k, "class_id": track.class_id, "gaussians": count, "ply": ply_name}
+        if track.quadric is not None:
+            entry["center"] = track.quadric.center.tolist()
+            entry["rotation_wxyz"] = _rotation_to_quat(track.quadric.rotation).tolist()
+            entry["semi_axes"] = track.quadric.semi_axes.tolist()
         manifest["objects"].append(entry)
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)

@@ -452,9 +452,7 @@ def loss_and_gradients(
         raise InvalidParameterError("frame camera does not match image size")
     n = len(store)
 
-    proj, ent, images, per_entry = _forward(
-        store, frame.camera, instance_id=object_id, geometry=geometry
-    )
+    proj, ent, images, per_entry = _forward(store, frame.camera, object_id, geometry=geometry)
     loss, parts, g_color_img, g_draw_img, g_alpha_img, g_ins_img = _loss_upstream(
         *images, frame, object_id, lam
     )

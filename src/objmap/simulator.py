@@ -387,7 +387,6 @@ def _detections_for_frame(
                     bbox=BBox2D(x0, y0, x1, y1),
                     class_id=obj.class_id,
                     score=1.0,
-                    instance_id=k,
                 )
             )
     return dets

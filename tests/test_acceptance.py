@@ -136,11 +136,13 @@ def test_criterion_3_association_ablation(ablation_counts):
 
 def _pose_recovery(jitter: float):
     spec = pose_scene(seed=5, bbox_jitter=jitter)
+    # the four objects have distinct classes, so a detection's class names
+    # its object
+    object_of_class = {obj.class_id: k for k, obj in enumerate(spec.objects, start=1)}
     obs = {k: [] for k in range(1, 5)}
     for bundle, _ in frame_bundles(spec):
         for det in bundle.detections:
-            if det.instance_id is not None:
-                obs[det.instance_id].append((det.bbox, bundle.camera))
+            obs[object_of_class[det.class_id]].append((det.bbox, bundle.camera))
     rng = np.random.default_rng(42)
     rows = []
     for k, obj in enumerate(spec.objects, start=1):

@@ -10,8 +10,10 @@ from objmap.association import (
     merge_occluded,
 )
 from objmap.errors import CannotInitializeError
-from objmap.frames import Detection2D, FrameBundle
+from objmap.frames import UNCLAIMED, Detection2D, FrameBundle, relabel_instances
+from objmap.gaussians import GaussianStore, MaskThresholds, compute_update_masks
 from objmap.quadrics import BBox2D, CameraModel, DualQuadric, conic_to_bbox, project_to_conic
+from objmap.renderer import render
 from oracles import camera_looking_at
 
 
@@ -112,16 +114,36 @@ class TestAssociateFrame:
         assert res.new_tracks == [0]
         assert len(obj_map) == 2
 
-    def test_new_track_id_from_instance_mask(self):
-        # the detection's own instance_id is a simulator label that dataset
-        # files do not carry, so it must not pick the track id
+    def test_new_track_ids_are_serial(self):
+        # the instance id under a detection is a segmenter label: it never
+        # becomes the track id, which is the next serial id
         cam = make_camera()
-        det = Detection2D(bbox=BBox2D(40, 40, 80, 80), class_id=3, instance_id=9)
-        frame = make_frame(cam, [det])
+        dets = [Detection2D(bbox=BBox2D(40, 40, 80, 80), class_id=3),
+                Detection2D(bbox=BBox2D(120, 120, 160, 160), class_id=4)]
+        frame = make_frame(cam, dets)
         frame.instance[40:80, 40:80] = 4
+        frame.instance[120:160, 120:160] = 9
         obj_map = ObjectMap()
-        associate_frame(obj_map, frame, AssocConfig())
-        assert list(obj_map.tracks) == [4]
+        res = associate_frame(obj_map, frame, AssocConfig())
+        assert list(obj_map.tracks) == [1, 2]
+        assert res.track_ids == [1, 2]
+
+    def test_track_ids_follow_merges(self):
+        # a second detection of the same object spawns a twin that the
+        # duplicate route merges away: both detections report the keeper
+        cam = make_camera()
+        quadric = DualQuadric([0, 0, 4], np.eye(3), [1, 1, 1])
+        bbox = conic_to_bbox(project_to_conic(quadric, cam))
+        obj_map = ObjectMap()
+        associate_frame(obj_map, make_frame(cam, [Detection2D(bbox=bbox, class_id=7)]),
+                        AssocConfig())
+        twin = BBox2D(bbox.x_min + 1, bbox.y_min + 1, bbox.x_max + 1, bbox.y_max + 1)
+        dets = [Detection2D(bbox=bbox, class_id=7), Detection2D(bbox=twin, class_id=7)]
+        res = associate_frame(obj_map, make_frame(cam, dets, index=1), AssocConfig())
+        assert res.matches == [(1, 0)] and res.new_tracks == [1]
+        assert res.merges == [(1, 2)]
+        assert res.track_ids == [1, 1]
+        assert list(obj_map.tracks) == [1]
 
     def test_empty_frame(self):
         obj_map = ObjectMap()
@@ -201,7 +223,6 @@ class TestMergeOccluded:
         merges = merge_occluded(obj_map, frame, AssocConfig(tau=1.0))
         assert merges == [(1, 2)]
         assert len(obj_map) == 1
-        assert 2 in obj_map.retired_ids
 
     def test_adjacent_objects_not_merged(self):
         cam = make_camera()
@@ -231,3 +252,39 @@ class TestMergeOccluded:
             t.quadric = q
         merges = merge_occluded(obj_map, make_frame(cam, []), AssocConfig())
         assert merges == []
+
+
+class TestRelabelInstances:
+    def _frame(self):
+        # segments 5 and 8 side by side, 3 in a corner; background elsewhere
+        cam = make_camera()
+        dets = [Detection2D(bbox=BBox2D(20, 20, 60, 60), class_id=1),
+                Detection2D(bbox=BBox2D(22, 22, 58, 58), class_id=1),
+                Detection2D(bbox=BBox2D(100, 20, 140, 60), class_id=2)]
+        frame = make_frame(cam, dets)
+        frame.instance[20:60, 20:60] = 5
+        frame.instance[20:60, 100:140] = 8
+        frame.instance[150:170, 150:170] = 3
+        return frame
+
+    def test_segments_take_detection_labels(self):
+        frame = self._frame()
+        out = relabel_instances(frame, [11, 12, 13])
+        # the first detection claims the segment both detections own
+        assert set(np.unique(out.instance[20:60, 20:60])) == {11}
+        assert set(np.unique(out.instance[20:60, 100:140])) == {13}
+        assert set(np.unique(out.instance[150:170, 150:170])) == {UNCLAIMED}
+        assert np.array_equal(out.instance == 0, frame.instance == 0)
+        assert frame.instance[30, 30] == 5  # the input frame is unchanged
+
+    @pytest.mark.parametrize("include_background", [False, True])
+    def test_unclaimed_segment_never_masked(self, include_background):
+        frame = relabel_instances(self._frame(), [11, 12, 13])
+        out = render(GaussianStore(), frame.camera, instance_ref=frame.instance)
+        masks = compute_update_masks(
+            frame, out, MaskThresholds(include_background=include_background))
+        unclaimed = frame.instance == UNCLAIMED
+        assert not (masks.geo_mask & unclaimed).any()
+        assert not (masks.rgb_mask & unclaimed).any()
+        assert sorted(masks.per_object) == ([0] if include_background else []) + [11, 13]
+        assert masks.geo_mask[frame.instance == 0].all() == include_background

@@ -1,4 +1,5 @@
-"""Reader fuzzing: mutated PNG and PLY files decode or raise DatasetError.
+"""Reader fuzzing: mutated PNG and PLY files and saved states decode or
+raise DatasetError naming the file.
 
 Each example starts from a valid file written by the package's own writer
 and applies a few edits: flip one bit, truncate, or splice in a run of
@@ -6,24 +7,34 @@ arbitrary bytes.  Any other exception fails the test.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from objmap.association import ObjectMap
 from objmap.errors import DatasetError
+from objmap.gaussians import GaussianStore
+from objmap.pipeline import PipelineConfig, PipelineResult, load_state, save_state
 from objmap.plyio import read_point_ply, write_point_ply
 from objmap.png import read_png, write_png
+from objmap.quadrics import DualQuadric
 
-# (kind, position, bit, payload); positions past the end are clamped.
-EDITS = st.lists(
-    st.tuples(
-        st.sampled_from(["flip", "truncate", "splice"]),
-        st.integers(0, 400),
-        st.integers(0, 7),
-        st.binary(min_size=1, max_size=16),
-    ),
-    min_size=1,
-    max_size=4,
-)
+
+def edit_lists(max_pos: int):
+    """Lists of (kind, position, bit, payload); positions past the end are clamped."""
+    return st.lists(
+        st.tuples(
+            st.sampled_from(["flip", "truncate", "splice"]),
+            st.integers(0, max_pos),
+            st.integers(0, 7),
+            st.binary(min_size=1, max_size=16),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+
+
+EDITS = edit_lists(400)
 
 FUZZ = settings(max_examples=200, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -67,3 +78,32 @@ def test_mutated_ply(tmp_path, edits):
     path.write_bytes(mutate(path.read_bytes(), edits))
     assert_decodes_or_dataset_error(read_point_ply, path)
 
+
+@pytest.fixture(scope="module")
+def saved_state(tmp_path_factory):
+    """state.json and gaussians.npz of a two-track map, as bytes."""
+    obj_map = ObjectMap()
+    for class_id in (3, 5):
+        track = obj_map.new_track(class_id)
+        track.quadric = DualQuadric([0.1 * class_id, 0, 1], np.eye(3), [0.2, 0.3, 0.25])
+        track.status = "stable"
+    rng = np.random.default_rng(0)
+    store = GaussianStore(
+        means=rng.normal(size=(3, 3)), scales=np.full((3, 3), 0.01),
+        quats=np.tile([1.0, 0, 0, 0], (3, 1)), opacities=[0.9, 0.8, 0.2],
+        colors=rng.random((3, 3)), object_ids=[1, 2, 0], kinds=[0, 0, 1],
+    )
+    out = tmp_path_factory.mktemp("state")
+    save_state(PipelineResult(obj_map, store, [], PipelineConfig()), str(out))
+    return {name: (out / name).read_bytes() for name in ("state.json", "gaussians.npz")}
+
+
+@FUZZ
+@given(edits=edit_lists(2000), name=st.sampled_from(["state.json", "gaussians.npz"]))
+def test_mutated_state(tmp_path, saved_state, edits, name):
+    for fn, blob in saved_state.items():
+        (tmp_path / fn).write_bytes(mutate(blob, edits) if fn == name else blob)
+    try:
+        load_state(str(tmp_path))
+    except DatasetError as exc:
+        assert str(tmp_path / name) in str(exc)

@@ -1,12 +1,16 @@
+import io
 import json
 import os
+import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import objmap.pipeline as pipeline
 from objmap.cli import main as cli_main
 from objmap.errors import DatasetError, InvalidParameterError
-from objmap.gaussians import KIND_OPAQUE
+from objmap.gaussians import KIND_OPAQUE, STORE_ARRAYS
 from objmap.pipeline import (
     PipelineConfig,
     dataset_cameras,
@@ -17,8 +21,9 @@ from objmap.pipeline import (
     run_pipeline,
     save_state,
 )
+from objmap.png import read_png, write_png
 from objmap.quadrics import DualQuadric
-from objmap.scenes import ablation_config, sphere_scene
+from objmap.scenes import ablation_config, make_scene, sphere_scene
 from objmap.simulator import ObjectSpec, OrbitTrajectory, SceneSpec, generate, load_gt
 from oracles import brute_force_nn_means
 
@@ -36,6 +41,13 @@ def npz_arrays(n_scales=2, drop=None):
     }
     arrays.pop(drop, None)
     return arrays
+
+
+def half_npz() -> bytes:
+    """The first half of a valid gaussians.npz."""
+    buf = io.BytesIO()
+    np.savez(buf, **npz_arrays())
+    return buf.getvalue()[: len(buf.getvalue()) // 2]
 
 
 # a well-formed state.json track entry
@@ -135,6 +147,89 @@ class TestRunPipeline:
         assert res.track_count() == 0
         assert len(res.store) > 0
         assert set(res.store.present_ids()) == {0}
+
+
+def permute_instance_ids(dataset_dir: str, seed: int) -> None:
+    """Rename every frame's instance ids through its own random one-to-one
+    map onto 1..65535, as a segmenter without stable ids would."""
+    rng = np.random.default_rng(seed)
+    inst_dir = os.path.join(dataset_dir, "instance")
+    for name in sorted(os.listdir(inst_dir)):
+        path = os.path.join(inst_dir, name)
+        inst = read_png(path)
+        lut = np.zeros(65536, dtype=np.uint16)
+        lut[1:] = rng.permutation(np.arange(1, 65536))
+        write_png(path, lut[inst])
+
+
+def map_bytes(result) -> list:
+    """The final store arrays and every live track, as bytes."""
+    out = [getattr(result.store, name).tobytes() for name in STORE_ARRAYS]
+    for t in result.object_map.live_tracks():
+        out.append((t.object_id, t.class_id, t.status))
+        if t.quadric is not None:
+            out += [a.tobytes() for a in (t.quadric.center, t.quadric.rotation,
+                                          t.quadric.semi_axes)]
+    return out
+
+
+class TestObjectIds:
+    @pytest.mark.parametrize("preset, scene_kw, config", [
+        ("pose4", dict(n_frames=4, width=96, height=72),
+         dict(tau=0.25, qd_accept=0.2, stride=2, lr_mean=0.0)),
+        ("sphere", dict(seed=3, n_frames=6, width=64, height=48),
+         dict(tau=0.25, qd_accept=0.2, stride=2, gaussian_iters=5, lr_mean=0.0,
+              lr_opacity=0.04, quadric_every=3)),
+    ])
+    def test_permuted_instance_ids_give_the_same_map(self, tmp_path, preset, scene_kw,
+                                                     config):
+        # instance ids name segments only within one frame: renaming them
+        # per frame leaves every Gaussian and every track byte-identical
+        ds = str(tmp_path / "ds")
+        generate(make_scene(preset, **scene_kw), ds)
+        permuted = str(tmp_path / "permuted")
+        shutil.copytree(ds, permuted)
+        permute_instance_ids(permuted, seed=7)
+        a = run_pipeline(ds, PipelineConfig(**config))
+        b = run_pipeline(permuted, PipelineConfig(**config))
+        assert len(a.store) > 0
+        assert map_bytes(a) == map_bytes(b)
+
+    def test_merge_moves_gaussians_to_keeper(self, tmp_path, monkeypatch):
+        # the first three frames of the ablation8 orbit: at frame 2 the
+        # duplicate route merges a track spawned at frame 1, which already
+        # owns Gaussians, into an older track
+        spec = make_scene("ablation8", seed=2, n_frames=30, width=200, height=150)
+        spec.trajectory = replace(spec.trajectory, sweep=spec.trajectory.sweep * 3 / 30)
+        spec.n_frames = 3
+        ds = str(tmp_path / "ds")
+        generate(spec, ds)
+        seen = {"store": None, "moved": 0}
+        associate_frame, map_frame = pipeline.associate_frame, pipeline._map_frame
+
+        def associate(obj_map, frame, config):
+            store = seen["store"]
+            seen["before"] = np.empty(0, np.int32) if store is None else store.object_ids.copy()
+            seen["map"], seen["result"] = obj_map, associate_frame(obj_map, frame, config)
+            return seen["result"]
+
+        def map_checked(store, frame, *args):
+            seen["store"] = store
+            expected = seen["before"].copy()
+            for keeper, popped in seen["result"].merges:
+                seen["moved"] += int(np.count_nonzero(expected == popped))
+                expected[expected == popped] = keeper
+            assert np.array_equal(store.object_ids[: len(expected)], expected)
+            trainable = map_frame(store, frame, *args)
+            assert set(store.present_ids()) <= {0} | set(seen["map"].tracks)
+            return trainable
+
+        monkeypatch.setattr(pipeline, "associate_frame", associate)
+        monkeypatch.setattr(pipeline, "_map_frame", map_checked)
+        config = fast_config(stride=4, gaussian_iters=2)
+        res = run_pipeline(ds, config)
+        assert seen["moved"] > 0
+        assert set(res.store.present_ids()) <= set(res.object_map.tracks)
 
 
 class TestPosePipeline:
@@ -300,6 +395,10 @@ class TestExportAndState:
         ("lr_color", float("-inf")), ("stride", 0), ("workers", -3), ("workers", 0),
         ("gaussian_iters", -2), ("max_new_per_frame", -1), ("quadric_min_obs", -1),
         ("quadric_every", -1), ("quadric_iters", -1), ("quadric_final_iters", -1),
+        ("iou_gate", 2.0), ("qd_accept", -0.1), ("t_thre", 1.5), ("merge_d", -1e-9),
+        ("merge_iou3d", 1.01), ("theta_alpha", -0.5), ("tau", 0.0), ("tau", -1.0),
+        ("lr_color", -0.5), ("lr_mean", -1e-3), ("lr_opacity", -1.0), ("lam", -0.5),
+        ("theta_d", -0.1), ("theta_c", -0.1), ("merge_duplicate_raw", -0.1),
     ])
     def test_config_rejects_out_of_range_values(self, name, value):
         with pytest.raises(InvalidParameterError, match=name):
@@ -313,8 +412,14 @@ class TestExportAndState:
     def test_config_accepts_range_edges(self):
         edges = {"stride": 1, "workers": 1, "gaussian_iters": 0, "max_new_per_frame": 0,
                  "quadric_min_obs": 0, "quadric_every": 0, "quadric_iters": 0,
-                 "quadric_final_iters": 0, "tau": 0.0}
+                 "quadric_final_iters": 0, "tau": 1e-300, "lam": 0.0, "lr_mean": 0.0,
+                 "lr_color": 0.0, "lr_opacity": 0.0, "theta_d": 0.0, "theta_c": 0.0,
+                 "merge_duplicate_raw": 0.0}
         assert PipelineConfig.from_dict(edges).stride == 1
+        for name in ("iou_gate", "qd_accept", "t_thre", "merge_d", "merge_iou3d",
+                     "theta_alpha"):
+            for value in (0.0, 1.0):
+                assert getattr(PipelineConfig.from_dict({name: value}), name) == value
 
     def test_config_json_rejects_nan(self, tmp_path):
         path = tmp_path / "nan.json"
@@ -333,7 +438,6 @@ class TestExportAndState:
                      "next_id": 2}), None, "state.json"),
         (json.dumps({"tracks": [], "next_id": 1}), npz_arrays(drop="scales"), "gaussians.npz"),
         (json.dumps({"tracks": [], "next_id": 1}), npz_arrays(n_scales=5), "gaussians.npz"),
-        (json.dumps({"tracks": [], "next_id": 1, "retired_ids": 5}), None, "state.json"),
         (json.dumps({"tracks": [], "next_id": "2"}), None, "state.json"),
         (json.dumps({"tracks": [], "next_id": 1, "frame_logs": [{"bogus": 1}]}), None,
          "state.json"),
@@ -349,17 +453,38 @@ class TestExportAndState:
          "state.json"),
         (json.dumps({"tracks": [], "next_id": 1, "config": {"theta_d": float("nan")}}), None,
          "state.json"),
+        (json.dumps({"tracks": [TRACK, TRACK], "next_id": 8}), None, "state.json"),
+        (json.dumps({"tracks": [TRACK], "next_id": 7}), None, "state.json"),
+        (json.dumps({"tracks": [dict(TRACK, object_id=0)], "next_id": 8}), None,
+         "state.json"),
+        (json.dumps({"tracks": [TRACK], "next_id": 8}), npz_arrays(), "gaussians.npz"),
+        (json.dumps({"tracks": [], "next_id": 1}), half_npz(), "gaussians.npz"),
     ], ids=["not-json", "no-tracks", "no-next-id", "unknown-config-key",
             "track-without-class-id", "npz-without-scales", "npz-length-mismatch",
-            "retired-ids-not-list", "next-id-not-int", "frame-log-unknown-key",
+            "next-id-not-int", "frame-log-unknown-key",
             "object-id-not-int", "class-id-not-int", "unknown-status", "last-seen-not-int",
-            "config-value-not-int", "config-value-nan"])
+            "config-value-not-int", "config-value-nan", "duplicate-track-id",
+            "next-id-not-above-track-id", "track-id-not-positive", "npz-id-not-a-track",
+            "npz-truncated"])
     def test_load_state_rejects_malformed(self, tmp_path, content, arrays, bad_file):
         (tmp_path / "state.json").write_text(content)
-        if arrays is not None:
+        if isinstance(arrays, bytes):
+            (tmp_path / "gaussians.npz").write_bytes(arrays)
+        elif arrays is not None:
             np.savez(tmp_path / "gaussians.npz", **arrays)
         with pytest.raises(DatasetError, match=bad_file):
             load_state(str(tmp_path))
+
+    def test_load_state_keeps_every_track(self, tmp_path):
+        # tracks listed out of id order all load, and the next new track
+        # takes next_id, not the id of a loaded one
+        tracks = [dict(TRACK, object_id=2), dict(TRACK, object_id=1, class_id=3)]
+        (tmp_path / "state.json").write_text(json.dumps({"tracks": tracks, "next_id": 5}))
+        np.savez(tmp_path / "gaussians.npz", **npz_arrays())
+        back = load_state(str(tmp_path))
+        assert {k: t.class_id for k, t in back.object_map.tracks.items()} == {1: 3, 2: 2}
+        assert back.object_map.new_track(1).object_id == 5
+        assert len(back.object_map) == 3
 
 
 class TestCli:
@@ -375,12 +500,18 @@ class TestCli:
         ]) == 0
         assert cli_main(["eval-pose", "--state", state, "--dataset", ds,
                          "--out", str(tmp_path / "pose.json")]) == 0
-        assert cli_main(["eval-recon", "--state", state, "--dataset", ds]) == 0
+        assert cli_main(["eval-recon", "--state", state, "--dataset", ds,
+                         "--out", str(tmp_path / "recon.json")]) == 0
         assert cli_main(["export", "--state", state, "--out", str(tmp_path / "objs")]) == 0
         assert cli_main(["render-frame", "--state", state, "--dataset", ds,
                          "--frame", "2", "--out-prefix", str(tmp_path / "f2")]) == 0
         report = json.loads((tmp_path / "pose.json").read_text())
         assert report["gt_count"] == 1
+        track_id = report["per_object"][0]["track_id"]
+        assert track_id in load_state(state).object_map.tracks
+        (recon,) = json.loads((tmp_path / "recon.json").read_text())["objects"]
+        assert recon["matched"] and recon["track_id"] == track_id
+        assert recon["points"] > 0
 
     def test_exit_codes(self, tmp_path, small_dataset):
         assert cli_main(["run", "--dataset", "/does/not/exist",
@@ -401,7 +532,8 @@ class TestCli:
 
     @pytest.mark.parametrize("flag, value", [
         ("--theta-d", "nan"), ("--iou-gate", "nan"), ("--stride", "0"), ("--workers", "-3"),
-        ("--gaussian-iters", "-2"),
+        ("--gaussian-iters", "-2"), ("--iou-gate", "2.0"), ("--lr-color", "-0.5"),
+        ("--tau", "0"),
     ])
     def test_out_of_range_flag_exits_2(self, tmp_path, small_dataset, flag, value):
         assert cli_main(["run", "--dataset", small_dataset, "--out-state",
