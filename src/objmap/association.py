@@ -256,13 +256,12 @@ def center_depth_hint(frame: FrameBundle, bbox: BBox2D, min_pixels: int = 6) -> 
 
 
 def _observation_quadric(
-    det: Detection2D, frame: FrameBundle
+    det: Detection2D, camera: CameraModel, hint: float
 ) -> DualQuadric | None:
-    hint = center_depth_hint(frame, det.bbox)
     if hint <= 0:
         return None
     try:
-        return initialize_track([(det.bbox, frame.camera)], hint)
+        return initialize_track([(det.bbox, camera)], hint)
     except CannotInitializeError:
         return None
 
@@ -276,6 +275,8 @@ def associate_frame(
     if not dets and len(obj_map) == 0:
         return result
     track_ids = [0] * len(dets)
+    # one center depth per detection, read by the fine filter and the commit
+    hints = [center_depth_hint(frame, det.bbox) for det in dets]
 
     tracks = obj_map.live_tracks()
     proj: dict[int, BBox2D] = {}
@@ -288,7 +289,7 @@ def associate_frame(
 
     def get_obs_quadric(d_idx: int) -> DualQuadric | None:
         if d_idx not in obs_quadric:
-            obs_quadric[d_idx] = _observation_quadric(dets[d_idx], frame)
+            obs_quadric[d_idx] = _observation_quadric(dets[d_idx], frame.camera, hints[d_idx])
         return obs_quadric[d_idx]
 
     # coarse candidates: (score, track_id, det_idx)
@@ -339,9 +340,8 @@ def associate_frame(
     # commit matches
     for tid, d_idx in result.matches:
         track = obj_map.tracks[tid]
-        det = dets[d_idx]
-        hint = center_depth_hint(frame, det.bbox)
-        track.add_observation(TrackObservation(frame.index, det.bbox, frame.camera, hint))
+        track.add_observation(
+            TrackObservation(frame.index, dets[d_idx].bbox, frame.camera, hints[d_idx]))
         if track.quadric is None:
             _try_initialize(track)
 
@@ -350,8 +350,8 @@ def associate_frame(
         if d_idx in used_dets:
             continue
         track = obj_map.new_track(det.class_id)
-        hint = center_depth_hint(frame, det.bbox)
-        track.add_observation(TrackObservation(frame.index, det.bbox, frame.camera, hint))
+        track.add_observation(
+            TrackObservation(frame.index, det.bbox, frame.camera, hints[d_idx]))
         _try_initialize(track)
         result.new_tracks.append(d_idx)
         track_ids[d_idx] = track.object_id

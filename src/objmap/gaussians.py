@@ -37,8 +37,9 @@ SCALE_MAX = 1.0
 SPAWN_SCALE = 0.5  # a new Gaussian's scale = depth / fx * stride * SPAWN_SCALE
 
 # the per-Gaussian arrays of a GaussianStore, and the ones training updates
+# (scales and quats keep their spawn values)
 STORE_ARRAYS = ("means", "scales", "quats", "opacities", "colors", "object_ids", "kinds")
-TRAINABLE = ("means", "colors", "opacities", "scales", "quats")
+TRAINABLE = ("means", "colors", "opacities")
 
 
 class GaussianStore:
@@ -86,7 +87,7 @@ class GaussianStore:
         return int(np.count_nonzero(idx))
 
     def clamp_parameters(self, idx=slice(None)) -> None:
-        """Enforce opacity class bands, scale range, unit quaternions.
+        """Enforce opacity class bands and the color range.
 
         Only the rows at `idx` (default: all) are touched.
         """
@@ -96,10 +97,7 @@ class GaussianStore:
             np.clip(opacities, OPACITY_SPLIT, 1.0 - OPACITY_MARGIN),
             np.clip(opacities, OPACITY_MARGIN, OPACITY_SPLIT),
         )
-        self.scales[idx] = np.clip(self.scales[idx], SCALE_MIN, SCALE_MAX)
         self.colors[idx] = np.clip(self.colors[idx], 0.0, 1.0)
-        quats = self.quats[idx]
-        self.quats[idx] = quats / np.maximum(np.linalg.norm(quats, axis=1, keepdims=True), 1e-12)
 
 
 def extract_object(store: GaussianStore, object_id: int) -> GaussianStore:
@@ -203,9 +201,13 @@ class DensifyConfig:
 
 def _spawn(frame: FrameBundle, ys: np.ndarray, xs: np.ndarray, depths: np.ndarray,
            kind: int, stride: int) -> GaussianStore:
-    """Isotropic, axis-aligned Gaussians back-projected at the given pixels."""
+    """Isotropic, axis-aligned Gaussians back-projected at the given pixels.
+
+    The scale is clipped to [SCALE_MIN, SCALE_MAX] here, once: training
+    never changes a Gaussian's scale or rotation.
+    """
     n = len(xs)
-    scales = np.maximum(depths / frame.camera.fx * stride * SPAWN_SCALE, SCALE_MIN)
+    scales = np.clip(depths / frame.camera.fx * stride * SPAWN_SCALE, SCALE_MIN, SCALE_MAX)
     opacity = OPAQUE_INIT_OPACITY if kind == KIND_OPAQUE else TRANSPARENT_INIT_OPACITY
     return GaussianStore(
         means=frame.camera.backproject(np.stack([xs + 0.5, ys + 0.5], axis=1), depths),

@@ -48,7 +48,7 @@ from .gaussians import (
 from .quadric_fit import OptimConfig, optimize_quadric
 from .quadrics import DualQuadric, conic_to_bbox, iou_2d, iou_3d, project_to_conic
 from .renderer import TrainConfig, render
-from .simulator import _rotation_to_quat, load, quat_to_rotation
+from .simulator import load, quadric_from_json, quadric_to_json
 from .simulator import dataset_cameras  # noqa: F401  (part of the pipeline API)
 
 logger = logging.getLogger(__name__)
@@ -135,10 +135,6 @@ class PipelineConfig:
             lr_mean=self.lr_mean,
             lr_color=self.lr_color,
             lr_opacity=self.lr_opacity,
-            # the pipeline trains no Gaussian shape: scales and rotations
-            # keep their spawn values
-            lr_scale=0.0,
-            lr_quat=0.0,
         )
 
     def quadric_optim(self, iters: int | None = None) -> OptimConfig:
@@ -380,9 +376,7 @@ def save_state(result: PipelineResult, out_dir: str) -> str:
             "n_observations": len(track.observations),
         }
         if track.quadric is not None:
-            entry["center"] = track.quadric.center.tolist()
-            entry["rotation_wxyz"] = _rotation_to_quat(track.quadric.rotation).tolist()
-            entry["semi_axes"] = track.quadric.semi_axes.tolist()
+            entry.update(quadric_to_json(track.quadric))
         tracks.append(entry)
     state = {
         "tracks": tracks,
@@ -440,13 +434,10 @@ def load_state(state_dir: str) -> PipelineResult:
                     f"track id {track.object_id} outside [1, next_id={obj_map._next_id})"
                 )
             if "center" in entry:
-                track.quadric = DualQuadric(
-                    np.asarray(entry["center"]),
-                    quat_to_rotation(entry["rotation_wxyz"]),
-                    np.asarray(entry["semi_axes"]),
-                )
+                track.quadric = quadric_from_json(entry)
             obj_map.tracks[track.object_id] = track
-    except (KeyError, TypeError, ValueError) as e:  # JSON and config errors included
+    # JSON and config errors included
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DatasetError(f"malformed state file {path}: {e}") from e
     store = GaussianStore()
     gz = os.path.join(state_dir, "gaussians.npz")
@@ -547,24 +538,23 @@ def eval_pose(result: PipelineResult, gt: dict, cameras: list) -> EvalReport:
         for t in tracks:
             pairs.append((iou_3d(g["quadric"], t.quadric), g["id"], t.object_id))
     pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
-    matched_gt: dict[int, int] = {}
+    matched_gt: dict[int, tuple[int, float]] = {}  # gt id -> (track id, 3D IoU)
     used_tracks: set[int] = set()
     for score, gid, tid in pairs:
         if gid in matched_gt or tid in used_tracks or score <= 0.0:
             continue
-        matched_gt[gid] = tid
+        matched_gt[gid] = (tid, score)
         used_tracks.add(tid)
 
     track_by_id = {t.object_id: t for t in tracks}
     per_object = []
     for g in gt_objects:
         gid = g["id"]
-        tid = matched_gt.get(gid)
-        if tid is None:
+        if gid not in matched_gt:
             per_object.append(ObjectPoseEval(gid, None, 0.0, 0.0, None))
             continue
+        tid, i3 = matched_gt[gid]
         tq = track_by_id[tid].quadric
-        i3 = iou_3d(g["quadric"], tq)
         i2s = []
         for cam in cameras:
             gt_box = _visible_bbox(g["quadric"], cam)
@@ -623,9 +613,7 @@ def export_objects(result: PipelineResult, out_dir: str) -> dict:
         count = export_object_ply(result.store, k, os.path.join(out_dir, ply_name))
         entry = {"id": k, "class_id": track.class_id, "gaussians": count, "ply": ply_name}
         if track.quadric is not None:
-            entry["center"] = track.quadric.center.tolist()
-            entry["rotation_wxyz"] = _rotation_to_quat(track.quadric.rotation).tolist()
-            entry["semi_axes"] = track.quadric.semi_axes.tolist()
+            entry.update(quadric_to_json(track.quadric))
         manifest["objects"].append(entry)
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)

@@ -14,13 +14,14 @@ where s is 1 below q=8 and descends smoothstep-style to 0 at q=9.  Both the
 value and the derivative vanish at the support boundary, so finite
 difference checks of the analytic gradients stay clean at any step size.
 
-Backward pass: analytic gradients of the training loss for color, opacity,
-mean (including the Jacobian dependence of the 2D covariance), scale, and
-rotation, accumulated race-free via fixed-order segmented suffix sums.  The
-geometry chain (mean, scale, rotation) runs only when asked for:
-`optimize_object` asks when a mean, scale or rotation learning rate is
-non-zero, and `render` never builds the per-entry terms it needs.  Skipping
-it leaves the loss and the color and opacity gradients bit-identical.
+Backward pass: analytic gradients of the training loss for color, opacity
+and mean (including the Jacobian dependence of the 2D covariance),
+accumulated race-free via fixed-order segmented suffix sums.  A Gaussian's
+scale and rotation are fixed at spawn and get no gradient.  The mean chain
+runs only when asked for: `optimize_object` asks when the mean learning rate
+is non-zero, and `render` never builds the per-entry terms it needs.
+Skipping it leaves the loss and the color and opacity gradients
+bit-identical.
 
 Losses (per object k):  L = L_rgb + L_depth + lambda * L_ins with
 L_rgb the per-pixel color residual norm, L_depth the absolute depth residual
@@ -145,7 +146,6 @@ def project_gaussian_subset(
         "inv_cov": inv,
         "radii": radii,
         "valid": valid,
-        "R3": R3,
         "B": B,
         "J": J,
         "R_cw": R_cw,
@@ -381,8 +381,6 @@ class GaussianGradients:
     means: np.ndarray
     colors: np.ndarray
     opacities: np.ndarray
-    scales: np.ndarray
-    quats: np.ndarray
 
 
 def _loss_upstream(
@@ -437,10 +435,9 @@ def loss_and_gradients(
 
     The forward pass composites every Gaussian in the store (occluders
     matter); gradients are reported only for `trainable_idx`.  With
-    `geometry=False` the geometry backward is skipped and the mean, scale and
-    rotation gradients are zero; the loss and the color and opacity
-    gradients are the same bits either way.  Raises InvalidParameterError
-    for stale indices.
+    `geometry=False` the geometry backward is skipped and the mean gradient
+    is zero; the loss and the color and opacity gradients are the same bits
+    either way.  Raises InvalidParameterError for stale indices.
     """
     trainable_idx = np.asarray(trainable_idx, dtype=int)
     if len(trainable_idx) and (
@@ -508,10 +505,9 @@ def loss_and_gradients(
     grads.colors = grad_color[sel]
     grads.opacities = grad_opacity[sel]
     if geometry:
-        grad_mean, grad_scale, grad_quat = _geometry_backward(
+        grads.means = _geometry_backward(
             store, frame.camera, proj, ent, dL_dalpha, free, gD_e
-        )
-        grads.means, grads.scales, grads.quats = grad_mean[sel], grad_scale[sel], grad_quat[sel]
+        )[sel]
     return loss, grads, parts
 
 
@@ -523,8 +519,8 @@ def _geometry_backward(
     dL_dalpha: np.ndarray,
     free: np.ndarray,
     gD_e: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean, scale and rotation gradients of every Gaussian of the store.
+) -> np.ndarray:
+    """Mean gradient of every Gaussian of the store.
 
     Chains each entry's alpha upstream `dL_dalpha` (not applied where the
     entry's alpha is clamped, `~free`) and depth-sum upstream `gD_e` through
@@ -560,7 +556,7 @@ def _geometry_backward(
     fx, fy = camera.fx, camera.fy
     p_cam = proj["p_cam"]
     z = np.maximum(proj["z"], 1e-9)
-    J, B, R3, R_cw = proj["J"], proj["B"], proj["R3"], proj["R_cw"]
+    J, B, R_cw = proj["J"], proj["B"], proj["R_cw"]
 
     grad_pcam = np.einsum("nij,ni->nj", J, grad_mean2d)
     grad_pcam[:, 2] += grad_z_direct
@@ -575,76 +571,17 @@ def _geometry_backward(
         + grad_J[:, 0, 2] * (2 * fx * p_cam[:, 0] / z**3)
         + grad_J[:, 1, 2] * (2 * fy * p_cam[:, 1] / z**3)
     )
-    grad_mean = grad_pcam @ R_cw
-
-    U = np.einsum("nij,jk->nik", J, R_cw)  # d(p2d cov) / d(world cov)
-    grad_sigma = np.einsum("nki,nkl,nlj->nij", U, gM, U)
-
-    s = store.scales
-    M3 = np.einsum("nji,njk,nkl->nil", R3, grad_sigma, R3)
-    grad_scale = 2.0 * s * np.stack([M3[:, 0, 0], M3[:, 1, 1], M3[:, 2, 2]], axis=1)
-
-    qn = store.quats / np.maximum(np.linalg.norm(store.quats, axis=1, keepdims=True), 1e-12)
-    grad_quat = _quat_gradients(grad_sigma, R3, s**2, qn)
-    return grad_mean, grad_scale, grad_quat
-
-
-def _quat_gradients(
-    grad_sigma: np.ndarray, R3: np.ndarray, s2: np.ndarray, q: np.ndarray
-) -> np.ndarray:
-    """d loss / d quaternion via Sigma = R diag(s^2) R^T (unit-quat partials)."""
-    w, x, y, z = q.T
-    zeros = np.zeros_like(w)
-    dR = np.empty((4, len(q), 3, 3))
-    dR[0] = 2 * np.stack(
-        [
-            np.stack([zeros, -z, y], axis=1),
-            np.stack([z, zeros, -x], axis=1),
-            np.stack([-y, x, zeros], axis=1),
-        ],
-        axis=1,
-    )
-    dR[1] = 2 * np.stack(
-        [
-            np.stack([zeros, y, z], axis=1),
-            np.stack([y, -2 * x, -w], axis=1),
-            np.stack([z, w, -2 * x], axis=1),
-        ],
-        axis=1,
-    )
-    dR[2] = 2 * np.stack(
-        [
-            np.stack([-2 * y, x, w], axis=1),
-            np.stack([x, zeros, z], axis=1),
-            np.stack([-w, z, -2 * y], axis=1),
-        ],
-        axis=1,
-    )
-    dR[3] = 2 * np.stack(
-        [
-            np.stack([-2 * z, -w, x], axis=1),
-            np.stack([w, -2 * z, y], axis=1),
-            np.stack([x, y, zeros], axis=1),
-        ],
-        axis=1,
-    )
-    DRt = np.einsum("nj,nkj->njk", s2, R3)  # diag(s2) @ R^T
-    out = np.empty((len(q), 4))
-    for j in range(4):
-        A = np.einsum("nij,njk->nik", dR[j], DRt)
-        out[:, j] = 2.0 * np.einsum("nij,nij->n", grad_sigma, A)
-    # project out the radial direction (unit-norm constraint)
-    out -= np.sum(out * q, axis=1, keepdims=True) * q
-    return out
+    return grad_pcam @ R_cw
 
 
 @dataclass
 class TrainConfig:
     """Knobs of optimize_object; a group whose learning rate is 0 stays fixed.
 
-    The geometry backward (mean, scale and rotation gradients) runs only
-    when one of `lr_mean`, `lr_scale`, `lr_quat` is non-zero; with all three
-    at 0 a step costs the forward pass plus the color and opacity backward.
+    Training moves means, colors and opacities; a Gaussian's scale and
+    rotation keep their spawn values.  The geometry backward (the mean
+    gradient) runs only when `lr_mean` is non-zero; at 0 a step costs the
+    forward pass plus the color and opacity backward.
     """
 
     iters: int = 30
@@ -652,8 +589,6 @@ class TrainConfig:
     lr_mean: float = 0.004      # meters per (rms-normalized) step
     lr_color: float = 0.04
     lr_opacity: float = 0.02
-    lr_scale: float = 0.001
-    lr_quat: float = 0.01
 
 
 def optimize_object(
@@ -679,8 +614,7 @@ def optimize_object(
     if not frames:
         return []
 
-    # the geometry backward runs only when a mean, scale or rotation trains
-    geometry = any(lr != 0.0 for lr in (config.lr_mean, config.lr_scale, config.lr_quat))
+    geometry = config.lr_mean != 0.0  # the geometry backward serves only the means
 
     def total_loss_grads():
         loss = 0.0
@@ -700,9 +634,7 @@ def optimize_object(
 
     sel = trainable_idx
     vel = {name: np.zeros((len(sel),) + getattr(store, name).shape[1:]) for name in TRAINABLE}
-    lrs = dict(zip(TRAINABLE, (
-        config.lr_mean, config.lr_color, config.lr_opacity, config.lr_scale, config.lr_quat,
-    )))
+    lrs = dict(zip(TRAINABLE, (config.lr_mean, config.lr_color, config.lr_opacity)))
     scale_down = 1.0
     loss, grads = total_loss_grads()
     trace = [loss]

@@ -434,14 +434,43 @@ def _rotation_to_quat(R: np.ndarray) -> np.ndarray:
 
 
 def quat_to_rotation(q: np.ndarray) -> np.ndarray:
-    """Quaternion (w, x, y, z) -> rotation matrix."""
-    w, x, y, z = np.asarray(q, dtype=float) / np.linalg.norm(q)
+    """Quaternion (w, x, y, z) -> rotation matrix.
+
+    Raises InvalidParameterError when the norm is not finite or is 0 in
+    floating point (also when it underflows).
+    """
+    norm = np.linalg.norm(q)
+    if not 0.0 < norm < np.inf:
+        raise InvalidParameterError(f"quaternion {q!r} has no usable norm")
+    w, x, y, z = np.asarray(q, dtype=float) / norm
     return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
             [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ]
+    )
+
+
+def quadric_to_json(quadric: DualQuadric) -> dict:
+    """The JSON fields of a quadric, as saved states and manifests hold them."""
+    return {
+        "center": quadric.center.tolist(),
+        "rotation_wxyz": _rotation_to_quat(quadric.rotation).tolist(),
+        "semi_axes": quadric.semi_axes.tolist(),
+    }
+
+
+def quadric_from_json(entry: dict) -> DualQuadric:
+    """The quadric of an entry's `center`, `rotation_wxyz` and `semi_axes`.
+
+    Raises KeyError, TypeError, ValueError or OverflowError on a malformed
+    entry.
+    """
+    return DualQuadric(
+        np.asarray(entry["center"], dtype=float),
+        quat_to_rotation(entry["rotation_wxyz"]),
+        np.asarray(entry["semi_axes"], dtype=float),
     )
 
 
@@ -556,48 +585,66 @@ def _write_json(path: str, payload) -> None:
 def _read_header(dataset_dir: str):
     """Parse intrinsics.json and poses.txt.
 
-    Returns (intrinsics dict, depth_scale, {index: (R, t)}); raises
-    DatasetError naming the offending file (and line) on malformed input.
+    Returns (depth_scale, {index: CameraModel}).  Raises DatasetError naming
+    intrinsics.json when fx, fy, cx or cy is not finite, a focal length or
+    the depth scale is not above 0, or the width or height is not an integer
+    of at least 1; and naming poses.txt and the line when a pose has no
+    finite translation or no quaternion of usable norm, or repeats a frame
+    index.
     """
     intr_path = os.path.join(dataset_dir, "intrinsics.json")
     if not os.path.isfile(intr_path):
         raise DatasetError(f"missing intrinsics file: {intr_path}")
+
+    def malformed(why) -> DatasetError:
+        return DatasetError(f"malformed intrinsics file {intr_path}: {why}")
+
     try:
         with open(intr_path) as f:
             raw = json.load(f)
         intr = {k: float(raw[k]) for k in ("fx", "fy", "cx", "cy")}
-        intr.update(width=int(raw["width"]), height=int(raw["height"]))
+        size = {k: raw[k] for k in ("width", "height")}
         depth_scale = float(raw["depth_scale"])
-    except (KeyError, ValueError, TypeError, json.JSONDecodeError) as e:
-        raise DatasetError(f"malformed intrinsics file {intr_path}: {e}") from e
+    except (KeyError, ValueError, TypeError, OverflowError) as e:  # JSON errors included
+        raise malformed(e) from e
+    if not np.all(np.isfinite(list(intr.values()))):
+        raise malformed("fx, fy, cx and cy must be finite")
     if not (intr["fx"] > 0 and intr["fy"] > 0):
-        raise DatasetError(f"malformed intrinsics file {intr_path}: focal lengths must be > 0")
+        raise malformed("focal lengths must be > 0")
+    for k, v in size.items():
+        if type(v) is not int or v < 1:
+            raise malformed(f"{k} must be an integer >= 1, got {v!r}")
+    intr.update(size)
     if not 0 < depth_scale < np.inf:
-        raise DatasetError(
-            f"malformed intrinsics file {intr_path}: depth_scale must be finite and > 0")
+        raise malformed("depth_scale must be finite and > 0")
 
     poses_path = os.path.join(dataset_dir, "poses.txt")
     if not os.path.isfile(poses_path):
         raise DatasetError(f"missing poses file: {poses_path}")
-    poses: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    with open(poses_path) as f:
-        for line_no, line in enumerate(f, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 8:
-                raise DatasetError(f"{poses_path}:{line_no}: expected 8 fields")
-            try:
-                idx = int(parts[0])
-                tx, ty, tz, qx, qy, qz, qw = map(float, parts[1:])
-            except ValueError as e:
-                raise DatasetError(f"{poses_path}:{line_no}: {e}") from e
-            if not np.all(np.isfinite([tx, ty, tz, qx, qy, qz, qw])):
-                raise DatasetError(f"{poses_path}:{line_no}: non-finite field")
-            if qx == qy == qz == qw == 0.0:
-                raise DatasetError(f"{poses_path}:{line_no}: zero quaternion")
-            poses[idx] = (quat_to_rotation([qw, qx, qy, qz]), np.array([tx, ty, tz]))
-    return intr, depth_scale, poses
+    try:
+        with open(poses_path) as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as e:
+        raise DatasetError(f"malformed poses file {poses_path}: {e}") from e
+    cameras: dict[int, CameraModel] = {}
+    for line_no, line in enumerate(lines, start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 8:
+            raise DatasetError(f"{poses_path}:{line_no}: expected 8 fields")
+        try:
+            idx = int(parts[0])
+            if idx in cameras:
+                raise ValueError(f"frame {idx} has a pose on an earlier line")
+            tx, ty, tz, qx, qy, qz, qw = map(float, parts[1:])
+            cameras[idx] = CameraModel(
+                **intr, rotation=quat_to_rotation([qw, qx, qy, qz]),
+                translation=np.array([tx, ty, tz]),
+            )
+        except ValueError as e:
+            raise DatasetError(f"{poses_path}:{line_no}: {e}") from e
+    return depth_scale, cameras
 
 
 def dataset_cameras(dataset_dir: str) -> list[CameraModel]:
@@ -605,31 +652,37 @@ def dataset_cameras(dataset_dir: str) -> list[CameraModel]:
 
     Reads only intrinsics.json and poses.txt; no image is decoded.
     """
-    intr, _, poses = _read_header(dataset_dir)
-    return [CameraModel(**intr, rotation=R, translation=t) for _, (R, t) in sorted(poses.items())]
+    _, cameras = _read_header(dataset_dir)
+    return [cameras[idx] for idx in sorted(cameras)]
 
 
 def load(dataset_dir: str):
     """Stream FrameBundles from a dataset directory in index order.
 
     Raises DatasetError naming the offending file on any malformed input;
-    frames before the bad one are yielded normally.
+    frames before the bad one are yielded normally.  A missing frame file is
+    named with poses.txt, which lists the frame, and images whose sizes
+    disagree with each other or with intrinsics.json are named with it.
     """
-    intr, depth_scale, poses = _read_header(dataset_dir)
+    depth_scale, cameras = _read_header(dataset_dir)
+    intr_path = os.path.join(dataset_dir, "intrinsics.json")
+    poses_path = os.path.join(dataset_dir, "poses.txt")
 
     def frames():
-        for idx in sorted(poses):
-            R, t = poses[idx]
-            camera = CameraModel(**intr, rotation=R, translation=t)
+        for idx in sorted(cameras):
             rgb_path = os.path.join(dataset_dir, "rgb", f"{idx:06d}.png")
             depth_path = os.path.join(dataset_dir, "depth", f"{idx:06d}.png")
             inst_path = os.path.join(dataset_dir, "instance", f"{idx:06d}.png")
             det_path = os.path.join(dataset_dir, "detections", f"{idx:06d}.json")
             for p in (rgb_path, depth_path, inst_path, det_path):
                 if not os.path.isfile(p):
-                    raise DatasetError(f"missing frame file: {p}")
-            rgb = read_png(rgb_path).astype(np.float64) / 255.0
-            depth = read_png(depth_path).astype(np.float64) / depth_scale
+                    raise DatasetError(f"missing frame file: {p} (frame {idx} of {poses_path})")
+            # scaled in place: a second full-frame copy would set the
+            # mapping run's memory peak
+            rgb = read_png(rgb_path).astype(np.float64)
+            rgb /= 255.0
+            depth = read_png(depth_path).astype(np.float64)
+            depth /= depth_scale
             instance = read_png(inst_path).astype(np.int32)
             try:
                 with open(det_path) as f:
@@ -642,12 +695,19 @@ def load(dataset_dir: str):
                     )
                     for d in raw
                 ]
-            except (KeyError, ValueError, TypeError, json.JSONDecodeError) as e:
+            except (KeyError, ValueError, TypeError, OverflowError) as e:  # JSON errors included
                 raise DatasetError(f"malformed detections file {det_path}: {e}") from e
-            yield FrameBundle(
-                rgb=rgb, depth=depth, instance=instance,
-                camera=camera, detections=dets, index=idx,
-            )
+            try:
+                frame = FrameBundle(
+                    rgb=rgb, depth=depth, instance=instance,
+                    camera=cameras[idx], detections=dets, index=idx,
+                )
+            except ValueError as e:
+                raise DatasetError(
+                    f"image sizes of frame {idx} disagree ({e}): {rgb_path}, {depth_path}, "
+                    f"{inst_path}, camera size from {intr_path}"
+                ) from e
+            yield frame
 
     return frames()
 
@@ -669,16 +729,12 @@ def load_gt(dataset_dir: str) -> dict:
                 "id": int(entry["id"]),
                 "class_id": int(entry["class_id"]),
                 "shape": entry["shape"],
-                "quadric": DualQuadric(
-                    np.asarray(entry["center"], dtype=float),
-                    quat_to_rotation(entry["rotation_wxyz"]),
-                    np.asarray(entry["semi_axes"], dtype=float),
-                ),
+                "quadric": quadric_from_json(entry),
                 "albedo": np.asarray(entry["albedo"], dtype=float),
             }
             for entry in raw
         ]
-    except (KeyError, ValueError, TypeError) as e:  # JSON errors included
+    except (KeyError, ValueError, TypeError, OverflowError) as e:  # JSON errors included
         raise DatasetError(f"malformed ground-truth file {path}: {e}") from e
     points = {}
     for obj in objects:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from objmap import association
 from objmap.association import (
     AssocConfig,
     ObjectMap,
@@ -99,6 +100,27 @@ class TestAssociateFrame:
         assert res.matches == [(tid, 0)]
         assert res.new_tracks == []
         assert len(obj_map) == 1
+
+    def test_one_depth_hint_per_detection(self, monkeypatch):
+        # one detection passes the fine filter and matches, one spawns: each
+        # detection's center depth is computed once for the frame
+        cam = make_camera()
+        obj_map = ObjectMap()
+        quadric = DualQuadric([0, 0, 4], np.eye(3), [1, 1, 1])
+        match = Detection2D(bbox=conic_to_bbox(project_to_conic(quadric, cam)), class_id=7)
+        spawn = Detection2D(bbox=BBox2D(0, 0, 20, 20), class_id=7)
+        associate_frame(obj_map, make_frame(cam, [match], index=0), AssocConfig())
+        calls = []
+        original = association.center_depth_hint
+
+        def counting(frame, bbox, *args, **kwargs):
+            calls.append(bbox)
+            return original(frame, bbox, *args, **kwargs)
+
+        monkeypatch.setattr(association, "center_depth_hint", counting)
+        res = associate_frame(obj_map, make_frame(cam, [match, spawn], index=1), AssocConfig())
+        assert len(res.matches) == 1 and res.new_tracks == [1]
+        assert calls == [match.bbox, spawn.bbox]
 
     def test_disjoint_detection_spawns_track(self):
         cam = make_camera()

@@ -1,5 +1,5 @@
-"""Reader fuzzing: mutated PNG and PLY files and saved states decode or
-raise DatasetError naming the file.
+"""Reader fuzzing: mutated PNG and PLY files, saved states and dataset
+headers and detections decode or raise DatasetError naming the file.
 
 Each example starts from a valid file written by the package's own writer
 and applies a few edits: flip one bit, truncate, or splice in a run of
@@ -18,6 +18,7 @@ from objmap.pipeline import PipelineConfig, PipelineResult, load_state, save_sta
 from objmap.plyio import read_point_ply, write_point_ply
 from objmap.png import read_png, write_png
 from objmap.quadrics import DualQuadric
+from objmap.simulator import ObjectSpec, SceneSpec, generate, load
 
 
 def edit_lists(max_pos: int):
@@ -105,5 +106,34 @@ def test_mutated_state(tmp_path, saved_state, edits, name):
         (tmp_path / fn).write_bytes(mutate(blob, edits) if fn == name else blob)
     try:
         load_state(str(tmp_path))
+    except DatasetError as exc:
+        assert str(tmp_path / name) in str(exc)
+
+
+@pytest.fixture(scope="module")
+def dataset_files(tmp_path_factory):
+    """Every file `load` reads of a two-frame 32x24 dataset, as bytes."""
+    out = tmp_path_factory.mktemp("ds")
+    generate(SceneSpec(objects=[ObjectSpec(class_id=1, shape="sphere", center=(0, 0, 0.5),
+                                           semi_axes=(0.3, 0.3, 0.3))],
+                       n_frames=2, width=32, height=24, fx=30.0, fy=30.0), str(out))
+    names = ["intrinsics.json", "poses.txt"] + [
+        f"{sub}/{i:06d}.{ext}" for i in range(2)
+        for sub, ext in (("rgb", "png"), ("depth", "png"), ("instance", "png"),
+                         ("detections", "json"))
+    ]
+    return {name: (out / name).read_bytes() for name in names}
+
+
+@FUZZ
+@given(edits=EDITS, name=st.sampled_from(
+    ["intrinsics.json", "poses.txt", "detections/000001.json"]))
+def test_mutated_dataset(tmp_path, dataset_files, edits, name):
+    for sub in ("rgb", "depth", "instance", "detections"):
+        (tmp_path / sub).mkdir(exist_ok=True)
+    for fn, blob in dataset_files.items():
+        (tmp_path / fn).write_bytes(mutate(blob, edits) if fn == name else blob)
+    try:
+        list(load(str(tmp_path)))
     except DatasetError as exc:
         assert str(tmp_path / name) in str(exc)

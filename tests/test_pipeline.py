@@ -10,7 +10,7 @@ import pytest
 import objmap.pipeline as pipeline
 from objmap.cli import main as cli_main
 from objmap.errors import DatasetError, InvalidParameterError
-from objmap.gaussians import KIND_OPAQUE, STORE_ARRAYS
+from objmap.gaussians import KIND_OPAQUE, STORE_ARRAYS, GaussianStore
 from objmap.pipeline import (
     PipelineConfig,
     dataset_cameras,
@@ -50,8 +50,9 @@ def half_npz() -> bytes:
     return buf.getvalue()[: len(buf.getvalue()) // 2]
 
 
-# a well-formed state.json track entry
+# a well-formed state.json track entry, and the fields of its quadric
 TRACK = {"object_id": 7, "class_id": 2, "status": "stable", "last_seen": 0}
+QUADRIC = {"center": [0, 0, 1], "rotation_wxyz": [1, 0, 0, 0], "semi_axes": [0.2, 0.2, 0.2]}
 
 
 def small_scene(**kw):
@@ -121,6 +122,30 @@ class TestRunPipeline:
         assert ra.mean_iou_3d == pytest.approx(rb.mean_iou_3d, abs=1e-6)
         assert ra.mean_cde_cm == pytest.approx(rb.mean_cde_cm, abs=1e-6)
         assert np.allclose(a.store.means, b.store.means)
+
+    def test_default_lr_mean_trains_positions_only(self, small_dataset, monkeypatch):
+        """The default lr_mean is the only pipeline traffic that runs the
+        geometry backward: the map is the same for 1 and 3 workers, trained
+        means move and every Gaussian keeps the scale and rotation it was
+        spawned with."""
+        lr_mean = PipelineConfig().lr_mean
+        assert lr_mean > 0
+        spawned = GaussianStore()
+        densify = pipeline.densify_from_mask
+
+        def recording(*args, **kwargs):
+            batch = densify(*args, **kwargs)
+            spawned.extend(batch)
+            return batch
+
+        monkeypatch.setattr(pipeline, "densify_from_mask", recording)
+        one = run_pipeline(small_dataset, fast_config(lr_mean=lr_mean, workers=1))
+        monkeypatch.undo()
+        for name in ("scales", "quats"):
+            assert getattr(one.store, name).tobytes() == getattr(spawned, name).tobytes(), name
+        assert not np.array_equal(one.store.means, spawned.means)
+        three = run_pipeline(small_dataset, fast_config(lr_mean=lr_mean, workers=3))
+        assert map_bytes(one) == map_bytes(three)
 
     def test_empty_dataset(self, tmp_path):
         d = tmp_path / "empty"
@@ -459,13 +484,17 @@ class TestExportAndState:
          "state.json"),
         (json.dumps({"tracks": [TRACK], "next_id": 8}), npz_arrays(), "gaussians.npz"),
         (json.dumps({"tracks": [], "next_id": 1}), half_npz(), "gaussians.npz"),
+        (json.dumps({"tracks": [{**TRACK, **QUADRIC, "rotation_wxyz": [0, 0, 0, 0]}],
+                     "next_id": 8}), None, "state.json"),
+        (json.dumps({"tracks": [{**TRACK, **QUADRIC, "center": [10**400, 0, 0]}],
+                     "next_id": 8}), None, "state.json"),
     ], ids=["not-json", "no-tracks", "no-next-id", "unknown-config-key",
             "track-without-class-id", "npz-without-scales", "npz-length-mismatch",
             "next-id-not-int", "frame-log-unknown-key",
             "object-id-not-int", "class-id-not-int", "unknown-status", "last-seen-not-int",
             "config-value-not-int", "config-value-nan", "duplicate-track-id",
             "next-id-not-above-track-id", "track-id-not-positive", "npz-id-not-a-track",
-            "npz-truncated"])
+            "npz-truncated", "zero-quaternion", "huge-center"])
     def test_load_state_rejects_malformed(self, tmp_path, content, arrays, bad_file):
         (tmp_path / "state.json").write_text(content)
         if isinstance(arrays, bytes):

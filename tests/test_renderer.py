@@ -294,9 +294,7 @@ class TestLeanExpansion:
         assert f_loss == loss and f_parts == parts
         for name in ("colors", "opacities"):
             assert getattr(f_grads, name).tobytes() == getattr(grads, name).tobytes(), name
-        for name in ("means", "scales", "quats"):
-            frozen = getattr(f_grads, name)
-            assert frozen.shape == getattr(grads, name).shape and not frozen.any(), name
+        assert f_grads.means.shape == grads.means.shape and not f_grads.means.any()
 
     def test_frozen_geometry_training_matches_full_backward(self, monkeypatch):
         """Zero geometry rates skip the geometry backward; forcing it back on
@@ -306,8 +304,7 @@ class TestLeanExpansion:
         frame = gradcheck_frame(store, cam, 1)
         store.colors[:] = 0.5
         idx = store.object_indices(1)
-        config = TrainConfig(iters=12, lr_mean=0.0, lr_scale=0.0, lr_quat=0.0,
-                             lr_color=0.3, lr_opacity=0.2)
+        config = TrainConfig(iters=12, lr_mean=0.0, lr_color=0.3, lr_opacity=0.2)
         seen = []
 
         def recording(*args, **kwargs):
@@ -417,6 +414,22 @@ class TestOptimizeObject:
             assert not np.array_equal(after[train], before[name][train]), name
         assert np.array_equal(store.object_ids, before["object_ids"])
         assert np.array_equal(store.kinds, before["kinds"])
+
+    def test_default_config_keeps_shape(self):
+        """The default TrainConfig moves means, colors and opacities; every
+        Gaussian keeps its scale and rotation bytes."""
+        cam = camera_64()
+        store = random_scene(np.random.default_rng(11), 12)
+        frame = gradcheck_frame(store, cam, 1)
+        store.means[:, :2] += 0.02  # start away from the target
+        before = store.copy()
+        train = store.object_indices(1)
+        optimize_object(store, 1, [frame], train, TrainConfig())
+        for name in ("scales", "quats"):
+            assert getattr(store, name).tobytes() == getattr(before, name).tobytes(), name
+        for name in TRAINABLE:
+            assert not np.array_equal(getattr(store, name)[train],
+                                      getattr(before, name)[train]), name
 
     def test_one_evaluation_per_step(self, monkeypatch):
         """Every frame of the window is evaluated once at the start and once

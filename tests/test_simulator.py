@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from objmap.errors import DatasetError, InvalidParameterError
+from objmap.png import write_png
 from objmap.quadrics import conic_to_bbox, project_to_conic
 from objmap.simulator import (
     ObjectSpec,
@@ -196,7 +197,10 @@ class TestDataset:
         {4: "0.1x"},
         {4: "0", 5: "0", 6: "0", 7: "0"},
         {2: "nan"},
-    ], ids=["non-numeric", "zero-quaternion", "nan"])
+        {4: "1e-200", 5: "0", 6: "0", 7: "0"},
+        {0: "0"},
+    ], ids=["non-numeric", "zero-quaternion", "nan", "underflowing-quaternion",
+            "repeated-index"])
     def test_non_numeric_pose_field(self, tmp_path, replace):
         d = generate(one_sphere_spec(n_frames=3), str(tmp_path / "ds"))
         path = os.path.join(d, "poses.txt")
@@ -214,8 +218,12 @@ class TestDataset:
 
     @pytest.mark.parametrize("field, value", [
         ("fx", None), ("fx", -120.0), ("fy", 0), ("depth_scale", 0),
-        ("depth_scale", float("inf")),
-    ], ids=["null-fx", "negative-fx", "zero-fy", "zero-depth-scale", "infinite-depth-scale"])
+        ("depth_scale", float("inf")), ("width", 0), ("width", -5), ("height", float("inf")),
+        ("cx", float("nan")), ("cy", float("inf")), ("width", 2.7), ("width", True),
+        ("height", 72.0),
+    ], ids=["null-fx", "negative-fx", "zero-fy", "zero-depth-scale", "infinite-depth-scale",
+            "zero-width", "negative-width", "infinite-height", "nan-cx", "infinite-cy",
+            "fractional-width", "bool-width", "float-height"])
     def test_bad_intrinsics_field(self, tmp_path, field, value):
         d = generate(one_sphere_spec(n_frames=1), str(tmp_path / "ds"))
         path = os.path.join(d, "intrinsics.json")
@@ -227,6 +235,27 @@ class TestDataset:
         for read in (load, dataset_cameras):
             with pytest.raises(DatasetError, match=r"intrinsics\.json"):
                 read(d)
+
+    @pytest.mark.parametrize("content", [
+        "[{", '[{"class_id": 1, "score": 1.0}]',
+        '[{"bbox": [1, 2, 3, 4], "class_id": 1e400, "score": 1.0}]',
+        '[{"bbox": [1, 2, 3, 4], "class_id": 1, "score": 2.0}]',
+    ], ids=["not-json", "no-bbox", "huge-class-id", "score-above-1"])
+    def test_malformed_detections(self, tmp_path, content):
+        d = generate(one_sphere_spec(n_frames=1), str(tmp_path / "ds"))
+        with open(os.path.join(d, "detections", "000000.json"), "w") as f:
+            f.write(content)
+        with pytest.raises(DatasetError, match=r"detections/000000\.json"):
+            list(load(d))
+
+    def test_image_size_mismatch_names_frame_files(self, tmp_path):
+        d = generate(one_sphere_spec(n_frames=2), str(tmp_path / "ds"))
+        write_png(os.path.join(d, "depth", "000001.png"), np.zeros((120, 50), np.uint16))
+        stream = load(d)
+        assert next(stream).index == 0
+        with pytest.raises(DatasetError, match=r"depth/000001\.png") as err:
+            next(stream)
+        assert os.path.join(d, "rgb", "000001.png") in str(err.value)
 
     def test_dataset_cameras_read_only_poses(self, tmp_path):
         d = generate(one_sphere_spec(n_frames=3), str(tmp_path / "ds"))
@@ -264,8 +293,11 @@ class TestDataset:
         for entry in gt["objects"]:
             assert gt["points"][entry["id"]].shape == (10_000, 3)
 
-    @pytest.mark.parametrize("content", ["{\"objects\": [", json.dumps({"objects": 1})],
-                             ids=["not-json", "objects-not-list"])
+    @pytest.mark.parametrize("content", [
+        "{\"objects\": [", json.dumps({"objects": 1}),
+        '[{"id": 1e400, "class_id": 1, "shape": "sphere", "center": [0, 0, 0], '
+        '"rotation_wxyz": [1, 0, 0, 0], "semi_axes": [1, 1, 1], "albedo": [1, 1, 1]}]',
+    ], ids=["not-json", "objects-not-list", "huge-id"])
     def test_malformed_gt(self, tmp_path, content):
         d = generate(one_sphere_spec(n_frames=1), str(tmp_path / "ds"))
         with open(os.path.join(d, "gt", "objects.json"), "w") as f:
