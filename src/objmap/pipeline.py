@@ -47,7 +47,7 @@ from .gaussians import (
 )
 from .quadric_fit import OptimConfig, optimize_quadric
 from .quadrics import DualQuadric, conic_to_bbox, iou_2d, iou_3d, project_to_conic
-from .renderer import TrainConfig, render
+from .renderer import TrainConfig, footprint_skeleton, render
 from .simulator import load, quadric_from_json, quadric_to_json
 from .simulator import dataset_cameras  # noqa: F401  (part of the pipeline API)
 
@@ -153,22 +153,32 @@ class PipelineConfig:
         try:
             with open(path) as f:
                 raw = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:  # ValueError: bad JSON, or an int too long to parse
             raise InvalidParameterError(f"cannot read config {path}: {e}") from e
         return cls.from_dict(raw)
 
     def check(self) -> None:
         """Raise InvalidParameterError naming the first value out of range.
 
-        Every float must be finite and every number lie in its `_RANGES`
-        entry.  `run_pipeline` and `from_dict` call this, so a value set on a
-        constructed config (as the CLI flags are) is checked too.
+        Every float must be finite (an int too large for a float is not) and
+        every number lie in its `_RANGES` entry.  `run_pipeline` and
+        `from_dict` call this, so a value set on a constructed config (as the
+        CLI flags are) is checked too.
         """
         for name, f in self.__dataclass_fields__.items():
             value = getattr(self, name)
             kind = type(f.default)
-            if kind is float and not np.isfinite(value):
-                raise InvalidParameterError(f"config key {name!r} must be finite, got {value!r}")
+            if kind is float:
+                try:
+                    finite = np.isfinite(float(value))
+                except OverflowError:
+                    raise InvalidParameterError(
+                        f"config key {name!r} must be finite, got an int too large for a float"
+                    ) from None
+                if not finite:
+                    raise InvalidParameterError(
+                        f"config key {name!r} must be finite, got {value!r}"
+                    )
             if kind in (int, float):
                 text, ok = _RANGES.get(name, _AT_LEAST_0)
                 if not ok(value):
@@ -345,12 +355,16 @@ def _map_frame(store: GaussianStore, frame: FrameBundle, config: PipelineConfig,
 
     # every object trains on its own copy of the frame-start store, which
     # nothing writes to until all jobs have returned; results are committed
-    # in ascending id order so any worker count gives identical maps
+    # in ascending id order so any worker count gives identical maps.  With
+    # the means fixed, the jobs share one footprint skeleton of that store.
     train_cfg = config.training()
+    skeletons = None
+    if selections and train_cfg.lr_mean == 0.0:
+        skeletons = [footprint_skeleton(store, frame.camera)]
 
     def run(k):
         local = store.copy()
-        optimize_object(local, k, [frame], selections[k], train_cfg)
+        optimize_object(local, k, [frame], selections[k], train_cfg, skeletons=skeletons)
         return {name: getattr(local, name)[selections[k]] for name in TRAINABLE}
 
     order = sorted(selections)

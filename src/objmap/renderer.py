@@ -8,6 +8,15 @@ compositing runs as segmented prefix products.  Identical inputs produce
 bit-identical images: the entry order is a pure lexicographic sort and all
 reductions are fixed-order numpy sums.
 
+The forward pass is two steps.  `_skeleton` does everything that depends
+only on geometry: the expansion, the support cut, the kernel value `raw`,
+the sort and the pixel segments.  `_composite` forms alpha from the
+opacities and then the transmittance and blending weights, the sort-then-
+composite of 3D Gaussian Splatting (Kerbl et al., SIGGRAPH 2023).  A
+skeleton stays valid only while the means, scales and rotations it was
+built from are unchanged, so training with a zero mean learning rate builds
+one per frame (`footprint_skeleton`) and composites over it at every step.
+
 The per-Gaussian opacity kernel is windowed to 3 sigma with a C1 fade:
     alpha = opacity * exp(-q/2) * s(q),  q = d^T Sigma2D^-1 d
 where s is 1 below q=8 and descends smoothstep-style to 0 at q=9.  Both the
@@ -152,14 +161,16 @@ def project_gaussian_subset(
     }
 
 
-def _flat_entries(proj: dict, opacities: np.ndarray, h: int, w: int,
-                  geometry: bool = True):
-    """Expand footprints into sorted flat entries with alpha and transmittance.
+def _skeleton(proj: dict, h: int, w: int, geometry: bool = True):
+    """Expand footprints into flat entries sorted by (pixel, depth, index).
 
-    Returns None when nothing rasterizes, else a dict of per-entry arrays
-    sorted by (pixel, depth, gaussian index).  The pixel offsets `du`, `dv`
-    and `draw_dq` (d raw / d q) are included only with `geometry`: nothing
-    but the geometry backward reads them.
+    Returns None when nothing rasterizes, else the per-entry arrays that do
+    not depend on opacity or color: `row` (Gaussian), `pix`, `raw` (the
+    windowed kernel value), `z` (depth) and the pixel segments `seg_id`,
+    `seg_starts`, `seg_ends`; `size` is (Gaussians projected, h, w).  The
+    pixel offsets `du`, `dv` and `draw_dq` (d raw / d q) are included only
+    with `geometry`: nothing but the geometry backward reads them.  The
+    arrays are read-only, so one skeleton can serve concurrent composites.
 
     Expansion keeps at most six entry-length arrays alive, and each array is
     dropped once read.  The in-place steps repeat the operation order of
@@ -241,16 +252,13 @@ def _flat_entries(proj: dict, opacities: np.ndarray, h: int, w: int,
     if geometry:
         draw_dq = G * (-0.5 * s_win + ds_win)
     del G, s_win, ds_win
-    alpha = opacities[entry_row] * raw
-    clamped = alpha > ALPHA_CAP
-    np.minimum(alpha, ALPHA_CAP, out=alpha)
 
+    # sorting before alpha is formed gives the same bits: alpha is an
+    # elementwise product, which commutes with the permutation
     order = np.lexsort((entry_row, proj["z"][entry_row], pix))
     entry_row = entry_row[order]
     pix = pix[order]
-    alpha = alpha[order]
     raw = raw[order]
-    clamped = clamped[order]
     if geometry:
         draw_dq = draw_dq[order]
         du, dv = du[order], dv[order]
@@ -264,6 +272,37 @@ def _flat_entries(proj: dict, opacities: np.ndarray, h: int, w: int,
     del is_start
     ends = np.append(starts[1:] - 1, len(pix) - 1)
 
+    skel = {
+        "row": entry_row,
+        "pix": pix,
+        "raw": raw,
+        "z": proj["z"][entry_row],
+        "seg_id": seg_id,
+        "seg_starts": starts,
+        "seg_ends": ends,
+    }
+    if geometry:
+        skel.update(draw_dq=draw_dq, du=du, dv=dv)
+    for arr in skel.values():
+        arr.flags.writeable = False
+    skel["size"] = (len(proj["z"]), h, w)
+    return skel
+
+
+def _composite(skel: dict, opacities: np.ndarray) -> dict:
+    """Alpha, transmittance and blending weight of every skeleton entry.
+
+    Returns the skeleton's arrays plus `alpha` (capped at ALPHA_CAP),
+    `clamped` (where the cap applied), `T` (transmittance in front of the
+    entry), `weight` = alpha * T and `seg_log_tn` (total log transmittance
+    of each pixel).  The skeleton itself is not written to.
+    """
+    alpha = opacities[skel["row"]]
+    alpha *= skel["raw"]
+    clamped = alpha > ALPHA_CAP
+    np.minimum(alpha, ALPHA_CAP, out=alpha)
+
+    seg_id, starts, ends = skel["seg_id"], skel["seg_starts"], skel["seg_ends"]
     cs = np.log1p(-alpha)
     T = cs.copy()
     np.cumsum(cs, out=cs)
@@ -274,23 +313,31 @@ def _flat_entries(proj: dict, opacities: np.ndarray, h: int, w: int,
     T -= seg_base[seg_id]
     np.exp(T, out=T)
     weight = alpha * T
+    return dict(skel, alpha=alpha, clamped=clamped, T=T, weight=weight,
+                seg_log_tn=seg_log_tn)
 
-    ent = {
-        "row": entry_row,
-        "pix": pix,
-        "alpha": alpha,
-        "raw": raw,
-        "clamped": clamped,
-        "T": T,
-        "weight": weight,
-        "seg_id": seg_id,
-        "seg_starts": starts,
-        "seg_ends": ends,
-        "seg_log_tn": seg_log_tn,
-    }
-    if geometry:
-        ent.update(draw_dq=draw_dq, du=du, dv=dv)
-    return ent
+
+def _flat_entries(proj: dict, opacities: np.ndarray, h: int, w: int,
+                  geometry: bool = True):
+    """Skeleton plus composite: every per-entry array of one projection,
+    or None when nothing rasterizes."""
+    skel = _skeleton(proj, h, w, geometry)
+    return None if skel is None else _composite(skel, opacities)
+
+
+def footprint_skeleton(store: GaussianStore, camera: CameraModel):
+    """The skeleton of every Gaussian of the store at one camera, or None
+    when nothing rasterizes.
+
+    It stays valid while the store's means, scales and rotations are those
+    it was built from: pass it to `loss_and_gradients(geometry=False)` or
+    `optimize_object` (with `lr_mean == 0`) to skip the projection,
+    expansion and sort of each evaluation.
+    """
+    if not len(store):
+        return None
+    proj = project_gaussian_subset(store, np.arange(len(store)), camera)
+    return _skeleton(proj, camera.height, camera.width, geometry=False)
 
 
 def _instance_subset_flags(
@@ -315,34 +362,37 @@ def _forward(
     instance_id: int | None = None,
     instance_ref: np.ndarray | None = None,
     geometry: bool = True,
+    skeleton: dict | None = None,
 ):
-    """Project, sort and composite every Gaussian of the store at one camera.
+    """Composite every Gaussian of the store at one camera.
 
-    Returns (proj, ent, images, per_entry).  images are the flat per-pixel
-    color (HW,3), alpha, depth-weighted sum and instance accumulation, all
-    zero when nothing rasterizes (ent and per_entry are then None);
-    per_entry holds each sorted entry's depth and instance flag for the
-    backward pass.  `geometry` is passed on to `_flat_entries`.
+    Returns (proj, ent, images, sub).  images are the flat per-pixel color
+    (HW,3), alpha, depth-weighted sum and instance accumulation, all zero
+    when nothing rasterizes (ent and sub are then None); sub flags the
+    sorted entries that count toward the instance channel.  A given
+    `skeleton` is composited as it is (proj is then None); otherwise the
+    store is projected and `_flat_entries` runs with `geometry`.
     """
     h, w = camera.height, camera.width
     hw = h * w
     color = np.zeros((hw, 3))
     proj = ent = None
-    if len(store):
+    if skeleton is not None:
+        ent = _composite(skeleton, store.opacities)
+    elif len(store):
         proj = project_gaussian_subset(store, np.arange(len(store)), camera)
         ent = _flat_entries(proj, store.opacities, h, w, geometry)
     if ent is None:
         return proj, None, (color, np.zeros(hw), np.zeros(hw), np.zeros(hw)), None
 
     row, pix, weight = ent["row"], ent["pix"], ent["weight"]
-    z_e = proj["z"][row]
     sub = _instance_subset_flags(store, row, pix, instance_id, instance_ref)
     for ch in range(3):
         color[:, ch] = np.bincount(pix, weights=weight * store.colors[row, ch], minlength=hw)
     alpha = np.bincount(pix, weights=weight, minlength=hw)
-    draw = np.bincount(pix, weights=weight * z_e, minlength=hw)
+    draw = np.bincount(pix, weights=weight * ent["z"], minlength=hw)
     ins = np.bincount(pix, weights=weight * sub, minlength=hw)
-    return proj, ent, (color, alpha, draw, ins), (z_e, sub)
+    return proj, ent, (color, alpha, draw, ins), sub
 
 
 def render(
@@ -430,6 +480,7 @@ def loss_and_gradients(
     lam: float = 0.5,
     object_id: int = 0,
     geometry: bool = True,
+    skeleton: dict | None = None,
 ) -> tuple[float, GaussianGradients, dict]:
     """Training loss for one frame plus analytic gradients on the trainable set.
 
@@ -437,7 +488,11 @@ def loss_and_gradients(
     matter); gradients are reported only for `trainable_idx`.  With
     `geometry=False` the geometry backward is skipped and the mean gradient
     is zero; the loss and the color and opacity gradients are the same bits
-    either way.  Raises InvalidParameterError for stale indices.
+    either way.  A `skeleton` from `footprint_skeleton(store, frame.camera)`
+    replaces the projection, expansion and sort and gives the same bits; it
+    serves only `geometry=False`.  Raises InvalidParameterError for stale
+    indices, for a skeleton with `geometry=True` and for a skeleton built
+    for another store size or image size.
     """
     trainable_idx = np.asarray(trainable_idx, dtype=int)
     if len(trainable_idx) and (
@@ -448,8 +503,20 @@ def loss_and_gradients(
     if (frame.camera.height, frame.camera.width) != (h, w):
         raise InvalidParameterError("frame camera does not match image size")
     n = len(store)
+    if skeleton is not None:
+        if geometry:
+            raise InvalidParameterError(
+                "a footprint skeleton has no geometry terms: pass geometry=False"
+            )
+        if skeleton["size"] != (n, h, w):
+            raise InvalidParameterError(
+                f"footprint skeleton of {skeleton['size']} (Gaussians, height, width) "
+                f"does not fit a store of {n} at {h}x{w}"
+            )
 
-    proj, ent, images, per_entry = _forward(store, frame.camera, object_id, geometry=geometry)
+    proj, ent, images, sub = _forward(
+        store, frame.camera, object_id, geometry=geometry, skeleton=skeleton
+    )
     loss, parts, g_color_img, g_draw_img, g_alpha_img, g_ins_img = _loss_upstream(
         *images, frame, object_id, lam
     )
@@ -462,41 +529,42 @@ def loss_and_gradients(
 
     # ---- backward over entries -------------------------------------------
     row, pix, weight = ent["row"], ent["pix"], ent["weight"]
-    alpha_e, T = ent["alpha"], ent["T"]
-    z_e, sub = per_entry
+    T, z_e = ent["T"], ent["z"]
     seg_id = ent["seg_id"]
     ends = ent["seg_ends"]
+    one_minus = 1.0 - ent["alpha"]
+    dL_dalpha = np.zeros(len(row))
 
-    def suffix_after(contrib: np.ndarray) -> np.ndarray:
-        cs = np.cumsum(contrib)
-        after = cs[ends][seg_id]
-        after -= cs
-        return after
+    def accumulate(g_e: np.ndarray, value_T: np.ndarray, contrib: np.ndarray) -> None:
+        """dL_dalpha += g_e * (value_T - after / one_minus), where `after`
+        sums `contrib` (weight * value) over the entries behind each entry
+        at its pixel.  `value_T` (value * T) and `contrib` are overwritten;
+        each step repeats the expression's operation order, so the bits are
+        those of the plain expression."""
+        np.cumsum(contrib, out=contrib)
+        after = contrib[ends][seg_id]
+        after -= contrib
+        after /= one_minus
+        value_T -= after
+        value_T *= g_e
+        np.add(dL_dalpha, value_T, out=dL_dalpha)
 
     # upstreams are gathered one channel at a time and each entry-length
     # temporary is dropped once read: together they set the evaluation's
     # memory peak
-    one_minus = 1.0 - alpha_e
-    dL_dalpha = np.zeros(len(row))
     grad_color = np.zeros((n, 3))
     for ch in range(3):
         gc_e = g_color_img[pix, ch]
         c_e = store.colors[row, ch]
-        contrib = weight * c_e
-        dL_dalpha += gc_e * (c_e * T - suffix_after(contrib) / one_minus)
-        grad_color[:, ch] = np.bincount(row, weights=gc_e * weight, minlength=n)
-    del gc_e, c_e, contrib
+        accumulate(gc_e, c_e * T, weight * c_e)
+        del c_e
+        gc_e *= weight
+        grad_color[:, ch] = np.bincount(row, weights=gc_e, minlength=n)
+    del gc_e
     gD_e = g_draw_img[pix]
-    contrib_z = weight * z_e
-    dL_dalpha += gD_e * (z_e * T - suffix_after(contrib_z) / one_minus)
-    del contrib_z
-    gA_e = g_alpha_img[pix]
-    dL_dalpha += gA_e * (T - suffix_after(weight) / one_minus)
-    del gA_e
-    gI_e = g_ins_img[pix]
-    contrib_i = weight * sub
-    dL_dalpha += gI_e * (sub * T - suffix_after(contrib_i) / one_minus)
-    del gI_e, contrib_i
+    accumulate(gD_e, z_e * T, weight * z_e)
+    accumulate(g_alpha_img[pix], T.copy(), weight.copy())
+    accumulate(g_ins_img[pix], sub * T, weight * sub)
 
     free = ~ent["clamped"]
     dL_do_e = np.where(free, dL_dalpha * ent["raw"], 0.0)
@@ -597,6 +665,7 @@ def optimize_object(
     frames: list[FrameBundle],
     trainable_idx: np.ndarray,
     config: TrainConfig | None = None,
+    skeletons: list | None = None,
 ) -> list[float]:
     """Momentum descent on the trainable Gaussians of one object.
 
@@ -605,6 +674,12 @@ def optimize_object(
     the rate, resets momentum) any step that increases the loss, so the
     returned trace of accepted losses is non-increasing.  Each step evaluates
     once, at the trial point; a rejected step keeps the gradients it had.
+
+    With `lr_mean == 0` the Gaussians' geometry stays fixed, so every
+    evaluation composites over one `footprint_skeleton` per frame:
+    `skeletons[i]` for `frames[i]` when given (built from a store with this
+    store's geometry), else built here.  Passing skeletons with a non-zero
+    `lr_mean` raises InvalidParameterError.
     """
     config = config or TrainConfig()
     trainable_idx = np.asarray(trainable_idx, dtype=int)
@@ -615,14 +690,24 @@ def optimize_object(
         return []
 
     geometry = config.lr_mean != 0.0  # the geometry backward serves only the means
+    if geometry:
+        if skeletons is not None:
+            raise InvalidParameterError("footprint skeletons need lr_mean == 0")
+        skeletons = [None] * len(frames)
+    elif skeletons is None:
+        skeletons = [footprint_skeleton(store, frame.camera) for frame in frames]
+    elif len(skeletons) != len(frames):
+        raise InvalidParameterError(
+            f"{len(skeletons)} footprint skeletons for {len(frames)} frames"
+        )
 
     def total_loss_grads():
         loss = 0.0
         acc = None
-        for frame in frames:
+        for frame, skeleton in zip(frames, skeletons):
             f_loss, grads, _ = loss_and_gradients(
                 store, trainable_idx, frame, lam=config.lam, object_id=object_id,
-                geometry=geometry,
+                geometry=geometry, skeleton=skeleton,
             )
             loss += f_loss
             if acc is None:
@@ -640,7 +725,7 @@ def optimize_object(
     trace = [loss]
 
     for _ in range(config.iters):
-        backup = {name: getattr(store, name)[sel].copy() for name in TRAINABLE}
+        backup = {name: getattr(store, name)[sel] for name in TRAINABLE}  # fancy index: a copy
         for name in TRAINABLE:
             g = getattr(grads, name)
             rms = float(np.sqrt(np.mean(g**2)))

@@ -349,4 +349,5 @@ def reference_flat_entries(proj: dict, opacities: np.ndarray, h: int, w: int,
         "seg_starts": starts,
         "seg_ends": ends,
         "seg_log_tn": log_tn[starts],
+        "z": proj["z"][entry_row],
     }

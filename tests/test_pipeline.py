@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import objmap.pipeline as pipeline
+import objmap.renderer as renderer
 from objmap.cli import main as cli_main
 from objmap.errors import DatasetError, InvalidParameterError
 from objmap.gaussians import KIND_OPAQUE, STORE_ARRAYS, GaussianStore
@@ -23,6 +24,7 @@ from objmap.pipeline import (
 )
 from objmap.png import read_png, write_png
 from objmap.quadrics import DualQuadric
+from objmap.renderer import footprint_skeleton
 from objmap.scenes import ablation_config, make_scene, sphere_scene
 from objmap.simulator import ObjectSpec, OrbitTrajectory, SceneSpec, generate, load_gt
 from oracles import brute_force_nn_means
@@ -146,6 +148,36 @@ class TestRunPipeline:
         assert not np.array_equal(one.store.means, spawned.means)
         three = run_pipeline(small_dataset, fast_config(lr_mean=lr_mean, workers=3))
         assert map_bytes(one) == map_bytes(three)
+
+    def test_shared_skeleton_matches_uncached_training(self, small_dataset, monkeypatch):
+        """Each frame's object jobs share the one footprint skeleton built
+        after densify; evaluating without it gives the same map bytes, at 1
+        and at 3 workers."""
+        evaluate = renderer.loss_and_gradients
+        built, seen = [], []
+
+        def building(*args):
+            skel = footprint_skeleton(*args)
+            built.append(skel)
+            return skel
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["skeleton"])
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "footprint_skeleton", building)
+        monkeypatch.setattr(renderer, "footprint_skeleton", None)  # jobs never build one
+        monkeypatch.setattr(renderer, "loss_and_gradients", recording)
+        cached = [map_bytes(run_pipeline(small_dataset, fast_config(workers=w))) for w in (1, 3)]
+        assert seen and all(s is not None for s in seen)
+        assert {id(s) for s in seen} == {id(s) for s in built}
+        assert len(built) <= 2 * small_scene().n_frames  # at most one per frame and run
+
+        monkeypatch.setattr(renderer, "loss_and_gradients",
+                            lambda *a, **kw: evaluate(*a, **dict(kw, skeleton=None)))
+        uncached = [map_bytes(run_pipeline(small_dataset, fast_config(workers=w)))
+                    for w in (1, 3)]
+        assert cached[0] == cached[1] == uncached[0] == uncached[1]
 
     def test_empty_dataset(self, tmp_path):
         d = tmp_path / "empty"
@@ -446,6 +478,12 @@ class TestExportAndState:
             for value in (0.0, 1.0):
                 assert getattr(PipelineConfig.from_dict({name: value}), name) == value
 
+    @pytest.mark.parametrize("name, sign, digits", [("tau", 1, 400), ("lr_color", -1, 400),
+                                                    ("theta_d", 1, 5000)])
+    def test_config_rejects_int_too_large_for_float(self, name, sign, digits):
+        with pytest.raises(InvalidParameterError, match=name):
+            PipelineConfig.from_dict({name: sign * 10**digits})
+
     def test_config_json_rejects_nan(self, tmp_path):
         path = tmp_path / "nan.json"
         path.write_text('{"theta_d": NaN}')
@@ -558,6 +596,14 @@ class TestCli:
                          str(tmp_path / "s"), "--config", str(bad_cfg)]) == 2
         assert cli_main(["run", "--dataset", small_dataset, "--out-state",
                          str(tmp_path / "s"), "--enable-gaussians", "flase"]) == 2
+
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_config_with_huge_int_exits_2(self, tmp_path, small_dataset, digits):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text('{"tau": 1' + "0" * digits + "}")
+        assert cli_main(["run", "--dataset", small_dataset, "--out-state",
+                         str(tmp_path / "s"), "--config", str(cfg)]) == 2
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--theta-d", "nan"), ("--iou-gate", "nan"), ("--stride", "0"), ("--workers", "-3"),

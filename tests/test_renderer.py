@@ -298,7 +298,8 @@ class TestLeanExpansion:
 
     def test_frozen_geometry_training_matches_full_backward(self, monkeypatch):
         """Zero geometry rates skip the geometry backward; forcing it back on
-        gives the same store bytes, rejected steps included."""
+        (which needs the uncached path) gives the same store bytes, rejected
+        steps included."""
         cam = camera_64()
         store = array_scene(np.random.default_rng(7), 80)
         frame = gradcheck_frame(store, cam, 1)
@@ -317,7 +318,8 @@ class TestLeanExpansion:
         assert seen and not any(seen)
 
         monkeypatch.setattr(renderer, "loss_and_gradients",
-                            lambda *a, **kw: loss_and_gradients(*a, **dict(kw, geometry=True)))
+                            lambda *a, **kw: loss_and_gradients(
+                                *a, **dict(kw, geometry=True, skeleton=None)))
         full = store.copy()
         full_trace = optimize_object(full, 1, [frame], idx, config)
         assert frozen_trace == full_trace
@@ -326,15 +328,114 @@ class TestLeanExpansion:
             assert getattr(frozen, name).tobytes() == getattr(full, name).tobytes(), name
 
 
+def away_frame(cam):
+    """A frame seen from 5 m further along +z, so every Gaussian of
+    `array_scene` is behind the camera and nothing rasterizes."""
+    away = CameraModel(fx=cam.fx, fy=cam.fy, cx=cam.cx, cy=cam.cy, width=cam.width,
+                       height=cam.height, translation=np.array([0.0, 0.0, 5.0]))
+    h, w = cam.height, cam.width
+    return FrameBundle(rgb=np.full((h, w, 3), 0.4), depth=np.zeros((h, w)),
+                       instance=np.zeros((h, w), np.int32), camera=away,
+                       detections=[], index=1)
+
+
+class TestSkeleton:
+    """Compositing over a prebuilt footprint skeleton gives the bits of the
+    uncached path: loss, gradients and trained stores."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_evaluation_matches_uncached(self, seed):
+        cam = camera_64()
+        store = array_scene(np.random.default_rng(seed), 80)
+        frame = gradcheck_frame(store, cam, 1)
+        skel = renderer.footprint_skeleton(store, cam)
+        assert renderer._composite(skel, store.opacities)["clamped"].any()
+        idx = store.object_indices(1)
+        for object_id in (1, 2):
+            ref = loss_and_gradients(store, idx, frame, object_id=object_id, geometry=False)
+            got = loss_and_gradients(store, idx, frame, object_id=object_id, geometry=False,
+                                     skeleton=skel)
+            assert got[0] == ref[0] and got[2] == ref[2]
+            for name in TRAINABLE:
+                assert getattr(got[1], name).tobytes() == getattr(ref[1], name).tobytes(), name
+
+    def test_nothing_rasterizes_and_empty_store(self):
+        cam = camera_64()
+        store = array_scene(np.random.default_rng(0), 20)
+        frame = away_frame(cam)
+        assert renderer.footprint_skeleton(store, frame.camera) is None
+        empty = GaussianStore()
+        assert renderer.footprint_skeleton(empty, cam) is None
+        loss, grads, _ = loss_and_gradients(empty, np.empty(0, int), frame, geometry=False,
+                                            skeleton=None)
+        assert loss > 0 and grads.colors.shape == (0, 3)
+
+    def test_training_matches_uncached(self, monkeypatch):
+        """Skeletons passed in, built by optimize_object and none at all give
+        the same store bytes, rejected steps included, over a window with a
+        frame where nothing rasterizes."""
+        cam = camera_64()
+        store = array_scene(np.random.default_rng(7), 80)
+        store.colors[:] = 0.5
+        frames = [gradcheck_frame(store, cam, 1), away_frame(cam)]
+        idx = store.object_indices(1)
+        config = TrainConfig(iters=12, lr_mean=0.0, lr_color=0.3, lr_opacity=0.2)
+        skeletons = [renderer.footprint_skeleton(store, f.camera) for f in frames]
+        assert skeletons[0] is not None and skeletons[1] is None
+
+        passed = store.copy()
+        passed_trace = optimize_object(passed, 1, frames, idx, config, skeletons=skeletons)
+        built = store.copy()
+        built_trace = optimize_object(built, 1, frames, idx, config)
+        seen = []
+
+        def uncached(*args, **kwargs):
+            seen.append(kwargs["skeleton"])
+            return loss_and_gradients(*args, **dict(kwargs, skeleton=None))
+
+        monkeypatch.setattr(renderer, "loss_and_gradients", uncached)
+        plain = store.copy()
+        plain_trace = optimize_object(plain, 1, frames, idx, config)
+        assert seen[0] is not None and seen[1] is None
+        assert passed_trace == built_trace == plain_trace
+        assert any(plain_trace[i + 1] == plain_trace[i] for i in range(len(plain_trace) - 1))
+        for name in STORE_ARRAYS:
+            ref = getattr(plain, name).tobytes()
+            assert getattr(passed, name).tobytes() == ref == getattr(built, name).tobytes(), name
+
+    def test_misuse_refused(self):
+        cam = camera_64()
+        store = array_scene(np.random.default_rng(0), 40)
+        frame = gradcheck_frame(store, cam, 1)
+        idx = store.object_indices(1)
+        skel = renderer.footprint_skeleton(store, cam)
+        assert not skel["raw"].flags.writeable
+        with pytest.raises(InvalidParameterError, match="geometry"):
+            loss_and_gradients(store, idx, frame, object_id=1, skeleton=skel)
+        with pytest.raises(InvalidParameterError, match="geometry"):
+            loss_and_gradients(store, idx, frame, object_id=1, geometry=True, skeleton=skel)
+        grown = store.copy()
+        grown.extend(store)
+        with pytest.raises(InvalidParameterError, match="does not fit"):
+            loss_and_gradients(grown, idx, frame, object_id=1, geometry=False, skeleton=skel)
+        with pytest.raises(InvalidParameterError, match="lr_mean"):
+            optimize_object(store.copy(), 1, [frame], idx, TrainConfig(iters=1), skeletons=[skel])
+        with pytest.raises(InvalidParameterError, match="2 frames"):
+            optimize_object(store.copy(), 1, [frame, frame], idx,
+                            TrainConfig(iters=1, lr_mean=0.0), skeletons=[skel])
+
+
 class TestMemory:
-    """Peak traced heap of one render and one frozen-geometry evaluation, in
-    units of kept entries x 8 bytes, on a fixed 2,000-Gaussian scene with
-    68,100 kept entries.  Measured 18.5 (render) and 19.9 (evaluation); the
-    bounds leave about 20%.  With the plain expansion of
-    `reference_flat_entries` both peak at 48.6."""
+    """Peak traced heap of one render and of one frozen-geometry evaluation
+    without and with a prebuilt skeleton, in units of kept entries x 8
+    bytes, on a fixed 2,000-Gaussian scene with 68,100 kept entries.
+    Measured 18.2 (render), 18.6 (evaluation) and 12.7 (evaluation given
+    the skeleton); the bounds leave about 20%.  With the plain expansion of
+    `reference_flat_entries` the render and evaluation both peak at 48.6."""
 
     RENDER_BOUND = 22.0
     EVAL_BOUND = 24.0
+    SKELETON_EVAL_BOUND = 15.0
 
     @staticmethod
     def _peak(fn) -> int:
@@ -358,8 +459,13 @@ class TestMemory:
         render_peak = self._peak(lambda: render(store, cam))
         eval_peak = self._peak(
             lambda: loss_and_gradients(store, idx, frame, object_id=1, geometry=False))
+        skel = renderer.footprint_skeleton(store, cam)
+        skel_eval_peak = self._peak(
+            lambda: loss_and_gradients(store, idx, frame, object_id=1, geometry=False,
+                                       skeleton=skel))
         assert render_peak <= self.RENDER_BOUND * unit, render_peak / unit
         assert eval_peak <= self.EVAL_BOUND * unit, eval_peak / unit
+        assert skel_eval_peak <= self.SKELETON_EVAL_BOUND * unit, skel_eval_peak / unit
 
 
 class TestOptimizeObject:
