@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import operator
 import os
 import time
 import zipfile
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -409,17 +410,32 @@ def save_state(result: PipelineResult, out_dir: str) -> str:
     return out_dir
 
 
+def _frame_log(raw: dict) -> FrameLog:
+    """A saved frame log: counts must be integers and timings finite reals
+    of at least 0 (a bool is no timing); raises TypeError or ValueError."""
+    log = FrameLog(**raw)
+    for f in fields(FrameLog):
+        value = getattr(log, f.name)
+        if not f.name.endswith("_seconds"):
+            setattr(log, f.name, operator.index(value))
+        elif (isinstance(value, bool) or not isinstance(value, (int, float))
+              or not (math.isfinite(value) and value >= 0)):
+            raise ValueError(f"frame log {f.name} must be a finite number >= 0, got {value!r}")
+    return log
+
+
 def load_state(state_dir: str) -> PipelineResult:
     """Read a directory written by save_state.
 
     Raises DatasetError naming state.json when it is missing, is not JSON,
     lacks a required key (also in a track entry), carries config keys
     PipelineConfig does not know or config values of the wrong type, or holds
-    non-integer ids or frames, an unknown track status, malformed frame logs,
-    a duplicate track id or a track id outside [1, next_id); and naming
-    gaussians.npz when it is not a readable archive, lacks a store array, its
-    arrays differ in length or a Gaussian's object id is neither 0 nor a
-    track id.
+    non-integer ids or frames, an unknown track status, a frame log with an
+    unknown key, a non-integer count or a timing that is not a finite real
+    of at least 0, a duplicate track id or a track id outside [1, next_id);
+    and naming gaussians.npz when it is not a readable archive, lacks a store
+    array, its arrays differ in length or a Gaussian's object id is neither 0
+    nor a track id.
     """
     path = os.path.join(state_dir, "state.json")
     if not os.path.isfile(path):
@@ -430,7 +446,7 @@ def load_state(state_dir: str) -> PipelineResult:
             state = json.load(f)
         entries = state["tracks"]
         obj_map._next_id = operator.index(state["next_id"])
-        logs = [FrameLog(**lg) for lg in state.get("frame_logs", [])]
+        logs = [_frame_log(lg) for lg in state.get("frame_logs", [])]
         config = PipelineConfig.from_dict(state.get("config", {}))
         for entry in entries:
             track = ObjectTrack(

@@ -12,10 +12,12 @@ The forward pass is two steps.  `_skeleton` does everything that depends
 only on geometry: the expansion, the support cut, the kernel value `raw`,
 the sort and the pixel segments.  `_composite` forms alpha from the
 opacities and then the transmittance and blending weights, the sort-then-
-composite of 3D Gaussian Splatting (Kerbl et al., SIGGRAPH 2023).  A
-skeleton stays valid only while the means, scales and rotations it was
-built from are unchanged, so training with a zero mean learning rate builds
-one per frame (`footprint_skeleton`) and composites over it at every step.
+composite of 3D Gaussian Splatting (Kerbl et al., SIGGRAPH 2023).  Every
+render and every training evaluation composites over a skeleton; one where
+nothing rasterizes has zero entries.  A skeleton stays valid only while the
+means, scales and rotations it was built from are unchanged, so training
+with a zero mean learning rate builds one per frame (`footprint_skeleton`)
+and composites over it at every step.
 
 The per-Gaussian opacity kernel is windowed to 3 sigma with a C1 fade:
     alpha = opacity * exp(-q/2) * s(q),  q = d^T Sigma2D^-1 d
@@ -27,10 +29,10 @@ Backward pass: analytic gradients of the training loss for color, opacity
 and mean (including the Jacobian dependence of the 2D covariance),
 accumulated race-free via fixed-order segmented suffix sums.  A Gaussian's
 scale and rotation are fixed at spawn and get no gradient.  The mean chain
-runs only when asked for: `optimize_object` asks when the mean learning rate
-is non-zero, and `render` never builds the per-entry terms it needs.
-Skipping it leaves the loss and the color and opacity gradients
-bit-identical.
+runs only over a skeleton that carries its per-entry terms and the
+projection, which `loss_and_gradients` builds when it is given no skeleton;
+`footprint_skeleton` leaves them out.  Skipping the chain leaves the loss
+and the color and opacity gradients bit-identical.
 
 Losses (per object k):  L = L_rgb + L_depth + lambda * L_ins with
 L_rgb the per-pixel color residual norm, L_depth the absolute depth residual
@@ -69,6 +71,12 @@ def _support_window(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s = 1.0 - u * u * (3.0 - 2.0 * u)
     ds = -6.0 * u * (1.0 - u) / (Q_MAX - Q_FADE_START)
     return s, ds
+
+
+def _sum_at(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """`np.bincount` of `weights` into n bins, as floats also when there are
+    no entries (bincount then returns integer zeros)."""
+    return np.bincount(index, weights=weights, minlength=n).astype(float, copy=False)
 
 
 @dataclass
@@ -161,26 +169,24 @@ def project_gaussian_subset(
     }
 
 
-def _skeleton(proj: dict, h: int, w: int, geometry: bool = True):
+def _skeleton(proj: dict, h: int, w: int, geometry: bool) -> dict:
     """Expand footprints into flat entries sorted by (pixel, depth, index).
 
-    Returns None when nothing rasterizes, else the per-entry arrays that do
-    not depend on opacity or color: `row` (Gaussian), `pix`, `raw` (the
-    windowed kernel value), `z` (depth) and the pixel segments `seg_id`,
-    `seg_starts`, `seg_ends`; `size` is (Gaussians projected, h, w).  The
-    pixel offsets `du`, `dv` and `draw_dq` (d raw / d q) are included only
-    with `geometry`: nothing but the geometry backward reads them.  The
-    arrays are read-only, so one skeleton can serve concurrent composites.
+    Returns the per-entry arrays that do not depend on opacity or color:
+    `row` (Gaussian), `pix`, `raw` (the windowed kernel value), `z` (depth)
+    and the pixel segments `seg_id`, `seg_starts`, `seg_ends`, all empty
+    when nothing rasterizes; `size` is (Gaussians projected, h, w).  With
+    `geometry` it also carries what the geometry backward reads: the pixel
+    offsets `du`, `dv`, `draw_dq` (d raw / d q) and the projection `proj`.
+    The arrays are read-only, so one skeleton can serve concurrent
+    composites.
 
     Expansion keeps at most six entry-length arrays alive, and each array is
     dropped once read.  The in-place steps repeat the operation order of
     `q = ia*du*du + 2*ib*du*dv + ic*dv*dv` and of the other expressions, so
     every value is bit-for-bit what the plain expressions give.
     """
-    valid = proj["valid"]
-    rows = np.flatnonzero(valid)
-    if len(rows) == 0:
-        return None
+    rows = np.flatnonzero(proj["valid"])
     means2d = proj["means2d"]
     u = means2d[rows, 0]
     v = means2d[rows, 1]
@@ -190,12 +196,7 @@ def _skeleton(proj: dict, h: int, w: int, geometry: bool = True):
     y0 = np.clip(np.floor(v - r).astype(int), 0, h)
     y1 = np.clip(np.floor(v + r).astype(int) + 1, 0, h)
     widths = np.maximum(x1 - x0, 0)
-    heights = np.maximum(y1 - y0, 0)
-    counts = widths * heights
-    keep = counts > 0
-    rows, x0, y0, widths, counts = rows[keep], x0[keep], y0[keep], widths[keep], counts[keep]
-    if len(rows) == 0:
-        return None
+    counts = widths * np.maximum(y1 - y0, 0)
 
     # pixel (px, py) of each entry: footprint corner + divmod(offset, width)
     total = int(counts.sum())
@@ -236,8 +237,6 @@ def _skeleton(proj: dict, h: int, w: int, geometry: bool = True):
         del du, dv
 
     inside = q < Q_MAX
-    if not np.any(inside):
-        return None
     entry_row = entry_row[inside]
     pix = pix[inside]
     q = q[inside]
@@ -265,12 +264,12 @@ def _skeleton(proj: dict, h: int, w: int, geometry: bool = True):
     del order
 
     is_start = np.empty(len(pix), dtype=bool)
-    is_start[0] = True
+    is_start[:1] = True
     is_start[1:] = pix[1:] != pix[:-1]
     seg_id = np.cumsum(is_start) - 1
     starts = np.flatnonzero(is_start)
     del is_start
-    ends = np.append(starts[1:] - 1, len(pix) - 1)
+    ends = np.append(starts[1:] - 1, len(pix) - 1)[:len(starts)]
 
     skel = {
         "row": entry_row,
@@ -286,6 +285,8 @@ def _skeleton(proj: dict, h: int, w: int, geometry: bool = True):
     for arr in skel.values():
         arr.flags.writeable = False
     skel["size"] = (len(proj["z"]), h, w)
+    if geometry:
+        skel["proj"] = proj
     return skel
 
 
@@ -317,25 +318,15 @@ def _composite(skel: dict, opacities: np.ndarray) -> dict:
                 seg_log_tn=seg_log_tn)
 
 
-def _flat_entries(proj: dict, opacities: np.ndarray, h: int, w: int,
-                  geometry: bool = True):
-    """Skeleton plus composite: every per-entry array of one projection,
-    or None when nothing rasterizes."""
-    skel = _skeleton(proj, h, w, geometry)
-    return None if skel is None else _composite(skel, opacities)
-
-
-def footprint_skeleton(store: GaussianStore, camera: CameraModel):
-    """The skeleton of every Gaussian of the store at one camera, or None
-    when nothing rasterizes.
+def footprint_skeleton(store: GaussianStore, camera: CameraModel) -> dict:
+    """The skeleton of every Gaussian of the store at one camera, without
+    the geometry terms; it has zero entries when nothing rasterizes.
 
     It stays valid while the store's means, scales and rotations are those
-    it was built from: pass it to `loss_and_gradients(geometry=False)` or
-    `optimize_object` (with `lr_mean == 0`) to skip the projection,
-    expansion and sort of each evaluation.
+    it was built from: pass it to `loss_and_gradients` or `optimize_object`
+    (with `lr_mean == 0`) to skip the projection, expansion and sort of each
+    evaluation.
     """
-    if not len(store):
-        return None
     proj = project_gaussian_subset(store, np.arange(len(store)), camera)
     return _skeleton(proj, camera.height, camera.width, geometry=False)
 
@@ -358,41 +349,29 @@ def _instance_subset_flags(
 
 def _forward(
     store: GaussianStore,
-    camera: CameraModel,
+    skeleton: dict,
     instance_id: int | None = None,
     instance_ref: np.ndarray | None = None,
-    geometry: bool = True,
-    skeleton: dict | None = None,
 ):
-    """Composite every Gaussian of the store at one camera.
+    """Composite every Gaussian of the store over its footprint skeleton.
 
-    Returns (proj, ent, images, sub).  images are the flat per-pixel color
-    (HW,3), alpha, depth-weighted sum and instance accumulation, all zero
-    when nothing rasterizes (ent and sub are then None); sub flags the
-    sorted entries that count toward the instance channel.  A given
-    `skeleton` is composited as it is (proj is then None); otherwise the
-    store is projected and `_flat_entries` runs with `geometry`.
+    Returns (ent, images, sub).  ent is the skeleton plus its composite;
+    images are the flat per-pixel color (HW,3), alpha, depth-weighted sum
+    and instance accumulation, all zero when the skeleton has no entries;
+    sub flags the sorted entries that count toward the instance channel.
     """
-    h, w = camera.height, camera.width
+    _, h, w = skeleton["size"]
     hw = h * w
-    color = np.zeros((hw, 3))
-    proj = ent = None
-    if skeleton is not None:
-        ent = _composite(skeleton, store.opacities)
-    elif len(store):
-        proj = project_gaussian_subset(store, np.arange(len(store)), camera)
-        ent = _flat_entries(proj, store.opacities, h, w, geometry)
-    if ent is None:
-        return proj, None, (color, np.zeros(hw), np.zeros(hw), np.zeros(hw)), None
-
+    ent = _composite(skeleton, store.opacities)
     row, pix, weight = ent["row"], ent["pix"], ent["weight"]
     sub = _instance_subset_flags(store, row, pix, instance_id, instance_ref)
+    color = np.zeros((hw, 3))
     for ch in range(3):
-        color[:, ch] = np.bincount(pix, weights=weight * store.colors[row, ch], minlength=hw)
-    alpha = np.bincount(pix, weights=weight, minlength=hw)
-    draw = np.bincount(pix, weights=weight * ent["z"], minlength=hw)
-    ins = np.bincount(pix, weights=weight * sub, minlength=hw)
-    return proj, ent, (color, alpha, draw, ins), sub
+        color[:, ch] = _sum_at(pix, weight * store.colors[row, ch], hw)
+    alpha = _sum_at(pix, weight, hw)
+    draw = _sum_at(pix, weight * ent["z"], hw)
+    ins = _sum_at(pix, weight * sub, hw)
+    return ent, (color, alpha, draw, ins), sub
 
 
 def render(
@@ -408,12 +387,11 @@ def render(
     opaque Gaussians of its reference id; otherwise all foreground objects.
     """
     h, w = camera.height, camera.width
-    _, ent, (color, alpha, draw, ins), _ = _forward(
-        store, camera, instance_id, instance_ref, geometry=False
+    ent, (color, alpha, draw, ins), _ = _forward(
+        store, footprint_skeleton(store, camera), instance_id, instance_ref
     )
     tn = np.ones(h * w)
-    if ent is not None:
-        tn[ent["pix"][ent["seg_starts"]]] = np.exp(ent["seg_log_tn"])
+    tn[ent["pix"][ent["seg_starts"]]] = np.exp(ent["seg_log_tn"])
 
     depth = np.where(alpha >= DEPTH_ALPHA_MIN, draw / np.maximum(alpha, DEPTH_ALPHA_MIN), 0.0)
     return RenderOutput(
@@ -427,7 +405,6 @@ def render(
 
 @dataclass
 class GaussianGradients:
-    indices: np.ndarray
     means: np.ndarray
     colors: np.ndarray
     opacities: np.ndarray
@@ -479,20 +456,19 @@ def loss_and_gradients(
     frame: FrameBundle,
     lam: float = 0.5,
     object_id: int = 0,
-    geometry: bool = True,
     skeleton: dict | None = None,
 ) -> tuple[float, GaussianGradients, dict]:
     """Training loss for one frame plus analytic gradients on the trainable set.
 
     The forward pass composites every Gaussian in the store (occluders
-    matter); gradients are reported only for `trainable_idx`.  With
-    `geometry=False` the geometry backward is skipped and the mean gradient
-    is zero; the loss and the color and opacity gradients are the same bits
-    either way.  A `skeleton` from `footprint_skeleton(store, frame.camera)`
-    replaces the projection, expansion and sort and gives the same bits; it
-    serves only `geometry=False`.  Raises InvalidParameterError for stale
-    indices, for a skeleton with `geometry=True` and for a skeleton built
-    for another store size or image size.
+    matter); gradients are reported only for `trainable_idx`.  Without a
+    `skeleton` the store is projected and expanded here, keeping the terms
+    of the geometry backward, so the mean gradient is computed.  A skeleton
+    from `footprint_skeleton(store, frame.camera)` replaces that work and
+    has no geometry terms: the mean gradient is then zero, and the loss and
+    the color and opacity gradients are the same bits.  Raises
+    InvalidParameterError for stale indices and for a skeleton built for
+    another store size or image size.
     """
     trainable_idx = np.asarray(trainable_idx, dtype=int)
     if len(trainable_idx) and (
@@ -503,29 +479,23 @@ def loss_and_gradients(
     if (frame.camera.height, frame.camera.width) != (h, w):
         raise InvalidParameterError("frame camera does not match image size")
     n = len(store)
-    if skeleton is not None:
-        if geometry:
-            raise InvalidParameterError(
-                "a footprint skeleton has no geometry terms: pass geometry=False"
-            )
-        if skeleton["size"] != (n, h, w):
-            raise InvalidParameterError(
-                f"footprint skeleton of {skeleton['size']} (Gaussians, height, width) "
-                f"does not fit a store of {n} at {h}x{w}"
-            )
+    if skeleton is None:
+        proj = project_gaussian_subset(store, np.arange(n), frame.camera)
+        skeleton = _skeleton(proj, h, w, geometry=True)
+    if skeleton["size"] != (n, h, w):
+        raise InvalidParameterError(
+            f"footprint skeleton of {skeleton['size']} (Gaussians, height, width) "
+            f"does not fit a store of {n} at {h}x{w}"
+        )
 
-    proj, ent, images, sub = _forward(
-        store, frame.camera, object_id, geometry=geometry, skeleton=skeleton
-    )
+    ent, images, sub = _forward(store, skeleton, object_id)
     loss, parts, g_color_img, g_draw_img, g_alpha_img, g_ins_img = _loss_upstream(
         *images, frame, object_id, lam
     )
     sel = trainable_idx
-    grads = GaussianGradients(indices=sel, **{
+    grads = GaussianGradients(**{
         name: np.zeros((len(sel),) + getattr(store, name).shape[1:]) for name in TRAINABLE
     })
-    if ent is None:
-        return loss, grads, parts
 
     # ---- backward over entries -------------------------------------------
     row, pix, weight = ent["row"], ent["pix"], ent["weight"]
@@ -559,7 +529,7 @@ def loss_and_gradients(
         accumulate(gc_e, c_e * T, weight * c_e)
         del c_e
         gc_e *= weight
-        grad_color[:, ch] = np.bincount(row, weights=gc_e, minlength=n)
+        grad_color[:, ch] = _sum_at(row, gc_e, n)
     del gc_e
     gD_e = g_draw_img[pix]
     accumulate(gD_e, z_e * T, weight * z_e)
@@ -568,21 +538,18 @@ def loss_and_gradients(
 
     free = ~ent["clamped"]
     dL_do_e = np.where(free, dL_dalpha * ent["raw"], 0.0)
-    grad_opacity = np.bincount(row, weights=dL_do_e, minlength=n)
+    grad_opacity = _sum_at(row, dL_do_e, n)
     del dL_do_e
     grads.colors = grad_color[sel]
     grads.opacities = grad_opacity[sel]
-    if geometry:
-        grads.means = _geometry_backward(
-            store, frame.camera, proj, ent, dL_dalpha, free, gD_e
-        )[sel]
+    if "proj" in ent:
+        grads.means = _geometry_backward(store, frame.camera, ent, dL_dalpha, free, gD_e)[sel]
     return loss, grads, parts
 
 
 def _geometry_backward(
     store: GaussianStore,
     camera: CameraModel,
-    proj: dict,
     ent: dict,
     dL_dalpha: np.ndarray,
     free: np.ndarray,
@@ -592,9 +559,11 @@ def _geometry_backward(
 
     Chains each entry's alpha upstream `dL_dalpha` (not applied where the
     entry's alpha is clamped, `~free`) and depth-sum upstream `gD_e` through
-    the footprint quadratic form, the 2D covariance and the projection.
+    the footprint quadratic form, the 2D covariance and the projection, all
+    read from the entries of a skeleton built with its geometry terms.
     """
     n = len(store)
+    proj = ent["proj"]
     row, weight = ent["row"], ent["weight"]
     opac_e = store.opacities[row]
     dL_dq_e = np.where(free, dL_dalpha * opac_e * ent["draw_dq"], 0.0)
@@ -608,17 +577,17 @@ def _geometry_backward(
     # per-gaussian accumulations
     grad_mean2d = np.stack(
         [
-            np.bincount(row, weights=dL_dq_e * (-2.0) * Ad0, minlength=n),
-            np.bincount(row, weights=dL_dq_e * (-2.0) * Ad1, minlength=n),
+            _sum_at(row, dL_dq_e * (-2.0) * Ad0, n),
+            _sum_at(row, dL_dq_e * (-2.0) * Ad1, n),
         ],
         axis=1,
     )
-    grad_z_direct = np.bincount(row, weights=gD_e * weight, minlength=n)
+    grad_z_direct = _sum_at(row, gD_e * weight, n)
     gM = np.zeros((n, 2, 2))
-    gM[:, 0, 0] = np.bincount(row, weights=dL_dq_e * (-(Ad0 * Ad0)), minlength=n)
-    gM[:, 0, 1] = np.bincount(row, weights=dL_dq_e * (-(Ad0 * Ad1)), minlength=n)
+    gM[:, 0, 0] = _sum_at(row, dL_dq_e * (-(Ad0 * Ad0)), n)
+    gM[:, 0, 1] = _sum_at(row, dL_dq_e * (-(Ad0 * Ad1)), n)
     gM[:, 1, 0] = gM[:, 0, 1]
-    gM[:, 1, 1] = np.bincount(row, weights=dL_dq_e * (-(Ad1 * Ad1)), minlength=n)
+    gM[:, 1, 1] = _sum_at(row, dL_dq_e * (-(Ad1 * Ad1)), n)
 
     # ---- chain projective geometry per gaussian ---------------------------
     fx, fy = camera.fx, camera.fy
@@ -678,8 +647,10 @@ def optimize_object(
     With `lr_mean == 0` the Gaussians' geometry stays fixed, so every
     evaluation composites over one `footprint_skeleton` per frame:
     `skeletons[i]` for `frames[i]` when given (built from a store with this
-    store's geometry), else built here.  Passing skeletons with a non-zero
-    `lr_mean` raises InvalidParameterError.
+    store's geometry), else built here; a frame where nothing rasterizes
+    gets a skeleton with no entries.  With a non-zero `lr_mean` the means
+    move, so each evaluation builds its own skeleton with the geometry terms
+    and passing skeletons raises InvalidParameterError.
     """
     config = config or TrainConfig()
     trainable_idx = np.asarray(trainable_idx, dtype=int)
@@ -689,8 +660,7 @@ def optimize_object(
     if not frames:
         return []
 
-    geometry = config.lr_mean != 0.0  # the geometry backward serves only the means
-    if geometry:
+    if config.lr_mean != 0.0:  # each evaluation builds a skeleton with geometry terms
         if skeletons is not None:
             raise InvalidParameterError("footprint skeletons need lr_mean == 0")
         skeletons = [None] * len(frames)
@@ -707,7 +677,7 @@ def optimize_object(
         for frame, skeleton in zip(frames, skeletons):
             f_loss, grads, _ = loss_and_gradients(
                 store, trainable_idx, frame, lam=config.lam, object_id=object_id,
-                geometry=geometry, skeleton=skeleton,
+                skeleton=skeleton,
             )
             loss += f_loss
             if acc is None:

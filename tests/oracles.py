@@ -254,8 +254,9 @@ def _fast_terms(x: np.ndarray, prep: list[tuple]) -> tuple[float, int]:
 
 def reference_flat_entries(proj: dict, opacities: np.ndarray, h: int, w: int,
                            geometry: bool = True):
-    """`renderer._flat_entries` as plain expressions; always returns du, dv
-    and draw_dq, whatever `geometry` says."""
+    """`renderer._skeleton` followed by `renderer._composite`, as plain
+    expressions; always returns du, dv and draw_dq, whatever `geometry`
+    says, and None when nothing rasterizes."""
     valid = proj["valid"]
     rows = np.flatnonzero(valid)
     if len(rows) == 0:

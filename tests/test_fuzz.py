@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 from objmap.association import ObjectMap
 from objmap.errors import DatasetError
 from objmap.gaussians import GaussianStore
-from objmap.pipeline import PipelineConfig, PipelineResult, load_state, save_state
+from objmap.pipeline import (
+    FrameLog,
+    PipelineConfig,
+    PipelineResult,
+    load_state,
+    save_state,
+)
 from objmap.plyio import read_point_ply, write_point_ply
 from objmap.png import read_png, write_png
 from objmap.quadrics import DualQuadric
@@ -82,7 +88,8 @@ def test_mutated_ply(tmp_path, edits):
 
 @pytest.fixture(scope="module")
 def saved_state(tmp_path_factory):
-    """state.json and gaussians.npz of a two-track map, as bytes."""
+    """state.json and gaussians.npz of a two-track map with one frame log,
+    as bytes."""
     obj_map = ObjectMap()
     for class_id in (3, 5):
         track = obj_map.new_track(class_id)
@@ -95,7 +102,10 @@ def saved_state(tmp_path_factory):
         colors=rng.random((3, 3)), object_ids=[1, 2, 0], kinds=[0, 0, 1],
     )
     out = tmp_path_factory.mktemp("state")
-    save_state(PipelineResult(obj_map, store, [], PipelineConfig()), str(out))
+    log = FrameLog(index=0, matches=2, new_tracks=2, merges=0, live_tracks=2, gaussians=3,
+                   trainable=2, assoc_seconds=0.0125, quadric_seconds=0.5,
+                   mapping_seconds=1.75)
+    save_state(PipelineResult(obj_map, store, [log], PipelineConfig()), str(out))
     return {name: (out / name).read_bytes() for name in ("state.json", "gaussians.npz")}
 
 

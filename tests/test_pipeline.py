@@ -9,9 +9,16 @@ import pytest
 
 import objmap.pipeline as pipeline
 import objmap.renderer as renderer
+from objmap.association import AssocConfig
 from objmap.cli import main as cli_main
 from objmap.errors import DatasetError, InvalidParameterError
-from objmap.gaussians import KIND_OPAQUE, STORE_ARRAYS, GaussianStore
+from objmap.gaussians import (
+    KIND_OPAQUE,
+    STORE_ARRAYS,
+    DensifyConfig,
+    GaussianStore,
+    MaskThresholds,
+)
 from objmap.pipeline import (
     PipelineConfig,
     dataset_cameras,
@@ -24,7 +31,7 @@ from objmap.pipeline import (
 )
 from objmap.png import read_png, write_png
 from objmap.quadrics import DualQuadric
-from objmap.renderer import footprint_skeleton
+from objmap.renderer import TrainConfig, footprint_skeleton
 from objmap.scenes import ablation_config, make_scene, sphere_scene
 from objmap.simulator import ObjectSpec, OrbitTrajectory, SceneSpec, generate, load_gt
 from oracles import brute_force_nn_means
@@ -55,6 +62,9 @@ def half_npz() -> bytes:
 # a well-formed state.json track entry, and the fields of its quadric
 TRACK = {"object_id": 7, "class_id": 2, "status": "stable", "last_seen": 0}
 QUADRIC = {"center": [0, 0, 1], "rotation_wxyz": [1, 0, 0, 0], "semi_axes": [0.2, 0.2, 0.2]}
+LOG = {"index": 0, "matches": 1, "new_tracks": 0, "merges": 0, "live_tracks": 1,
+       "gaussians": 10, "trainable": 4, "assoc_seconds": 0.01, "quadric_seconds": 0.0,
+       "mapping_seconds": 0.5}
 
 
 def small_scene(**kw):
@@ -166,10 +176,11 @@ class TestRunPipeline:
             return evaluate(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "footprint_skeleton", building)
-        monkeypatch.setattr(renderer, "footprint_skeleton", None)  # jobs never build one
         monkeypatch.setattr(renderer, "loss_and_gradients", recording)
         cached = [map_bytes(run_pipeline(small_dataset, fast_config(workers=w))) for w in (1, 3)]
         assert seen and all(s is not None for s in seen)
+        # every skeleton built stays alive in `built`, so one that a job
+        # built for itself would show here as seen but not built
         assert {id(s) for s in seen} == {id(s) for s in built}
         assert len(built) <= 2 * small_scene().n_frames  # at most one per frame and run
 
@@ -414,6 +425,7 @@ class TestExportAndState:
         res = run_pipeline(small_dataset, fast_config())
         save_state(res, str(tmp_path / "state"))
         back = load_state(str(tmp_path / "state"))
+        assert back.logs == res.logs
         assert back.track_count() == res.track_count()
         assert np.array_equal(back.store.means, res.store.means)
         assert np.array_equal(back.store.object_ids, res.store.object_ids)
@@ -421,6 +433,14 @@ class TestExportAndState:
             assert ta.object_id == tb.object_id
             assert ta.class_id == tb.class_id
             assert np.allclose(ta.quadric.center, tb.quadric.center)
+
+    def test_defaults_agree_with_layer_configs(self):
+        """The defaults PipelineConfig repeats equal each layer's own."""
+        cfg = PipelineConfig()
+        assert cfg.assoc() == AssocConfig()
+        assert cfg.thresholds() == MaskThresholds()
+        assert cfg.densify() == DensifyConfig()
+        assert cfg.training() == TrainConfig()
 
     def test_config_json_roundtrip(self, tmp_path):
         cfg = fast_config(tau=0.33, workers=2)
@@ -504,6 +524,18 @@ class TestExportAndState:
         (json.dumps({"tracks": [], "next_id": "2"}), None, "state.json"),
         (json.dumps({"tracks": [], "next_id": 1, "frame_logs": [{"bogus": 1}]}), None,
          "state.json"),
+        (json.dumps({"tracks": [], "next_id": 1,
+                     "frame_logs": [LOG, dict(LOG, assoc_seconds="fast")]}), None,
+         "state.json"),
+        (json.dumps({"tracks": [], "next_id": 1, "frame_logs": [dict(LOG, matches=1.5)]}),
+         None, "state.json"),
+        (json.dumps({"tracks": [], "next_id": 1, "frame_logs": [dict(LOG, gaussians=None)]}),
+         None, "state.json"),
+        *[(json.dumps({"tracks": [], "next_id": 1, "frame_logs": [dict(LOG, **bad)]}), None,
+           "state.json")
+          for bad in ({"assoc_seconds": None}, {"assoc_seconds": True},
+                      {"quadric_seconds": -0.5}, {"mapping_seconds": float("inf")},
+                      {"mapping_seconds": 10**400})],
         (json.dumps({"tracks": [dict(TRACK, object_id="7")], "next_id": 8}), None,
          "state.json"),
         (json.dumps({"tracks": [dict(TRACK, class_id="2")], "next_id": 8}), None,
@@ -528,7 +560,10 @@ class TestExportAndState:
                      "next_id": 8}), None, "state.json"),
     ], ids=["not-json", "no-tracks", "no-next-id", "unknown-config-key",
             "track-without-class-id", "npz-without-scales", "npz-length-mismatch",
-            "next-id-not-int", "frame-log-unknown-key",
+            "next-id-not-int", "frame-log-unknown-key", "frame-log-seconds-not-number",
+            "frame-log-count-not-int", "frame-log-count-null", "frame-log-seconds-null",
+            "frame-log-seconds-bool", "frame-log-seconds-negative", "frame-log-seconds-inf",
+            "frame-log-seconds-huge-int",
             "object-id-not-int", "class-id-not-int", "unknown-status", "last-seen-not-int",
             "config-value-not-int", "config-value-nan", "duplicate-track-id",
             "next-id-not-above-track-id", "track-id-not-positive", "npz-id-not-a-track",
@@ -580,9 +615,17 @@ class TestCli:
         assert recon["matched"] and recon["track_id"] == track_id
         assert recon["points"] > 0
 
-    def test_exit_codes(self, tmp_path, small_dataset):
+    def test_exit_codes(self, tmp_path, small_dataset, capsys):
         assert cli_main(["run", "--dataset", "/does/not/exist",
                          "--out-state", str(tmp_path / "s")]) == 1
+        bad_state = tmp_path / "bad_state"
+        bad_state.mkdir()
+        (bad_state / "state.json").write_text(json.dumps(
+            {"tracks": [], "next_id": 1, "frame_logs": [dict(LOG, assoc_seconds="fast")]}))
+        capsys.readouterr()
+        assert cli_main(["eval-pose", "--state", str(bad_state), "--dataset", small_dataset,
+                         "--out", str(tmp_path / "pose.json")]) == 1
+        assert str(bad_state / "state.json") in capsys.readouterr().err
         assert cli_main(["run", "--dataset", str(tmp_path)]) == 2  # missing flag
         bad_cfg = tmp_path / "bad.json"
         bad_cfg.write_text("{\"bogus\": 1}")

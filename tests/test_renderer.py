@@ -250,6 +250,22 @@ class TestGradients:
             loss_and_gradients(store, np.array([5]), frame)
 
 
+def use_reference_expansion(monkeypatch, opacities):
+    """Route every skeleton build through `reference_flat_entries`, which
+    also composites with `opacities` (the plain-expression alpha, clamp,
+    transmittance and weights), so `_composite` passes its entries on."""
+
+    def skeleton(proj, h, w, geometry):
+        ent = reference_flat_entries(proj, opacities, h, w)
+        ent["size"] = (len(proj["z"]), h, w)
+        if geometry:
+            ent["proj"] = proj
+        return ent
+
+    monkeypatch.setattr(renderer, "_skeleton", skeleton)
+    monkeypatch.setattr(renderer, "_composite", lambda skel, opacities: skel)
+
+
 class TestLeanExpansion:
     """The in-place footprint expansion and the skipped geometry backward
     give the same bits as the plain expressions and the full backward."""
@@ -264,7 +280,7 @@ class TestLeanExpansion:
         assert reference_flat_entries(proj, store.opacities, cam.height, cam.width)[
             "clamped"].any()
         lean = render(store, cam, instance_ref=ref_ids)
-        monkeypatch.setattr(renderer, "_flat_entries", reference_flat_entries)
+        use_reference_expansion(monkeypatch, store.opacities)
         ref = render(store, cam, instance_ref=ref_ids)
         for f in fields(RenderOutput):
             assert getattr(lean, f.name).tobytes() == getattr(ref, f.name).tobytes(), f.name
@@ -276,7 +292,7 @@ class TestLeanExpansion:
         frame = gradcheck_frame(store, cam, 1)
         idx = store.object_indices(1)
         lean = loss_and_gradients(store, idx, frame, object_id=1)
-        monkeypatch.setattr(renderer, "_flat_entries", reference_flat_entries)
+        use_reference_expansion(monkeypatch, store.opacities)
         ref = loss_and_gradients(store, idx, frame, object_id=1)
         assert lean[0] == ref[0] and lean[2] == ref[2]
         for name in TRAINABLE:
@@ -289,8 +305,8 @@ class TestLeanExpansion:
         frame = gradcheck_frame(store, cam, 2)
         idx = store.object_indices(2)
         loss, grads, parts = loss_and_gradients(store, idx, frame, object_id=2)
-        f_loss, f_grads, f_parts = loss_and_gradients(store, idx, frame, object_id=2,
-                                                      geometry=False)
+        f_loss, f_grads, f_parts = loss_and_gradients(
+            store, idx, frame, object_id=2, skeleton=renderer.footprint_skeleton(store, cam))
         assert f_loss == loss and f_parts == parts
         for name in ("colors", "opacities"):
             assert getattr(f_grads, name).tobytes() == getattr(grads, name).tobytes(), name
@@ -298,7 +314,7 @@ class TestLeanExpansion:
 
     def test_frozen_geometry_training_matches_full_backward(self, monkeypatch):
         """Zero geometry rates skip the geometry backward; forcing it back on
-        (which needs the uncached path) gives the same store bytes, rejected
+        (evaluating without a skeleton) gives the same store bytes, rejected
         steps included."""
         cam = camera_64()
         store = array_scene(np.random.default_rng(7), 80)
@@ -309,7 +325,7 @@ class TestLeanExpansion:
         seen = []
 
         def recording(*args, **kwargs):
-            seen.append(kwargs["geometry"])
+            seen.append("proj" in kwargs["skeleton"])
             return loss_and_gradients(*args, **kwargs)
 
         monkeypatch.setattr(renderer, "loss_and_gradients", recording)
@@ -318,8 +334,7 @@ class TestLeanExpansion:
         assert seen and not any(seen)
 
         monkeypatch.setattr(renderer, "loss_and_gradients",
-                            lambda *a, **kw: loss_and_gradients(
-                                *a, **dict(kw, geometry=True, skeleton=None)))
+                            lambda *a, **kw: loss_and_gradients(*a, **dict(kw, skeleton=None)))
         full = store.copy()
         full_trace = optimize_object(full, 1, [frame], idx, config)
         assert frozen_trace == full_trace
@@ -345,30 +360,78 @@ class TestSkeleton:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_evaluation_matches_uncached(self, seed):
+        """A prebuilt skeleton gives the loss, parts and color and opacity
+        gradients of the uncached evaluation, and one built with the
+        geometry terms gives its mean gradient too."""
         cam = camera_64()
         store = array_scene(np.random.default_rng(seed), 80)
         frame = gradcheck_frame(store, cam, 1)
         skel = renderer.footprint_skeleton(store, cam)
         assert renderer._composite(skel, store.opacities)["clamped"].any()
+        proj = renderer.project_gaussian_subset(store, np.arange(len(store)), cam)
+        full = renderer._skeleton(proj, cam.height, cam.width, geometry=True)
         idx = store.object_indices(1)
         for object_id in (1, 2):
-            ref = loss_and_gradients(store, idx, frame, object_id=object_id, geometry=False)
-            got = loss_and_gradients(store, idx, frame, object_id=object_id, geometry=False,
-                                     skeleton=skel)
-            assert got[0] == ref[0] and got[2] == ref[2]
-            for name in TRAINABLE:
+            ref = loss_and_gradients(store, idx, frame, object_id=object_id)
+            got = loss_and_gradients(store, idx, frame, object_id=object_id, skeleton=skel)
+            got_full = loss_and_gradients(store, idx, frame, object_id=object_id,
+                                          skeleton=full)
+            assert got[0] == ref[0] == got_full[0] and got[2] == ref[2] == got_full[2]
+            for name in ("colors", "opacities"):
                 assert getattr(got[1], name).tobytes() == getattr(ref[1], name).tobytes(), name
+            assert got[1].means.shape == ref[1].means.shape and not got[1].means.any()
+            for name in TRAINABLE:
+                assert (getattr(got_full[1], name).tobytes()
+                        == getattr(ref[1], name).tobytes()), name
+
+    @staticmethod
+    def _assert_empty(skel, size):
+        assert skel["size"] == size
+        for key in ("row", "pix", "raw", "z", "seg_id", "seg_starts", "seg_ends"):
+            assert len(skel[key]) == 0, key
 
     def test_nothing_rasterizes_and_empty_store(self):
         cam = camera_64()
         store = array_scene(np.random.default_rng(0), 20)
         frame = away_frame(cam)
-        assert renderer.footprint_skeleton(store, frame.camera) is None
+        self._assert_empty(renderer.footprint_skeleton(store, frame.camera), (20, 64, 64))
         empty = GaussianStore()
-        assert renderer.footprint_skeleton(empty, cam) is None
-        loss, grads, _ = loss_and_gradients(empty, np.empty(0, int), frame, geometry=False,
-                                            skeleton=None)
-        assert loss > 0 and grads.colors.shape == (0, 3)
+        self._assert_empty(renderer.footprint_skeleton(empty, cam), (0, 64, 64))
+        loss, grads, _ = loss_and_gradients(empty, np.empty(0, int), frame)
+        assert loss > 0 and grads.colors.shape == (0, 3) and grads.means.shape == (0, 3)
+        out = render(store, frame.camera)
+        assert out.alpha.dtype == float and not out.alpha.any()
+        assert np.all(out.transmittance == 1.0)
+        for skeleton in (None, renderer.footprint_skeleton(store, frame.camera)):
+            loss, grads, _ = loss_and_gradients(store, store.object_indices(1), frame,
+                                                object_id=1, skeleton=skeleton)
+            assert loss > 0
+            for name in TRAINABLE:
+                g = getattr(grads, name)
+                assert g.dtype == float and not g.any(), name
+
+    def test_nothing_rasterizes_projects_once(self, monkeypatch):
+        """Training over a frame where nothing rasterizes projects the store
+        once, for its skeleton, and never again at a step."""
+        store = array_scene(np.random.default_rng(0), 20)
+        frame = away_frame(camera_64())
+        idx = store.object_indices(1)
+        config = TrainConfig(iters=3, lr_mean=0.0)
+        project = renderer.project_gaussian_subset
+        calls = []
+
+        def counting(*args):
+            calls.append(len(args[1]))
+            return project(*args)
+
+        monkeypatch.setattr(renderer, "project_gaussian_subset", counting)
+        trace = optimize_object(store.copy(), 1, [frame], idx, config)
+        assert len(trace) == config.iters + 1
+        assert calls == [len(store)]
+        skel = renderer.footprint_skeleton(store, frame.camera)
+        calls.clear()
+        optimize_object(store.copy(), 1, [frame], idx, config, skeletons=[skel])
+        assert calls == []
 
     def test_training_matches_uncached(self, monkeypatch):
         """Skeletons passed in, built by optimize_object and none at all give
@@ -381,7 +444,7 @@ class TestSkeleton:
         idx = store.object_indices(1)
         config = TrainConfig(iters=12, lr_mean=0.0, lr_color=0.3, lr_opacity=0.2)
         skeletons = [renderer.footprint_skeleton(store, f.camera) for f in frames]
-        assert skeletons[0] is not None and skeletons[1] is None
+        assert len(skeletons[0]["row"]) and not len(skeletons[1]["row"])
 
         passed = store.copy()
         passed_trace = optimize_object(passed, 1, frames, idx, config, skeletons=skeletons)
@@ -396,7 +459,8 @@ class TestSkeleton:
         monkeypatch.setattr(renderer, "loss_and_gradients", uncached)
         plain = store.copy()
         plain_trace = optimize_object(plain, 1, frames, idx, config)
-        assert seen[0] is not None and seen[1] is None
+        assert len(seen[0]["row"]) and not len(seen[1]["row"])
+        assert not any("proj" in skel for skel in seen)
         assert passed_trace == built_trace == plain_trace
         assert any(plain_trace[i + 1] == plain_trace[i] for i in range(len(plain_trace) - 1))
         for name in STORE_ARRAYS:
@@ -410,14 +474,15 @@ class TestSkeleton:
         idx = store.object_indices(1)
         skel = renderer.footprint_skeleton(store, cam)
         assert not skel["raw"].flags.writeable
-        with pytest.raises(InvalidParameterError, match="geometry"):
-            loss_and_gradients(store, idx, frame, object_id=1, skeleton=skel)
-        with pytest.raises(InvalidParameterError, match="geometry"):
-            loss_and_gradients(store, idx, frame, object_id=1, geometry=True, skeleton=skel)
         grown = store.copy()
         grown.extend(store)
         with pytest.raises(InvalidParameterError, match="does not fit"):
-            loss_and_gradients(grown, idx, frame, object_id=1, geometry=False, skeleton=skel)
+            loss_and_gradients(grown, idx, frame, object_id=1, skeleton=skel)
+        away = away_frame(cam)
+        empty_skel = renderer.footprint_skeleton(store, away.camera)
+        assert not len(empty_skel["row"])
+        with pytest.raises(InvalidParameterError, match="does not fit"):
+            loss_and_gradients(grown, idx, away, object_id=1, skeleton=empty_skel)
         with pytest.raises(InvalidParameterError, match="lr_mean"):
             optimize_object(store.copy(), 1, [frame], idx, TrainConfig(iters=1), skeletons=[skel])
         with pytest.raises(InvalidParameterError, match="2 frames"):
@@ -426,11 +491,12 @@ class TestSkeleton:
 
 
 class TestMemory:
-    """Peak traced heap of one render and of one frozen-geometry evaluation
-    without and with a prebuilt skeleton, in units of kept entries x 8
-    bytes, on a fixed 2,000-Gaussian scene with 68,100 kept entries.
-    Measured 18.2 (render), 18.6 (evaluation) and 12.7 (evaluation given
-    the skeleton); the bounds leave about 20%.  With the plain expansion of
+    """Peak traced heap of one render, of one frozen-geometry evaluation
+    together with the build of its skeleton, and of one evaluation given a
+    prebuilt skeleton, in units of kept entries x 8 bytes, on a fixed
+    2,000-Gaussian scene with 68,100 kept entries.  Measured 17.6 (render),
+    17.8 (build and evaluation) and 12.7 (evaluation given the skeleton);
+    the bounds leave 18% or more.  With the plain expansion of
     `reference_flat_entries` the render and evaluation both peak at 48.6."""
 
     RENDER_BOUND = 22.0
@@ -453,16 +519,14 @@ class TestMemory:
         store.scales *= 0.5
         frame = gradcheck_frame(store, cam, 1)
         idx = store.object_indices(1)
-        proj = renderer.project_gaussian_subset(store, np.arange(len(store)), cam)
-        unit = 8 * len(renderer._flat_entries(proj, store.opacities, 96, 128)["row"])
-        del proj
+        unit = 8 * len(renderer.footprint_skeleton(store, cam)["row"])
         render_peak = self._peak(lambda: render(store, cam))
         eval_peak = self._peak(
-            lambda: loss_and_gradients(store, idx, frame, object_id=1, geometry=False))
+            lambda: loss_and_gradients(store, idx, frame, object_id=1,
+                                       skeleton=renderer.footprint_skeleton(store, cam)))
         skel = renderer.footprint_skeleton(store, cam)
         skel_eval_peak = self._peak(
-            lambda: loss_and_gradients(store, idx, frame, object_id=1, geometry=False,
-                                       skeleton=skel))
+            lambda: loss_and_gradients(store, idx, frame, object_id=1, skeleton=skel))
         assert render_peak <= self.RENDER_BOUND * unit, render_peak / unit
         assert eval_peak <= self.EVAL_BOUND * unit, eval_peak / unit
         assert skel_eval_peak <= self.SKELETON_EVAL_BOUND * unit, skel_eval_peak / unit
