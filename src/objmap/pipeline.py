@@ -353,18 +353,20 @@ def _map_frame(store: GaussianStore, frame: FrameBundle, config: PipelineConfig,
             sel = select_trainable(store, masks, k, frame.camera)
         if len(sel):
             selections[k] = sel
+    del out, masks  # the frame-start render is not needed while the jobs run
 
-    # every object trains on its own copy of the frame-start store, which
-    # nothing writes to until all jobs have returned; results are committed
-    # in ascending id order so any worker count gives identical maps.  With
-    # the means fixed, the jobs share one footprint skeleton of that store.
+    # every object trains on its own copy of the frame-start store's
+    # trainable arrays and reads the others from that store, which nothing
+    # writes to until all jobs have returned; results are committed in
+    # ascending id order so any worker count gives identical maps.  With the
+    # means fixed, the jobs share one footprint skeleton of that store.
     train_cfg = config.training()
     skeletons = None
     if selections and train_cfg.lr_mean == 0.0:
         skeletons = [footprint_skeleton(store, frame.camera)]
 
     def run(k):
-        local = store.copy()
+        local = store.trainable_copy()
         optimize_object(local, k, [frame], selections[k], train_cfg, skeletons=skeletons)
         return {name: getattr(local, name)[selections[k]] for name in TRAINABLE}
 

@@ -10,14 +10,19 @@ reductions are fixed-order numpy sums.
 
 The forward pass is two steps.  `_skeleton` does everything that depends
 only on geometry: the expansion, the support cut, the kernel value `raw`,
-the sort and the pixel segments.  `_composite` forms alpha from the
-opacities and then the transmittance and blending weights, the sort-then-
-composite of 3D Gaussian Splatting (Kerbl et al., SIGGRAPH 2023).  Every
-render and every training evaluation composites over a skeleton; one where
-nothing rasterizes has zero entries.  A skeleton stays valid only while the
-means, scales and rotations it was built from are unchanged, so training
-with a zero mean learning rate builds one per frame (`footprint_skeleton`)
-and composites over it at every step.
+the sort and the pixel segments.  It expands footprints in blocks of whole
+Gaussians and keeps only each block's entries inside the support, so no
+array the size of the uncut expansion is ever built.  `_composite` forms
+alpha from the opacities and then the transmittance and blending weights,
+the sort-then-composite of 3D Gaussian Splatting (Kerbl et al., SIGGRAPH
+2023).  Every render and every training evaluation composites over a
+skeleton; one where nothing rasterizes has zero entries.  A skeleton stays
+valid only while the means, scales and rotations it was built from are
+unchanged, so training with a zero mean learning rate builds one per frame
+(`footprint_skeleton`) and composites over it at every step.  Per-pixel
+values reach the entries by `np.repeat` over the segment lengths, and the
+composite and backward work in place where they can, so a kept entry costs
+a few arrays of 8 bytes each at the memory peak.
 
 The per-Gaussian opacity kernel is windowed to 3 sigma with a C1 fade:
     alpha = opacity * exp(-q/2) * s(q),  q = d^T Sigma2D^-1 d
@@ -61,6 +66,11 @@ ALPHA_CAP = 0.999
 DEPTH_ALPHA_MIN = 1e-4
 LOWPASS = 0.3       # pixels^2 added to the 2D covariance
 MAX_RADIUS = 96.0   # pixel clamp on footprint radius
+# footprint entries expanded at once, before the support cut; at 1 << 15 the
+# blocks' arrays were smaller than an evaluation's and a recon-sphere12 pass
+# took twice the page faults (glibc sizes its heap reuse by the largest block
+# freed)
+EXPAND_BLOCK = 1 << 16
 Z_NEAR = 0.05       # meters; nearer Gaussians are not drawn
 MOMENTUM = 0.7      # training's velocity decay per step
 
@@ -173,18 +183,21 @@ def _skeleton(proj: dict, h: int, w: int, geometry: bool) -> dict:
     """Expand footprints into flat entries sorted by (pixel, depth, index).
 
     Returns the per-entry arrays that do not depend on opacity or color:
-    `row` (Gaussian), `pix`, `raw` (the windowed kernel value), `z` (depth)
-    and the pixel segments `seg_id`, `seg_starts`, `seg_ends`, all empty
-    when nothing rasterizes; `size` is (Gaussians projected, h, w).  With
+    `row` (Gaussian), `pix`, `raw` (the windowed kernel value) and `z`
+    (depth), and the pixel segments `seg_starts`, `seg_ends`, all empty when
+    nothing rasterizes; `size` is (Gaussians projected, h, w).  With
     `geometry` it also carries what the geometry backward reads: the pixel
     offsets `du`, `dv`, `draw_dq` (d raw / d q) and the projection `proj`.
     The arrays are read-only, so one skeleton can serve concurrent
     composites.
 
-    Expansion keeps at most six entry-length arrays alive, and each array is
-    dropped once read.  The in-place steps repeat the operation order of
-    `q = ia*du*du + 2*ib*du*dv + ic*dv*dv` and of the other expressions, so
-    every value is bit-for-bit what the plain expressions give.
+    Footprints are expanded in blocks of whole Gaussians of at most
+    EXPAND_BLOCK entries before the support cut (a Gaussian whose box alone
+    is larger makes a block of its own), and each block keeps only the
+    entries inside the support, so the expansion's temporaries are bounded
+    by the block, not by the frame.  Every value is elementwise and the sort
+    key (pixel, depth, index) is unique, so the entries, their order and
+    their bits do not depend on the blocking.
     """
     rows = np.flatnonzero(proj["valid"])
     means2d = proj["means2d"]
@@ -198,6 +211,65 @@ def _skeleton(proj: dict, h: int, w: int, geometry: bool) -> dict:
     widths = np.maximum(x1 - x0, 0)
     counts = widths * np.maximum(y1 - y0, 0)
 
+    names = ("row", "pix", "raw") + (("du", "dv", "draw_dq") if geometry else ())
+    kept = {name: [np.empty(0, int if name in ("row", "pix") else float)] for name in names}
+    box_ends = np.cumsum(counts)
+    first = 0
+    while first < len(rows):
+        last = max(first + 1, int(np.searchsorted(
+            box_ends, box_ends[first] - counts[first] + EXPAND_BLOCK, side="right")))
+        block = slice(first, last)
+        for name, arr in zip(names, _expand(
+                proj, rows[block], x0[block], y0[block], widths[block], counts[block],
+                w, geometry)):
+            kept[name].append(arr)
+        first = last
+    # each name's blocks are joined and then dropped before the next name's
+    entry_row, pix, raw, *terms = (np.concatenate(kept.pop(name)) for name in names)
+
+    # sorting before alpha is formed gives the same bits: alpha is an
+    # elementwise product, which commutes with the permutation
+    order = np.lexsort((entry_row, proj["z"][entry_row], pix))
+    entry_row = entry_row[order]
+    pix = pix[order]
+    raw = raw[order]
+    for i in range(len(terms)):
+        terms[i] = terms[i][order]
+    del order
+
+    is_start = np.empty(len(pix), dtype=bool)
+    is_start[:1] = True
+    is_start[1:] = pix[1:] != pix[:-1]
+    starts = np.flatnonzero(is_start)
+    del is_start
+    ends = np.append(starts[1:] - 1, len(pix) - 1)[:len(starts)]
+
+    skel = {
+        "row": entry_row,
+        "pix": pix,
+        "raw": raw,
+        "z": proj["z"][entry_row],
+        "seg_starts": starts,
+        "seg_ends": ends,
+    }
+    skel.update(zip(names[3:], terms))
+    for arr in skel.values():
+        arr.flags.writeable = False
+    skel["size"] = (len(proj["z"]), h, w)
+    if geometry:
+        skel["proj"] = proj
+    return skel
+
+
+def _expand(proj: dict, rows, x0, y0, widths, counts, w: int, geometry: bool) -> list:
+    """The entries of one block of footprints that fall inside the support:
+    [row, pix, raw] plus [du, dv, draw_dq] with `geometry`, in expansion
+    order (Gaussian, then row-major over its box).
+
+    The in-place steps repeat the operation order of
+    `q = ia*du*du + 2*ib*du*dv + ic*dv*dv` and of the other expressions, so
+    every value is bit-for-bit what the plain expressions give.
+    """
     # pixel (px, py) of each entry: footprint corner + divmod(offset, width)
     total = int(counts.sum())
     entry_row = np.repeat(rows, counts)
@@ -212,6 +284,7 @@ def _skeleton(proj: dict, h: int, w: int, geometry: bool) -> dict:
     pix = py * w
     pix += px
 
+    means2d = proj["means2d"]
     du = px + 0.5
     del px
     du -= means2d[entry_row, 0]
@@ -233,61 +306,24 @@ def _skeleton(proj: dict, h: int, w: int, geometry: bool) -> dict:
     t *= dv
     q += t
     del t
-    if not geometry:
-        del du, dv
 
     inside = q < Q_MAX
-    entry_row = entry_row[inside]
-    pix = pix[inside]
+    out = [entry_row[inside], pix[inside]]
+    del entry_row, pix
     q = q[inside]
     if geometry:
         du, dv = du[inside], dv[inside]
+    else:
+        del du, dv
     del inside
 
     G = np.exp(-0.5 * q)
     s_win, ds_win = _support_window(q)
     del q
-    raw = G * s_win
+    out.append(G * s_win)
     if geometry:
-        draw_dq = G * (-0.5 * s_win + ds_win)
-    del G, s_win, ds_win
-
-    # sorting before alpha is formed gives the same bits: alpha is an
-    # elementwise product, which commutes with the permutation
-    order = np.lexsort((entry_row, proj["z"][entry_row], pix))
-    entry_row = entry_row[order]
-    pix = pix[order]
-    raw = raw[order]
-    if geometry:
-        draw_dq = draw_dq[order]
-        du, dv = du[order], dv[order]
-    del order
-
-    is_start = np.empty(len(pix), dtype=bool)
-    is_start[:1] = True
-    is_start[1:] = pix[1:] != pix[:-1]
-    seg_id = np.cumsum(is_start) - 1
-    starts = np.flatnonzero(is_start)
-    del is_start
-    ends = np.append(starts[1:] - 1, len(pix) - 1)[:len(starts)]
-
-    skel = {
-        "row": entry_row,
-        "pix": pix,
-        "raw": raw,
-        "z": proj["z"][entry_row],
-        "seg_id": seg_id,
-        "seg_starts": starts,
-        "seg_ends": ends,
-    }
-    if geometry:
-        skel.update(draw_dq=draw_dq, du=du, dv=dv)
-    for arr in skel.values():
-        arr.flags.writeable = False
-    skel["size"] = (len(proj["z"]), h, w)
-    if geometry:
-        skel["proj"] = proj
-    return skel
+        out += [du, dv, G * (-0.5 * s_win + ds_win)]
+    return out
 
 
 def _composite(skel: dict, opacities: np.ndarray) -> dict:
@@ -303,15 +339,16 @@ def _composite(skel: dict, opacities: np.ndarray) -> dict:
     clamped = alpha > ALPHA_CAP
     np.minimum(alpha, ALPHA_CAP, out=alpha)
 
-    seg_id, starts, ends = skel["seg_id"], skel["seg_starts"], skel["seg_ends"]
-    cs = np.log1p(-alpha)
+    starts, ends = skel["seg_starts"], skel["seg_ends"]
+    cs = np.negative(alpha)
+    np.log1p(cs, out=cs)
     T = cs.copy()
     np.cumsum(cs, out=cs)
     np.subtract(cs, T, out=T)         # exclusive prefix sum of log(1 - alpha)
     seg_base = T[starts]
     seg_log_tn = cs[ends] - seg_base  # total log transmittance per segment
     del cs
-    T -= seg_base[seg_id]
+    T -= np.repeat(seg_base, ends - starts + 1)
     np.exp(T, out=T)
     weight = alpha * T
     return dict(skel, alpha=alpha, clamped=clamped, T=T, weight=weight,
@@ -367,7 +404,10 @@ def _forward(
     sub = _instance_subset_flags(store, row, pix, instance_id, instance_ref)
     color = np.zeros((hw, 3))
     for ch in range(3):
-        color[:, ch] = _sum_at(pix, weight * store.colors[row, ch], hw)
+        value = store.colors[row, ch]
+        value *= weight
+        color[:, ch] = _sum_at(pix, value, hw)
+    del value
     alpha = _sum_at(pix, weight, hw)
     draw = _sum_at(pix, weight * ent["z"], hw)
     ins = _sum_at(pix, weight * sub, hw)
@@ -385,8 +425,14 @@ def render(
     The instance channel accumulates opaque Gaussians of `instance_id` when
     given; with `instance_ref` (an (H,W) id map) each pixel accumulates the
     opaque Gaussians of its reference id; otherwise all foreground objects.
+    Raises InvalidParameterError when `instance_ref` is not (H,W).
     """
     h, w = camera.height, camera.width
+    if instance_ref is not None and np.shape(instance_ref) != (h, w):
+        raise InvalidParameterError(
+            f"instance_ref of shape {np.shape(instance_ref)} does not match "
+            f"the {h}x{w} camera"
+        )
     ent, (color, alpha, draw, ins), _ = _forward(
         store, footprint_skeleton(store, camera), instance_id, instance_ref
     )
@@ -492,6 +538,7 @@ def loss_and_gradients(
     loss, parts, g_color_img, g_draw_img, g_alpha_img, g_ins_img = _loss_upstream(
         *images, frame, object_id, lam
     )
+    del images
     sel = trainable_idx
     grads = GaussianGradients(**{
         name: np.zeros((len(sel),) + getattr(store, name).shape[1:]) for name in TRAINABLE
@@ -500,41 +547,46 @@ def loss_and_gradients(
     # ---- backward over entries -------------------------------------------
     row, pix, weight = ent["row"], ent["pix"], ent["weight"]
     T, z_e = ent["T"], ent["z"]
-    seg_id = ent["seg_id"]
     ends = ent["seg_ends"]
-    one_minus = 1.0 - ent["alpha"]
+    seg_len = ends - ent["seg_starts"] + 1
+    one_minus = ent.pop("alpha")  # the composite's own array: 1 - alpha in place
+    np.subtract(1.0, one_minus, out=one_minus)
     dL_dalpha = np.zeros(len(row))
 
-    def accumulate(g_e: np.ndarray, value_T: np.ndarray, contrib: np.ndarray) -> None:
-        """dL_dalpha += g_e * (value_T - after / one_minus), where `after`
-        sums `contrib` (weight * value) over the entries behind each entry
-        at its pixel.  `value_T` (value * T) and `contrib` are overwritten;
-        each step repeats the expression's operation order, so the bits are
-        those of the plain expression."""
+    def accumulate(g_img: np.ndarray, value_T: np.ndarray, contrib: np.ndarray):
+        """dL_dalpha += g_e * (value_T - after / one_minus) and returns g_e,
+        the per-pixel upstream `g_img` at each entry's pixel; `after` sums
+        `contrib` (weight * value) over the entries behind each entry at its
+        pixel.  `value_T` (value * T) and `contrib` are overwritten; each
+        step repeats the expression's operation order, so the bits are those
+        of the plain expression."""
         np.cumsum(contrib, out=contrib)
-        after = contrib[ends][seg_id]
+        after = np.repeat(contrib[ends], seg_len)
         after -= contrib
         after /= one_minus
         value_T -= after
+        del after  # g_e is gathered only now, so the two never coexist
+        g_e = g_img[pix]
         value_T *= g_e
         np.add(dL_dalpha, value_T, out=dL_dalpha)
+        return g_e
 
-    # upstreams are gathered one channel at a time and each entry-length
-    # temporary is dropped once read: together they set the evaluation's
-    # memory peak
+    # upstreams are gathered one channel at a time, weight * value is built
+    # in the value's own buffer and each entry-length temporary is dropped
+    # once read: together they set the evaluation's memory peak
     grad_color = np.zeros((n, 3))
     for ch in range(3):
-        gc_e = g_color_img[pix, ch]
-        c_e = store.colors[row, ch]
-        accumulate(gc_e, c_e * T, weight * c_e)
-        del c_e
+        value = store.colors[row, ch]
+        value_T = value * T
+        value *= weight
+        gc_e = accumulate(g_color_img[:, ch], value_T, value)
+        del value, value_T
         gc_e *= weight
         grad_color[:, ch] = _sum_at(row, gc_e, n)
-    del gc_e
-    gD_e = g_draw_img[pix]
-    accumulate(gD_e, z_e * T, weight * z_e)
-    accumulate(g_alpha_img[pix], T.copy(), weight.copy())
-    accumulate(g_ins_img[pix], sub * T, weight * sub)
+        del gc_e
+    accumulate(g_draw_img, z_e * T, weight * z_e)
+    accumulate(g_alpha_img, T.copy(), weight.copy())
+    accumulate(g_ins_img, sub * T, weight * sub)
 
     free = ~ent["clamped"]
     dL_do_e = np.where(free, dL_dalpha * ent["raw"], 0.0)
@@ -543,7 +595,8 @@ def loss_and_gradients(
     grads.colors = grad_color[sel]
     grads.opacities = grad_opacity[sel]
     if "proj" in ent:
-        grads.means = _geometry_backward(store, frame.camera, ent, dL_dalpha, free, gD_e)[sel]
+        grads.means = _geometry_backward(store, frame.camera, ent, dL_dalpha, free,
+                                         g_draw_img)[sel]
     return loss, grads, parts
 
 
@@ -553,18 +606,20 @@ def _geometry_backward(
     ent: dict,
     dL_dalpha: np.ndarray,
     free: np.ndarray,
-    gD_e: np.ndarray,
+    g_draw_img: np.ndarray,
 ) -> np.ndarray:
     """Mean gradient of every Gaussian of the store.
 
     Chains each entry's alpha upstream `dL_dalpha` (not applied where the
-    entry's alpha is clamped, `~free`) and depth-sum upstream `gD_e` through
-    the footprint quadratic form, the 2D covariance and the projection, all
-    read from the entries of a skeleton built with its geometry terms.
+    entry's alpha is clamped, `~free`) and the depth-sum upstream of its
+    pixel (`g_draw_img`) through the footprint quadratic form, the 2D
+    covariance and the projection, all read from the entries of a skeleton
+    built with its geometry terms.
     """
     n = len(store)
     proj = ent["proj"]
     row, weight = ent["row"], ent["weight"]
+    gD_e = g_draw_img[ent["pix"]]
     opac_e = store.opacities[row]
     dL_dq_e = np.where(free, dL_dalpha * opac_e * ent["draw_dq"], 0.0)
 

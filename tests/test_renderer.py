@@ -162,6 +162,19 @@ class TestForward:
         assert out.instance.max() == 0.0  # transparent gaussians excluded
         assert out.alpha.max() > 0.0
 
+    @pytest.mark.parametrize("shape", [(32, 24), (48, 64), (2, 2)],
+                             ids=["transposed", "larger", "smaller"])
+    def test_instance_ref_of_another_shape_refused(self, shape):
+        """A 24x32 camera takes only a (24, 32) reference map: a transposed
+        or larger one would be read by flat index and a smaller one would
+        fail on an index."""
+        cam = CameraModel(fx=40.0, fy=40.0, cx=16.0, cy=12.0, width=32, height=24)
+        store = random_scene(np.random.default_rng(2), 10)
+        ones = np.ones((24, 32), np.int32)
+        assert render(store, cam, instance_ref=ones).instance.any()
+        with pytest.raises(InvalidParameterError, match="instance_ref"):
+            render(store, cam, instance_ref=np.ones(shape, np.int32))
+
 
 class TestGradients:
     def test_color_gradient_single_gaussian(self):
@@ -343,6 +356,95 @@ class TestLeanExpansion:
             assert getattr(frozen, name).tobytes() == getattr(full, name).tobytes(), name
 
 
+def memory_scene():
+    """TestMemory's camera and 2,000-Gaussian scene (68,100 kept entries)."""
+    cam = CameraModel(fx=100.0, fy=100.0, cx=64.0, cy=48.0, width=128, height=96)
+    store = array_scene(np.random.default_rng(0), 2000, near_opaque=0.0)
+    store.scales *= 0.5
+    return cam, store
+
+
+class TestBlockedExpansion:
+    """`_skeleton` expands footprints in blocks of whole Gaussians; every
+    skeleton array is byte for byte what the unblocked plain expressions of
+    `reference_flat_entries` give, with and without the geometry terms."""
+
+    KEYS = ("row", "pix", "raw", "z", "seg_starts", "seg_ends")
+
+    @staticmethod
+    def _blocks(monkeypatch) -> list:
+        """Record the pre-cut entry count of every block expanded."""
+        expand = renderer._expand
+        blocks = []
+
+        def recording(proj, rows, x0, y0, widths, counts, w, geometry):
+            blocks.append(int(counts.sum()))
+            return expand(proj, rows, x0, y0, widths, counts, w, geometry)
+
+        monkeypatch.setattr(renderer, "_expand", recording)
+        return blocks
+
+    def _check(self, store, cam):
+        """Both skeletons match the reference; returns the entry count."""
+        proj = renderer.project_gaussian_subset(store, np.arange(len(store)), cam)
+        ref = reference_flat_entries(proj, store.opacities, cam.height, cam.width)
+        for geometry in (False, True):
+            skel = renderer._skeleton(proj, cam.height, cam.width, geometry)
+            keys = self.KEYS + (("du", "dv", "draw_dq") if geometry else ())
+            assert set(skel) == set(keys) | {"size"} | ({"proj"} if geometry else set())
+            for key in keys:
+                if ref is None:
+                    assert len(skel[key]) == 0, key
+                else:
+                    assert skel[key].dtype == ref[key].dtype, key
+                    assert skel[key].tobytes() == ref[key].tobytes(), key
+        return 0 if ref is None else len(ref["row"])
+
+    @pytest.mark.parametrize("block", [None, 1, 700])
+    def test_many_blocks(self, block, monkeypatch):
+        cam, store = memory_scene()
+        if block is not None:
+            monkeypatch.setattr(renderer, "EXPAND_BLOCK", block)
+        blocks = self._blocks(monkeypatch)
+        assert self._check(store, cam) == 68100
+        per_build = blocks[:len(blocks) // 2]
+        assert blocks == per_build * 2
+        assert len(per_build) >= 3 and sum(per_build) > 2 * renderer.EXPAND_BLOCK
+        assert max(per_build) <= renderer.EXPAND_BLOCK or block == 1
+
+    def test_footprint_larger_than_a_block(self, monkeypatch):
+        """A Gaussian at MAX_RADIUS has a 193x193 box; with a budget below
+        that it is expanded as a block of its own, between the blocks of its
+        neighbours in index order."""
+        cam = CameraModel(fx=100.0, fy=100.0, cx=128.0, cy=128.0, width=256, height=256)
+        rng = np.random.default_rng(3)
+        small = [prim([x, y, 2.0], scale=0.03, opacity=0.6, color=rng.uniform(0, 1, 3))
+                 for x, y in rng.uniform(-0.8, 0.8, (30, 2))]
+        store = store_of(small[:15] + [prim([0.0, 0.0, 1.0], scale=0.5, opacity=0.3)]
+                         + small[15:])
+        proj = renderer.project_gaussian_subset(store, np.arange(len(store)), cam)
+        assert proj["radii"][15] == renderer.MAX_RADIUS
+        kept = self._check(store, cam)
+        assert kept > 193 * 193 // 2
+        monkeypatch.setattr(renderer, "EXPAND_BLOCK", 1 << 15)
+        blocks = self._blocks(monkeypatch)
+        assert self._check(store, cam) == kept
+        assert blocks == [blocks[0], 193 * 193, blocks[2]] * 2
+        assert max(blocks[0], blocks[2]) <= renderer.EXPAND_BLOCK < 193 * 193
+
+    def test_empty_store_and_nothing_rasterizes(self):
+        cam = camera_64()
+        assert self._check(GaussianStore(), cam) == 0
+        store = array_scene(np.random.default_rng(0), 20)
+        assert self._check(store, away_frame(cam).camera) == 0
+        # in front of the camera but projected beside the image: every box is empty
+        beside = CameraModel(fx=cam.fx, fy=cam.fy, cx=cam.cx, cy=cam.cy, width=cam.width,
+                             height=cam.height, translation=np.array([5.0, 0.0, 0.0]))
+        proj = renderer.project_gaussian_subset(store, np.arange(len(store)), beside)
+        assert proj["valid"].all()
+        assert self._check(store, beside) == 0
+
+
 def away_frame(cam):
     """A frame seen from 5 m further along +z, so every Gaussian of
     `array_scene` is behind the camera and nothing rasterizes."""
@@ -387,7 +489,7 @@ class TestSkeleton:
     @staticmethod
     def _assert_empty(skel, size):
         assert skel["size"] == size
-        for key in ("row", "pix", "raw", "z", "seg_id", "seg_starts", "seg_ends"):
+        for key in ("row", "pix", "raw", "z", "seg_starts", "seg_ends"):
             assert len(skel[key]) == 0, key
 
     def test_nothing_rasterizes_and_empty_store(self):
@@ -492,16 +594,20 @@ class TestSkeleton:
 
 class TestMemory:
     """Peak traced heap of one render, of one frozen-geometry evaluation
-    together with the build of its skeleton, and of one evaluation given a
-    prebuilt skeleton, in units of kept entries x 8 bytes, on a fixed
-    2,000-Gaussian scene with 68,100 kept entries.  Measured 17.6 (render),
-    17.8 (build and evaluation) and 12.7 (evaluation given the skeleton);
-    the bounds leave 18% or more.  With the plain expansion of
-    `reference_flat_entries` the render and evaluation both peak at 48.6."""
+    together with the build of its skeleton, of one evaluation given a
+    prebuilt skeleton and of the skeleton build alone, in units of kept
+    entries x 8 bytes, on a fixed 2,000-Gaussian scene with 68,100 kept
+    entries.  Measured 10.5 (render), 12.8 (build and evaluation), 8.7
+    (evaluation given the skeleton) and 8.2 (skeleton); the bounds leave
+    18% or more.  Expanding every footprint at once, with a per-entry
+    segment id and an out-of-place backward, peaked at 17.6, 17.8, 12.7 and
+    17.6; the plain expansion of `reference_flat_entries` makes the render
+    and evaluation peak at 48.6."""
 
-    RENDER_BOUND = 22.0
-    EVAL_BOUND = 24.0
-    SKELETON_EVAL_BOUND = 15.0
+    RENDER_BOUND = 12.5
+    EVAL_BOUND = 15.2
+    SKELETON_EVAL_BOUND = 10.3
+    SKELETON_BOUND = 9.7
 
     @staticmethod
     def _peak(fn) -> int:
@@ -514,9 +620,7 @@ class TestMemory:
             tracemalloc.stop()
 
     def test_peak_bounded_by_kept_entries(self):
-        cam = CameraModel(fx=100.0, fy=100.0, cx=64.0, cy=48.0, width=128, height=96)
-        store = array_scene(np.random.default_rng(0), 2000, near_opaque=0.0)
-        store.scales *= 0.5
+        cam, store = memory_scene()
         frame = gradcheck_frame(store, cam, 1)
         idx = store.object_indices(1)
         unit = 8 * len(renderer.footprint_skeleton(store, cam)["row"])
@@ -527,9 +631,11 @@ class TestMemory:
         skel = renderer.footprint_skeleton(store, cam)
         skel_eval_peak = self._peak(
             lambda: loss_and_gradients(store, idx, frame, object_id=1, skeleton=skel))
+        skel_peak = self._peak(lambda: renderer.footprint_skeleton(store, cam))
         assert render_peak <= self.RENDER_BOUND * unit, render_peak / unit
         assert eval_peak <= self.EVAL_BOUND * unit, eval_peak / unit
         assert skel_eval_peak <= self.SKELETON_EVAL_BOUND * unit, skel_eval_peak / unit
+        assert skel_peak <= self.SKELETON_BOUND * unit, skel_peak / unit
 
 
 class TestOptimizeObject:
