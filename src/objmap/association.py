@@ -126,6 +126,19 @@ class ObjectMap:
         return len(self.tracks)
 
 
+def _median(values, axis: int | None = None):
+    """`np.median(values, axis)` to the bit, without the numpy.ma import that
+    np.median's NaN check makes: the middle sorted value, or (a + b) / 2 of
+    the middle two; NaN where the largest sorted value is NaN."""
+    s = np.sort(values, axis=axis)  # axis None sorts the flattened values
+    axis = 0 if axis is None else axis
+    n = s.shape[axis]
+    med = np.take(s, n // 2, axis=axis)
+    if n % 2 == 0:
+        med = (np.take(s, n // 2 - 1, axis=axis) + med) / 2
+    return np.where(np.isnan(np.take(s, -1, axis=axis)), np.nan, med)
+
+
 def initialize_track(
     detections: list[tuple[BBox2D, CameraModel]],
     depth_hints: float | list[float] | None = None,
@@ -160,7 +173,7 @@ def initialize_track(
         if hint > 0
     ]
     if n >= 3 and len(singles) >= 3:
-        center = np.median(np.asarray(singles), axis=0)
+        center = _median(np.asarray(singles), axis=0)
     if center is None and n >= 2:
         center = _triangulate_center(detections)
     if center is None and singles:
@@ -179,8 +192,8 @@ def initialize_track(
         sy_all.append(bbox.height / 2.0 * z / cam.fy)
     if not sx_all:
         raise CannotInitializeError("estimated center is behind every observing camera")
-    sx = float(np.median(sx_all))
-    sy = float(np.median(sy_all))
+    sx = float(_median(sx_all))
+    sy = float(_median(sy_all))
     sz = 0.5 * (sx + sy)
     axes = np.maximum([sx, sy, sz], 1e-4)
     return DualQuadric(center, np.eye(3), axes)
@@ -248,7 +261,7 @@ def center_depth_hint(frame: FrameBundle, bbox: BBox2D, min_pixels: int = 6) -> 
         depths = depth[depth > 0]
     if depths.size == 0:
         return 0.0
-    surface = float(np.median(depths))
+    surface = float(_median(depths))
     size = 0.25 * (bbox.width / frame.camera.fx + bbox.height / frame.camera.fy) * surface
     # the area-median depth of a convex front surface sits ~0.7 radii ahead
     # of the center (exact for a sphere)

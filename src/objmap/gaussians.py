@@ -92,7 +92,8 @@ class GaussianStore:
         return np.nonzero(self.object_ids == object_id)[0]
 
     def present_ids(self) -> list[int]:
-        return sorted(int(i) for i in np.unique(self.object_ids))
+        # return_counts spares np.unique its numpy.ma import
+        return [int(i) for i in np.unique(self.object_ids, return_counts=True)[0]]
 
     def rewrite_object_id(self, old_id: int, new_id: int) -> int:
         """Atomically reassign every Gaussian of old_id to new_id (merges)."""
@@ -197,7 +198,7 @@ def compute_update_masks(frame: FrameBundle, render, thresholds: MaskThresholds)
     rgb &= ~geo  # geometry fixes take precedence at a pixel
 
     per_object: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    ids = np.unique(frame.instance[(geo | rgb)])
+    ids, _ = np.unique(frame.instance[(geo | rgb)], return_counts=True)  # no numpy.ma import
     for k in ids:
         sel = frame.instance == k
         per_object[int(k)] = (

@@ -19,10 +19,19 @@ the sort-then-composite of 3D Gaussian Splatting (Kerbl et al., SIGGRAPH
 skeleton; one where nothing rasterizes has zero entries.  A skeleton stays
 valid only while the means, scales and rotations it was built from are
 unchanged, so training with a zero mean learning rate builds one per frame
-(`footprint_skeleton`) and composites over it at every step.  Per-pixel
-values reach the entries by `np.repeat` over the segment lengths, and the
-composite and backward work in place where they can, so a kept entry costs
-a few arrays of 8 bytes each at the memory peak.
+(`footprint_skeleton`) and composites over it at every step.
+
+The composite, the image sums, the loss and the backward run block by
+block: a block holds whole pixel segments of at most BLOCK entries (a
+longer segment is a block of its own), like the tiles of 3D Gaussian
+Splatting and gsplat (Ye et al., 2024), so an evaluation's memory is set by
+the block and the image, not by the entry count.  Every bit is that of the
+unblocked sums.  Each running sum (the composite's log transmittance, the
+backward's six channel sums) carries its last value into the next block's
+first term, never into the first block, where adding 0.0 would turn a
+leading -0.0 into 0.0.  A pixel never spans two blocks, so its image sums
+are bincounts over its block alone.  Per-Gaussian sums are `np.add.at`,
+which adds in entry order as one bincount does.
 
 The per-Gaussian opacity kernel is windowed to 3 sigma with a C1 fade:
     alpha = opacity * exp(-q/2) * s(q),  q = d^T Sigma2D^-1 d
@@ -66,11 +75,12 @@ ALPHA_CAP = 0.999
 DEPTH_ALPHA_MIN = 1e-4
 LOWPASS = 0.3       # pixels^2 added to the 2D covariance
 MAX_RADIUS = 96.0   # pixel clamp on footprint radius
-# footprint entries expanded at once, before the support cut; at 1 << 15 the
-# blocks' arrays were smaller than an evaluation's and a recon-sphere12 pass
-# took twice the page faults (glibc sizes its heap reuse by the largest block
-# freed)
-EXPAND_BLOCK = 1 << 16
+# entries one block holds: footprint expansion (before the support cut),
+# composite, image sums and backward all run block by block
+BLOCK = 1 << 13
+# rows of the (6, HW) image arrays after the three color rows: depth-weighted
+# sum, alpha, instance accumulation
+DRAW, ALPHA, INS = 3, 4, 5
 Z_NEAR = 0.05       # meters; nearer Gaussians are not drawn
 MOMENTUM = 0.7      # training's velocity decay per step
 
@@ -83,10 +93,17 @@ def _support_window(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, ds
 
 
-def _sum_at(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """`np.bincount` of `weights` into n bins, as floats also when there are
-    no entries (bincount then returns integer zeros)."""
-    return np.bincount(index, weights=weights, minlength=n).astype(float, copy=False)
+def _block_bounds(unit_ends: np.ndarray):
+    """Yield (first, last) runs of whole units, a Gaussian's footprint box or
+    a pixel's segment, that hold at most BLOCK entries together; `unit_ends`
+    are the units' cumulative entry counts.  A unit larger than BLOCK is a
+    run of its own."""
+    first = 0
+    while first < len(unit_ends):
+        before = unit_ends[first - 1] if first else 0
+        last = max(first + 1, int(np.searchsorted(unit_ends, before + BLOCK, side="right")))
+        yield first, last
+        first = last
 
 
 @dataclass
@@ -183,21 +200,25 @@ def _skeleton(proj: dict, h: int, w: int, geometry: bool) -> dict:
     """Expand footprints into flat entries sorted by (pixel, depth, index).
 
     Returns the per-entry arrays that do not depend on opacity or color:
-    `row` (Gaussian), `pix`, `raw` (the windowed kernel value) and `z`
-    (depth), and the pixel segments `seg_starts`, `seg_ends`, all empty when
-    nothing rasterizes; `size` is (Gaussians projected, h, w).  With
-    `geometry` it also carries what the geometry backward reads: the pixel
-    offsets `du`, `dv`, `draw_dq` (d raw / d q) and the projection `proj`.
-    The arrays are read-only, so one skeleton can serve concurrent
+    `row` (Gaussian), `pix` and `raw` (the windowed kernel value), and the
+    pixel segments `seg_starts`, `seg_ends`, all empty when nothing
+    rasterizes; `depth` is the camera depth of every Gaussian projected (an
+    entry's depth is its Gaussian's) and `size` is (Gaussians projected, h,
+    w).  With `geometry` it also carries what the geometry backward reads:
+    the pixel offsets `du`, `dv`, `draw_dq` (d raw / d q) and the projection
+    `proj`.  The arrays are read-only, so one skeleton can serve concurrent
     composites.
 
-    Footprints are expanded in blocks of whole Gaussians of at most
-    EXPAND_BLOCK entries before the support cut (a Gaussian whose box alone
-    is larger makes a block of its own), and each block keeps only the
-    entries inside the support, so the expansion's temporaries are bounded
-    by the block, not by the frame.  Every value is elementwise and the sort
-    key (pixel, depth, index) is unique, so the entries, their order and
-    their bits do not depend on the blocking.
+    Footprints are expanded in blocks of whole Gaussians of at most BLOCK
+    entries before the support cut (a Gaussian whose box alone is larger
+    makes a block of its own), and each block keeps only the entries inside
+    the support, so the expansion's temporaries are bounded by the block,
+    not by the frame.  Every value is elementwise and the sort key (pixel,
+    depth, index) is unique, so the entries, their order and their bits do
+    not depend on the blocking.  `_composite` and the backward then walk the
+    sorted entries in blocks of whole pixel segments of at most BLOCK
+    entries, carrying each running sum from block to block (never into the
+    first block, where adding 0.0 would flip a leading -0.0).
     """
     rows = np.flatnonzero(proj["valid"])
     means2d = proj["means2d"]
@@ -213,17 +234,12 @@ def _skeleton(proj: dict, h: int, w: int, geometry: bool) -> dict:
 
     names = ("row", "pix", "raw") + (("du", "dv", "draw_dq") if geometry else ())
     kept = {name: [np.empty(0, int if name in ("row", "pix") else float)] for name in names}
-    box_ends = np.cumsum(counts)
-    first = 0
-    while first < len(rows):
-        last = max(first + 1, int(np.searchsorted(
-            box_ends, box_ends[first] - counts[first] + EXPAND_BLOCK, side="right")))
+    for first, last in _block_bounds(np.cumsum(counts)):
         block = slice(first, last)
         for name, arr in zip(names, _expand(
                 proj, rows[block], x0[block], y0[block], widths[block], counts[block],
                 w, geometry)):
             kept[name].append(arr)
-        first = last
     # each name's blocks are joined and then dropped before the next name's
     entry_row, pix, raw, *terms = (np.concatenate(kept.pop(name)) for name in names)
 
@@ -248,7 +264,7 @@ def _skeleton(proj: dict, h: int, w: int, geometry: bool) -> dict:
         "row": entry_row,
         "pix": pix,
         "raw": raw,
-        "z": proj["z"][entry_row],
+        "depth": np.ascontiguousarray(proj["z"]),
         "seg_starts": starts,
         "seg_ends": ends,
     }
@@ -326,33 +342,45 @@ def _expand(proj: dict, rows, x0, y0, widths, counts, w: int, geometry: bool) ->
     return out
 
 
-def _composite(skel: dict, opacities: np.ndarray) -> dict:
-    """Alpha, transmittance and blending weight of every skeleton entry.
+def _composite(skel: dict, opacities: np.ndarray):
+    """Alpha, transmittance and blending weight of the skeleton's entries,
+    one block at a time (see the module docstring).
 
-    Returns the skeleton's arrays plus `alpha` (capped at ALPHA_CAP),
-    `clamped` (where the cap applied), `T` (transmittance in front of the
-    entry), `weight` = alpha * T and `seg_log_tn` (total log transmittance
-    of each pixel).  The skeleton itself is not written to.
+    Yields one dict per block: `e` (its slice of the skeleton's entries),
+    `ends` (each segment's last entry, counted in the block), `seg_len`,
+    `alpha` (capped at ALPHA_CAP), `clamped` (where the cap applied), `T`
+    (transmittance in front of the entry), `weight` = alpha * T and
+    `seg_log_tn` (each pixel's total log transmittance).  A block's dict is
+    emptied when the next block is asked for, so its arrays are freed first.
     """
-    alpha = opacities[skel["row"]]
-    alpha *= skel["raw"]
-    clamped = alpha > ALPHA_CAP
-    np.minimum(alpha, ALPHA_CAP, out=alpha)
-
-    starts, ends = skel["seg_starts"], skel["seg_ends"]
-    cs = np.negative(alpha)
-    np.log1p(cs, out=cs)
-    T = cs.copy()
-    np.cumsum(cs, out=cs)
-    np.subtract(cs, T, out=T)         # exclusive prefix sum of log(1 - alpha)
-    seg_base = T[starts]
-    seg_log_tn = cs[ends] - seg_base  # total log transmittance per segment
-    del cs
-    T -= np.repeat(seg_base, ends - starts + 1)
-    np.exp(T, out=T)
-    weight = alpha * T
-    return dict(skel, alpha=alpha, clamped=clamped, T=T, weight=weight,
-                seg_log_tn=seg_log_tn)
+    all_starts, all_ends = skel["seg_starts"], skel["seg_ends"]
+    carry = None
+    for s0, s1 in _block_bounds(all_ends + 1):
+        e0 = all_starts[s0]
+        blk = {"e": slice(e0, all_ends[s1 - 1] + 1), "ends": all_ends[s0:s1] - e0}
+        starts = all_starts[s0:s1] - e0
+        alpha = opacities[skel["row"][blk["e"]]]
+        alpha *= skel["raw"][blk["e"]]
+        clamped = alpha > ALPHA_CAP
+        np.minimum(alpha, ALPHA_CAP, out=alpha)
+        cs = np.negative(alpha)
+        np.log1p(cs, out=cs)
+        T = cs.copy()
+        if carry is not None:
+            cs[0] += carry
+        np.cumsum(cs, out=cs)
+        carry = cs[-1]
+        np.subtract(cs, T, out=T)         # exclusive prefix sum of log(1 - alpha)
+        seg_base = T[starts]
+        blk["seg_log_tn"] = cs[blk["ends"]] - seg_base
+        del cs
+        blk["seg_len"] = blk["ends"] - starts + 1
+        T -= np.repeat(seg_base, blk["seg_len"])
+        np.exp(T, out=T)
+        blk.update(alpha=alpha, clamped=clamped, T=T, weight=alpha * T)
+        del alpha, clamped, T
+        yield blk
+        blk.clear()
 
 
 def footprint_skeleton(store: GaussianStore, camera: CameraModel) -> dict:
@@ -368,50 +396,16 @@ def footprint_skeleton(store: GaussianStore, camera: CameraModel) -> dict:
     return _skeleton(proj, camera.height, camera.width, geometry=False)
 
 
-def _instance_subset_flags(
-    store: GaussianStore,
-    entry_row: np.ndarray,
-    pix: np.ndarray,
-    instance_id: int | None,
-    instance_ref: np.ndarray | None,
-) -> np.ndarray:
-    opaque = store.kinds[entry_row] == KIND_OPAQUE
-    ids = store.object_ids[entry_row]
-    if instance_id is not None:
-        return opaque & (ids == instance_id)
-    if instance_ref is not None:
-        return opaque & (ids == instance_ref.reshape(-1)[pix])
-    return opaque & (ids > 0)
-
-
-def _forward(
-    store: GaussianStore,
-    skeleton: dict,
-    instance_id: int | None = None,
-    instance_ref: np.ndarray | None = None,
-):
-    """Composite every Gaussian of the store over its footprint skeleton.
-
-    Returns (ent, images, sub).  ent is the skeleton plus its composite;
-    images are the flat per-pixel color (HW,3), alpha, depth-weighted sum
-    and instance accumulation, all zero when the skeleton has no entries;
-    sub flags the sorted entries that count toward the instance channel.
-    """
-    _, h, w = skeleton["size"]
-    hw = h * w
-    ent = _composite(skeleton, store.opacities)
-    row, pix, weight = ent["row"], ent["pix"], ent["weight"]
-    sub = _instance_subset_flags(store, row, pix, instance_id, instance_ref)
-    color = np.zeros((hw, 3))
-    for ch in range(3):
-        value = store.colors[row, ch]
-        value *= weight
-        color[:, ch] = _sum_at(pix, value, hw)
-    del value
-    alpha = _sum_at(pix, weight, hw)
-    draw = _sum_at(pix, weight * ent["z"], hw)
-    ins = _sum_at(pix, weight * sub, hw)
-    return ent, (color, alpha, draw, ins), sub
+def _value_table(store: GaussianStore, skel: dict, counted: np.ndarray) -> np.ndarray:
+    """(6, N) value of each image row for every Gaussian of the store: color
+    (rows 0-2), depth (DRAW), 1 (ALPHA) and `counted` (INS, whether it
+    counts toward the instance row); an entry's values are its Gaussian's."""
+    table = np.empty((6, len(store)))
+    table[:3] = store.colors.T
+    table[DRAW] = skel["depth"]
+    table[ALPHA] = 1.0
+    table[INS] = counted
+    return table
 
 
 def render(
@@ -433,19 +427,32 @@ def render(
             f"instance_ref of shape {np.shape(instance_ref)} does not match "
             f"the {h}x{w} camera"
         )
-    ent, (color, alpha, draw, ins), _ = _forward(
-        store, footprint_skeleton(store, camera), instance_id, instance_ref
-    )
-    tn = np.ones(h * w)
-    tn[ent["pix"][ent["seg_starts"]]] = np.exp(ent["seg_log_tn"])
-
+    skel = footprint_skeleton(store, camera)
+    counted = store.kinds == KIND_OPAQUE
+    if instance_id is not None:
+        counted &= store.object_ids == instance_id
+    elif instance_ref is None:
+        counted &= store.object_ids > 0
+    table = _value_table(store, skel, counted)
+    img, log_tn = np.zeros((6, h * w)), np.zeros(h * w)
+    for blk in _composite(skel, store.opacities):
+        row, pix = skel["row"][blk["e"]], skel["pix"][blk["e"]]
+        contrib = table.take(row, axis=1)
+        if instance_ref is not None:
+            contrib[INS] *= store.object_ids[row] == instance_ref.reshape(-1)[pix]
+        contrib *= blk["weight"]
+        local = pix - pix[0]
+        img[:, pix[0]:pix[-1] + 1] = [np.bincount(local, c) for c in contrib]
+        log_tn[pix[blk["ends"]]] = blk["seg_log_tn"]
+        del contrib
+    alpha, draw = img[ALPHA], img[DRAW]
     depth = np.where(alpha >= DEPTH_ALPHA_MIN, draw / np.maximum(alpha, DEPTH_ALPHA_MIN), 0.0)
     return RenderOutput(
-        color=np.clip(color, 0.0, 1.0).reshape(h, w, 3),
+        color=np.clip(img[:3].T, 0.0, 1.0).reshape(h, w, 3),
         depth=depth.reshape(h, w),
-        instance=np.clip(ins, 0.0, 1.0).reshape(h, w),
+        instance=np.clip(img[INS], 0.0, 1.0).reshape(h, w),
         alpha=np.clip(alpha, 0.0, 1.0).reshape(h, w),
-        transmittance=tn.reshape(h, w),
+        transmittance=np.exp(log_tn).reshape(h, w),  # 1 where no entry falls
     )
 
 
@@ -456,44 +463,54 @@ class GaussianGradients:
     opacities: np.ndarray
 
 
-def _loss_upstream(
-    rendered_color: np.ndarray,
-    alpha: np.ndarray,
-    draw: np.ndarray,
-    ins: np.ndarray,
-    frame: FrameBundle,
-    object_id: int,
-    lam: float,
-    eps: float = 1e-12,
-):
-    """Loss value plus per-pixel upstream gradients for each raw channel."""
-    hw = alpha.shape[0]
-    target_c = frame.rgb.reshape(hw, 3)
-    r_c = rendered_color - target_c
-    n_c = np.linalg.norm(r_c, axis=1)
-    loss_rgb = float(n_c.sum())
-    g_color = r_c / np.maximum(n_c, eps)[:, None]
+def _loss_upstream(img: np.ndarray, frame: FrameBundle, tile: slice, object_id: int,
+                   lam: float, terms: np.ndarray, eps: float = 1e-12) -> None:
+    """The loss at the pixels `tile`, whose six image rows are `img`: each
+    pixel's color residual norm, absolute depth residual and absolute
+    instance residual go to `terms[:, tile]`, and each row's upstream
+    gradient is written over that row of `img`.  Every value is per pixel
+    and each in-place step keeps the operation order of the plain
+    expression, so any split of the image into tiles gives the same bits.
+    """
+    r_c = img[:3]
+    r_c -= frame.rgb.reshape(-1, 3)[tile].T
+    n_c = terms[0, tile]
+    np.square(r_c[0], out=n_c)  # (r0^2 + r1^2) + r2^2, the order of norm(axis=1)
+    tmp = np.square(r_c[1])
+    n_c += tmp
+    np.square(r_c[2], out=tmp)
+    n_c += tmp
+    np.sqrt(n_c, out=n_c)
+    np.maximum(n_c, eps, out=tmp)
+    r_c /= tmp
 
-    target_d = frame.depth.reshape(hw)
-    valid = target_d > 0
-    norm_ok = alpha >= DEPTH_ALPHA_MIN
-    depth = np.where(norm_ok, draw / np.maximum(alpha, DEPTH_ALPHA_MIN), 0.0)
-    r_d = np.where(valid, depth - target_d, 0.0)
-    loss_depth = float(np.abs(r_d).sum())
-    g_depth = np.where(valid, r_d / np.maximum(np.abs(r_d), eps), 0.0)
-    g_draw = np.where(norm_ok, g_depth / np.maximum(alpha, DEPTH_ALPHA_MIN), 0.0)
-    g_alpha = np.where(
-        norm_ok, -g_depth * draw / np.maximum(alpha, DEPTH_ALPHA_MIN) ** 2, 0.0
-    )
+    alpha, draw = img[ALPHA], img[DRAW]
+    target_d = frame.depth.reshape(-1)[tile]
+    dark = ~(alpha >= DEPTH_ALPHA_MIN)
+    invalid = ~(target_d > 0)
+    clipped = np.maximum(alpha, DEPTH_ALPHA_MIN)
+    r_d = draw / clipped
+    r_d[dark] = 0.0
+    r_d -= target_d
+    r_d[invalid] = 0.0
+    np.abs(r_d, out=terms[1, tile])
+    np.maximum(terms[1, tile], eps, out=tmp)
+    r_d /= tmp
+    r_d[invalid] = 0.0  # the depth upstream
+    np.negative(r_d, out=tmp)
+    tmp *= draw
+    np.divide(r_d, clipped, out=draw)
+    draw[dark] = 0.0
+    np.square(clipped, out=clipped)
+    np.divide(tmp, clipped, out=alpha)
+    alpha[dark] = 0.0
 
-    target_i = (frame.instance.reshape(hw) == object_id).astype(float)
-    r_i = ins - target_i
-    loss_ins = float(np.abs(r_i).sum())
-    g_ins = lam * r_i / np.maximum(np.abs(r_i), eps)
-
-    loss = loss_rgb + loss_depth + lam * loss_ins
-    parts = {"rgb": loss_rgb, "depth": loss_depth, "ins": loss_ins}
-    return loss, parts, g_color, g_draw, g_alpha, g_ins
+    r_i = img[INS]
+    r_i -= frame.instance.reshape(-1)[tile] == object_id
+    np.abs(r_i, out=terms[2, tile])
+    r_i *= lam
+    np.maximum(terms[2, tile], eps, out=tmp)
+    r_i /= tmp
 
 
 def loss_and_gradients(
@@ -515,6 +532,10 @@ def loss_and_gradients(
     the color and opacity gradients are the same bits.  Raises
     InvalidParameterError for stale indices and for a skeleton built for
     another store size or image size.
+
+    The composite, loss and backward run in one pass over the blocks: a
+    pixel's loss depends only on its own images, so each block takes the
+    loss of the pixels up to its last (its tile) and then its backward.
     """
     trainable_idx = np.asarray(trainable_idx, dtype=int)
     if len(trainable_idx) and (
@@ -534,124 +555,118 @@ def loss_and_gradients(
             f"does not fit a store of {n} at {h}x{w}"
         )
 
-    ent, images, sub = _forward(store, skeleton, object_id)
-    loss, parts, g_color_img, g_draw_img, g_alpha_img, g_ins_img = _loss_upstream(
-        *images, frame, object_id, lam
-    )
-    del images
-    sel = trainable_idx
-    grads = GaussianGradients(**{
-        name: np.zeros((len(sel),) + getattr(store, name).shape[1:]) for name in TRAINABLE
-    })
+    geometry = "proj" in skeleton
+    terms = np.empty((3, h * w))  # per-pixel loss terms: rgb, depth, ins
+    # per-Gaussian sums: color (3), opacity and, with geometry, the six
+    # terms of the mean chain (see _geometry_sums)
+    sums = np.zeros((10 if geometry else 4, n))
+    table = _value_table(store, skeleton, (store.kinds == KIND_OPAQUE)
+                         & (store.object_ids == object_id))
 
-    # ---- backward over entries -------------------------------------------
-    row, pix, weight = ent["row"], ent["pix"], ent["weight"]
-    T, z_e = ent["T"], ent["z"]
-    ends = ent["seg_ends"]
-    seg_len = ends - ent["seg_starts"] + 1
-    one_minus = ent.pop("alpha")  # the composite's own array: 1 - alpha in place
-    np.subtract(1.0, one_minus, out=one_minus)
-    dL_dalpha = np.zeros(len(row))
+    def block(blk: dict, tile: slice, carry):
+        """Loss at the pixels `tile` and backward of the block `blk`, whose
+        last pixel ends the tile; returns the running sums.  Row k of the
+        (6, m) arrays is the one-channel dL_dalpha += g_e * (value * T -
+        after / (1 - alpha)), `after` being the weight * value of the
+        entries behind each entry at its pixel."""
+        e, T, weight = blk["e"], blk["T"], blk["weight"]
+        row, pix = skeleton["row"][e], skeleton["pix"][e]
+        local = pix - tile.start
+        contrib, after = work[:, :6 * len(row)].reshape(2, 6, len(row))
+        # mode="clip" lets take write to `out` unbuffered; every index is valid
+        np.take(table, row, axis=1, out=contrib, mode="clip")
+        contrib *= weight
+        upstream = np.stack([np.bincount(local, c, tile.stop - tile.start) for c in contrib])
+        _loss_upstream(upstream, frame, tile, object_id, lam, terms)
 
-    def accumulate(g_img: np.ndarray, value_T: np.ndarray, contrib: np.ndarray):
-        """dL_dalpha += g_e * (value_T - after / one_minus) and returns g_e,
-        the per-pixel upstream `g_img` at each entry's pixel; `after` sums
-        `contrib` (weight * value) over the entries behind each entry at its
-        pixel.  `value_T` (value * T) and `contrib` are overwritten; each
-        step repeats the expression's operation order, so the bits are those
-        of the plain expression."""
-        np.cumsum(contrib, out=contrib)
-        after = np.repeat(contrib[ends], seg_len)
+        one_minus = blk["alpha"]  # the composite's own array: 1 - alpha in place
+        np.subtract(1.0, one_minus, out=one_minus)
+        if carry is not None:
+            contrib[:, 0] += carry
+        np.cumsum(contrib, axis=1, out=contrib)
+        carry = contrib[:, -1].copy()
+        end_of = np.repeat(blk["ends"], blk["seg_len"])  # each entry's segment end
+        np.take(contrib, end_of, axis=1, out=after, mode="clip")
+        del end_of
         after -= contrib
         after /= one_minus
-        value_T -= after
-        del after  # g_e is gathered only now, so the two never coexist
-        g_e = g_img[pix]
-        value_T *= g_e
-        np.add(dL_dalpha, value_T, out=dL_dalpha)
-        return g_e
+        values = np.take(table, row, axis=1, out=contrib, mode="clip")
+        values *= T
+        values -= after
+        g_e = np.take(upstream, local, axis=1, out=after, mode="clip")
+        del upstream, local
+        values *= g_e
+        dL_dalpha = values.sum(axis=0, initial=0.0)  # 0.0 + row 0 + row 1 ..., in order
+        for ch in range(3):
+            np.add.at(sums[ch], row, g_e[ch] * weight)
+        free = ~blk["clamped"]
+        np.add.at(sums[3], row, np.where(free, dL_dalpha * skeleton["raw"][e], 0.0))
+        if geometry:
+            _geometry_sums(sums[4:], skeleton, e, store.opacities, dL_dalpha, free,
+                           g_e[DRAW] * weight)
+        return carry
 
-    # upstreams are gathered one channel at a time, weight * value is built
-    # in the value's own buffer and each entry-length temporary is dropped
-    # once read: together they set the evaluation's memory peak
-    grad_color = np.zeros((n, 3))
-    for ch in range(3):
-        value = store.colors[row, ch]
-        value_T = value * T
-        value *= weight
-        gc_e = accumulate(g_color_img[:, ch], value_T, value)
-        del value, value_T
-        gc_e *= weight
-        grad_color[:, ch] = _sum_at(row, gc_e, n)
-        del gc_e
-    accumulate(g_draw_img, z_e * T, weight * z_e)
-    accumulate(g_alpha_img, T.copy(), weight.copy())
-    accumulate(g_ins_img, sub * T, weight * sub)
+    # the pixels before the first entry's are a tile of their own, taken
+    # before the two (6, m) work arrays of every block are allocated; m is at
+    # most BLOCK or the longest segment
+    done = skeleton["pix"][0] if len(skeleton["pix"]) else h * w
+    _loss_upstream(np.zeros((6, done)), frame, slice(0, done), object_id, lam, terms)
+    longest = (skeleton["seg_ends"] - skeleton["seg_starts"]).max(initial=-1) + 1
+    work = np.empty((2, 6 * min(len(skeleton["row"]), max(BLOCK, longest))))
+    carry = None
+    for blk in _composite(skeleton, store.opacities):
+        last = skeleton["pix"][blk["e"].stop - 1]
+        carry = block(blk, slice(done, last + 1), carry)
+        done = last + 1  # the pixels before `done` have their loss terms
+    del work
+    _loss_upstream(np.zeros((6, h * w - done)), frame, slice(done, h * w), object_id, lam,
+                   terms)
 
-    free = ~ent["clamped"]
-    dL_do_e = np.where(free, dL_dalpha * ent["raw"], 0.0)
-    grad_opacity = _sum_at(row, dL_do_e, n)
-    del dL_do_e
-    grads.colors = grad_color[sel]
-    grads.opacities = grad_opacity[sel]
-    if "proj" in ent:
-        grads.means = _geometry_backward(store, frame.camera, ent, dL_dalpha, free,
-                                         g_draw_img)[sel]
-    return loss, grads, parts
+    loss_rgb, loss_depth, loss_ins = (float(t.sum()) for t in terms)
+    sel = trainable_idx
+    grads = GaussianGradients(means=np.zeros((len(sel), 3)), colors=sums[:3, sel].T.copy(),
+                              opacities=sums[3, sel])
+    if geometry:
+        grads.means = _geometry_chain(frame.camera, skeleton["proj"], sums[4:])[sel]
+    loss = loss_rgb + loss_depth + lam * loss_ins
+    return loss, grads, {"rgb": loss_rgb, "depth": loss_depth, "ins": loss_ins}
 
 
-def _geometry_backward(
-    store: GaussianStore,
-    camera: CameraModel,
-    ent: dict,
-    dL_dalpha: np.ndarray,
-    free: np.ndarray,
-    g_draw_img: np.ndarray,
-) -> np.ndarray:
-    """Mean gradient of every Gaussian of the store.
+def _geometry_sums(sums: np.ndarray, skel: dict, e: slice, opacities: np.ndarray,
+                   dL_dalpha: np.ndarray, free: np.ndarray, gD_weight: np.ndarray) -> None:
+    """Add the mean-gradient terms of the skeleton's entries `e` (built with
+    the geometry terms) into the per-Gaussian rows of `sums`: d/d mean2d (u,
+    v), the direct depth term `gD_weight` (depth-sum upstream times weight)
+    and the 2D covariance upstream (00, 01, 11), chaining each entry's alpha
+    upstream `dL_dalpha` (not where its alpha is clamped, `~free`) through
+    the footprint quadratic form."""
+    row = skel["row"][e]
+    inv = skel["proj"]["inv_cov"]
+    du, dv = skel["du"][e], skel["dv"][e]
+    dL_dq_e = np.where(free, dL_dalpha * opacities[row] * skel["draw_dq"][e], 0.0)
+    ia = inv[row, 0, 0]
+    ib = inv[row, 0, 1]
+    ic = inv[row, 1, 1]
+    Ad0 = ia * du + ib * dv
+    Ad1 = ib * du + ic * dv
+    terms = (dL_dq_e * (-2.0) * Ad0, dL_dq_e * (-2.0) * Ad1, gD_weight,
+             dL_dq_e * (-(Ad0 * Ad0)), dL_dq_e * (-(Ad0 * Ad1)), dL_dq_e * (-(Ad1 * Ad1)))
+    for row_sums, term in zip(sums, terms):
+        np.add.at(row_sums, row, term)
 
-    Chains each entry's alpha upstream `dL_dalpha` (not applied where the
-    entry's alpha is clamped, `~free`) and the depth-sum upstream of its
-    pixel (`g_draw_img`) through the footprint quadratic form, the 2D
-    covariance and the projection, all read from the entries of a skeleton
-    built with its geometry terms.
-    """
-    n = len(store)
-    proj = ent["proj"]
-    row, weight = ent["row"], ent["weight"]
-    gD_e = g_draw_img[ent["pix"]]
-    opac_e = store.opacities[row]
-    dL_dq_e = np.where(free, dL_dalpha * opac_e * ent["draw_dq"], 0.0)
 
-    ia = proj["inv_cov"][row, 0, 0]
-    ib = proj["inv_cov"][row, 0, 1]
-    ic = proj["inv_cov"][row, 1, 1]
-    Ad0 = ia * ent["du"] + ib * ent["dv"]
-    Ad1 = ib * ent["du"] + ic * ent["dv"]
-
-    # per-gaussian accumulations
-    grad_mean2d = np.stack(
-        [
-            _sum_at(row, dL_dq_e * (-2.0) * Ad0, n),
-            _sum_at(row, dL_dq_e * (-2.0) * Ad1, n),
-        ],
-        axis=1,
-    )
-    grad_z_direct = _sum_at(row, gD_e * weight, n)
-    gM = np.zeros((n, 2, 2))
-    gM[:, 0, 0] = _sum_at(row, dL_dq_e * (-(Ad0 * Ad0)), n)
-    gM[:, 0, 1] = _sum_at(row, dL_dq_e * (-(Ad0 * Ad1)), n)
-    gM[:, 1, 0] = gM[:, 0, 1]
-    gM[:, 1, 1] = _sum_at(row, dL_dq_e * (-(Ad1 * Ad1)), n)
-
-    # ---- chain projective geometry per gaussian ---------------------------
+def _geometry_chain(camera: CameraModel, proj: dict, sums: np.ndarray) -> np.ndarray:
+    """Mean gradient of every Gaussian of the store: the sums of
+    `_geometry_sums` chained through the 2D covariance and the projection."""
+    grad_mean2d = np.stack([sums[0], sums[1]], axis=1)
+    gM = np.stack([sums[3], sums[4], sums[4], sums[5]], axis=1).reshape(-1, 2, 2)
     fx, fy = camera.fx, camera.fy
     p_cam = proj["p_cam"]
     z = np.maximum(proj["z"], 1e-9)
     J, B, R_cw = proj["J"], proj["B"], proj["R_cw"]
 
     grad_pcam = np.einsum("nij,ni->nj", J, grad_mean2d)
-    grad_pcam[:, 2] += grad_z_direct
+    grad_pcam[:, 2] += sums[2]  # the direct depth term
 
     grad_J = 2.0 * np.einsum("nij,njk,nkl->nil", gM, J, B)
     inv_z2 = 1.0 / z**2

@@ -6,8 +6,11 @@ estimation or from the convex hull of brute-force vertices, nearest-neighbor
 metrics from full pairwise distances, and trainable selection from one
 footprint query per Gaussian, and the quadric pose loss from a Python loop
 over observations.  `reference_flat_entries` is the renderer's footprint
-expansion written as plain expressions, without in-place steps or early
-frees.  `store_of` builds small test stores from rows.
+expansion and composite written as plain expressions, without in-place steps,
+early frees or blocks; `reference_render` and `reference_loss_and_gradients`
+build the images, the loss and the backward on it the same way, each sum one
+`np.bincount` or `np.cumsum` over every entry.  `store_of` builds small test
+stores from rows.
 """
 
 from __future__ import annotations
@@ -17,10 +20,19 @@ from itertools import combinations
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from objmap.gaussians import STORE_ARRAYS, GaussianStore, UpdateMasks
+from objmap.frames import FrameBundle
+from objmap.gaussians import KIND_OPAQUE, STORE_ARRAYS, GaussianStore, UpdateMasks
 from objmap.quadric_fit import axis_angle_to_rotation
 from objmap.quadrics import BBox2D, CameraModel, DualQuadric
-from objmap.renderer import ALPHA_CAP, Q_MAX, _support_window, project_gaussian_subset
+from objmap.renderer import (
+    ALPHA_CAP,
+    DEPTH_ALPHA_MIN,
+    Q_MAX,
+    GaussianGradients,
+    RenderOutput,
+    _support_window,
+    project_gaussian_subset,
+)
 
 
 def store_of(rows) -> GaussianStore:
@@ -352,3 +364,140 @@ def reference_flat_entries(proj: dict, opacities: np.ndarray, h: int, w: int,
         "seg_log_tn": log_tn[starts],
         "z": proj["z"][entry_row],
     }
+
+
+def _reference_images(store: GaussianStore, camera: CameraModel, instance_id=None,
+                      instance_ref=None):
+    """(proj, entries, sub, color, alpha, draw, ins) of the whole store, as
+    plain expressions; entries is None when nothing rasterizes."""
+    h, w = camera.height, camera.width
+    hw = h * w
+    proj = project_gaussian_subset(store, np.arange(len(store)), camera)
+    ent = reference_flat_entries(proj, store.opacities, h, w)
+    if ent is None:
+        return proj, None, None, np.zeros((hw, 3)), np.zeros(hw), np.zeros(hw), np.zeros(hw)
+    row, pix, weight = ent["row"], ent["pix"], ent["weight"]
+    opaque = store.kinds[row] == KIND_OPAQUE
+    ids = store.object_ids[row]
+    if instance_id is not None:
+        sub = opaque & (ids == instance_id)
+    elif instance_ref is not None:
+        sub = opaque & (ids == instance_ref.reshape(-1)[pix])
+    else:
+        sub = opaque & (ids > 0)
+    color = np.stack([np.bincount(pix, weight * store.colors[row, ch], minlength=hw)
+                      for ch in range(3)], axis=1)
+    alpha = np.bincount(pix, weight, minlength=hw)
+    draw = np.bincount(pix, weight * ent["z"], minlength=hw)
+    ins = np.bincount(pix, weight * sub, minlength=hw)
+    return proj, ent, sub, color, alpha, draw, ins
+
+
+def reference_render(store: GaussianStore, camera: CameraModel, instance_id=None,
+                     instance_ref=None) -> RenderOutput:
+    """`renderer.render` as plain expressions over every entry at once."""
+    h, w = camera.height, camera.width
+    _, ent, _, color, alpha, draw, ins = _reference_images(
+        store, camera, instance_id, instance_ref)
+    tn = np.ones(h * w)
+    if ent is not None:
+        tn[ent["pix"][ent["seg_starts"]]] = np.exp(ent["seg_log_tn"])
+    depth = np.where(alpha >= DEPTH_ALPHA_MIN, draw / np.maximum(alpha, DEPTH_ALPHA_MIN), 0.0)
+    return RenderOutput(
+        color=np.clip(color, 0.0, 1.0).reshape(h, w, 3),
+        depth=depth.reshape(h, w),
+        instance=np.clip(ins, 0.0, 1.0).reshape(h, w),
+        alpha=np.clip(alpha, 0.0, 1.0).reshape(h, w),
+        transmittance=tn.reshape(h, w),
+    )
+
+
+def reference_loss_and_gradients(store: GaussianStore, trainable_idx, frame: FrameBundle,
+                                 lam: float = 0.5, object_id: int = 0,
+                                 geometry: bool = True, eps: float = 1e-12):
+    """`renderer.loss_and_gradients` as plain expressions over every entry at
+    once: (loss, GaussianGradients, parts).  The mean gradient is zero unless
+    `geometry`, as with a `footprint_skeleton`."""
+    hw = frame.camera.height * frame.camera.width
+    n = len(store)
+    proj, ent, sub, color, alpha, draw, ins = _reference_images(store, frame.camera, object_id)
+
+    r_c = color - frame.rgb.reshape(hw, 3)
+    n_c = np.linalg.norm(r_c, axis=1)
+    loss_rgb = float(n_c.sum())
+    g_color = r_c / np.maximum(n_c, eps)[:, None]
+    target_d = frame.depth.reshape(hw)
+    valid = target_d > 0
+    norm_ok = alpha >= DEPTH_ALPHA_MIN
+    depth = np.where(norm_ok, draw / np.maximum(alpha, DEPTH_ALPHA_MIN), 0.0)
+    r_d = np.where(valid, depth - target_d, 0.0)
+    loss_depth = float(np.abs(r_d).sum())
+    g_depth = np.where(valid, r_d / np.maximum(np.abs(r_d), eps), 0.0)
+    g_draw = np.where(norm_ok, g_depth / np.maximum(alpha, DEPTH_ALPHA_MIN), 0.0)
+    g_alpha = np.where(norm_ok, -g_depth * draw / np.maximum(alpha, DEPTH_ALPHA_MIN) ** 2, 0.0)
+    r_i = ins - (frame.instance.reshape(hw) == object_id).astype(float)
+    loss_ins = float(np.abs(r_i).sum())
+    g_ins = lam * r_i / np.maximum(np.abs(r_i), eps)
+    loss = loss_rgb + loss_depth + lam * loss_ins
+    parts = {"rgb": loss_rgb, "depth": loss_depth, "ins": loss_ins}
+
+    grad_color, grad_opacity, grad_mean = np.zeros((n, 3)), np.zeros(n), np.zeros((n, 3))
+    if ent is not None:
+        row, pix, alpha_e, T, weight = ent["row"], ent["pix"], ent["alpha"], ent["T"], ent["weight"]
+        seg_id, ends = ent["seg_id"], ent["seg_ends"]
+        channels = [(g_color[:, ch], store.colors[row, ch]) for ch in range(3)]
+        channels += [(g_draw, ent["z"]), (g_alpha, np.ones(len(row))), (g_ins, sub)]
+        dL_dalpha = np.zeros(len(row))
+        for g_img, value in channels:
+            cs = np.cumsum(weight * value)
+            after = cs[ends][seg_id] - cs  # weight * value of the entries behind
+            dL_dalpha += g_img[pix] * (value * T - after / (1 - alpha_e))
+        for ch in range(3):
+            grad_color[:, ch] = np.bincount(row, g_color[pix, ch] * weight, minlength=n)
+        free = ~ent["clamped"]
+        grad_opacity = np.bincount(row, np.where(free, dL_dalpha * ent["raw"], 0.0), minlength=n)
+        if geometry:
+            grad_mean = _reference_mean_gradient(store, frame.camera, proj, ent, dL_dalpha,
+                                                 free, g_draw[pix])
+    idx = np.asarray(trainable_idx, dtype=int)
+    grads = GaussianGradients(means=grad_mean[idx], colors=grad_color[idx],
+                              opacities=grad_opacity[idx])
+    return loss, grads, parts
+
+
+def _reference_mean_gradient(store, camera, proj, ent, dL_dalpha, free, gD_e):
+    """The chain of each entry's alpha and depth-sum upstreams through the
+    footprint quadratic form, the 2D covariance and the projection."""
+    n = len(store)
+    row, weight, du, dv = ent["row"], ent["weight"], ent["du"], ent["dv"]
+    dL_dq = np.where(free, dL_dalpha * store.opacities[row] * ent["draw_dq"], 0.0)
+    ia = proj["inv_cov"][row, 0, 0]
+    ib = proj["inv_cov"][row, 0, 1]
+    ic = proj["inv_cov"][row, 1, 1]
+    Ad0 = ia * du + ib * dv
+    Ad1 = ib * du + ic * dv
+    grad_mean2d = np.stack([np.bincount(row, dL_dq * (-2.0) * Ad0, minlength=n),
+                            np.bincount(row, dL_dq * (-2.0) * Ad1, minlength=n)], axis=1)
+    grad_z_direct = np.bincount(row, gD_e * weight, minlength=n)
+    gM = np.zeros((n, 2, 2))
+    gM[:, 0, 0] = np.bincount(row, dL_dq * (-(Ad0 * Ad0)), minlength=n)
+    gM[:, 0, 1] = gM[:, 1, 0] = np.bincount(row, dL_dq * (-(Ad0 * Ad1)), minlength=n)
+    gM[:, 1, 1] = np.bincount(row, dL_dq * (-(Ad1 * Ad1)), minlength=n)
+
+    fx, fy = camera.fx, camera.fy
+    p_cam = proj["p_cam"]
+    z = np.maximum(proj["z"], 1e-9)
+    J, B, R_cw = proj["J"], proj["B"], proj["R_cw"]
+    grad_pcam = np.einsum("nij,ni->nj", J, grad_mean2d)
+    grad_pcam[:, 2] += grad_z_direct
+    grad_J = 2.0 * np.einsum("nij,njk,nkl->nil", gM, J, B)
+    inv_z2 = 1.0 / z**2
+    grad_pcam[:, 0] += grad_J[:, 0, 2] * (-fx * inv_z2)
+    grad_pcam[:, 1] += grad_J[:, 1, 2] * (-fy * inv_z2)
+    grad_pcam[:, 2] += (
+        grad_J[:, 0, 0] * (-fx * inv_z2)
+        + grad_J[:, 1, 1] * (-fy * inv_z2)
+        + grad_J[:, 0, 2] * (2 * fx * p_cam[:, 0] / z**3)
+        + grad_J[:, 1, 2] * (2 * fy * p_cam[:, 1] / z**3)
+    )
+    return grad_pcam @ R_cw

@@ -310,3 +310,29 @@ class TestRelabelInstances:
         assert not (masks.rgb_mask & unclaimed).any()
         assert sorted(masks.per_object) == ([0] if include_background else []) + [11, 13]
         assert masks.geo_mask[frame.instance == 0].all() == include_background
+
+
+class TestMedian:
+    """`association._median` gives np.median's bits without importing
+    numpy.ma."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 25, 26])
+    def test_matches_np_median(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (1e-3, 1.0, 1e5):
+            x = rng.normal(size=n) * scale
+            assert np.asarray(association._median(x)).tobytes() == np.median(x).tobytes()
+            assert float(association._median(list(x))) == float(np.median(list(x)))
+            a = rng.normal(size=(n, 3)) * scale
+            got = association._median(a, axis=0)
+            assert got.shape == (3,) and got.tobytes() == np.median(a, axis=0).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_nan(self, n):
+        x = np.arange(n, dtype=float)
+        x[1] = np.nan
+        assert np.isnan(association._median(x)) and np.isnan(np.median(x))
+        a = np.arange(3.0 * n).reshape(n, 3)
+        a[0, 1] = np.nan
+        got, ref = association._median(a, axis=0), np.median(a, axis=0)
+        assert got.tobytes() == ref.tobytes() and np.isnan(got[1]) and not np.isnan(got[0])

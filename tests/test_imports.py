@@ -1,5 +1,5 @@
 """Import cost: importing the package, opening a dataset and running
-association load no SciPy.
+association load no SciPy, and mapping loads no numpy.ma.
 
 Each check runs in a fresh interpreter, because the test process itself has
 SciPy loaded by other tests.
@@ -9,6 +9,8 @@ import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 from objmap.scenes import make_scene
 from objmap.simulator import generate, load
@@ -52,6 +54,17 @@ print(json.dumps({
 """
 
 
+MAPPING_PASS = """
+import json, sys
+from objmap.pipeline import PipelineConfig, run_pipeline
+from objmap.scenes import ablation_config
+
+config = ablation_config("qd+iou") if sys.argv[2] == "qd+iou" else PipelineConfig(stride=2)
+result = run_pipeline(sys.argv[1], config)
+print(json.dumps({"numpy.ma": "numpy.ma" in sys.modules, "gaussians": len(result.store)}))
+"""
+
+
 def run_fresh(*args: str) -> str:
     """Run `python *args` in a new interpreter with `src` on the path."""
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -82,3 +95,14 @@ def test_association_loads_no_scipy(tmp_path):
     assert got["scipy"] == []
     assert got["frames"] == 6
     assert got["iou_3d_calls"] >= 1  # the merge test ran, so the check is not vacuous
+
+
+@pytest.mark.parametrize("preset, config", [("sphere", "gaussians"), ("ablation8", "qd+iou")])
+def test_mapping_pass_loads_no_numpy_ma(tmp_path, preset, config):
+    """np.median and a plain np.unique import numpy.ma (for their masked
+    array checks); neither pass may call them."""
+    spec = make_scene(preset, n_frames=4, width=80, height=60)
+    d = generate(spec, str(tmp_path / "ds"))
+    got = json.loads(run_fresh("-c", MAPPING_PASS, d, config))
+    assert got["numpy.ma"] is False
+    assert (got["gaussians"] > 0) == (config == "gaussians")

@@ -273,12 +273,13 @@ def map_bytes(result) -> list:
 
 class TestMappingMemory:
     """Peak traced heap of one warm `run_pipeline` pass (workers=1) on a
-    4-frame 96x72 pose4 set.  Measured 2,815 KB; the bound leaves 18%.  The
-    pass peaked at 3,843 KB when footprints were expanded all at once, the
-    frame-start render stayed alive through training and each object job
-    copied the whole store."""
+    4-frame 96x72 pose4 set.  Measured 2,337 KB; the bound leaves 18%.  The
+    pass peaked at 2,815 KB when each evaluation composited, took the loss
+    and ran the backward over the whole frame at once, and at 3,843 KB when
+    footprints were also expanded all at once, the frame-start render stayed
+    alive through training and each object job copied the whole store."""
 
-    PEAK_BOUND_KB = 3320
+    PEAK_BOUND_KB = 2760
 
     def test_warm_pass_peak_bounded(self, tmp_path):
         ds = str(tmp_path / "ds")

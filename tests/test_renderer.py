@@ -23,7 +23,12 @@ from objmap.renderer import (
     optimize_object,
     render,
 )
-from oracles import reference_flat_entries, store_of
+from oracles import (
+    reference_flat_entries,
+    reference_loss_and_gradients,
+    reference_render,
+    store_of,
+)
 
 
 def camera_64():
@@ -263,28 +268,25 @@ class TestGradients:
             loss_and_gradients(store, np.array([5]), frame)
 
 
-def use_reference_expansion(monkeypatch, opacities):
-    """Route every skeleton build through `reference_flat_entries`, which
-    also composites with `opacities` (the plain-expression alpha, clamp,
-    transmittance and weights), so `_composite` passes its entries on."""
+def assert_same_render(got: RenderOutput, ref: RenderOutput):
+    for f in fields(RenderOutput):
+        assert getattr(got, f.name).tobytes() == getattr(ref, f.name).tobytes(), f.name
 
-    def skeleton(proj, h, w, geometry):
-        ent = reference_flat_entries(proj, opacities, h, w)
-        ent["size"] = (len(proj["z"]), h, w)
-        if geometry:
-            ent["proj"] = proj
-        return ent
 
-    monkeypatch.setattr(renderer, "_skeleton", skeleton)
-    monkeypatch.setattr(renderer, "_composite", lambda skel, opacities: skel)
+def assert_same_evaluation(got, ref):
+    """Loss, parts and every gradient of two evaluations, byte for byte."""
+    assert got[0] == ref[0] and got[2] == ref[2]
+    for name in TRAINABLE:
+        assert getattr(got[1], name).tobytes() == getattr(ref[1], name).tobytes(), name
 
 
 class TestLeanExpansion:
-    """The in-place footprint expansion and the skipped geometry backward
-    give the same bits as the plain expressions and the full backward."""
+    """The in-place, blocked renderer and the skipped geometry backward give
+    the same bits as the plain expressions of the oracles and the full
+    backward."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_render_matches_reference_expansion(self, seed, monkeypatch):
+    def test_render_matches_reference_expansion(self, seed):
         cam = camera_64()
         rng = np.random.default_rng(seed)
         store = array_scene(rng, 80)
@@ -292,24 +294,17 @@ class TestLeanExpansion:
         proj = renderer.project_gaussian_subset(store, np.arange(len(store)), cam)
         assert reference_flat_entries(proj, store.opacities, cam.height, cam.width)[
             "clamped"].any()
-        lean = render(store, cam, instance_ref=ref_ids)
-        use_reference_expansion(monkeypatch, store.opacities)
-        ref = render(store, cam, instance_ref=ref_ids)
-        for f in fields(RenderOutput):
-            assert getattr(lean, f.name).tobytes() == getattr(ref, f.name).tobytes(), f.name
+        assert_same_render(render(store, cam, instance_ref=ref_ids),
+                           reference_render(store, cam, instance_ref=ref_ids))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_full_backward_matches_reference_expansion(self, seed, monkeypatch):
+    def test_full_backward_matches_reference_expansion(self, seed):
         cam = camera_64()
         store = array_scene(np.random.default_rng(seed), 80)
         frame = gradcheck_frame(store, cam, 1)
         idx = store.object_indices(1)
-        lean = loss_and_gradients(store, idx, frame, object_id=1)
-        use_reference_expansion(monkeypatch, store.opacities)
-        ref = loss_and_gradients(store, idx, frame, object_id=1)
-        assert lean[0] == ref[0] and lean[2] == ref[2]
-        for name in TRAINABLE:
-            assert getattr(lean[1], name).tobytes() == getattr(ref[1], name).tobytes(), name
+        assert_same_evaluation(loss_and_gradients(store, idx, frame, object_id=1),
+                               reference_loss_and_gradients(store, idx, frame, object_id=1))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_frozen_geometry_matches_full_backward(self, seed):
@@ -369,7 +364,7 @@ class TestBlockedExpansion:
     skeleton array is byte for byte what the unblocked plain expressions of
     `reference_flat_entries` give, with and without the geometry terms."""
 
-    KEYS = ("row", "pix", "raw", "z", "seg_starts", "seg_ends")
+    KEYS = ("row", "pix", "raw", "seg_starts", "seg_ends")
 
     @staticmethod
     def _blocks(monkeypatch) -> list:
@@ -391,26 +386,30 @@ class TestBlockedExpansion:
         for geometry in (False, True):
             skel = renderer._skeleton(proj, cam.height, cam.width, geometry)
             keys = self.KEYS + (("du", "dv", "draw_dq") if geometry else ())
-            assert set(skel) == set(keys) | {"size"} | ({"proj"} if geometry else set())
+            assert set(skel) == (set(keys) | {"depth", "size"}
+                                 | ({"proj"} if geometry else set()))
+            assert skel["depth"].tobytes() == proj["z"].tobytes()
             for key in keys:
                 if ref is None:
                     assert len(skel[key]) == 0, key
                 else:
                     assert skel[key].dtype == ref[key].dtype, key
                     assert skel[key].tobytes() == ref[key].tobytes(), key
+            if ref is not None:  # an entry's depth is its Gaussian's
+                assert skel["depth"][skel["row"]].tobytes() == ref["z"].tobytes()
         return 0 if ref is None else len(ref["row"])
 
     @pytest.mark.parametrize("block", [None, 1, 700])
     def test_many_blocks(self, block, monkeypatch):
         cam, store = memory_scene()
         if block is not None:
-            monkeypatch.setattr(renderer, "EXPAND_BLOCK", block)
+            monkeypatch.setattr(renderer, "BLOCK", block)
         blocks = self._blocks(monkeypatch)
         assert self._check(store, cam) == 68100
         per_build = blocks[:len(blocks) // 2]
         assert blocks == per_build * 2
-        assert len(per_build) >= 3 and sum(per_build) > 2 * renderer.EXPAND_BLOCK
-        assert max(per_build) <= renderer.EXPAND_BLOCK or block == 1
+        assert len(per_build) >= 3 and sum(per_build) > 2 * renderer.BLOCK
+        assert max(per_build) <= renderer.BLOCK or block == 1
 
     def test_footprint_larger_than_a_block(self, monkeypatch):
         """A Gaussian at MAX_RADIUS has a 193x193 box; with a budget below
@@ -426,11 +425,11 @@ class TestBlockedExpansion:
         assert proj["radii"][15] == renderer.MAX_RADIUS
         kept = self._check(store, cam)
         assert kept > 193 * 193 // 2
-        monkeypatch.setattr(renderer, "EXPAND_BLOCK", 1 << 15)
+        monkeypatch.setattr(renderer, "BLOCK", 1 << 15)
         blocks = self._blocks(monkeypatch)
         assert self._check(store, cam) == kept
         assert blocks == [blocks[0], 193 * 193, blocks[2]] * 2
-        assert max(blocks[0], blocks[2]) <= renderer.EXPAND_BLOCK < 193 * 193
+        assert max(blocks[0], blocks[2]) <= renderer.BLOCK < 193 * 193
 
     def test_empty_store_and_nothing_rasterizes(self):
         cam = camera_64()
@@ -469,7 +468,7 @@ class TestSkeleton:
         store = array_scene(np.random.default_rng(seed), 80)
         frame = gradcheck_frame(store, cam, 1)
         skel = renderer.footprint_skeleton(store, cam)
-        assert renderer._composite(skel, store.opacities)["clamped"].any()
+        assert any(blk["clamped"].any() for blk in renderer._composite(skel, store.opacities))
         proj = renderer.project_gaussian_subset(store, np.arange(len(store)), cam)
         full = renderer._skeleton(proj, cam.height, cam.width, geometry=True)
         idx = store.object_indices(1)
@@ -488,8 +487,8 @@ class TestSkeleton:
 
     @staticmethod
     def _assert_empty(skel, size):
-        assert skel["size"] == size
-        for key in ("row", "pix", "raw", "z", "seg_starts", "seg_ends"):
+        assert skel["size"] == size and len(skel["depth"]) == size[0]
+        for key in ("row", "pix", "raw", "seg_starts", "seg_ends"):
             assert len(skel[key]) == 0, key
 
     def test_nothing_rasterizes_and_empty_store(self):
@@ -592,22 +591,143 @@ class TestSkeleton:
                             TrainConfig(iters=1, lr_mean=0.0), skeletons=[skel])
 
 
+def first_pixel_scene():
+    """40 Gaussians near the image centre of camera_64 plus one of opacity
+    0 alone over the top-left pixels, so the first entry of the first
+    pixel segment, a segment of one entry, has alpha exactly 0."""
+    store = array_scene(np.random.default_rng(5), 40, near_opaque=0.0)
+    store.means[:, :2] *= 0.5
+    store.extend(store_of([prim([(1.5 - 32.0) / 40.0, (1.5 - 32.0) / 40.0, 2.0], scale=0.002,
+                                opacity=0.0)]))
+    return store
+
+
+def tower_scene(n):
+    """n tiny Gaussians on the optical axis of camera_64 at increasing
+    depth, so the centre pixel's segment has n entries, plus a few others."""
+    rng = np.random.default_rng(9)
+    axis = [prim([0.5 / 80 * z, 0.5 / 80 * z, z], scale=0.001, opacity=0.002,
+                 color=rng.uniform(0, 1, 3), object_id=1 + i % 2)
+            for i, z in enumerate(1.0 + 0.001 * np.arange(n))]
+    others = [prim([x, y, 1.8], scale=0.02, opacity=0.7, color=rng.uniform(0, 1, 3))
+              for x, y in rng.uniform(-0.3, 0.3, (20, 2))]
+    return store_of(axis + others)
+
+
+def blocked_composite(skel, opacities) -> dict:
+    """The arrays of every block of `_composite`, joined."""
+    parts = {}
+    for blk in renderer._composite(skel, opacities):
+        for key in ("alpha", "clamped", "T", "weight", "seg_log_tn"):
+            parts.setdefault(key, []).append(blk[key])
+    return {key: np.concatenate(arrs) for key, arrs in parts.items()}
+
+
+def oracle_training(*args, skeleton, **kwargs):
+    """`loss_and_gradients` as `optimize_object` calls it, answered by the
+    oracle: the mean gradient only without a footprint skeleton."""
+    return reference_loss_and_gradients(*args, geometry=skeleton is None, **kwargs)
+
+
+class TestBlockedEvaluation:
+    """The composite, image sums, loss and backward run in blocks of whole
+    pixel segments; loss, parts, gradients, render outputs and trained
+    stores are byte for byte those of the unblocked plain expressions of the
+    oracles, at a block of 1 entry, of 700 and at the module's BLOCK."""
+
+    @pytest.fixture(params=[1, 700, None], ids=["block1", "block700", "module"])
+    def block(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(renderer, "BLOCK", request.param)
+        return renderer.BLOCK
+
+    @staticmethod
+    def _check(store, frame, object_id=1):
+        """Renders and both evaluations (with and without a footprint
+        skeleton) match the oracles; returns the reference entries."""
+        cam = frame.camera
+        ref_ids = np.random.default_rng(1).integers(0, 4, (cam.height, cam.width))
+        for kw in ({}, {"instance_id": object_id}, {"instance_ref": ref_ids}):
+            assert_same_render(render(store, cam, **kw), reference_render(store, cam, **kw))
+        idx = store.object_indices(object_id)
+        skel = renderer.footprint_skeleton(store, cam)
+        for skeleton in (None, skel):
+            assert_same_evaluation(
+                loss_and_gradients(store, idx, frame, object_id=object_id, skeleton=skeleton),
+                reference_loss_and_gradients(store, idx, frame, object_id=object_id,
+                                             geometry=skeleton is None))
+        proj = renderer.project_gaussian_subset(store, np.arange(len(store)), cam)
+        ref = reference_flat_entries(proj, store.opacities, cam.height, cam.width)
+        if ref is not None:
+            got = blocked_composite(skel, store.opacities)
+            for key in got:
+                assert got[key].tobytes() == ref[key].tobytes(), key
+        return ref
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_clamped_alphas(self, block, seed):
+        cam = camera_64()
+        store = array_scene(np.random.default_rng(seed), 80)
+        ref = self._check(store, gradcheck_frame(store, cam, 1))
+        assert ref["clamped"].any() and len(ref["row"]) > 2 * 700
+
+    def test_first_entry_alpha_zero(self, block):
+        """The first block adds no carry: adding 0.0 would make the first
+        pixel's log transmittance +0.0 instead of the oracle's -0.0."""
+        cam = camera_64()
+        store = first_pixel_scene()
+        ref = self._check(store, gradcheck_frame(store, cam, 1))
+        assert ref["seg_starts"][1] == 1 and ref["alpha"][0] == 0.0
+        assert ref["seg_log_tn"][0] == 0.0 and np.signbit(ref["seg_log_tn"][0])
+
+    def test_segment_longer_than_a_block(self, block):
+        cam = camera_64()
+        store = tower_scene(8300)
+        ref = self._check(store, gradcheck_frame(store, cam, 1))
+        assert (ref["seg_ends"] - ref["seg_starts"]).max() + 1 > block
+
+    def test_empty_skeleton(self, block):
+        cam = camera_64()
+        store = array_scene(np.random.default_rng(0), 20)
+        assert self._check(store, away_frame(cam)) is None
+        assert self._check(GaussianStore(), gradcheck_frame(store, cam, 1)) is None
+
+    @pytest.mark.parametrize("lr_mean", [0.0, 0.004], ids=["frozen", "geometry"])
+    def test_trained_stores(self, block, lr_mean, monkeypatch):
+        """Training with and without the geometry backward (`lr_mean`)
+        leaves the bytes of oracle-driven training, rejected steps included."""
+        cam = camera_64()
+        store = array_scene(np.random.default_rng(7), 80)
+        frame = gradcheck_frame(store, cam, 1)
+        store.colors[:] = 0.5
+        idx = store.object_indices(1)
+        config = TrainConfig(iters=6, lr_mean=lr_mean, lr_color=0.3, lr_opacity=0.2)
+        blocked = store.copy()
+        blocked_trace = optimize_object(blocked, 1, [frame], idx, config)
+        assert any(a == b for a, b in zip(blocked_trace, blocked_trace[1:]))  # a rejected step
+        monkeypatch.setattr(renderer, "loss_and_gradients", oracle_training)
+        plain = store.copy()
+        assert optimize_object(plain, 1, [frame], idx, config) == blocked_trace
+        for name in STORE_ARRAYS:
+            assert getattr(blocked, name).tobytes() == getattr(plain, name).tobytes(), name
+
+
 class TestMemory:
     """Peak traced heap of one render, of one frozen-geometry evaluation
     together with the build of its skeleton, of one evaluation given a
     prebuilt skeleton and of the skeleton build alone, in units of kept
     entries x 8 bytes, on a fixed 2,000-Gaussian scene with 68,100 kept
-    entries.  Measured 10.5 (render), 12.8 (build and evaluation), 8.7
-    (evaluation given the skeleton) and 8.2 (skeleton); the bounds leave
-    18% or more.  Expanding every footprint at once, with a per-entry
-    segment id and an out-of-place backward, peaked at 17.6, 17.8, 12.7 and
-    17.6; the plain expansion of `reference_flat_entries` makes the render
-    and evaluation peak at 48.6."""
+    entries.  Measured 6.1 (render), 6.3 (build and evaluation), 3.2
+    (evaluation given the skeleton) and 6.1 (skeleton); the bounds leave
+    18%.  With whole-frame compositing, loss and backward (and expansion
+    blocks of 65,536 pre-cut entries) they peaked at 10.5, 12.8, 8.7 and
+    8.2; expanding every footprint at once, with a per-entry segment id and
+    an out-of-place backward, at 17.6, 17.8, 12.7 and 17.6."""
 
-    RENDER_BOUND = 12.5
-    EVAL_BOUND = 15.2
-    SKELETON_EVAL_BOUND = 10.3
-    SKELETON_BOUND = 9.7
+    RENDER_BOUND = 7.2
+    EVAL_BOUND = 7.5
+    SKELETON_EVAL_BOUND = 3.8
+    SKELETON_BOUND = 7.2
 
     @staticmethod
     def _peak(fn) -> int:
@@ -636,6 +756,25 @@ class TestMemory:
         assert eval_peak <= self.EVAL_BOUND * unit, eval_peak / unit
         assert skel_eval_peak <= self.SKELETON_EVAL_BOUND * unit, skel_eval_peak / unit
         assert skel_peak <= self.SKELETON_BOUND * unit, skel_peak / unit
+
+    def test_evaluation_peak_does_not_grow_with_entries(self):
+        """Given its skeleton, an evaluation holds blocks, per-pixel and
+        per-Gaussian arrays, none of them sized by the entry count: scaling
+        every Gaussian by 1.5 takes the scene from 68,100 to 129,924 kept
+        entries and moves the peak by less than 5% (measured 1,699 and 1,681
+        KB; with whole-frame compositing 4,610 and 8,125 KB)."""
+        peaks, entries = [], []
+        for factor in (1.0, 1.5):
+            cam, store = memory_scene()
+            store.scales *= factor
+            frame = gradcheck_frame(store, cam, 1)
+            idx = store.object_indices(1)
+            skel = renderer.footprint_skeleton(store, cam)
+            entries.append(len(skel["row"]))
+            peaks.append(self._peak(
+                lambda: loss_and_gradients(store, idx, frame, object_id=1, skeleton=skel)))
+        assert entries[1] > 1.9 * entries[0]
+        assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0], peaks
 
 
 class TestOptimizeObject:
