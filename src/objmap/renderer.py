@@ -43,10 +43,11 @@ Backward pass: analytic gradients of the training loss for color, opacity
 and mean (including the Jacobian dependence of the 2D covariance),
 accumulated race-free via fixed-order segmented suffix sums.  A Gaussian's
 scale and rotation are fixed at spawn and get no gradient.  The mean chain
-runs only over a skeleton that carries its per-entry terms and the
-projection, which `loss_and_gradients` builds when it is given no skeleton;
-`footprint_skeleton` leaves them out.  Skipping the chain leaves the loss
-and the color and opacity gradients bit-identical.
+runs when `loss_and_gradients` projects the store itself (no skeleton
+given); like the backward of 3D Gaussian Splatting and gsplat, it rebuilds
+each entry's pixel offset and falloff from the pixel and the 2D conic,
+block by block.  Skipping the chain leaves the loss and the color and
+opacity gradients bit-identical.
 
 Losses (per object k):  L = L_rgb + L_depth + lambda * L_ins with
 L_rgb the per-pixel color residual norm, L_depth the absolute depth residual
@@ -196,7 +197,7 @@ def project_gaussian_subset(
     }
 
 
-def _skeleton(proj: dict, h: int, w: int, geometry: bool) -> dict:
+def _skeleton(proj: dict, h: int, w: int) -> dict:
     """Expand footprints into flat entries sorted by (pixel, depth, index).
 
     Returns the per-entry arrays that do not depend on opacity or color:
@@ -204,10 +205,9 @@ def _skeleton(proj: dict, h: int, w: int, geometry: bool) -> dict:
     pixel segments `seg_starts`, `seg_ends`, all empty when nothing
     rasterizes; `depth` is the camera depth of every Gaussian projected (an
     entry's depth is its Gaussian's) and `size` is (Gaussians projected, h,
-    w).  With `geometry` it also carries what the geometry backward reads:
-    the pixel offsets `du`, `dv`, `draw_dq` (d raw / d q) and the projection
-    `proj`.  The arrays are read-only, so one skeleton can serve concurrent
-    composites.
+    w).  The mean gradient needs no more: it rebuilds each entry's offset
+    and quadratic form from `row`, `pix` and the projection.  The arrays are
+    read-only, so one skeleton can serve concurrent composites.
 
     Footprints are expanded in blocks of whole Gaussians of at most BLOCK
     entries before the support cut (a Gaussian whose box alone is larger
@@ -232,16 +232,14 @@ def _skeleton(proj: dict, h: int, w: int, geometry: bool) -> dict:
     widths = np.maximum(x1 - x0, 0)
     counts = widths * np.maximum(y1 - y0, 0)
 
-    names = ("row", "pix", "raw") + (("du", "dv", "draw_dq") if geometry else ())
-    kept = {name: [np.empty(0, int if name in ("row", "pix") else float)] for name in names}
+    kept = {"row": [np.empty(0, int)], "pix": [np.empty(0, int)], "raw": [np.empty(0)]}
     for first, last in _block_bounds(np.cumsum(counts)):
         block = slice(first, last)
-        for name, arr in zip(names, _expand(
-                proj, rows[block], x0[block], y0[block], widths[block], counts[block],
-                w, geometry)):
+        for name, arr in zip(kept, _expand(
+                proj, rows[block], x0[block], y0[block], widths[block], counts[block], w)):
             kept[name].append(arr)
-    # each name's blocks are joined and then dropped before the next name's
-    entry_row, pix, raw, *terms = (np.concatenate(kept.pop(name)) for name in names)
+    # each array's blocks are joined and then dropped before the next one's
+    entry_row, pix, raw = (np.concatenate(kept.pop(name)) for name in ("row", "pix", "raw"))
 
     # sorting before alpha is formed gives the same bits: alpha is an
     # elementwise product, which commutes with the permutation
@@ -249,8 +247,6 @@ def _skeleton(proj: dict, h: int, w: int, geometry: bool) -> dict:
     entry_row = entry_row[order]
     pix = pix[order]
     raw = raw[order]
-    for i in range(len(terms)):
-        terms[i] = terms[i][order]
     del order
 
     is_start = np.empty(len(pix), dtype=bool)
@@ -268,24 +264,45 @@ def _skeleton(proj: dict, h: int, w: int, geometry: bool) -> dict:
         "seg_starts": starts,
         "seg_ends": ends,
     }
-    skel.update(zip(names[3:], terms))
     for arr in skel.values():
         arr.flags.writeable = False
     skel["size"] = (len(proj["z"]), h, w)
-    if geometry:
-        skel["proj"] = proj
     return skel
 
 
-def _expand(proj: dict, rows, x0, y0, widths, counts, w: int, geometry: bool) -> list:
-    """The entries of one block of footprints that fall inside the support:
-    [row, pix, raw] plus [du, dv, draw_dq] with `geometry`, in expansion
-    order (Gaussian, then row-major over its box).
+def _quad_form(proj: dict, row: np.ndarray, pix: np.ndarray, w: int):
+    """(du, dv, q) of Gaussians `row` at pixels `pix` of a `w`-wide image:
+    the pixel centre's offset from the projected mean and
+    q = d^T Sigma2D^-1 d.  Pixel coordinates are integers, so divmod gives
+    them exactly, and the in-place steps keep the operation order of
+    `q = ia*du*du + 2*ib*du*dv + ic*dv*dv`, so the bits are those of the
+    plain expressions wherever the entries are rebuilt."""
+    means2d = proj["means2d"]
+    du = pix % w + 0.5
+    du -= means2d[row, 0]
+    dv = pix // w + 0.5
+    dv -= means2d[row, 1]
+    inv = proj["inv_cov"]
+    q = inv[row, 0, 0]
+    q *= du
+    q *= du
+    t = inv[row, 0, 1]
+    t *= 2.0
+    t *= du
+    t *= dv
+    q += t
+    del t
+    t = inv[row, 1, 1]
+    t *= dv
+    t *= dv
+    q += t
+    return du, dv, q
 
-    The in-place steps repeat the operation order of
-    `q = ia*du*du + 2*ib*du*dv + ic*dv*dv` and of the other expressions, so
-    every value is bit-for-bit what the plain expressions give.
-    """
+
+def _expand(proj: dict, rows, x0, y0, widths, counts, w: int) -> list:
+    """The entries of one block of footprints that fall inside the support,
+    [row, pix, raw], in expansion order (Gaussian, then row-major over its
+    box)."""
     # pixel (px, py) of each entry: footprint corner + divmod(offset, width)
     total = int(counts.sum())
     entry_row = np.repeat(rows, counts)
@@ -299,46 +316,19 @@ def _expand(proj: dict, rows, x0, y0, widths, counts, w: int, geometry: bool) ->
     py += np.repeat(y0, counts)
     pix = py * w
     pix += px
+    del px, py
 
-    means2d = proj["means2d"]
-    du = px + 0.5
-    del px
-    du -= means2d[entry_row, 0]
-    dv = py + 0.5
-    del py
-    dv -= means2d[entry_row, 1]
-    inv = proj["inv_cov"]
-    q = inv[entry_row, 0, 0]
-    q *= du
-    q *= du
-    t = inv[entry_row, 0, 1]
-    t *= 2.0
-    t *= du
-    t *= dv
-    q += t
-    del t
-    t = inv[entry_row, 1, 1]
-    t *= dv
-    t *= dv
-    q += t
-    del t
-
+    q = _quad_form(proj, entry_row, pix, w)[2]
     inside = q < Q_MAX
     out = [entry_row[inside], pix[inside]]
     del entry_row, pix
     q = q[inside]
-    if geometry:
-        du, dv = du[inside], dv[inside]
-    else:
-        del du, dv
     del inside
 
     G = np.exp(-0.5 * q)
-    s_win, ds_win = _support_window(q)
+    s_win = _support_window(q)[0]
     del q
     out.append(G * s_win)
-    if geometry:
-        out += [du, dv, G * (-0.5 * s_win + ds_win)]
     return out
 
 
@@ -384,8 +374,8 @@ def _composite(skel: dict, opacities: np.ndarray):
 
 
 def footprint_skeleton(store: GaussianStore, camera: CameraModel) -> dict:
-    """The skeleton of every Gaussian of the store at one camera, without
-    the geometry terms; it has zero entries when nothing rasterizes.
+    """The skeleton of every Gaussian of the store at one camera; it has
+    zero entries when nothing rasterizes.
 
     It stays valid while the store's means, scales and rotations are those
     it was built from: pass it to `loss_and_gradients` or `optimize_object`
@@ -393,7 +383,7 @@ def footprint_skeleton(store: GaussianStore, camera: CameraModel) -> dict:
     evaluation.
     """
     proj = project_gaussian_subset(store, np.arange(len(store)), camera)
-    return _skeleton(proj, camera.height, camera.width, geometry=False)
+    return _skeleton(proj, camera.height, camera.width)
 
 
 def _value_table(store: GaussianStore, skel: dict, counted: np.ndarray) -> np.ndarray:
@@ -525,11 +515,11 @@ def loss_and_gradients(
 
     The forward pass composites every Gaussian in the store (occluders
     matter); gradients are reported only for `trainable_idx`.  Without a
-    `skeleton` the store is projected and expanded here, keeping the terms
-    of the geometry backward, so the mean gradient is computed.  A skeleton
-    from `footprint_skeleton(store, frame.camera)` replaces that work and
-    has no geometry terms: the mean gradient is then zero, and the loss and
-    the color and opacity gradients are the same bits.  Raises
+    `skeleton` the store is projected and expanded here, and that projection
+    also gives the mean gradient.  A skeleton from
+    `footprint_skeleton(store, frame.camera)` replaces that work: the mean
+    gradient is then zero, and the loss and the color and opacity gradients
+    are the same bits.  Raises
     InvalidParameterError for stale indices and for a skeleton built for
     another store size or image size.
 
@@ -546,20 +536,20 @@ def loss_and_gradients(
     if (frame.camera.height, frame.camera.width) != (h, w):
         raise InvalidParameterError("frame camera does not match image size")
     n = len(store)
+    proj = None  # a projection made here turns on the mean gradient
     if skeleton is None:
         proj = project_gaussian_subset(store, np.arange(n), frame.camera)
-        skeleton = _skeleton(proj, h, w, geometry=True)
+        skeleton = _skeleton(proj, h, w)
     if skeleton["size"] != (n, h, w):
         raise InvalidParameterError(
             f"footprint skeleton of {skeleton['size']} (Gaussians, height, width) "
             f"does not fit a store of {n} at {h}x{w}"
         )
 
-    geometry = "proj" in skeleton
     terms = np.empty((3, h * w))  # per-pixel loss terms: rgb, depth, ins
-    # per-Gaussian sums: color (3), opacity and, with geometry, the six
-    # terms of the mean chain (see _geometry_sums)
-    sums = np.zeros((10 if geometry else 4, n))
+    # per-Gaussian sums: color (3), opacity and, with the mean gradient, the
+    # six terms of the mean chain (see _geometry_sums)
+    sums = np.zeros((4 if proj is None else 10, n))
     table = _value_table(store, skeleton, (store.kinds == KIND_OPAQUE)
                          & (store.object_ids == object_id))
 
@@ -601,8 +591,8 @@ def loss_and_gradients(
             np.add.at(sums[ch], row, g_e[ch] * weight)
         free = ~blk["clamped"]
         np.add.at(sums[3], row, np.where(free, dL_dalpha * skeleton["raw"][e], 0.0))
-        if geometry:
-            _geometry_sums(sums[4:], skeleton, e, store.opacities, dL_dalpha, free,
+        if proj is not None:
+            _geometry_sums(sums[4:], proj, row, pix, w, store.opacities, dL_dalpha, free,
                            g_e[DRAW] * weight)
         return carry
 
@@ -626,24 +616,27 @@ def loss_and_gradients(
     sel = trainable_idx
     grads = GaussianGradients(means=np.zeros((len(sel), 3)), colors=sums[:3, sel].T.copy(),
                               opacities=sums[3, sel])
-    if geometry:
-        grads.means = _geometry_chain(frame.camera, skeleton["proj"], sums[4:])[sel]
+    if proj is not None:
+        grads.means = _geometry_chain(frame.camera, proj, sums[4:])[sel]
     loss = loss_rgb + loss_depth + lam * loss_ins
     return loss, grads, {"rgb": loss_rgb, "depth": loss_depth, "ins": loss_ins}
 
 
-def _geometry_sums(sums: np.ndarray, skel: dict, e: slice, opacities: np.ndarray,
-                   dL_dalpha: np.ndarray, free: np.ndarray, gD_weight: np.ndarray) -> None:
-    """Add the mean-gradient terms of the skeleton's entries `e` (built with
-    the geometry terms) into the per-Gaussian rows of `sums`: d/d mean2d (u,
-    v), the direct depth term `gD_weight` (depth-sum upstream times weight)
-    and the 2D covariance upstream (00, 01, 11), chaining each entry's alpha
-    upstream `dL_dalpha` (not where its alpha is clamped, `~free`) through
-    the footprint quadratic form."""
-    row = skel["row"][e]
-    inv = skel["proj"]["inv_cov"]
-    du, dv = skel["du"][e], skel["dv"][e]
-    dL_dq_e = np.where(free, dL_dalpha * opacities[row] * skel["draw_dq"][e], 0.0)
+def _geometry_sums(sums: np.ndarray, proj: dict, row: np.ndarray, pix: np.ndarray, w: int,
+                   opacities: np.ndarray, dL_dalpha: np.ndarray, free: np.ndarray,
+                   gD_weight: np.ndarray) -> None:
+    """Add the mean-gradient terms of one block's entries (Gaussians `row`
+    at pixels `pix`, image width `w`) into the per-Gaussian rows of `sums`:
+    d/d mean2d (u, v), the direct depth term `gD_weight` (depth-sum upstream
+    times weight) and the 2D covariance upstream (00, 01, 11), chaining each
+    entry's alpha upstream `dL_dalpha` (not where its alpha is clamped,
+    `~free`) through the footprint quadratic form, rebuilt from the pixel
+    with the expansion's bits."""
+    du, dv, q = _quad_form(proj, row, pix, w)
+    s_win, ds_win = _support_window(q)
+    draw_dq = np.exp(-0.5 * q) * (-0.5 * s_win + ds_win)
+    dL_dq_e = np.where(free, dL_dalpha * opacities[row] * draw_dq, 0.0)
+    inv = proj["inv_cov"]
     ia = inv[row, 0, 0]
     ib = inv[row, 0, 1]
     ic = inv[row, 1, 1]
@@ -719,7 +712,7 @@ def optimize_object(
     `skeletons[i]` for `frames[i]` when given (built from a store with this
     store's geometry), else built here; a frame where nothing rasterizes
     gets a skeleton with no entries.  With a non-zero `lr_mean` the means
-    move, so each evaluation builds its own skeleton with the geometry terms
+    move, so each evaluation projects the store and builds its own skeleton,
     and passing skeletons raises InvalidParameterError.
     """
     config = config or TrainConfig()
@@ -730,7 +723,7 @@ def optimize_object(
     if not frames:
         return []
 
-    if config.lr_mean != 0.0:  # each evaluation builds a skeleton with geometry terms
+    if config.lr_mean != 0.0:  # each evaluation projects and builds its own skeleton
         if skeletons is not None:
             raise InvalidParameterError("footprint skeletons need lr_mean == 0")
         skeletons = [None] * len(frames)

@@ -264,11 +264,10 @@ def _fast_terms(x: np.ndarray, prep: list[tuple]) -> tuple[float, int]:
     return loss, skipped
 
 
-def reference_flat_entries(proj: dict, opacities: np.ndarray, h: int, w: int,
-                           geometry: bool = True):
+def reference_flat_entries(proj: dict, opacities: np.ndarray, h: int, w: int):
     """`renderer._skeleton` followed by `renderer._composite`, as plain
-    expressions; always returns du, dv and draw_dq, whatever `geometry`
-    says, and None when nothing rasterizes."""
+    expressions, with the per-entry terms of the mean gradient (du, dv and
+    draw_dq, d raw / d q); None when nothing rasterizes."""
     valid = proj["valid"]
     rows = np.flatnonzero(valid)
     if len(rows) == 0:

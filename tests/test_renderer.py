@@ -333,13 +333,13 @@ class TestLeanExpansion:
         seen = []
 
         def recording(*args, **kwargs):
-            seen.append("proj" in kwargs["skeleton"])
+            seen.append(kwargs["skeleton"] is not None)
             return loss_and_gradients(*args, **kwargs)
 
         monkeypatch.setattr(renderer, "loss_and_gradients", recording)
         frozen = store.copy()
         frozen_trace = optimize_object(frozen, 1, [frame], idx, config)
-        assert seen and not any(seen)
+        assert seen and all(seen)
 
         monkeypatch.setattr(renderer, "loss_and_gradients",
                             lambda *a, **kw: loss_and_gradients(*a, **dict(kw, skeleton=None)))
@@ -362,7 +362,8 @@ def memory_scene():
 class TestBlockedExpansion:
     """`_skeleton` expands footprints in blocks of whole Gaussians; every
     skeleton array is byte for byte what the unblocked plain expressions of
-    `reference_flat_entries` give, with and without the geometry terms."""
+    `reference_flat_entries` give, and so are the per-entry terms the mean
+    gradient rebuilds from the skeleton's entries."""
 
     KEYS = ("row", "pix", "raw", "seg_starts", "seg_ends")
 
@@ -372,31 +373,28 @@ class TestBlockedExpansion:
         expand = renderer._expand
         blocks = []
 
-        def recording(proj, rows, x0, y0, widths, counts, w, geometry):
+        def recording(proj, rows, x0, y0, widths, counts, w):
             blocks.append(int(counts.sum()))
-            return expand(proj, rows, x0, y0, widths, counts, w, geometry)
+            return expand(proj, rows, x0, y0, widths, counts, w)
 
         monkeypatch.setattr(renderer, "_expand", recording)
         return blocks
 
     def _check(self, store, cam):
-        """Both skeletons match the reference; returns the entry count."""
+        """The skeleton matches the reference; returns the entry count."""
         proj = renderer.project_gaussian_subset(store, np.arange(len(store)), cam)
         ref = reference_flat_entries(proj, store.opacities, cam.height, cam.width)
-        for geometry in (False, True):
-            skel = renderer._skeleton(proj, cam.height, cam.width, geometry)
-            keys = self.KEYS + (("du", "dv", "draw_dq") if geometry else ())
-            assert set(skel) == (set(keys) | {"depth", "size"}
-                                 | ({"proj"} if geometry else set()))
-            assert skel["depth"].tobytes() == proj["z"].tobytes()
-            for key in keys:
-                if ref is None:
-                    assert len(skel[key]) == 0, key
-                else:
-                    assert skel[key].dtype == ref[key].dtype, key
-                    assert skel[key].tobytes() == ref[key].tobytes(), key
-            if ref is not None:  # an entry's depth is its Gaussian's
-                assert skel["depth"][skel["row"]].tobytes() == ref["z"].tobytes()
+        skel = renderer._skeleton(proj, cam.height, cam.width)
+        assert set(skel) == set(self.KEYS) | {"depth", "size"}
+        assert skel["depth"].tobytes() == proj["z"].tobytes()
+        for key in self.KEYS:
+            if ref is None:
+                assert len(skel[key]) == 0, key
+            else:
+                assert skel[key].dtype == ref[key].dtype, key
+                assert skel[key].tobytes() == ref[key].tobytes(), key
+        if ref is not None:  # an entry's depth is its Gaussian's
+            assert skel["depth"][skel["row"]].tobytes() == ref["z"].tobytes()
         return 0 if ref is None else len(ref["row"])
 
     @pytest.mark.parametrize("block", [None, 1, 700])
@@ -406,10 +404,8 @@ class TestBlockedExpansion:
             monkeypatch.setattr(renderer, "BLOCK", block)
         blocks = self._blocks(monkeypatch)
         assert self._check(store, cam) == 68100
-        per_build = blocks[:len(blocks) // 2]
-        assert blocks == per_build * 2
-        assert len(per_build) >= 3 and sum(per_build) > 2 * renderer.BLOCK
-        assert max(per_build) <= renderer.BLOCK or block == 1
+        assert len(blocks) >= 3 and sum(blocks) > 2 * renderer.BLOCK
+        assert max(blocks) <= renderer.BLOCK or block == 1
 
     def test_footprint_larger_than_a_block(self, monkeypatch):
         """A Gaussian at MAX_RADIUS has a 193x193 box; with a budget below
@@ -428,7 +424,7 @@ class TestBlockedExpansion:
         monkeypatch.setattr(renderer, "BLOCK", 1 << 15)
         blocks = self._blocks(monkeypatch)
         assert self._check(store, cam) == kept
-        assert blocks == [blocks[0], 193 * 193, blocks[2]] * 2
+        assert blocks == [blocks[0], 193 * 193, blocks[2]]
         assert max(blocks[0], blocks[2]) <= renderer.BLOCK < 193 * 193
 
     def test_empty_store_and_nothing_rasterizes(self):
@@ -442,6 +438,45 @@ class TestBlockedExpansion:
         proj = renderer.project_gaussian_subset(store, np.arange(len(store)), beside)
         assert proj["valid"].all()
         assert self._check(store, beside) == 0
+
+    @pytest.mark.parametrize("seed", [0, 1, None], ids=["seed0", "seed1", "empty"])
+    def test_rebuilt_mean_gradient_terms(self, seed):
+        """The mean gradient rebuilds each entry's offset (du, dv), q and
+        d raw / d q from the skeleton's (row, pix): `_quad_form` gives the
+        reference du and dv byte for byte, and `_geometry_sums` adds the
+        terms the reference du, dv and draw_dq give, in entry order."""
+        cam = camera_64()
+        rng = np.random.default_rng(seed or 0)
+        store = GaussianStore() if seed is None else array_scene(rng, 80)
+        proj = renderer.project_gaussian_subset(store, np.arange(len(store)), cam)
+        skel = renderer._skeleton(proj, cam.height, cam.width)
+        row, pix = skel["row"], skel["pix"]
+        ref = reference_flat_entries(proj, store.opacities, cam.height, cam.width)
+        if ref is None:
+            assert seed is None and len(row) == 0
+            ref = {key: np.empty(0) for key in ("du", "dv", "draw_dq")}
+        du, dv, q = renderer._quad_form(proj, row, pix, cam.width)
+        assert du.tobytes() == ref["du"].tobytes() and dv.tobytes() == ref["dv"].tobytes()
+        s_win = renderer._support_window(q)[0]
+        assert (np.exp(-0.5 * q) * s_win).tobytes() == skel["raw"].tobytes()
+
+        m = len(row)
+        dL_dalpha, gD_weight = rng.normal(size=(2, m))
+        free = rng.uniform(size=m) > 0.2
+        got = np.zeros((6, len(store)))
+        renderer._geometry_sums(got, proj, row, pix, cam.width, store.opacities, dL_dalpha,
+                                free, gD_weight)
+        dL_dq = np.where(free, dL_dalpha * store.opacities[row] * ref["draw_dq"], 0.0)
+        ia, ib, ic = (proj["inv_cov"][row, i, j] for i, j in ((0, 0), (0, 1), (1, 1)))
+        Ad0 = ia * ref["du"] + ib * ref["dv"]
+        Ad1 = ib * ref["du"] + ic * ref["dv"]
+        want = np.zeros((6, len(store)))
+        for k, term in enumerate((dL_dq * (-2.0) * Ad0, dL_dq * (-2.0) * Ad1, gD_weight,
+                                  dL_dq * (-(Ad0 * Ad0)), dL_dq * (-(Ad0 * Ad1)),
+                                  dL_dq * (-(Ad1 * Ad1)))):
+            np.add.at(want[k], row, term)
+        assert got.tobytes() == want.tobytes()
+        assert seed is None or np.count_nonzero(got[3]) > 40
 
 
 def away_frame(cam):
@@ -462,28 +497,20 @@ class TestSkeleton:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_evaluation_matches_uncached(self, seed):
         """A prebuilt skeleton gives the loss, parts and color and opacity
-        gradients of the uncached evaluation, and one built with the
-        geometry terms gives its mean gradient too."""
+        gradients of the uncached evaluation, and a zero mean gradient."""
         cam = camera_64()
         store = array_scene(np.random.default_rng(seed), 80)
         frame = gradcheck_frame(store, cam, 1)
         skel = renderer.footprint_skeleton(store, cam)
         assert any(blk["clamped"].any() for blk in renderer._composite(skel, store.opacities))
-        proj = renderer.project_gaussian_subset(store, np.arange(len(store)), cam)
-        full = renderer._skeleton(proj, cam.height, cam.width, geometry=True)
         idx = store.object_indices(1)
         for object_id in (1, 2):
             ref = loss_and_gradients(store, idx, frame, object_id=object_id)
             got = loss_and_gradients(store, idx, frame, object_id=object_id, skeleton=skel)
-            got_full = loss_and_gradients(store, idx, frame, object_id=object_id,
-                                          skeleton=full)
-            assert got[0] == ref[0] == got_full[0] and got[2] == ref[2] == got_full[2]
+            assert got[0] == ref[0] and got[2] == ref[2]
             for name in ("colors", "opacities"):
                 assert getattr(got[1], name).tobytes() == getattr(ref[1], name).tobytes(), name
             assert got[1].means.shape == ref[1].means.shape and not got[1].means.any()
-            for name in TRAINABLE:
-                assert (getattr(got_full[1], name).tobytes()
-                        == getattr(ref[1], name).tobytes()), name
 
     @staticmethod
     def _assert_empty(skel, size):
@@ -561,7 +588,6 @@ class TestSkeleton:
         plain = store.copy()
         plain_trace = optimize_object(plain, 1, frames, idx, config)
         assert len(seen[0]["row"]) and not len(seen[1]["row"])
-        assert not any("proj" in skel for skel in seen)
         assert passed_trace == built_trace == plain_trace
         assert any(plain_trace[i + 1] == plain_trace[i] for i in range(len(plain_trace) - 1))
         for name in STORE_ARRAYS:
@@ -715,19 +741,23 @@ class TestBlockedEvaluation:
 class TestMemory:
     """Peak traced heap of one render, of one frozen-geometry evaluation
     together with the build of its skeleton, of one evaluation given a
-    prebuilt skeleton and of the skeleton build alone, in units of kept
-    entries x 8 bytes, on a fixed 2,000-Gaussian scene with 68,100 kept
-    entries.  Measured 6.1 (render), 6.3 (build and evaluation), 3.2
-    (evaluation given the skeleton) and 6.1 (skeleton); the bounds leave
-    18%.  With whole-frame compositing, loss and backward (and expansion
-    blocks of 65,536 pre-cut entries) they peaked at 10.5, 12.8, 8.7 and
-    8.2; expanding every footprint at once, with a per-entry segment id and
-    an out-of-place backward, at 17.6, 17.8, 12.7 and 17.6."""
+    prebuilt skeleton, of the skeleton build alone and of one evaluation
+    with the mean gradient (no skeleton given), in units of kept entries x
+    8 bytes, on a fixed 2,000-Gaussian scene with 68,100 kept entries.
+    Measured 6.1 (render), 6.3 (build and evaluation), 3.2 (evaluation
+    given the skeleton), 6.1 (skeleton) and 9.3 (mean gradient); the bounds
+    leave 18%.  A mean-gradient evaluation whose skeleton kept each entry's
+    du, dv and d raw / d q peaked at 11.5.  With whole-frame compositing,
+    loss and backward (and expansion blocks of 65,536 pre-cut entries) the
+    first four peaked at 10.5, 12.8, 8.7 and 8.2; expanding every footprint
+    at once, with a per-entry segment id and an out-of-place backward, at
+    17.6, 17.8, 12.7 and 17.6."""
 
     RENDER_BOUND = 7.2
     EVAL_BOUND = 7.5
     SKELETON_EVAL_BOUND = 3.8
     SKELETON_BOUND = 7.2
+    MEAN_EVAL_BOUND = 10.9
 
     @staticmethod
     def _peak(fn) -> int:
@@ -752,10 +782,12 @@ class TestMemory:
         skel_eval_peak = self._peak(
             lambda: loss_and_gradients(store, idx, frame, object_id=1, skeleton=skel))
         skel_peak = self._peak(lambda: renderer.footprint_skeleton(store, cam))
+        mean_eval_peak = self._peak(lambda: loss_and_gradients(store, idx, frame, object_id=1))
         assert render_peak <= self.RENDER_BOUND * unit, render_peak / unit
         assert eval_peak <= self.EVAL_BOUND * unit, eval_peak / unit
         assert skel_eval_peak <= self.SKELETON_EVAL_BOUND * unit, skel_eval_peak / unit
         assert skel_peak <= self.SKELETON_BOUND * unit, skel_peak / unit
+        assert mean_eval_peak <= self.MEAN_EVAL_BOUND * unit, mean_eval_peak / unit
 
     def test_evaluation_peak_does_not_grow_with_entries(self):
         """Given its skeleton, an evaluation holds blocks, per-pixel and
