@@ -18,10 +18,10 @@ import logging
 import math
 import operator
 import os
+import threading
 import time
 import zipfile
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -237,13 +237,48 @@ class PipelineResult:
 
 
 def _ordered_map(fn, items: list, workers: int) -> list:
-    """[fn(x) for x in items], on a thread pool when workers > 1 and there
-    is more than one item; results come back in item order either way.
+    """[fn(x) for x in items], run by the calling thread plus
+    min(workers, len(items)) - 1 helper threads; results come back in item
+    order either way.
+
+    Each thread takes the lowest item index nobody has taken yet, and none
+    takes another once an item has failed.  After every helper has joined,
+    the exception of the lowest failing index is raised: every lower item
+    was taken before it and has run, so it is the one the serial loop raises.
     """
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
+    helpers = min(workers, len(items)) - 1
+    if helpers < 1:
+        return [fn(x) for x in items]
+    results: list = [None] * len(items)
+    errors: dict[int, BaseException] = {}
+    lock = threading.Lock()
+    taken = 0
+
+    def work():
+        nonlocal taken
+        while True:
+            with lock:
+                i = taken
+                if i == len(items) or errors:
+                    return
+                taken += 1
+            try:
+                results[i] = fn(items[i])
+            except BaseException as e:  # re-raised below, once all helpers are done
+                with lock:
+                    errors[i] = e
+
+    threads = [threading.Thread(target=work) for _ in range(helpers)]
+    for t in threads:
+        t.start()
+    try:
+        work()
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _optimize_dirty_tracks(obj_map: ObjectMap, dirty: list[int],
@@ -320,6 +355,8 @@ def run_pipeline(dataset_dir: str, config: PipelineConfig | None = None):
                 mapping_seconds=t_map,
             )
         )
+        # released before the next frame is decoded, so two frames are never alive at once
+        del frame, result
 
     if config.quadric_final_iters > 0:
         _optimize_dirty_tracks(

@@ -668,48 +668,49 @@ def load(dataset_dir: str):
     intr_path = os.path.join(dataset_dir, "intrinsics.json")
     poses_path = os.path.join(dataset_dir, "poses.txt")
 
-    def frames():
-        for idx in sorted(cameras):
-            rgb_path = os.path.join(dataset_dir, "rgb", f"{idx:06d}.png")
-            depth_path = os.path.join(dataset_dir, "depth", f"{idx:06d}.png")
-            inst_path = os.path.join(dataset_dir, "instance", f"{idx:06d}.png")
-            det_path = os.path.join(dataset_dir, "detections", f"{idx:06d}.json")
-            for p in (rgb_path, depth_path, inst_path, det_path):
-                if not os.path.isfile(p):
-                    raise DatasetError(f"missing frame file: {p} (frame {idx} of {poses_path})")
-            # scaled in place: a second full-frame copy would set the
-            # mapping run's memory peak
-            rgb = read_png(rgb_path).astype(np.float64)
-            rgb /= 255.0
-            depth = read_png(depth_path).astype(np.float64)
-            depth /= depth_scale
-            instance = read_png(inst_path).astype(np.int32)
-            try:
-                with open(det_path) as f:
-                    raw = json.load(f)
-                dets = [
-                    Detection2D(
-                        bbox=BBox2D(*[float(v) for v in d["bbox"]]),
-                        class_id=int(d["class_id"]),
-                        score=float(d["score"]),
-                    )
-                    for d in raw
-                ]
-            except (KeyError, ValueError, TypeError, OverflowError) as e:  # JSON errors included
-                raise DatasetError(f"malformed detections file {det_path}: {e}") from e
-            try:
-                frame = FrameBundle(
-                    rgb=rgb, depth=depth, instance=instance,
-                    camera=cameras[idx], detections=dets, index=idx,
+    # a frame's decoded images are locals of one call, released when it
+    # returns: the generator holds no frame while the caller maps the one it
+    # yielded or asks for the next
+    def read_frame(idx: int) -> FrameBundle:
+        rgb_path = os.path.join(dataset_dir, "rgb", f"{idx:06d}.png")
+        depth_path = os.path.join(dataset_dir, "depth", f"{idx:06d}.png")
+        inst_path = os.path.join(dataset_dir, "instance", f"{idx:06d}.png")
+        det_path = os.path.join(dataset_dir, "detections", f"{idx:06d}.json")
+        for p in (rgb_path, depth_path, inst_path, det_path):
+            if not os.path.isfile(p):
+                raise DatasetError(f"missing frame file: {p} (frame {idx} of {poses_path})")
+        # scaled in place: a second full-frame copy would set the
+        # mapping run's memory peak
+        rgb = read_png(rgb_path).astype(np.float64)
+        rgb /= 255.0
+        depth = read_png(depth_path).astype(np.float64)
+        depth /= depth_scale
+        instance = read_png(inst_path).astype(np.int32)
+        try:
+            with open(det_path) as f:
+                raw = json.load(f)
+            dets = [
+                Detection2D(
+                    bbox=BBox2D(*[float(v) for v in d["bbox"]]),
+                    class_id=int(d["class_id"]),
+                    score=float(d["score"]),
                 )
-            except ValueError as e:
-                raise DatasetError(
-                    f"image sizes of frame {idx} disagree ({e}): {rgb_path}, {depth_path}, "
-                    f"{inst_path}, camera size from {intr_path}"
-                ) from e
-            yield frame
+                for d in raw
+            ]
+        except (KeyError, ValueError, TypeError, OverflowError) as e:  # JSON errors included
+            raise DatasetError(f"malformed detections file {det_path}: {e}") from e
+        try:
+            return FrameBundle(
+                rgb=rgb, depth=depth, instance=instance,
+                camera=cameras[idx], detections=dets, index=idx,
+            )
+        except ValueError as e:
+            raise DatasetError(
+                f"image sizes of frame {idx} disagree ({e}): {rgb_path}, {depth_path}, "
+                f"{inst_path}, camera size from {intr_path}"
+            ) from e
 
-    return frames()
+    return (read_frame(idx) for idx in sorted(cameras))
 
 
 def load_gt(dataset_dir: str) -> dict:
