@@ -3,7 +3,7 @@
 Equivalent CLI session:
     objmap simulate --preset sphere --out demo_output/ds
     objmap run --dataset demo_output/ds --out-state demo_output/state \
-        --tau 0.25 --qd-accept 0.2 --stride 1 --lr-mean 0.0
+        --tau 0.25 --qd-accept 0.2 --stride 1
     objmap eval-pose  --state demo_output/state --dataset demo_output/ds
     objmap eval-recon --state demo_output/state --dataset demo_output/ds
     objmap export     --state demo_output/state --out demo_output/objects
@@ -33,7 +33,7 @@ print(f"dataset at {ds}")
 
 config = PipelineConfig(
     tau=0.25, qd_accept=0.2, stride=1, gaussian_iters=10,
-    lr_mean=0.0, lr_opacity=0.04, quadric_every=10,
+    lr_opacity=0.04, quadric_every=10,
 )
 result = run_pipeline(ds, config)
 save_state(result, os.path.join("demo_output", "pipeline_state"))

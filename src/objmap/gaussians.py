@@ -37,9 +37,9 @@ SCALE_MAX = 1.0
 SPAWN_SCALE = 0.5  # a new Gaussian's scale = depth / fx * stride * SPAWN_SCALE
 
 # the per-Gaussian arrays of a GaussianStore, and the ones training updates
-# (scales and quats keep their spawn values)
+# (means, scales and quats keep their spawn values)
 STORE_ARRAYS = ("means", "scales", "quats", "opacities", "colors", "object_ids", "kinds")
-TRAINABLE = ("means", "colors", "opacities")
+TRAINABLE = ("colors", "opacities")
 
 
 class GaussianStore:

@@ -66,6 +66,7 @@ _RANGES = {
     ),
     "tau": ("above 0", lambda v: v > 0),
     **dict.fromkeys(("stride", "workers"), ("at least 1", lambda v: v >= 1)),
+    "lr_mean": ("0 (Gaussian means are fixed at spawn)", lambda v: v == 0),
 }
 
 
@@ -93,7 +94,7 @@ class PipelineConfig:
     max_new_per_frame: int = 0
     gaussian_iters: int = 30
     lam: float = 0.5
-    lr_mean: float = 0.004
+    lr_mean: float = 0.0  # only 0 is accepted (see _RANGES)
     lr_color: float = 0.04
     lr_opacity: float = 0.02
     train_all: bool = False
@@ -133,7 +134,6 @@ class PipelineConfig:
         return TrainConfig(
             iters=self.gaussian_iters if iters is None else iters,
             lam=self.lam,
-            lr_mean=self.lr_mean,
             lr_color=self.lr_color,
             lr_opacity=self.lr_opacity,
         )
@@ -395,12 +395,10 @@ def _map_frame(store: GaussianStore, frame: FrameBundle, config: PipelineConfig,
     # every object trains on its own copy of the frame-start store's
     # trainable arrays and reads the others from that store, which nothing
     # writes to until all jobs have returned; results are committed in
-    # ascending id order so any worker count gives identical maps.  With the
-    # means fixed, the jobs share one footprint skeleton of that store.
+    # ascending id order so any worker count gives identical maps.  The
+    # geometry is fixed, so the jobs share one footprint skeleton of that store.
     train_cfg = config.training()
-    skeletons = None
-    if selections and train_cfg.lr_mean == 0.0:
-        skeletons = [footprint_skeleton(store, frame.camera)]
+    skeletons = [footprint_skeleton(store, frame.camera)] if selections else None
 
     def run(k):
         local = store.trainable_copy()

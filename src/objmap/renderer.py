@@ -16,10 +16,9 @@ array the size of the uncut expansion is ever built.  `_composite` forms
 alpha from the opacities and then the transmittance and blending weights,
 the sort-then-composite of 3D Gaussian Splatting (Kerbl et al., SIGGRAPH
 2023).  Every render and every training evaluation composites over a
-skeleton; one where nothing rasterizes has zero entries.  A skeleton stays
-valid only while the means, scales and rotations it was built from are
-unchanged, so training with a zero mean learning rate builds one per frame
-(`footprint_skeleton`) and composites over it at every step.
+skeleton; one where nothing rasterizes has zero entries.  A Gaussian's
+mean, scale and rotation are fixed at spawn, so training builds one skeleton
+per frame (`footprint_skeleton`) and composites over it at every step.
 
 The composite, the image sums, the loss and the backward run block by
 block: a block holds whole pixel segments of at most BLOCK entries (a
@@ -35,19 +34,14 @@ which adds in entry order as one bincount does.
 
 The per-Gaussian opacity kernel is windowed to 3 sigma with a C1 fade:
     alpha = opacity * exp(-q/2) * s(q),  q = d^T Sigma2D^-1 d
-where s is 1 below q=8 and descends smoothstep-style to 0 at q=9.  Both the
-value and the derivative vanish at the support boundary, so finite
-difference checks of the analytic gradients stay clean at any step size.
+where s is 1 below q=8 and descends smoothstep-style to 0 at q=9, so both
+the value and the derivative vanish at the support boundary.
 
-Backward pass: analytic gradients of the training loss for color, opacity
-and mean (including the Jacobian dependence of the 2D covariance),
-accumulated race-free via fixed-order segmented suffix sums.  A Gaussian's
-scale and rotation are fixed at spawn and get no gradient.  The mean chain
-runs when `loss_and_gradients` projects the store itself (no skeleton
-given); like the backward of 3D Gaussian Splatting and gsplat, it rebuilds
-each entry's pixel offset and falloff from the pixel and the 2D conic,
-block by block.  Skipping the chain leaves the loss and the color and
-opacity gradients bit-identical.
+Backward pass: analytic gradients of the training loss for color and
+opacity, accumulated race-free via fixed-order segmented suffix sums.  A
+Gaussian's geometry gets no gradient: unlike 3D Gaussian Splatting, which
+also trains the means, the Gaussians stay where they were spawned on the
+observed surface.
 
 Losses (per object k):  L = L_rgb + L_depth + lambda * L_ins with
 L_rgb the per-pixel color residual norm, L_depth the absolute depth residual
@@ -86,12 +80,10 @@ Z_NEAR = 0.05       # meters; nearer Gaussians are not drawn
 MOMENTUM = 0.7      # training's velocity decay per step
 
 
-def _support_window(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C1 fade s(q) and ds/dq: 1 below Q_FADE_START, 0 at Q_MAX."""
+def _support_window(q: np.ndarray) -> np.ndarray:
+    """C1 fade s(q): 1 below Q_FADE_START, 0 at Q_MAX."""
     u = np.clip((q - Q_FADE_START) / (Q_MAX - Q_FADE_START), 0.0, 1.0)
-    s = 1.0 - u * u * (3.0 - 2.0 * u)
-    ds = -6.0 * u * (1.0 - u) / (Q_MAX - Q_FADE_START)
-    return s, ds
+    return 1.0 - u * u * (3.0 - 2.0 * u)
 
 
 def _block_bounds(unit_ends: np.ndarray):
@@ -139,7 +131,9 @@ def project_gaussian_subset(
     idx: np.ndarray,
     camera: CameraModel,
 ) -> dict:
-    """Project a subset of Gaussians; returns the quantities both passes need."""
+    """Project a subset of Gaussians: camera depth `z`, pixel mean
+    `means2d`, inverse 2D covariance `inv_cov`, footprint `radii` and
+    `valid` (in front of the near plane with a regular 2D covariance)."""
     means = store.means[idx]
     R_cw, t_cw = camera.world_to_camera()
     p_cam = means @ R_cw.T + t_cw
@@ -185,15 +179,11 @@ def project_gaussian_subset(
     radii = np.minimum(3.0 * np.sqrt(np.maximum(lam_max, 0.0)) + 0.5, MAX_RADIUS)
 
     return {
-        "p_cam": p_cam,
         "z": z,
         "means2d": means2d,
         "inv_cov": inv,
         "radii": radii,
         "valid": valid,
-        "B": B,
-        "J": J,
-        "R_cw": R_cw,
     }
 
 
@@ -205,9 +195,8 @@ def _skeleton(proj: dict, h: int, w: int) -> dict:
     pixel segments `seg_starts`, `seg_ends`, all empty when nothing
     rasterizes; `depth` is the camera depth of every Gaussian projected (an
     entry's depth is its Gaussian's) and `size` is (Gaussians projected, h,
-    w).  The mean gradient needs no more: it rebuilds each entry's offset
-    and quadratic form from `row`, `pix` and the projection.  The arrays are
-    read-only, so one skeleton can serve concurrent composites.
+    w).  The arrays are read-only, so one skeleton can serve concurrent
+    composites.
 
     Footprints are expanded in blocks of whole Gaussians of at most BLOCK
     entries before the support cut (a Gaussian whose box alone is larger
@@ -270,35 +259,6 @@ def _skeleton(proj: dict, h: int, w: int) -> dict:
     return skel
 
 
-def _quad_form(proj: dict, row: np.ndarray, pix: np.ndarray, w: int):
-    """(du, dv, q) of Gaussians `row` at pixels `pix` of a `w`-wide image:
-    the pixel centre's offset from the projected mean and
-    q = d^T Sigma2D^-1 d.  Pixel coordinates are integers, so divmod gives
-    them exactly, and the in-place steps keep the operation order of
-    `q = ia*du*du + 2*ib*du*dv + ic*dv*dv`, so the bits are those of the
-    plain expressions wherever the entries are rebuilt."""
-    means2d = proj["means2d"]
-    du = pix % w + 0.5
-    du -= means2d[row, 0]
-    dv = pix // w + 0.5
-    dv -= means2d[row, 1]
-    inv = proj["inv_cov"]
-    q = inv[row, 0, 0]
-    q *= du
-    q *= du
-    t = inv[row, 0, 1]
-    t *= 2.0
-    t *= du
-    t *= dv
-    q += t
-    del t
-    t = inv[row, 1, 1]
-    t *= dv
-    t *= dv
-    q += t
-    return du, dv, q
-
-
 def _expand(proj: dict, rows, x0, y0, widths, counts, w: int) -> list:
     """The entries of one block of footprints that fall inside the support,
     [row, pix, raw], in expansion order (Gaussian, then row-major over its
@@ -318,7 +278,31 @@ def _expand(proj: dict, rows, x0, y0, widths, counts, w: int) -> list:
     pix += px
     del px, py
 
-    q = _quad_form(proj, entry_row, pix, w)[2]
+    # q = d^T Sigma2D^-1 d, d the pixel centre's offset from the projected
+    # mean; pixel coordinates are integers, so divmod gives them exactly, and
+    # the in-place steps keep the operation order of
+    # q = ia*du*du + 2*ib*du*dv + ic*dv*dv
+    means2d = proj["means2d"]
+    du = pix % w + 0.5
+    du -= means2d[entry_row, 0]
+    dv = pix // w + 0.5
+    dv -= means2d[entry_row, 1]
+    inv = proj["inv_cov"]
+    q = inv[entry_row, 0, 0]
+    q *= du
+    q *= du
+    t = inv[entry_row, 0, 1]
+    t *= 2.0
+    t *= du
+    t *= dv
+    q += t
+    del t
+    t = inv[entry_row, 1, 1]
+    t *= dv
+    t *= dv
+    q += t
+    del t, du, dv
+
     inside = q < Q_MAX
     out = [entry_row[inside], pix[inside]]
     del entry_row, pix
@@ -326,7 +310,7 @@ def _expand(proj: dict, rows, x0, y0, widths, counts, w: int) -> list:
     del inside
 
     G = np.exp(-0.5 * q)
-    s_win = _support_window(q)[0]
+    s_win = _support_window(q)
     del q
     out.append(G * s_win)
     return out
@@ -377,9 +361,9 @@ def footprint_skeleton(store: GaussianStore, camera: CameraModel) -> dict:
     """The skeleton of every Gaussian of the store at one camera; it has
     zero entries when nothing rasterizes.
 
-    It stays valid while the store's means, scales and rotations are those
-    it was built from: pass it to `loss_and_gradients` or `optimize_object`
-    (with `lr_mean == 0`) to skip the projection, expansion and sort of each
+    Training changes only colors and opacities, so it stays valid for the
+    store it was built from: pass it to `loss_and_gradients` or
+    `optimize_object` to skip the projection, expansion and sort of each
     evaluation.
     """
     proj = project_gaussian_subset(store, np.arange(len(store)), camera)
@@ -448,7 +432,6 @@ def render(
 
 @dataclass
 class GaussianGradients:
-    means: np.ndarray
     colors: np.ndarray
     opacities: np.ndarray
 
@@ -514,14 +497,11 @@ def loss_and_gradients(
     """Training loss for one frame plus analytic gradients on the trainable set.
 
     The forward pass composites every Gaussian in the store (occluders
-    matter); gradients are reported only for `trainable_idx`.  Without a
-    `skeleton` the store is projected and expanded here, and that projection
-    also gives the mean gradient.  A skeleton from
-    `footprint_skeleton(store, frame.camera)` replaces that work: the mean
-    gradient is then zero, and the loss and the color and opacity gradients
-    are the same bits.  Raises
-    InvalidParameterError for stale indices and for a skeleton built for
-    another store size or image size.
+    matter); gradients are reported only for `trainable_idx`.  It composites
+    over `skeleton`, which defaults to `footprint_skeleton(store,
+    frame.camera)`; pass the frame's skeleton to build it once for many
+    evaluations.  Raises InvalidParameterError for stale indices and for a
+    skeleton built for another store size or image size.
 
     The composite, loss and backward run in one pass over the blocks: a
     pixel's loss depends only on its own images, so each block takes the
@@ -536,10 +516,8 @@ def loss_and_gradients(
     if (frame.camera.height, frame.camera.width) != (h, w):
         raise InvalidParameterError("frame camera does not match image size")
     n = len(store)
-    proj = None  # a projection made here turns on the mean gradient
     if skeleton is None:
-        proj = project_gaussian_subset(store, np.arange(n), frame.camera)
-        skeleton = _skeleton(proj, h, w)
+        skeleton = footprint_skeleton(store, frame.camera)
     if skeleton["size"] != (n, h, w):
         raise InvalidParameterError(
             f"footprint skeleton of {skeleton['size']} (Gaussians, height, width) "
@@ -547,9 +525,7 @@ def loss_and_gradients(
         )
 
     terms = np.empty((3, h * w))  # per-pixel loss terms: rgb, depth, ins
-    # per-Gaussian sums: color (3), opacity and, with the mean gradient, the
-    # six terms of the mean chain (see _geometry_sums)
-    sums = np.zeros((4 if proj is None else 10, n))
+    sums = np.zeros((4, n))  # per-Gaussian sums: color (3), opacity
     table = _value_table(store, skeleton, (store.kinds == KIND_OPAQUE)
                          & (store.object_ids == object_id))
 
@@ -591,9 +567,6 @@ def loss_and_gradients(
             np.add.at(sums[ch], row, g_e[ch] * weight)
         free = ~blk["clamped"]
         np.add.at(sums[3], row, np.where(free, dL_dalpha * skeleton["raw"][e], 0.0))
-        if proj is not None:
-            _geometry_sums(sums[4:], proj, row, pix, w, store.opacities, dL_dalpha, free,
-                           g_e[DRAW] * weight)
         return carry
 
     # the pixels before the first entry's are a tile of their own, taken
@@ -614,79 +587,21 @@ def loss_and_gradients(
 
     loss_rgb, loss_depth, loss_ins = (float(t.sum()) for t in terms)
     sel = trainable_idx
-    grads = GaussianGradients(means=np.zeros((len(sel), 3)), colors=sums[:3, sel].T.copy(),
-                              opacities=sums[3, sel])
-    if proj is not None:
-        grads.means = _geometry_chain(frame.camera, proj, sums[4:])[sel]
+    grads = GaussianGradients(colors=sums[:3, sel].T.copy(), opacities=sums[3, sel])
     loss = loss_rgb + loss_depth + lam * loss_ins
     return loss, grads, {"rgb": loss_rgb, "depth": loss_depth, "ins": loss_ins}
-
-
-def _geometry_sums(sums: np.ndarray, proj: dict, row: np.ndarray, pix: np.ndarray, w: int,
-                   opacities: np.ndarray, dL_dalpha: np.ndarray, free: np.ndarray,
-                   gD_weight: np.ndarray) -> None:
-    """Add the mean-gradient terms of one block's entries (Gaussians `row`
-    at pixels `pix`, image width `w`) into the per-Gaussian rows of `sums`:
-    d/d mean2d (u, v), the direct depth term `gD_weight` (depth-sum upstream
-    times weight) and the 2D covariance upstream (00, 01, 11), chaining each
-    entry's alpha upstream `dL_dalpha` (not where its alpha is clamped,
-    `~free`) through the footprint quadratic form, rebuilt from the pixel
-    with the expansion's bits."""
-    du, dv, q = _quad_form(proj, row, pix, w)
-    s_win, ds_win = _support_window(q)
-    draw_dq = np.exp(-0.5 * q) * (-0.5 * s_win + ds_win)
-    dL_dq_e = np.where(free, dL_dalpha * opacities[row] * draw_dq, 0.0)
-    inv = proj["inv_cov"]
-    ia = inv[row, 0, 0]
-    ib = inv[row, 0, 1]
-    ic = inv[row, 1, 1]
-    Ad0 = ia * du + ib * dv
-    Ad1 = ib * du + ic * dv
-    terms = (dL_dq_e * (-2.0) * Ad0, dL_dq_e * (-2.0) * Ad1, gD_weight,
-             dL_dq_e * (-(Ad0 * Ad0)), dL_dq_e * (-(Ad0 * Ad1)), dL_dq_e * (-(Ad1 * Ad1)))
-    for row_sums, term in zip(sums, terms):
-        np.add.at(row_sums, row, term)
-
-
-def _geometry_chain(camera: CameraModel, proj: dict, sums: np.ndarray) -> np.ndarray:
-    """Mean gradient of every Gaussian of the store: the sums of
-    `_geometry_sums` chained through the 2D covariance and the projection."""
-    grad_mean2d = np.stack([sums[0], sums[1]], axis=1)
-    gM = np.stack([sums[3], sums[4], sums[4], sums[5]], axis=1).reshape(-1, 2, 2)
-    fx, fy = camera.fx, camera.fy
-    p_cam = proj["p_cam"]
-    z = np.maximum(proj["z"], 1e-9)
-    J, B, R_cw = proj["J"], proj["B"], proj["R_cw"]
-
-    grad_pcam = np.einsum("nij,ni->nj", J, grad_mean2d)
-    grad_pcam[:, 2] += sums[2]  # the direct depth term
-
-    grad_J = 2.0 * np.einsum("nij,njk,nkl->nil", gM, J, B)
-    inv_z2 = 1.0 / z**2
-    grad_pcam[:, 0] += grad_J[:, 0, 2] * (-fx * inv_z2)
-    grad_pcam[:, 1] += grad_J[:, 1, 2] * (-fy * inv_z2)
-    grad_pcam[:, 2] += (
-        grad_J[:, 0, 0] * (-fx * inv_z2)
-        + grad_J[:, 1, 1] * (-fy * inv_z2)
-        + grad_J[:, 0, 2] * (2 * fx * p_cam[:, 0] / z**3)
-        + grad_J[:, 1, 2] * (2 * fy * p_cam[:, 1] / z**3)
-    )
-    return grad_pcam @ R_cw
 
 
 @dataclass
 class TrainConfig:
     """Knobs of optimize_object; a group whose learning rate is 0 stays fixed.
 
-    Training moves means, colors and opacities; a Gaussian's scale and
-    rotation keep their spawn values.  The geometry backward (the mean
-    gradient) runs only when `lr_mean` is non-zero; at 0 a step costs the
-    forward pass plus the color and opacity backward.
+    Training moves colors and opacities; a Gaussian's mean, scale and
+    rotation keep their spawn values.
     """
 
     iters: int = 30
     lam: float = 0.5
-    lr_mean: float = 0.004      # meters per (rms-normalized) step
     lr_color: float = 0.04
     lr_opacity: float = 0.02
 
@@ -707,13 +622,12 @@ def optimize_object(
     returned trace of accepted losses is non-increasing.  Each step evaluates
     once, at the trial point; a rejected step keeps the gradients it had.
 
-    With `lr_mean == 0` the Gaussians' geometry stays fixed, so every
-    evaluation composites over one `footprint_skeleton` per frame:
-    `skeletons[i]` for `frames[i]` when given (built from a store with this
-    store's geometry), else built here; a frame where nothing rasterizes
-    gets a skeleton with no entries.  With a non-zero `lr_mean` the means
-    move, so each evaluation projects the store and builds its own skeleton,
-    and passing skeletons raises InvalidParameterError.
+    The Gaussians' geometry stays fixed, so every evaluation composites over
+    one `footprint_skeleton` per frame: `skeletons[i]` for `frames[i]` when
+    given (built from a store with this store's geometry), else built here;
+    a frame where nothing rasterizes gets a skeleton with no entries.
+    Raises InvalidParameterError when the skeletons do not match the frames
+    in number.
     """
     config = config or TrainConfig()
     trainable_idx = np.asarray(trainable_idx, dtype=int)
@@ -723,11 +637,7 @@ def optimize_object(
     if not frames:
         return []
 
-    if config.lr_mean != 0.0:  # each evaluation projects and builds its own skeleton
-        if skeletons is not None:
-            raise InvalidParameterError("footprint skeletons need lr_mean == 0")
-        skeletons = [None] * len(frames)
-    elif skeletons is None:
+    if skeletons is None:
         skeletons = [footprint_skeleton(store, frame.camera) for frame in frames]
     elif len(skeletons) != len(frames):
         raise InvalidParameterError(
@@ -752,7 +662,7 @@ def optimize_object(
 
     sel = trainable_idx
     vel = {name: np.zeros((len(sel),) + getattr(store, name).shape[1:]) for name in TRAINABLE}
-    lrs = dict(zip(TRAINABLE, (config.lr_mean, config.lr_color, config.lr_opacity)))
+    lrs = {"colors": config.lr_color, "opacities": config.lr_opacity}
     scale_down = 1.0
     loss, grads = total_loss_grads()
     trace = [loss]

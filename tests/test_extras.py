@@ -198,6 +198,6 @@ class TestConfigWiring:
             0.44, 0.055, 0.066, 0.077)
 
     def test_training_wiring(self):
-        cfg = PipelineConfig(gaussian_iters=7, lam=0.9, lr_mean=0.123)
+        cfg = PipelineConfig(gaussian_iters=7, lam=0.9, lr_color=0.12, lr_opacity=0.34)
         t = cfg.training()
-        assert (t.iters, t.lam, t.lr_mean) == (7, 0.9, 0.123)
+        assert (t.iters, t.lam, t.lr_color, t.lr_opacity) == (7, 0.9, 0.12, 0.34)

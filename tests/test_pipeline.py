@@ -94,7 +94,6 @@ def fast_config(**kw):
     cfg.enable_gaussians = True
     cfg.stride = 3
     cfg.gaussian_iters = 4
-    cfg.lr_mean = 0.0
     cfg.quadric_every = 6
     cfg.quadric_final_iters = 60
     for k, v in kw.items():
@@ -137,13 +136,10 @@ class TestRunPipeline:
         for workers in (2, 3, 8):
             assert map_bytes(run_pipeline(small_dataset, fast_config(workers=workers))) == one
 
-    def test_default_lr_mean_trains_positions_only(self, small_dataset, monkeypatch):
-        """The default lr_mean is the only pipeline traffic that runs the
-        geometry backward: the map is the same for 1 and 3 workers, trained
-        means move and every Gaussian keeps the scale and rotation it was
-        spawned with."""
-        lr_mean = PipelineConfig().lr_mean
-        assert lr_mean > 0
+    def test_default_config_fixes_geometry_at_spawn(self, small_dataset, monkeypatch):
+        """Under the default config every Gaussian keeps the mean, scale and
+        rotation it was spawned with, and the map is the same for 1 and 3
+        workers."""
         spawned = GaussianStore()
         densify = pipeline.densify_from_mask
 
@@ -153,12 +149,12 @@ class TestRunPipeline:
             return batch
 
         monkeypatch.setattr(pipeline, "densify_from_mask", recording)
-        one = run_pipeline(small_dataset, fast_config(lr_mean=lr_mean, workers=1))
+        one = run_pipeline(small_dataset, PipelineConfig(workers=1))
         monkeypatch.undo()
-        for name in ("scales", "quats"):
+        assert len(spawned) > 0
+        for name in ("means", "scales", "quats"):
             assert getattr(one.store, name).tobytes() == getattr(spawned, name).tobytes(), name
-        assert not np.array_equal(one.store.means, spawned.means)
-        three = run_pipeline(small_dataset, fast_config(lr_mean=lr_mean, workers=3))
+        three = run_pipeline(small_dataset, PipelineConfig(workers=3))
         assert map_bytes(one) == map_bytes(three)
 
     def test_shared_skeleton_matches_uncached_training(self, small_dataset, monkeypatch):
@@ -284,7 +280,7 @@ class TestMappingMemory:
     def test_warm_pass_peak_bounded(self, tmp_path):
         ds = str(tmp_path / "ds")
         generate(make_scene("pose4", n_frames=4, width=96, height=72), ds)
-        config = PipelineConfig(tau=0.25, qd_accept=0.2, stride=2, lr_mean=0.0, workers=1)
+        config = PipelineConfig(tau=0.25, qd_accept=0.2, stride=2, workers=1)
         run_pipeline(ds, config)  # warm: first-call imports and caches stay out
         tracemalloc.start()
         try:
@@ -387,9 +383,9 @@ class TestOrderedMap:
 class TestObjectIds:
     @pytest.mark.parametrize("preset, scene_kw, config", [
         ("pose4", dict(n_frames=4, width=96, height=72),
-         dict(tau=0.25, qd_accept=0.2, stride=2, lr_mean=0.0)),
+         dict(tau=0.25, qd_accept=0.2, stride=2)),
         ("sphere", dict(seed=3, n_frames=6, width=64, height=48),
-         dict(tau=0.25, qd_accept=0.2, stride=2, gaussian_iters=5, lr_mean=0.0,
+         dict(tau=0.25, qd_accept=0.2, stride=2, gaussian_iters=5,
               lr_opacity=0.04, quadric_every=3)),
     ])
     def test_permuted_instance_ids_give_the_same_map(self, tmp_path, preset, scene_kw,
@@ -619,13 +615,16 @@ class TestExportAndState:
         ("merge_iou3d", 1.01), ("theta_alpha", -0.5), ("tau", 0.0), ("tau", -1.0),
         ("lr_color", -0.5), ("lr_mean", -1e-3), ("lr_opacity", -1.0), ("lam", -0.5),
         ("theta_d", -0.1), ("theta_c", -0.1), ("merge_duplicate_raw", -0.1),
+        ("lr_mean", 0.004),  # Gaussian means are fixed at spawn
     ])
     def test_config_rejects_out_of_range_values(self, name, value):
         with pytest.raises(InvalidParameterError, match=name):
             PipelineConfig.from_dict({name: value})
-        # a value set after construction is caught before the dataset is read
         config = PipelineConfig()
         setattr(config, name, value)
+        with pytest.raises(InvalidParameterError, match=name):
+            config.check()
+        # a value set after construction is caught before the dataset is read
         with pytest.raises(InvalidParameterError, match=name):
             run_pipeline("/does/not/exist", config)
 
@@ -691,6 +690,8 @@ class TestExportAndState:
          "state.json"),
         (json.dumps({"tracks": [], "next_id": 1, "config": {"theta_d": float("nan")}}), None,
          "state.json"),
+        (json.dumps({"tracks": [], "next_id": 1, "config": {"lr_mean": 0.004}}), None,
+         "state.json"),
         (json.dumps({"tracks": [TRACK, TRACK], "next_id": 8}), None, "state.json"),
         (json.dumps({"tracks": [TRACK], "next_id": 7}), None, "state.json"),
         (json.dumps({"tracks": [dict(TRACK, object_id=0)], "next_id": 8}), None,
@@ -708,7 +709,8 @@ class TestExportAndState:
             "frame-log-seconds-bool", "frame-log-seconds-negative", "frame-log-seconds-inf",
             "frame-log-seconds-huge-int",
             "object-id-not-int", "class-id-not-int", "unknown-status", "last-seen-not-int",
-            "config-value-not-int", "config-value-nan", "duplicate-track-id",
+            "config-value-not-int", "config-value-nan", "config-lr-mean-nonzero",
+            "duplicate-track-id",
             "next-id-not-above-track-id", "track-id-not-positive", "npz-id-not-a-track",
             "npz-truncated", "zero-quaternion", "huge-center"])
     def test_load_state_rejects_malformed(self, tmp_path, content, arrays, bad_file):
@@ -741,7 +743,7 @@ class TestCli:
         assert cli_main([
             "run", "--dataset", ds, "--out-state", state,
             "--tau", "0.25", "--qd-accept", "0.2", "--stride", "3",
-            "--gaussian-iters", "3", "--lr-mean", "0.0",
+            "--gaussian-iters", "3",
         ]) == 0
         assert cli_main(["eval-pose", "--state", state, "--dataset", ds,
                          "--out", str(tmp_path / "pose.json")]) == 0
@@ -794,7 +796,7 @@ class TestCli:
     @pytest.mark.parametrize("flag, value", [
         ("--theta-d", "nan"), ("--iou-gate", "nan"), ("--stride", "0"), ("--workers", "-3"),
         ("--gaussian-iters", "-2"), ("--iou-gate", "2.0"), ("--lr-color", "-0.5"),
-        ("--tau", "0"),
+        ("--tau", "0"), ("--lr-mean", "0.004"),
     ])
     def test_out_of_range_flag_exits_2(self, tmp_path, small_dataset, flag, value):
         assert cli_main(["run", "--dataset", small_dataset, "--out-state",

@@ -230,10 +230,6 @@ class TestGradients:
             check(lambda: store.opacities[i],
                   lambda val: store.opacities.__setitem__(i, val),
                   grads.opacities[i], 1e-4)
-            for ax in range(3):
-                check(lambda: store.means[i, ax],
-                      lambda val: store.means.__setitem__((i, ax), val),
-                      grads.means[i, ax], 1e-5)
 
     def test_converged_scene_zero_gradients(self):
         cam = camera_64()
@@ -249,7 +245,7 @@ class TestGradients:
                                             lam=0.0, object_id=1)
         assert loss == pytest.approx(0.0, abs=1e-9)
         assert np.abs(grads.colors).max() == pytest.approx(0.0, abs=1e-9)
-        assert np.abs(grads.means).max() == pytest.approx(0.0, abs=1e-9)
+        assert np.abs(grads.opacities).max() == pytest.approx(0.0, abs=1e-9)
 
     def test_lambda_zero_drops_instance_term(self):
         cam = camera_64()
@@ -281,9 +277,9 @@ def assert_same_evaluation(got, ref):
 
 
 class TestLeanExpansion:
-    """The in-place, blocked renderer and the skipped geometry backward give
-    the same bits as the plain expressions of the oracles and the full
-    backward."""
+    """The in-place, blocked renderer gives the same bits as the plain
+    expressions of the oracles, and an evaluation over a prebuilt footprint
+    skeleton the same bits as one that builds its own."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_render_matches_reference_expansion(self, seed):
@@ -316,20 +312,19 @@ class TestLeanExpansion:
         f_loss, f_grads, f_parts = loss_and_gradients(
             store, idx, frame, object_id=2, skeleton=renderer.footprint_skeleton(store, cam))
         assert f_loss == loss and f_parts == parts
-        for name in ("colors", "opacities"):
+        for name in TRAINABLE:
             assert getattr(f_grads, name).tobytes() == getattr(grads, name).tobytes(), name
-        assert f_grads.means.shape == grads.means.shape and not f_grads.means.any()
 
     def test_frozen_geometry_training_matches_full_backward(self, monkeypatch):
-        """Zero geometry rates skip the geometry backward; forcing it back on
-        (evaluating without a skeleton) gives the same store bytes, rejected
-        steps included."""
+        """Training over the skeletons optimize_object builds and evaluating
+        without a skeleton (each evaluation builds its own) give the same
+        store bytes, rejected steps included."""
         cam = camera_64()
         store = array_scene(np.random.default_rng(7), 80)
         frame = gradcheck_frame(store, cam, 1)
         store.colors[:] = 0.5
         idx = store.object_indices(1)
-        config = TrainConfig(iters=12, lr_mean=0.0, lr_color=0.3, lr_opacity=0.2)
+        config = TrainConfig(iters=12, lr_color=0.3, lr_opacity=0.2)
         seen = []
 
         def recording(*args, **kwargs):
@@ -362,8 +357,7 @@ def memory_scene():
 class TestBlockedExpansion:
     """`_skeleton` expands footprints in blocks of whole Gaussians; every
     skeleton array is byte for byte what the unblocked plain expressions of
-    `reference_flat_entries` give, and so are the per-entry terms the mean
-    gradient rebuilds from the skeleton's entries."""
+    `reference_flat_entries` give."""
 
     KEYS = ("row", "pix", "raw", "seg_starts", "seg_ends")
 
@@ -439,45 +433,6 @@ class TestBlockedExpansion:
         assert proj["valid"].all()
         assert self._check(store, beside) == 0
 
-    @pytest.mark.parametrize("seed", [0, 1, None], ids=["seed0", "seed1", "empty"])
-    def test_rebuilt_mean_gradient_terms(self, seed):
-        """The mean gradient rebuilds each entry's offset (du, dv), q and
-        d raw / d q from the skeleton's (row, pix): `_quad_form` gives the
-        reference du and dv byte for byte, and `_geometry_sums` adds the
-        terms the reference du, dv and draw_dq give, in entry order."""
-        cam = camera_64()
-        rng = np.random.default_rng(seed or 0)
-        store = GaussianStore() if seed is None else array_scene(rng, 80)
-        proj = renderer.project_gaussian_subset(store, np.arange(len(store)), cam)
-        skel = renderer._skeleton(proj, cam.height, cam.width)
-        row, pix = skel["row"], skel["pix"]
-        ref = reference_flat_entries(proj, store.opacities, cam.height, cam.width)
-        if ref is None:
-            assert seed is None and len(row) == 0
-            ref = {key: np.empty(0) for key in ("du", "dv", "draw_dq")}
-        du, dv, q = renderer._quad_form(proj, row, pix, cam.width)
-        assert du.tobytes() == ref["du"].tobytes() and dv.tobytes() == ref["dv"].tobytes()
-        s_win = renderer._support_window(q)[0]
-        assert (np.exp(-0.5 * q) * s_win).tobytes() == skel["raw"].tobytes()
-
-        m = len(row)
-        dL_dalpha, gD_weight = rng.normal(size=(2, m))
-        free = rng.uniform(size=m) > 0.2
-        got = np.zeros((6, len(store)))
-        renderer._geometry_sums(got, proj, row, pix, cam.width, store.opacities, dL_dalpha,
-                                free, gD_weight)
-        dL_dq = np.where(free, dL_dalpha * store.opacities[row] * ref["draw_dq"], 0.0)
-        ia, ib, ic = (proj["inv_cov"][row, i, j] for i, j in ((0, 0), (0, 1), (1, 1)))
-        Ad0 = ia * ref["du"] + ib * ref["dv"]
-        Ad1 = ib * ref["du"] + ic * ref["dv"]
-        want = np.zeros((6, len(store)))
-        for k, term in enumerate((dL_dq * (-2.0) * Ad0, dL_dq * (-2.0) * Ad1, gD_weight,
-                                  dL_dq * (-(Ad0 * Ad0)), dL_dq * (-(Ad0 * Ad1)),
-                                  dL_dq * (-(Ad1 * Ad1)))):
-            np.add.at(want[k], row, term)
-        assert got.tobytes() == want.tobytes()
-        assert seed is None or np.count_nonzero(got[3]) > 40
-
 
 def away_frame(cam):
     """A frame seen from 5 m further along +z, so every Gaussian of
@@ -497,7 +452,7 @@ class TestSkeleton:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_evaluation_matches_uncached(self, seed):
         """A prebuilt skeleton gives the loss, parts and color and opacity
-        gradients of the uncached evaluation, and a zero mean gradient."""
+        gradients of the uncached evaluation."""
         cam = camera_64()
         store = array_scene(np.random.default_rng(seed), 80)
         frame = gradcheck_frame(store, cam, 1)
@@ -508,9 +463,8 @@ class TestSkeleton:
             ref = loss_and_gradients(store, idx, frame, object_id=object_id)
             got = loss_and_gradients(store, idx, frame, object_id=object_id, skeleton=skel)
             assert got[0] == ref[0] and got[2] == ref[2]
-            for name in ("colors", "opacities"):
+            for name in TRAINABLE:
                 assert getattr(got[1], name).tobytes() == getattr(ref[1], name).tobytes(), name
-            assert got[1].means.shape == ref[1].means.shape and not got[1].means.any()
 
     @staticmethod
     def _assert_empty(skel, size):
@@ -526,7 +480,7 @@ class TestSkeleton:
         empty = GaussianStore()
         self._assert_empty(renderer.footprint_skeleton(empty, cam), (0, 64, 64))
         loss, grads, _ = loss_and_gradients(empty, np.empty(0, int), frame)
-        assert loss > 0 and grads.colors.shape == (0, 3) and grads.means.shape == (0, 3)
+        assert loss > 0 and grads.colors.shape == (0, 3) and grads.opacities.shape == (0,)
         out = render(store, frame.camera)
         assert out.alpha.dtype == float and not out.alpha.any()
         assert np.all(out.transmittance == 1.0)
@@ -544,7 +498,7 @@ class TestSkeleton:
         store = array_scene(np.random.default_rng(0), 20)
         frame = away_frame(camera_64())
         idx = store.object_indices(1)
-        config = TrainConfig(iters=3, lr_mean=0.0)
+        config = TrainConfig(iters=3)
         project = renderer.project_gaussian_subset
         calls = []
 
@@ -570,7 +524,7 @@ class TestSkeleton:
         store.colors[:] = 0.5
         frames = [gradcheck_frame(store, cam, 1), away_frame(cam)]
         idx = store.object_indices(1)
-        config = TrainConfig(iters=12, lr_mean=0.0, lr_color=0.3, lr_opacity=0.2)
+        config = TrainConfig(iters=12, lr_color=0.3, lr_opacity=0.2)
         skeletons = [renderer.footprint_skeleton(store, f.camera) for f in frames]
         assert len(skeletons[0]["row"]) and not len(skeletons[1]["row"])
 
@@ -610,11 +564,9 @@ class TestSkeleton:
         assert not len(empty_skel["row"])
         with pytest.raises(InvalidParameterError, match="does not fit"):
             loss_and_gradients(grown, idx, away, object_id=1, skeleton=empty_skel)
-        with pytest.raises(InvalidParameterError, match="lr_mean"):
-            optimize_object(store.copy(), 1, [frame], idx, TrainConfig(iters=1), skeletons=[skel])
         with pytest.raises(InvalidParameterError, match="2 frames"):
-            optimize_object(store.copy(), 1, [frame, frame], idx,
-                            TrainConfig(iters=1, lr_mean=0.0), skeletons=[skel])
+            optimize_object(store.copy(), 1, [frame, frame], idx, TrainConfig(iters=1),
+                            skeletons=[skel])
 
 
 def first_pixel_scene():
@@ -651,8 +603,8 @@ def blocked_composite(skel, opacities) -> dict:
 
 def oracle_training(*args, skeleton, **kwargs):
     """`loss_and_gradients` as `optimize_object` calls it, answered by the
-    oracle: the mean gradient only without a footprint skeleton."""
-    return reference_loss_and_gradients(*args, geometry=skeleton is None, **kwargs)
+    oracle, which expands the footprints itself."""
+    return reference_loss_and_gradients(*args, **kwargs)
 
 
 class TestBlockedEvaluation:
@@ -680,8 +632,7 @@ class TestBlockedEvaluation:
         for skeleton in (None, skel):
             assert_same_evaluation(
                 loss_and_gradients(store, idx, frame, object_id=object_id, skeleton=skeleton),
-                reference_loss_and_gradients(store, idx, frame, object_id=object_id,
-                                             geometry=skeleton is None))
+                reference_loss_and_gradients(store, idx, frame, object_id=object_id))
         proj = renderer.project_gaussian_subset(store, np.arange(len(store)), cam)
         ref = reference_flat_entries(proj, store.opacities, cam.height, cam.width)
         if ref is not None:
@@ -718,16 +669,15 @@ class TestBlockedEvaluation:
         assert self._check(store, away_frame(cam)) is None
         assert self._check(GaussianStore(), gradcheck_frame(store, cam, 1)) is None
 
-    @pytest.mark.parametrize("lr_mean", [0.0, 0.004], ids=["frozen", "geometry"])
-    def test_trained_stores(self, block, lr_mean, monkeypatch):
-        """Training with and without the geometry backward (`lr_mean`)
-        leaves the bytes of oracle-driven training, rejected steps included."""
+    def test_trained_stores(self, block, monkeypatch):
+        """Training leaves the bytes of oracle-driven training, rejected
+        steps included."""
         cam = camera_64()
         store = array_scene(np.random.default_rng(7), 80)
         frame = gradcheck_frame(store, cam, 1)
         store.colors[:] = 0.5
         idx = store.object_indices(1)
-        config = TrainConfig(iters=6, lr_mean=lr_mean, lr_color=0.3, lr_opacity=0.2)
+        config = TrainConfig(iters=6, lr_color=0.3, lr_opacity=0.2)
         blocked = store.copy()
         blocked_trace = optimize_object(blocked, 1, [frame], idx, config)
         assert any(a == b for a, b in zip(blocked_trace, blocked_trace[1:]))  # a rejected step
@@ -739,25 +689,25 @@ class TestBlockedEvaluation:
 
 
 class TestMemory:
-    """Peak traced heap of one render, of one frozen-geometry evaluation
-    together with the build of its skeleton, of one evaluation given a
-    prebuilt skeleton, of the skeleton build alone and of one evaluation
-    with the mean gradient (no skeleton given), in units of kept entries x
-    8 bytes, on a fixed 2,000-Gaussian scene with 68,100 kept entries.
-    Measured 6.1 (render), 6.3 (build and evaluation), 3.2 (evaluation
-    given the skeleton), 6.1 (skeleton) and 9.3 (mean gradient); the bounds
-    leave 18%.  A mean-gradient evaluation whose skeleton kept each entry's
-    du, dv and d raw / d q peaked at 11.5.  With whole-frame compositing,
-    loss and backward (and expansion blocks of 65,536 pre-cut entries) the
-    first four peaked at 10.5, 12.8, 8.7 and 8.2; expanding every footprint
-    at once, with a per-entry segment id and an out-of-place backward, at
-    17.6, 17.8, 12.7 and 17.6."""
+    """Peak traced heap of one render, of one evaluation given no skeleton
+    (it builds its own), of one evaluation given a prebuilt skeleton and of
+    the skeleton build alone, in units of kept entries x 8 bytes, on a fixed
+    2,000-Gaussian scene with 68,100 kept entries.  Measured 6.1 (render),
+    6.3 (build and evaluation), 3.2 (evaluation given the skeleton) and 5.6
+    (skeleton; 6.1 while the projection also kept the mean gradient's
+    camera-space terms); the bounds leave 18%.  While Gaussian means
+    trained, an evaluation given no skeleton also ran the mean gradient and
+    peaked at 9.3 (11.5 when the skeleton kept each entry's du, dv and
+    d raw / d q).
+    With whole-frame compositing, loss and backward (and expansion blocks of
+    65,536 pre-cut entries) the four peaked at 10.5, 12.8, 8.7 and 8.2;
+    expanding every footprint at once, with a per-entry segment id and an
+    out-of-place backward, at 17.6, 17.8, 12.7 and 17.6."""
 
     RENDER_BOUND = 7.2
     EVAL_BOUND = 7.5
     SKELETON_EVAL_BOUND = 3.8
-    SKELETON_BOUND = 7.2
-    MEAN_EVAL_BOUND = 10.9
+    SKELETON_BOUND = 6.6
 
     @staticmethod
     def _peak(fn) -> int:
@@ -775,19 +725,15 @@ class TestMemory:
         idx = store.object_indices(1)
         unit = 8 * len(renderer.footprint_skeleton(store, cam)["row"])
         render_peak = self._peak(lambda: render(store, cam))
-        eval_peak = self._peak(
-            lambda: loss_and_gradients(store, idx, frame, object_id=1,
-                                       skeleton=renderer.footprint_skeleton(store, cam)))
+        eval_peak = self._peak(lambda: loss_and_gradients(store, idx, frame, object_id=1))
         skel = renderer.footprint_skeleton(store, cam)
         skel_eval_peak = self._peak(
             lambda: loss_and_gradients(store, idx, frame, object_id=1, skeleton=skel))
         skel_peak = self._peak(lambda: renderer.footprint_skeleton(store, cam))
-        mean_eval_peak = self._peak(lambda: loss_and_gradients(store, idx, frame, object_id=1))
         assert render_peak <= self.RENDER_BOUND * unit, render_peak / unit
         assert eval_peak <= self.EVAL_BOUND * unit, eval_peak / unit
         assert skel_eval_peak <= self.SKELETON_EVAL_BOUND * unit, skel_eval_peak / unit
         assert skel_peak <= self.SKELETON_BOUND * unit, skel_peak / unit
-        assert mean_eval_peak <= self.MEAN_EVAL_BOUND * unit, mean_eval_peak / unit
 
     def test_evaluation_peak_does_not_grow_with_entries(self):
         """Given its skeleton, an evaluation holds blocks, per-pixel and
@@ -836,16 +782,18 @@ class TestOptimizeObject:
 
     def test_zero_iterations_is_noop(self):
         cam, frame, fit = self._target_setup(np.random.default_rng(0))
-        before = fit.means.copy()
+        before = fit.copy()
         optimize_object(fit, 1, [frame], np.array([0]), TrainConfig(iters=0))
-        assert np.array_equal(fit.means, before)
+        for name in STORE_ARRAYS:
+            assert getattr(fit, name).tobytes() == getattr(before, name).tobytes(), name
 
     def test_empty_trainable_noop(self):
         cam, frame, fit = self._target_setup(np.random.default_rng(0))
-        before = fit.means.copy()
+        before = fit.copy()
         trace = optimize_object(fit, 1, [frame], np.empty(0, int), TrainConfig(iters=5))
         assert trace == []
-        assert np.array_equal(fit.means, before)
+        for name in STORE_ARRAYS:
+            assert getattr(fit, name).tobytes() == getattr(before, name).tobytes(), name
 
     def test_frozen_gaussians_bit_identical(self):
         cam = camera_64()
@@ -863,8 +811,8 @@ class TestOptimizeObject:
         assert np.array_equal(store.kinds, before["kinds"])
 
     def test_default_config_keeps_shape(self):
-        """The default TrainConfig moves means, colors and opacities; every
-        Gaussian keeps its scale and rotation bytes."""
+        """The default TrainConfig moves colors and opacities; every
+        Gaussian keeps its mean, scale and rotation bytes."""
         cam = camera_64()
         store = random_scene(np.random.default_rng(11), 12)
         frame = gradcheck_frame(store, cam, 1)
@@ -872,7 +820,7 @@ class TestOptimizeObject:
         before = store.copy()
         train = store.object_indices(1)
         optimize_object(store, 1, [frame], train, TrainConfig())
-        for name in ("scales", "quats"):
+        for name in ("means", "scales", "quats"):
             assert getattr(store, name).tobytes() == getattr(before, name).tobytes(), name
         for name in TRAINABLE:
             assert not np.array_equal(getattr(store, name)[train],
@@ -893,7 +841,7 @@ class TestOptimizeObject:
 
         monkeypatch.setattr(renderer, "loss_and_gradients", counting)
         trace = optimize_object(store, 1, frames, store.object_indices(1),
-                                TrainConfig(iters=20, lr_mean=0.05, lr_color=0.2))
+                                TrainConfig(iters=20, lr_color=0.2))
         rejected = sum(trace[i + 1] == trace[i] for i in range(len(trace) - 1))
         assert len(trace) == 21 and 0 < rejected < 20
         assert len(calls) == len(frames) * len(trace)
