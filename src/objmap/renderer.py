@@ -26,11 +26,16 @@ longer segment is a block of its own), like the tiles of 3D Gaussian
 Splatting and gsplat (Ye et al., 2024), so an evaluation's memory is set by
 the block and the image, not by the entry count.  Every bit is that of the
 unblocked sums.  Each running sum (the composite's log transmittance, the
-backward's six channel sums) carries its last value into the next block's
-first term, never into the first block, where adding 0.0 would turn a
-leading -0.0 into 0.0.  A pixel never spans two blocks, so its image sums
-are bincounts over its block alone.  Per-Gaussian sums are `np.add.at`,
-which adds in entry order as one bincount does.
+backward's six channel sums) starts at -0.0, which adds to any first term
+without changing it, and carries its last value into the next block's
+first term.  A pixel never spans two blocks, so its six image sums are one
+bincount over its block's pixels, row k's bins offset by k times the
+block's pixel count; the per-Gaussian sums are one `np.add.at` over four
+rows offset by the store size.  Both add each bin's entries in entry
+order, as one call per row would.  Each numpy call costs a fixed time
+that a block does not amortize, so a block makes few: the bincount and
+np.add.at indices are written into the memory of its two work rows, and
+the loss treats rows that share a formula in one call.
 
 The per-Gaussian opacity kernel is windowed to 3 sigma with a C1 fade:
     alpha = opacity * exp(-q/2) * s(q),  q = d^T Sigma2D^-1 d
@@ -72,7 +77,7 @@ LOWPASS = 0.3       # pixels^2 added to the 2D covariance
 MAX_RADIUS = 96.0   # pixel clamp on footprint radius
 # entries one block holds: footprint expansion (before the support cut),
 # composite, image sums and backward all run block by block
-BLOCK = 1 << 13
+BLOCK = 1 << 12
 # rows of the (6, HW) image arrays after the three color rows: depth-weighted
 # sum, alpha, instance accumulation
 DRAW, ALPHA, INS = 3, 4, 5
@@ -90,11 +95,13 @@ def _block_bounds(unit_ends: np.ndarray):
     """Yield (first, last) runs of whole units, a Gaussian's footprint box or
     a pixel's segment, that hold at most BLOCK entries together; `unit_ends`
     are the units' cumulative entry counts.  A unit larger than BLOCK is a
-    run of its own."""
+    run of its own.  The run that would start at each unit is found by one
+    search over all units, so a block costs no numpy call."""
+    before = np.concatenate(([0], unit_ends[:-1]))
+    reach = np.searchsorted(unit_ends, before + BLOCK, side="right")
     first = 0
     while first < len(unit_ends):
-        before = unit_ends[first - 1] if first else 0
-        last = max(first + 1, int(np.searchsorted(unit_ends, before + BLOCK, side="right")))
+        last = max(first + 1, int(reach[first]))
         yield first, last
         first = last
 
@@ -206,8 +213,7 @@ def _skeleton(proj: dict, h: int, w: int) -> dict:
     depth, index) is unique, so the entries, their order and their bits do
     not depend on the blocking.  `_composite` and the backward then walk the
     sorted entries in blocks of whole pixel segments of at most BLOCK
-    entries, carrying each running sum from block to block (never into the
-    first block, where adding 0.0 would flip a leading -0.0).
+    entries, carrying each running sum from block to block.
     """
     rows = np.flatnonzero(proj["valid"])
     means2d = proj["means2d"]
@@ -328,31 +334,31 @@ def _composite(skel: dict, opacities: np.ndarray):
     emptied when the next block is asked for, so its arrays are freed first.
     """
     all_starts, all_ends = skel["seg_starts"], skel["seg_ends"]
-    carry = None
-    for s0, s1 in _block_bounds(all_ends + 1):
+    bounds = list(_block_bounds(all_ends + 1))
+    seg_len = all_ends - all_starts + 1
+    row, raw = skel["row"], skel["raw"]
+    carry = -0.0  # -0.0 + x is x for every x, so the first block starts unchanged
+    for s0, s1 in bounds:
         e0 = all_starts[s0]
-        blk = {"e": slice(e0, all_ends[s1 - 1] + 1), "ends": all_ends[s0:s1] - e0}
-        starts = all_starts[s0:s1] - e0
-        alpha = opacities[skel["row"][blk["e"]]]
-        alpha *= skel["raw"][blk["e"]]
+        e = slice(e0, all_ends[s1 - 1] + 1)
+        starts, ends, lens = all_starts[s0:s1] - e0, all_ends[s0:s1] - e0, seg_len[s0:s1]
+        alpha = opacities.take(row[e])
+        alpha *= raw[e]
         clamped = alpha > ALPHA_CAP
         np.minimum(alpha, ALPHA_CAP, out=alpha)
-        cs = np.negative(alpha)
-        np.log1p(cs, out=cs)
-        T = cs.copy()
-        if carry is not None:
-            cs[0] += carry
-        np.cumsum(cs, out=cs)
+        T = np.negative(alpha)
+        np.log1p(T, out=T)
+        cs = T.copy()
+        cs[0] += carry
+        cs.cumsum(out=cs)
         carry = cs[-1]
         np.subtract(cs, T, out=T)         # exclusive prefix sum of log(1 - alpha)
         seg_base = T[starts]
-        blk["seg_log_tn"] = cs[blk["ends"]] - seg_base
-        del cs
-        blk["seg_len"] = blk["ends"] - starts + 1
-        T -= np.repeat(seg_base, blk["seg_len"])
+        blk = {"e": e, "ends": ends, "seg_len": lens, "seg_log_tn": cs[ends] - seg_base}
+        T -= seg_base.repeat(lens)
         np.exp(T, out=T)
-        blk.update(alpha=alpha, clamped=clamped, T=T, weight=alpha * T)
-        del alpha, clamped, T
+        blk.update(alpha=alpha, clamped=clamped, T=T, weight=np.multiply(alpha, T, out=cs))
+        del alpha, clamped, T, cs
         yield blk
         blk.clear()
 
@@ -382,6 +388,28 @@ def _value_table(store: GaussianStore, skel: dict, counted: np.ndarray) -> np.nd
     return table
 
 
+def _work(skel: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Two rows of 6 * m floats, m the most entries a block of the skeleton
+    holds (BLOCK, or its longest segment), and the same memory as intp.
+    Every block's (6, m) arrays, its bincount index and its np.add.at index
+    are views of them, so a render or an evaluation allocates them once."""
+    longest = (skel["seg_ends"] - skel["seg_starts"]).max(initial=-1) + 1
+    work = np.empty((2, 6 * min(len(skel["row"]), max(BLOCK, longest))))
+    return work, work.view(np.intp)
+
+
+def _image_rows(contrib: np.ndarray, local: np.ndarray, size: int,
+                bins: np.ndarray) -> np.ndarray:
+    """(6, size) sums of a block's (6, m) `contrib` into the pixels `local`
+    (0 to size - 1) of its tile: one bincount over each entry's pixel plus
+    its row times `size`, so each pixel of each row adds its entries in
+    entry order, as one bincount per row does.  The index is written into
+    the flat intp buffer `bins`."""
+    index = bins[:contrib.size]
+    np.add(local, np.arange(0, 6 * size, size)[:, None], out=index.reshape(contrib.shape))
+    return np.bincount(index, contrib.reshape(-1), 6 * size).reshape(6, size)
+
+
 def render(
     store: GaussianStore,
     camera: CameraModel,
@@ -409,16 +437,19 @@ def render(
         counted &= store.object_ids > 0
     table = _value_table(store, skel, counted)
     img, log_tn = np.zeros((6, h * w)), np.zeros(h * w)
+    work, iwork = _work(skel)
     for blk in _composite(skel, store.opacities):
         row, pix = skel["row"][blk["e"]], skel["pix"][blk["e"]]
-        contrib = table.take(row, axis=1)
+        contrib = work[0, :6 * len(row)].reshape(6, -1)
+        table.take(row, axis=1, out=contrib, mode="clip")
         if instance_ref is not None:
             contrib[INS] *= store.object_ids[row] == instance_ref.reshape(-1)[pix]
         contrib *= blk["weight"]
-        local = pix - pix[0]
-        img[:, pix[0]:pix[-1] + 1] = [np.bincount(local, c) for c in contrib]
+        first, stop = pix[0], pix[-1] + 1
+        img[:, first:stop] = _image_rows(contrib, pix - first, stop - first, iwork[1])
         log_tn[pix[blk["ends"]]] = blk["seg_log_tn"]
-        del contrib
+        del contrib  # a view of the work rows, which are freed before the outputs are made
+    del work, iwork
     alpha, draw = img[ALPHA], img[DRAW]
     depth = np.where(alpha >= DEPTH_ALPHA_MIN, draw / np.maximum(alpha, DEPTH_ALPHA_MIN), 0.0)
     return RenderOutput(
@@ -436,54 +467,48 @@ class GaussianGradients:
     opacities: np.ndarray
 
 
-def _loss_upstream(img: np.ndarray, frame: FrameBundle, tile: slice, object_id: int,
-                   lam: float, terms: np.ndarray, eps: float = 1e-12) -> None:
+def _loss_upstream(img: np.ndarray, tile: slice, targets: tuple, lam: float,
+                   terms: np.ndarray, eps: float = 1e-12) -> None:
     """The loss at the pixels `tile`, whose six image rows are `img`: each
     pixel's color residual norm, absolute depth residual and absolute
     instance residual go to `terms[:, tile]`, and each row's upstream
-    gradient is written over that row of `img`.  Every value is per pixel
-    and each in-place step keeps the operation order of the plain
-    expression, so any split of the image into tiles gives the same bits.
+    gradient is written over that row of `img`.  `targets` are the frame's
+    flat rgb (HW, 3), depth, invalid-depth mask and instance-target mask.
+
+    Every value is per pixel and each in-place step keeps the operation
+    order of the plain expression, so any split of the image into tiles
+    gives the same bits.  A dark pixel (alpha below DEPTH_ALPHA_MIN) divides
+    by infinity instead of by its clipped alpha: its rendered depth and both
+    of its depth upstreams come out as zeros, as the plain expression's
+    masks make them for any finite image.  The upstreams' zeros may carry
+    either sign; the backward adds them only into sums that start at +0.0,
+    where the sign of a zero term is lost.
     """
-    r_c = img[:3]
-    r_c -= frame.rgb.reshape(-1, 3)[tile].T
-    n_c = terms[0, tile]
-    np.square(r_c[0], out=n_c)  # (r0^2 + r1^2) + r2^2, the order of norm(axis=1)
-    tmp = np.square(r_c[1])
-    n_c += tmp
-    np.square(r_c[2], out=tmp)
-    n_c += tmp
+    rgb, depth, invalid, ins = targets
+    term = terms[:, tile]
+    r_c, draw, r_d, r_i = img[:3], img[DRAW], img[ALPHA], img[INS]
+    r_di = img[ALPHA:]  # the depth residual and r_i: adjacent rows
+    r_c -= rgb[tile].T
+    den = np.square(r_c)
+    n_c = den.sum(axis=0, initial=0.0, out=term[0])  # (r0^2 + r1^2) + r2^2, as norm(axis=1)
     np.sqrt(n_c, out=n_c)
-    np.maximum(n_c, eps, out=tmp)
-    r_c /= tmp
 
-    alpha, draw = img[ALPHA], img[DRAW]
-    target_d = frame.depth.reshape(-1)[tile]
-    dark = ~(alpha >= DEPTH_ALPHA_MIN)
-    invalid = ~(target_d > 0)
-    clipped = np.maximum(alpha, DEPTH_ALPHA_MIN)
-    r_d = draw / clipped
-    r_d[dark] = 0.0
-    r_d -= target_d
-    r_d[invalid] = 0.0
-    np.abs(r_d, out=terms[1, tile])
-    np.maximum(terms[1, tile], eps, out=tmp)
-    r_d /= tmp
-    r_d[invalid] = 0.0  # the depth upstream
-    np.negative(r_d, out=tmp)
-    tmp *= draw
-    np.divide(r_d, clipped, out=draw)
-    draw[dark] = 0.0
-    np.square(clipped, out=clipped)
-    np.divide(tmp, clipped, out=alpha)
-    alpha[dark] = 0.0
+    clipped = np.where(r_d >= DEPTH_ALPHA_MIN, r_d, np.inf)
+    np.divide(draw, clipped, out=r_d)  # the rendered depth, in the alpha row
+    r_d -= depth[tile]
+    r_d[invalid[tile]] = 0.0
+    r_i -= ins[tile]
+    np.abs(r_di, out=term[1:])
 
-    r_i = img[INS]
-    r_i -= frame.instance.reshape(-1)[tile] == object_id
-    np.abs(r_i, out=terms[2, tile])
+    np.maximum(term, eps, out=den)
+    r_c /= den[0]
     r_i *= lam
-    np.maximum(terms[2, tile], eps, out=tmp)
-    r_i /= tmp
+    r_di /= den[1:]  # r_d becomes the depth upstream g
+    tmp = np.negative(r_d, out=den[0])
+    tmp *= draw
+    np.divide(r_d, clipped, out=draw)  # DRAW upstream g / alpha
+    np.square(clipped, out=clipped)
+    np.divide(tmp, clipped, out=r_d)  # ALPHA upstream -g * draw / alpha^2
 
 
 def loss_and_gradients(
@@ -504,8 +529,9 @@ def loss_and_gradients(
     skeleton built for another store size or image size.
 
     The composite, loss and backward run in one pass over the blocks: a
-    pixel's loss depends only on its own images, so each block takes the
-    loss of the pixels up to its last (its tile) and then its backward.
+    pixel's loss depends only on its own images, so every pixel first gets
+    the loss terms of an empty pixel, and each block then takes the loss of
+    the pixels from its first to its last (its tile) and its backward.
     """
     trainable_idx = np.asarray(trainable_idx, dtype=int)
     if len(trainable_idx) and (
@@ -526,64 +552,67 @@ def loss_and_gradients(
 
     terms = np.empty((3, h * w))  # per-pixel loss terms: rgb, depth, ins
     sums = np.zeros((4, n))  # per-Gaussian sums: color (3), opacity
+    flat_sums, sum_rows = sums.reshape(-1), np.arange(4)[:, None] * n
     table = _value_table(store, skeleton, (store.kinds == KIND_OPAQUE)
                          & (store.object_ids == object_id))
-
-    def block(blk: dict, tile: slice, carry):
-        """Loss at the pixels `tile` and backward of the block `blk`, whose
-        last pixel ends the tile; returns the running sums.  Row k of the
-        (6, m) arrays is the one-channel dL_dalpha += g_e * (value * T -
-        after / (1 - alpha)), `after` being the weight * value of the
-        entries behind each entry at its pixel."""
+    rgb, depth = frame.rgb.reshape(-1, 3), frame.depth.reshape(-1)
+    targets = (rgb, depth, ~(depth > 0), frame.instance.reshape(-1) == object_id)
+    # every pixel's terms as if no entry fell on it (its six images 0, so
+    # its residuals are the targets negated); each block's tile then
+    # overwrites the terms of the pixels from its first entry's to its last
+    np.square(rgb.T, out=terms)
+    terms[0] += terms[1]
+    terms[0] += terms[2]
+    np.sqrt(terms[0], out=terms[0])
+    terms[1] = depth
+    terms[1, targets[2]] = 0.0
+    terms[2] = targets[3]
+    row_all, pix_all, raw_all = skeleton["row"], skeleton["pix"], skeleton["raw"]
+    work, iwork = _work(skeleton)
+    carry = np.full((6, 1), -0.0)  # the six channels' running sums
+    for blk in _composite(skeleton, store.opacities):
+        # loss at the pixels of the tile, which ends at the block's last
+        # pixel, then the block's backward; row k of the (6, m) arrays is
+        # the one-channel dL_dalpha += g_e * (value * T - after / (1 -
+        # alpha)), `after` the weight * value of the entries behind each
+        # entry at its pixel
         e, T, weight = blk["e"], blk["T"], blk["weight"]
-        row, pix = skeleton["row"][e], skeleton["pix"][e]
-        local = pix - tile.start
-        contrib, after = work[:, :6 * len(row)].reshape(2, 6, len(row))
+        row, pix = row_all[e], pix_all[e]
+        m, tile = len(row), slice(pix[0], pix[-1] + 1)
+        contrib, after = work[:, :6 * m].reshape(2, 6, m)
         # mode="clip" lets take write to `out` unbuffered; every index is valid
-        np.take(table, row, axis=1, out=contrib, mode="clip")
+        table.take(row, axis=1, out=contrib, mode="clip")
         contrib *= weight
-        upstream = np.stack([np.bincount(local, c, tile.stop - tile.start) for c in contrib])
-        _loss_upstream(upstream, frame, tile, object_id, lam, terms)
+        local = pix - tile.start
+        upstream = _image_rows(contrib, local, tile.stop - tile.start, iwork[1])
+        _loss_upstream(upstream, tile, targets, lam, terms)
 
         one_minus = blk["alpha"]  # the composite's own array: 1 - alpha in place
         np.subtract(1.0, one_minus, out=one_minus)
-        if carry is not None:
-            contrib[:, 0] += carry
-        np.cumsum(contrib, axis=1, out=contrib)
-        carry = contrib[:, -1].copy()
-        end_of = np.repeat(blk["ends"], blk["seg_len"])  # each entry's segment end
-        np.take(contrib, end_of, axis=1, out=after, mode="clip")
-        del end_of
+        first = contrib[:, :1]
+        first += carry
+        contrib.cumsum(axis=1, out=contrib)
+        carry = contrib[:, -1:].copy()
+        contrib.take(blk["ends"].repeat(blk["seg_len"]), axis=1, out=after, mode="clip")
         after -= contrib
         after /= one_minus
-        values = np.take(table, row, axis=1, out=contrib, mode="clip")
+        values = table.take(row, axis=1, out=contrib, mode="clip")
         values *= T
         values -= after
-        g_e = np.take(upstream, local, axis=1, out=after, mode="clip")
+        g_e = upstream.take(local, axis=1, out=after, mode="clip")
         del upstream, local
         values *= g_e
-        dL_dalpha = values.sum(axis=0, initial=0.0)  # 0.0 + row 0 + row 1 ..., in order
-        for ch in range(3):
-            np.add.at(sums[ch], row, g_e[ch] * weight)
-        free = ~blk["clamped"]
-        np.add.at(sums[3], row, np.where(free, dL_dalpha * skeleton["raw"][e], 0.0))
-        return carry
-
-    # the pixels before the first entry's are a tile of their own, taken
-    # before the two (6, m) work arrays of every block are allocated; m is at
-    # most BLOCK or the longest segment
-    done = skeleton["pix"][0] if len(skeleton["pix"]) else h * w
-    _loss_upstream(np.zeros((6, done)), frame, slice(0, done), object_id, lam, terms)
-    longest = (skeleton["seg_ends"] - skeleton["seg_starts"]).max(initial=-1) + 1
-    work = np.empty((2, 6 * min(len(skeleton["row"]), max(BLOCK, longest))))
-    carry = None
-    for blk in _composite(skeleton, store.opacities):
-        last = skeleton["pix"][blk["e"].stop - 1]
-        carry = block(blk, slice(done, last + 1), carry)
-        done = last + 1  # the pixels before `done` have their loss terms
-    del work
-    _loss_upstream(np.zeros((6, h * w - done)), frame, slice(done, h * w), object_id, lam,
-                   terms)
+        # per-Gaussian values: color g_e * weight (rows 0-2) and opacity
+        # dL_dalpha * raw (row 3), 0 where alpha was clamped
+        dL_dalpha = values.sum(axis=0, initial=0.0, out=g_e[3])  # 0.0 + row 0 + row 1 ..
+        color = g_e[:3]
+        color *= weight
+        dL_dalpha *= raw_all[e]
+        dL_dalpha[blk["clamped"]] = 0.0
+        index = iwork[0, :4 * m]  # the values' rows are spent: their memory as intp
+        np.add(row, sum_rows, out=index.reshape(4, m))
+        np.add.at(flat_sums, index, work[1, :4 * m])  # adds in entry order
+    del work, iwork
 
     loss_rgb, loss_depth, loss_ins = (float(t.sum()) for t in terms)
     sel = trainable_idx

@@ -647,6 +647,20 @@ def _read_header(dataset_dir: str):
     return depth_scale, cameras
 
 
+def _json_list(raw, what: str) -> list:
+    """`raw` when it is a JSON list; ValueError naming `what` otherwise."""
+    if type(raw) is not list:
+        raise ValueError(f"expected a list of {what} at the top level, got {type(raw).__name__}")
+    return raw
+
+
+def _json_int(value, name: str) -> int:
+    """`value` when it is a JSON integer (a bool is not); ValueError otherwise."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def dataset_cameras(dataset_dir: str) -> list[CameraModel]:
     """All frame cameras of a dataset in index order.
 
@@ -659,10 +673,12 @@ def dataset_cameras(dataset_dir: str) -> list[CameraModel]:
 def load(dataset_dir: str):
     """Stream FrameBundles from a dataset directory in index order.
 
-    Raises DatasetError naming the offending file on any malformed input;
-    frames before the bad one are yielded normally.  A missing frame file is
-    named with poses.txt, which lists the frame, and images whose sizes
-    disagree with each other or with intrinsics.json are named with it.
+    Raises DatasetError naming the offending file on any malformed input,
+    a detections file that is not a list or has a `class_id` that is not a
+    JSON integer included; frames before the bad one are yielded normally.
+    A missing frame file is named with poses.txt, which lists the frame, and
+    images whose sizes disagree with each other or with intrinsics.json are
+    named with it.
     """
     depth_scale, cameras = _read_header(dataset_dir)
     intr_path = os.path.join(dataset_dir, "intrinsics.json")
@@ -692,10 +708,10 @@ def load(dataset_dir: str):
             dets = [
                 Detection2D(
                     bbox=BBox2D(*[float(v) for v in d["bbox"]]),
-                    class_id=int(d["class_id"]),
+                    class_id=_json_int(d["class_id"], "class_id"),
                     score=float(d["score"]),
                 )
-                for d in raw
+                for d in _json_list(raw, "detections")
             ]
         except (KeyError, ValueError, TypeError, OverflowError) as e:  # JSON errors included
             raise DatasetError(f"malformed detections file {det_path}: {e}") from e
@@ -717,7 +733,8 @@ def load_gt(dataset_dir: str) -> dict:
     """Ground truth: {'objects': [...], 'points': {id: (N,3) array}}.
 
     Raises DatasetError naming gt/objects.json when it is missing, is not
-    JSON or holds a malformed object entry.
+    JSON, is not a list or holds a malformed object entry (an `id` or
+    `class_id` that is not a JSON integer included).
     """
     path = os.path.join(dataset_dir, "gt", "objects.json")
     if not os.path.isfile(path):
@@ -727,13 +744,13 @@ def load_gt(dataset_dir: str) -> dict:
             raw = json.load(f)
         objects = [
             {
-                "id": int(entry["id"]),
-                "class_id": int(entry["class_id"]),
+                "id": _json_int(entry["id"], "id"),
+                "class_id": _json_int(entry["class_id"], "class_id"),
                 "shape": entry["shape"],
                 "quadric": quadric_from_json(entry),
                 "albedo": np.asarray(entry["albedo"], dtype=float),
             }
-            for entry in raw
+            for entry in _json_list(raw, "objects")
         ]
     except (KeyError, ValueError, TypeError, OverflowError) as e:  # JSON errors included
         raise DatasetError(f"malformed ground-truth file {path}: {e}") from e

@@ -278,8 +278,8 @@ def assert_same_evaluation(got, ref):
 
 class TestLeanExpansion:
     """The in-place, blocked renderer gives the same bits as the plain
-    expressions of the oracles, and an evaluation over a prebuilt footprint
-    skeleton the same bits as one that builds its own."""
+    expressions of the oracles (TestSkeleton compares an evaluation over a
+    prebuilt footprint skeleton with one that builds its own)."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_render_matches_reference_expansion(self, seed):
@@ -301,49 +301,6 @@ class TestLeanExpansion:
         idx = store.object_indices(1)
         assert_same_evaluation(loss_and_gradients(store, idx, frame, object_id=1),
                                reference_loss_and_gradients(store, idx, frame, object_id=1))
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_frozen_geometry_matches_full_backward(self, seed):
-        cam = camera_64()
-        store = array_scene(np.random.default_rng(seed), 80)
-        frame = gradcheck_frame(store, cam, 2)
-        idx = store.object_indices(2)
-        loss, grads, parts = loss_and_gradients(store, idx, frame, object_id=2)
-        f_loss, f_grads, f_parts = loss_and_gradients(
-            store, idx, frame, object_id=2, skeleton=renderer.footprint_skeleton(store, cam))
-        assert f_loss == loss and f_parts == parts
-        for name in TRAINABLE:
-            assert getattr(f_grads, name).tobytes() == getattr(grads, name).tobytes(), name
-
-    def test_frozen_geometry_training_matches_full_backward(self, monkeypatch):
-        """Training over the skeletons optimize_object builds and evaluating
-        without a skeleton (each evaluation builds its own) give the same
-        store bytes, rejected steps included."""
-        cam = camera_64()
-        store = array_scene(np.random.default_rng(7), 80)
-        frame = gradcheck_frame(store, cam, 1)
-        store.colors[:] = 0.5
-        idx = store.object_indices(1)
-        config = TrainConfig(iters=12, lr_color=0.3, lr_opacity=0.2)
-        seen = []
-
-        def recording(*args, **kwargs):
-            seen.append(kwargs["skeleton"] is not None)
-            return loss_and_gradients(*args, **kwargs)
-
-        monkeypatch.setattr(renderer, "loss_and_gradients", recording)
-        frozen = store.copy()
-        frozen_trace = optimize_object(frozen, 1, [frame], idx, config)
-        assert seen and all(seen)
-
-        monkeypatch.setattr(renderer, "loss_and_gradients",
-                            lambda *a, **kw: loss_and_gradients(*a, **dict(kw, skeleton=None)))
-        full = store.copy()
-        full_trace = optimize_object(full, 1, [frame], idx, config)
-        assert frozen_trace == full_trace
-        assert any(frozen_trace[i + 1] == frozen_trace[i] for i in range(len(frozen_trace) - 1))
-        for name in STORE_ARRAYS:
-            assert getattr(frozen, name).tobytes() == getattr(full, name).tobytes(), name
 
 
 def memory_scene():
@@ -641,6 +598,35 @@ class TestBlockedEvaluation:
                 assert got[key].tobytes() == ref[key].tobytes(), key
         return ref
 
+    def test_one_bincount_and_one_add_at_per_block(self, block, monkeypatch):
+        """A block sums its six image rows with one np.bincount and adds its
+        color and opacity values to the per-Gaussian sums with one
+        np.add.at."""
+        cam, store = memory_scene()
+        frame = gradcheck_frame(store, cam, 1)
+        skel = renderer.footprint_skeleton(store, cam)
+        blocks = sum(1 for _ in renderer._composite(skel, store.opacities))
+        calls = {"bincount": 0, "add.at": 0}
+        bincount, add = np.bincount, np.add
+
+        def counting_bincount(*args, **kwargs):
+            calls["bincount"] += 1
+            return bincount(*args, **kwargs)
+
+        class CountingAdd:
+            def __call__(self, *args, **kwargs):
+                return add(*args, **kwargs)
+
+            def at(self, *args, **kwargs):
+                calls["add.at"] += 1
+                return add.at(*args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counting_bincount)
+        monkeypatch.setattr(np, "add", CountingAdd())
+        loss_and_gradients(store, store.object_indices(1), frame, object_id=1, skeleton=skel)
+        assert blocks >= 3
+        assert calls == {"bincount": blocks, "add.at": blocks}
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_clamped_alphas(self, block, seed):
         cam = camera_64()
@@ -692,21 +678,22 @@ class TestMemory:
     """Peak traced heap of one render, of one evaluation given no skeleton
     (it builds its own), of one evaluation given a prebuilt skeleton and of
     the skeleton build alone, in units of kept entries x 8 bytes, on a fixed
-    2,000-Gaussian scene with 68,100 kept entries.  Measured 6.1 (render),
-    6.3 (build and evaluation), 3.2 (evaluation given the skeleton) and 5.6
-    (skeleton; 6.1 while the projection also kept the mean gradient's
-    camera-space terms); the bounds leave 18%.  While Gaussian means
-    trained, an evaluation given no skeleton also ran the mean gradient and
-    peaked at 9.3 (11.5 when the skeleton kept each entry's du, dv and
-    d raw / d q).
+    2,000-Gaussian scene with 68,100 kept entries.  Measured 5.9 (render),
+    5.6 (build and evaluation), 2.2 (evaluation given the skeleton) and 5.6
+    (skeleton); the bounds leave 18%.  With blocks of 8,192 entries and six
+    bincounts and four np.add.at per block the first three peaked at 6.1,
+    6.3 and 3.2 (the skeleton at 6.1 while the projection also kept the mean
+    gradient's camera-space terms).  While Gaussian means trained, an
+    evaluation given no skeleton also ran the mean gradient and peaked at
+    9.3 (11.5 when the skeleton kept each entry's du, dv and d raw / d q).
     With whole-frame compositing, loss and backward (and expansion blocks of
     65,536 pre-cut entries) the four peaked at 10.5, 12.8, 8.7 and 8.2;
     expanding every footprint at once, with a per-entry segment id and an
     out-of-place backward, at 17.6, 17.8, 12.7 and 17.6."""
 
-    RENDER_BOUND = 7.2
-    EVAL_BOUND = 7.5
-    SKELETON_EVAL_BOUND = 3.8
+    RENDER_BOUND = 6.9
+    EVAL_BOUND = 6.6
+    SKELETON_EVAL_BOUND = 2.6
     SKELETON_BOUND = 6.6
 
     @staticmethod
@@ -739,8 +726,9 @@ class TestMemory:
         """Given its skeleton, an evaluation holds blocks, per-pixel and
         per-Gaussian arrays, none of them sized by the entry count: scaling
         every Gaussian by 1.5 takes the scene from 68,100 to 129,924 kept
-        entries and moves the peak by less than 5% (measured 1,699 and 1,681
-        KB; with whole-frame compositing 4,610 and 8,125 KB)."""
+        entries and moves the peak by less than 5% (measured 1,170 and 1,197
+        KB; 1,699 and 1,681 KB with blocks of 8,192 entries; with
+        whole-frame compositing 4,610 and 8,125 KB)."""
         peaks, entries = [], []
         for factor in (1.0, 1.5):
             cam, store = memory_scene()

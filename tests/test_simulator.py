@@ -53,6 +53,11 @@ def multi_shape_spec(**kw):
     return SceneSpec(**args)
 
 
+# one ground-truth object entry as gt/objects.json holds it
+GT_SPHERE = {"id": 1, "class_id": 1, "shape": "sphere", "center": [0, 0, 0],
+             "rotation_wxyz": [1, 0, 0, 0], "semi_axes": [1, 1, 1], "albedo": [1, 1, 1]}
+
+
 def tree_hash(d):
     h = hashlib.sha256()
     for root, _, files in sorted(os.walk(d)):
@@ -240,7 +245,13 @@ class TestDataset:
         "[{", '[{"class_id": 1, "score": 1.0}]',
         '[{"bbox": [1, 2, 3, 4], "class_id": 1e400, "score": 1.0}]',
         '[{"bbox": [1, 2, 3, 4], "class_id": 1, "score": 2.0}]',
-    ], ids=["not-json", "no-bbox", "huge-class-id", "score-above-1"])
+        '[{"bbox": [1, 2, 3, 4], "class_id": 1.5, "score": 1.0}]',
+        '[{"bbox": [1, 2, 3, 4], "class_id": 1.0, "score": 1.0}]',
+        '[{"bbox": [1, 2, 3, 4], "class_id": true, "score": 1.0}]',
+        '[{"bbox": [1, 2, 3, 4], "class_id": "1", "score": 1.0}]',
+        "{}",
+    ], ids=["not-json", "no-bbox", "huge-class-id", "score-above-1", "fractional-class-id",
+            "float-class-id", "bool-class-id", "string-class-id", "top-level-object"])
     def test_malformed_detections(self, tmp_path, content):
         d = generate(one_sphere_spec(n_frames=1), str(tmp_path / "ds"))
         with open(os.path.join(d, "detections", "000000.json"), "w") as f:
@@ -297,13 +308,25 @@ class TestDataset:
         "{\"objects\": [", json.dumps({"objects": 1}),
         '[{"id": 1e400, "class_id": 1, "shape": "sphere", "center": [0, 0, 0], '
         '"rotation_wxyz": [1, 0, 0, 0], "semi_axes": [1, 1, 1], "albedo": [1, 1, 1]}]',
-    ], ids=["not-json", "objects-not-list", "huge-id"])
+        *(json.dumps([dict(GT_SPHERE, **{key: value})])
+          for key in ("id", "class_id") for value in (1.5, True)),
+        "{}",
+    ], ids=["not-json", "objects-not-list", "huge-id", "fractional-id", "bool-id",
+            "fractional-class-id", "bool-class-id", "top-level-object"])
     def test_malformed_gt(self, tmp_path, content):
         d = generate(one_sphere_spec(n_frames=1), str(tmp_path / "ds"))
         with open(os.path.join(d, "gt", "objects.json"), "w") as f:
             f.write(content)
         with pytest.raises(DatasetError, match=r"objects\.json"):
             load_gt(d)
+
+    def test_well_formed_gt_entry_loads(self, tmp_path):
+        """The entry the malformed cases alter loads as it is."""
+        d = generate(one_sphere_spec(n_frames=1), str(tmp_path / "ds"))
+        with open(os.path.join(d, "gt", "objects.json"), "w") as f:
+            json.dump([GT_SPHERE], f)
+        (entry,) = load_gt(d)["objects"]
+        assert (entry["id"], entry["class_id"]) == (1, 1)
 
     def test_degenerate_spec_rejected(self):
         with pytest.raises(InvalidParameterError):
