@@ -72,7 +72,8 @@ class GaussianStore:
     def trainable_copy(self) -> "GaussianStore":
         """A store for training: it owns copies of the TRAINABLE arrays and
         shares the others with this store as read-only views, so a write to
-        them raises."""
+        them raises.  Training one object on such a copy leaves this store's
+        colours and opacities as they were for the next object."""
         arrays = {}
         for name in STORE_ARRAYS:
             arr = getattr(self, name)

@@ -7,8 +7,9 @@ render, mask, densify and optimize the Gaussians of each masked object.
 Gaussians carry track ids: each frame's instance segments are renamed to the
 track ids of the detections that claim them (unclaimed ones are not mapped),
 and a track merge moves the popped track's Gaussians to the keeper.
-Per-object optimizations run against a frame-start snapshot and are committed
-in ascending object id, so results are identical for any worker count.
+Everything runs on the calling thread.  Each object of a frame trains
+against a frame-start snapshot and the results are committed only once every
+object has trained, so no object's result depends on another's this frame.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import logging
 import math
 import operator
 import os
-import threading
 import time
 import zipfile
 import zlib
@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .association import STATUSES, AssocConfig, ObjectMap, ObjectTrack, associate_frame
+from .association import MODES, STATUSES, AssocConfig, ObjectMap, ObjectTrack, associate_frame
 from .errors import (
     BehindCameraError,
     DatasetError,
@@ -104,7 +104,8 @@ class PipelineConfig:
     quadric_iters: int = 60
     quadric_final_iters: int = 200
     yaw_only: bool = False
-    # runtime
+    # runtime: accepted (at least 1) and has no effect; mapping runs on the
+    # calling thread
     workers: int = 1
 
     def assoc(self) -> AssocConfig:
@@ -130,9 +131,9 @@ class PipelineConfig:
     def densify(self) -> DensifyConfig:
         return DensifyConfig(stride=self.stride, max_new_per_frame=self.max_new_per_frame)
 
-    def training(self, iters: int | None = None) -> TrainConfig:
+    def training(self) -> TrainConfig:
         return TrainConfig(
-            iters=self.gaussian_iters if iters is None else iters,
+            iters=self.gaussian_iters,
             lam=self.lam,
             lr_color=self.lr_color,
             lr_opacity=self.lr_opacity,
@@ -161,11 +162,16 @@ class PipelineConfig:
     def check(self) -> None:
         """Raise InvalidParameterError naming the first value out of range.
 
-        Every float must be finite (an int too large for a float is not) and
-        every number lie in its `_RANGES` entry.  `run_pipeline` and
-        `from_dict` call this, so a value set on a constructed config (as the
-        CLI flags are) is checked too.
+        `assoc_mode` must be one of `association.MODES`, every float must be
+        finite (an int too large for a float is not) and every number lie in
+        its `_RANGES` entry.  `run_pipeline` and `from_dict` call this, so a
+        value set on a constructed config (as the CLI flags are) is checked
+        too.
         """
+        if self.assoc_mode not in MODES:
+            raise InvalidParameterError(
+                f"config key 'assoc_mode' must be one of {MODES}, got {self.assoc_mode!r}"
+            )
         for name, f in self.__dataclass_fields__.items():
             value = getattr(self, name)
             kind = type(f.default)
@@ -236,73 +242,25 @@ class PipelineResult:
         return len(self.object_map)
 
 
-def _ordered_map(fn, items: list, workers: int) -> list:
-    """[fn(x) for x in items], run by the calling thread plus
-    min(workers, len(items)) - 1 helper threads; results come back in item
-    order either way.
-
-    Each thread takes the lowest item index nobody has taken yet, and none
-    takes another once an item has failed.  After every helper has joined,
-    the exception of the lowest failing index is raised: every lower item
-    was taken before it and has run, so it is the one the serial loop raises.
-    """
-    helpers = min(workers, len(items)) - 1
-    if helpers < 1:
-        return [fn(x) for x in items]
-    results: list = [None] * len(items)
-    errors: dict[int, BaseException] = {}
-    lock = threading.Lock()
-    taken = 0
-
-    def work():
-        nonlocal taken
-        while True:
-            with lock:
-                i = taken
-                if i == len(items) or errors:
-                    return
-                taken += 1
-            try:
-                results[i] = fn(items[i])
-            except BaseException as e:  # re-raised below, once all helpers are done
-                with lock:
-                    errors[i] = e
-
-    threads = [threading.Thread(target=work) for _ in range(helpers)]
-    for t in threads:
-        t.start()
-    try:
-        work()
-    finally:
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
-
-
 def _optimize_dirty_tracks(obj_map: ObjectMap, dirty: list[int],
                            config: PipelineConfig, iters: int | None = None) -> None:
-    """Refine quadrics of the given tracks; parallel-safe, committed by id."""
-    tracks = [obj_map.tracks[t] for t in sorted(dirty) if t in obj_map.tracks]
-    jobs = []
-    for track in tracks:
-        if track.quadric is None or len(track.observations) < config.quadric_min_obs:
+    """Refine quadrics of the given tracks in ascending id.
+
+    A refinement reads only its own track, so committing each one before
+    the next runs changes no other track's result."""
+    for tid in sorted(set(dirty)):
+        track = obj_map.tracks.get(tid)
+        if (track is None or track.quadric is None
+                or len(track.observations) < config.quadric_min_obs):
             continue
         obs = [(o.bbox, o.camera) for o in track.observations]
-        jobs.append((track, obs))
-
-    def run(job):
-        track, obs = job
         try:
-            return optimize_quadric(track.quadric, obs, config.quadric_optim(iters))
+            res = optimize_quadric(track.quadric, obs, config.quadric_optim(iters))
         except UnoptimizableError as e:
             logger.warning("track %d: pose optimization failed (%s), continuing",
                            track.object_id, e)
-            return None
-
-    for (track, _), res in zip(jobs, _ordered_map(run, jobs, config.workers)):
-        if res is not None and res.loss <= res.initial_loss:
+            continue
+        if res.loss <= res.initial_loss:
             track.quadric = res.params.to_quadric()
 
 
@@ -390,25 +348,25 @@ def _map_frame(store: GaussianStore, frame: FrameBundle, config: PipelineConfig,
             sel = select_trainable(store, masks, k, frame.camera)
         if len(sel):
             selections[k] = sel
-    del out, masks  # the frame-start render is not needed while the jobs run
+    del out, masks  # the frame-start render is not needed while the objects train
 
-    # every object trains on its own copy of the frame-start store's
-    # trainable arrays and reads the others from that store, which nothing
-    # writes to until all jobs have returned; results are committed in
-    # ascending id order so any worker count gives identical maps.  The
-    # geometry is fixed, so the jobs share one footprint skeleton of that store.
+    # every object trains, in ascending id, on its own copy of the
+    # frame-start store's trainable arrays and reads the others from that
+    # store; nothing is committed until every object has trained, so no
+    # object sees another's new colours or opacities this frame and the map
+    # does not depend on the training order.  The geometry is fixed, so the
+    # objects share one footprint skeleton of that store.
     train_cfg = config.training()
     skeletons = [footprint_skeleton(store, frame.camera)] if selections else None
-
-    def run(k):
+    trained = []
+    for k, sel in selections.items():
         local = store.trainable_copy()
-        optimize_object(local, k, [frame], selections[k], train_cfg, skeletons=skeletons)
-        return {name: getattr(local, name)[selections[k]] for name in TRAINABLE}
-
-    order = sorted(selections)
-    for k, trained in zip(order, _ordered_map(run, order, config.workers)):
-        for name in TRAINABLE:
-            getattr(store, name)[selections[k]] = trained[name]
+        optimize_object(local, k, [frame], sel, train_cfg, skeletons=skeletons)
+        trained.append((sel, [getattr(local, name)[sel] for name in TRAINABLE]))
+        del local  # released before the next object's copy is made
+    for sel, values in trained:
+        for name, value in zip(TRAINABLE, values):
+            getattr(store, name)[sel] = value
     return sum(len(s) for s in selections.values())
 
 
@@ -466,7 +424,8 @@ def load_state(state_dir: str) -> PipelineResult:
 
     Raises DatasetError naming state.json when it is missing, is not JSON,
     lacks a required key (also in a track entry), carries config keys
-    PipelineConfig does not know or config values of the wrong type, or holds
+    PipelineConfig does not know or config values it refuses (see
+    `PipelineConfig.from_dict`), or holds
     non-integer ids or frames, an unknown track status, a frame log with an
     unknown key, a non-integer count or a timing that is not a finite real
     of at least 0, a duplicate track id or a track id outside [1, next_id);

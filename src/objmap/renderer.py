@@ -202,8 +202,8 @@ def _skeleton(proj: dict, h: int, w: int) -> dict:
     pixel segments `seg_starts`, `seg_ends`, all empty when nothing
     rasterizes; `depth` is the camera depth of every Gaussian projected (an
     entry's depth is its Gaussian's) and `size` is (Gaussians projected, h,
-    w).  The arrays are read-only, so one skeleton can serve concurrent
-    composites.
+    w).  The arrays are read-only, so one skeleton serves every composite
+    of a frame's objects and no evaluation can change it for the next.
 
     Footprints are expanded in blocks of whole Gaussians of at most BLOCK
     entries before the support cut (a Gaussian whose box alone is larger

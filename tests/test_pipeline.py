@@ -2,9 +2,7 @@ import io
 import json
 import os
 import shutil
-import sys
 import threading
-import time
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -131,10 +129,21 @@ class TestRunPipeline:
             assert np.array_equal(ta[k], tb[k])
 
     def test_worker_count_does_not_change_results(self, small_dataset):
-        # two objects: 8 workers are more than there are jobs
+        # `workers` is accepted and has no effect
         one = map_bytes(run_pipeline(small_dataset, fast_config(workers=1)))
         for workers in (2, 3, 8):
             assert map_bytes(run_pipeline(small_dataset, fast_config(workers=workers))) == one
+
+    def test_mapping_starts_no_thread(self, small_dataset, monkeypatch):
+        """Every object trains and every track refines on the calling
+        thread, whatever the worker count."""
+        one = map_bytes(run_pipeline(small_dataset, fast_config(workers=1)))
+
+        def refuse(thread):
+            raise AssertionError(f"mapping started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert map_bytes(run_pipeline(small_dataset, fast_config(workers=3))) == one
 
     def test_default_config_fixes_geometry_at_spawn(self, small_dataset, monkeypatch):
         """Under the default config every Gaussian keeps the mean, scale and
@@ -269,17 +278,18 @@ def map_bytes(result) -> list:
 
 class TestMappingMemory:
     """Peak traced heap of one warm `run_pipeline` pass on a 4-frame 96x72
-    pose4 set, map-pose4's scene.  Measured 1,756 KB at workers=1 and 2,649
-    KB at workers=2, where tracemalloc sees both object jobs' evaluations at
-    once; the bounds leave about 18%.  With blocks of 8,192 entries the two passes
-    peaked at 2,295 and 3,744 KB.  The workers=1 pass peaked at 2,815 KB
-    when each evaluation composited, took the loss and ran the backward over
-    the whole frame at once, and at 3,843 KB when footprints were also
-    expanded all at once, the frame-start render stayed alive through
-    training and each object job copied the whole store."""
+    pose4 set, map-pose4's scene.  Measured 1,756 KB at workers=1 and 1,753
+    KB at workers=2, since every object trains on the calling thread, one
+    evaluation at a time; the bound leaves about 18%.  With a pool of
+    workers=2 threads tracemalloc saw both object jobs' evaluations at once
+    and the workers=2 pass peaked at 2,649 KB.  With blocks of 8,192 entries
+    the two passes peaked at 2,295 and 3,744 KB.  The workers=1 pass peaked
+    at 2,815 KB when each evaluation composited, took the loss and ran the
+    backward over the whole frame at once, and at 3,843 KB when footprints
+    were also expanded all at once, the frame-start render stayed alive
+    through training and each object job copied the whole store."""
 
     PEAK_BOUND_KB = 2070
-    TWO_WORKERS_PEAK_BOUND_KB = 3120
 
     @staticmethod
     def _warm_pass_peak(tmp_path, workers: int) -> int:
@@ -303,7 +313,7 @@ class TestMappingMemory:
 
     def test_warm_two_worker_pass_peak_bounded(self, tmp_path):
         peak = self._warm_pass_peak(tmp_path, workers=2)
-        assert peak <= self.TWO_WORKERS_PEAK_BOUND_KB * 1024, peak / 1024
+        assert peak <= self.PEAK_BOUND_KB * 1024, peak / 1024
 
 
     def test_frame_released_before_next_is_decoded(self, tmp_path, monkeypatch):
@@ -329,68 +339,6 @@ class TestMappingMemory:
         run_pipeline(ds, ablation_config("qd+iou"))
         assert len(decoded) == 4
         assert alive == [0] * 5
-
-
-class TestOrderedMap:
-    """`_ordered_map` runs jobs on the calling thread plus helpers and
-    returns, or raises, what the serial loop would."""
-
-    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
-    def test_results_in_item_order_each_item_once(self, workers):
-        items = list(range(200))
-        seen = []
-
-        def fn(x):
-            time.sleep(1e-4 * (x % 3))  # later items can finish first
-            seen.append(x)
-            return x * x
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # a lost update to the shared counter would show
-        try:
-            assert pipeline._ordered_map(fn, items, workers) == [x * x for x in items]
-        finally:
-            sys.setswitchinterval(interval)
-        assert sorted(seen) == items
-
-    @pytest.mark.parametrize("workers, n", [(1, 5), (2, 5), (3, 5), (8, 5), (8, 1), (3, 0)])
-    def test_caller_plus_helpers(self, workers, n):
-        threads = min(workers, n)
-        barrier = threading.Barrier(max(threads, 1))
-        idents = set()
-
-        def fn(x):
-            # the first items wait for each other, so each is on its own thread
-            if x < threads:
-                barrier.wait(timeout=30)
-            idents.add(threading.get_ident())
-            return x
-
-        start = threading.active_count()
-        assert pipeline._ordered_map(fn, list(range(n)), workers) == list(range(n))
-        assert threading.active_count() == start
-        assert len(idents) == threads
-        if n:
-            assert threading.get_ident() in idents
-
-    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
-    def test_lowest_failing_item_is_raised(self, workers):
-        ran = set()
-
-        def fn(x):
-            if x == 3:
-                time.sleep(0.05)  # item 5 fails first, when workers allow
-            ran.add(x)
-            if x in (3, 5):
-                raise ValueError(x)
-            return x
-
-        start = threading.active_count()
-        with pytest.raises(ValueError) as err:
-            pipeline._ordered_map(fn, list(range(8)), workers)
-        assert err.value.args == (3,)
-        assert threading.active_count() == start
-        assert {0, 1, 2, 3} <= ran
 
 
 class TestObjectIds:
@@ -629,6 +577,7 @@ class TestExportAndState:
         ("lr_color", -0.5), ("lr_mean", -1e-3), ("lr_opacity", -1.0), ("lam", -0.5),
         ("theta_d", -0.1), ("theta_c", -0.1), ("merge_duplicate_raw", -0.1),
         ("lr_mean", 0.004),  # Gaussian means are fixed at spawn
+        ("assoc_mode", "bogus"), ("assoc_mode", ""),
     ])
     def test_config_rejects_out_of_range_values(self, name, value):
         with pytest.raises(InvalidParameterError, match=name):
@@ -705,6 +654,8 @@ class TestExportAndState:
          "state.json"),
         (json.dumps({"tracks": [], "next_id": 1, "config": {"lr_mean": 0.004}}), None,
          "state.json"),
+        (json.dumps({"tracks": [], "next_id": 1, "config": {"assoc_mode": "bogus"}}), None,
+         "state.json"),
         (json.dumps({"tracks": [TRACK, TRACK], "next_id": 8}), None, "state.json"),
         (json.dumps({"tracks": [TRACK], "next_id": 7}), None, "state.json"),
         (json.dumps({"tracks": [dict(TRACK, object_id=0)], "next_id": 8}), None,
@@ -723,6 +674,7 @@ class TestExportAndState:
             "frame-log-seconds-huge-int",
             "object-id-not-int", "class-id-not-int", "unknown-status", "last-seen-not-int",
             "config-value-not-int", "config-value-nan", "config-lr-mean-nonzero",
+            "config-assoc-mode-unknown",
             "duplicate-track-id",
             "next-id-not-above-track-id", "track-id-not-positive", "npz-id-not-a-track",
             "npz-truncated", "zero-quaternion", "huge-center"])
