@@ -44,7 +44,7 @@ print(f"alpha+transmittance check: max |a+T-1| = "
       f"{np.abs(out.alpha + out.transmittance - 1).max():.2e}")
 
 trainable = select_trainable(store, masks, 1, frame.camera)
-trace = optimize_object(store, 1, [frame], trainable, TrainConfig(iters=12))
+trace = optimize_object(store, 1, frame, trainable, TrainConfig(iters=12))
 print("\nloss trace (appearance optimization):")
 print("  " + " -> ".join(f"{v:.1f}" for v in trace[::3]))
 

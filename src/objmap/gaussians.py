@@ -69,21 +69,6 @@ class GaussianStore:
     def copy(self) -> "GaussianStore":
         return GaussianStore(**{name: getattr(self, name).copy() for name in STORE_ARRAYS})
 
-    def trainable_copy(self) -> "GaussianStore":
-        """A store for training: it owns copies of the TRAINABLE arrays and
-        shares the others with this store as read-only views, so a write to
-        them raises.  Training one object on such a copy leaves this store's
-        colours and opacities as they were for the next object."""
-        arrays = {}
-        for name in STORE_ARRAYS:
-            arr = getattr(self, name)
-            if name in TRAINABLE:
-                arrays[name] = arr.copy()
-            else:
-                arrays[name] = arr.view()
-                arrays[name].flags.writeable = False
-        return GaussianStore(**arrays)
-
     def extend(self, other: "GaussianStore") -> None:
         """Append every Gaussian of `other`, keeping its order."""
         for name in STORE_ARRAYS:

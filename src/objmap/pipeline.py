@@ -7,9 +7,10 @@ render, mask, densify and optimize the Gaussians of each masked object.
 Gaussians carry track ids: each frame's instance segments are renamed to the
 track ids of the detections that claim them (unclaimed ones are not mapped),
 and a track merge moves the popped track's Gaussians to the keeper.
-Everything runs on the calling thread.  Each object of a frame trains
-against a frame-start snapshot and the results are committed only once every
-object has trained, so no object's result depends on another's this frame.
+Everything runs on the calling thread.  Each object of a frame trains in
+place on the one store and then gets its frame-start colours and opacities
+back; the trained values are committed only once every object has trained,
+so no object's result depends on another's this frame.
 """
 
 from __future__ import annotations
@@ -350,20 +351,22 @@ def _map_frame(store: GaussianStore, frame: FrameBundle, config: PipelineConfig,
             selections[k] = sel
     del out, masks  # the frame-start render is not needed while the objects train
 
-    # every object trains, in ascending id, on its own copy of the
-    # frame-start store's trainable arrays and reads the others from that
-    # store; nothing is committed until every object has trained, so no
-    # object sees another's new colours or opacities this frame and the map
-    # does not depend on the training order.  The geometry is fixed, so the
-    # objects share one footprint skeleton of that store.
+    # every object trains, in ascending id, on `store` itself and then gets
+    # its frame-start colours and opacities back; the selections are
+    # disjoint and training writes only the selected rows, so every object
+    # sees the frame-start store, and the trained rows are committed only
+    # once every object has trained.  The map therefore does not depend on
+    # the training order.  The geometry is fixed, so the objects share one
+    # footprint skeleton of that store.
     train_cfg = config.training()
-    skeletons = [footprint_skeleton(store, frame.camera)] if selections else None
+    skeleton = footprint_skeleton(store, frame.camera) if selections else None
     trained = []
     for k, sel in selections.items():
-        local = store.trainable_copy()
-        optimize_object(local, k, [frame], sel, train_cfg, skeletons=skeletons)
-        trained.append((sel, [getattr(local, name)[sel] for name in TRAINABLE]))
-        del local  # released before the next object's copy is made
+        start = [getattr(store, name)[sel] for name in TRAINABLE]
+        optimize_object(store, k, frame, sel, train_cfg, skeleton=skeleton)
+        trained.append((sel, [getattr(store, name)[sel] for name in TRAINABLE]))
+        for name, value in zip(TRAINABLE, start):
+            getattr(store, name)[sel] = value
     for sel, values in trained:
         for name, value in zip(TRAINABLE, values):
             getattr(store, name)[sel] = value
@@ -614,13 +617,21 @@ def eval_pose(result: PipelineResult, gt: dict, cameras: list) -> EvalReport:
 def eval_recon(
     est_points: np.ndarray, gt_points: np.ndarray, threshold_cm: float = 5.0
 ) -> tuple[float, float, float]:
-    """(Accuracy cm, Completion cm, Completion-Ratio %) via exact NN search."""
+    """(Accuracy cm, Completion cm, Completion-Ratio %) via exact NN search.
+
+    Raises InvalidParameterError when a point set is empty or the threshold
+    is not a finite number above 0.
+    """
     from scipy.spatial import cKDTree  # deferred: mapping needs no SciPy
 
     est = np.asarray(est_points, dtype=float)
     gt = np.asarray(gt_points, dtype=float)
     if len(est) == 0 or len(gt) == 0:
         raise InvalidParameterError("eval_recon requires non-empty point sets")
+    if not (math.isfinite(threshold_cm) and threshold_cm > 0):
+        raise InvalidParameterError(
+            f"threshold_cm must be finite and above 0, got {threshold_cm!r}"
+        )
     d_est_gt = cKDTree(gt).query(est, k=1)[0]
     d_gt_est = cKDTree(est).query(gt, k=1)[0]
     accuracy = float(d_est_gt.mean() * 100.0)

@@ -638,62 +638,41 @@ class TrainConfig:
 def optimize_object(
     store: GaussianStore,
     object_id: int,
-    frames: list[FrameBundle],
+    frame: FrameBundle,
     trainable_idx: np.ndarray,
     config: TrainConfig | None = None,
-    skeletons: list | None = None,
+    skeleton: dict | None = None,
 ) -> list[float]:
-    """Momentum descent on the trainable Gaussians of one object.
+    """Momentum descent on the trainable Gaussians of one object at one frame.
 
-    Each step accumulates gradients over the frame window, takes an
-    RMS-normalized step per parameter group, and rejects (reverts, halves
-    the rate, resets momentum) any step that increases the loss, so the
-    returned trace of accepted losses is non-increasing.  Each step evaluates
-    once, at the trial point; a rejected step keeps the gradients it had.
+    Each step takes an RMS-normalized step per parameter group and rejects
+    (reverts, halves the rate, resets momentum) any step that increases the
+    loss, so the returned trace of accepted losses is non-increasing.  Each
+    step evaluates once, at the trial point; a rejected step keeps the
+    gradients it had.  Only the rows at `trainable_idx` are written.
 
     The Gaussians' geometry stays fixed, so every evaluation composites over
-    one `footprint_skeleton` per frame: `skeletons[i]` for `frames[i]` when
-    given (built from a store with this store's geometry), else built here;
-    a frame where nothing rasterizes gets a skeleton with no entries.
-    Raises InvalidParameterError when the skeletons do not match the frames
-    in number.
+    one `footprint_skeleton` of the frame's camera: `skeleton` when given
+    (built from a store with this store's geometry), else built here; a frame
+    where nothing rasterizes gets a skeleton with no entries.
     """
     config = config or TrainConfig()
     trainable_idx = np.asarray(trainable_idx, dtype=int)
     if len(trainable_idx) == 0:
         logger.warning("optimize_object %d: no trainable Gaussians, skipping", object_id)
         return []
-    if not frames:
-        return []
+    if skeleton is None:
+        skeleton = footprint_skeleton(store, frame.camera)
 
-    if skeletons is None:
-        skeletons = [footprint_skeleton(store, frame.camera) for frame in frames]
-    elif len(skeletons) != len(frames):
-        raise InvalidParameterError(
-            f"{len(skeletons)} footprint skeletons for {len(frames)} frames"
-        )
-
-    def total_loss_grads():
-        loss = 0.0
-        acc = None
-        for frame, skeleton in zip(frames, skeletons):
-            f_loss, grads, _ = loss_and_gradients(
-                store, trainable_idx, frame, lam=config.lam, object_id=object_id,
-                skeleton=skeleton,
-            )
-            loss += f_loss
-            if acc is None:
-                acc = grads
-            else:
-                for name in TRAINABLE:
-                    getattr(acc, name)[...] += getattr(grads, name)
-        return loss, acc
+    def loss_grads():
+        return loss_and_gradients(store, trainable_idx, frame, lam=config.lam,
+                                  object_id=object_id, skeleton=skeleton)[:2]
 
     sel = trainable_idx
     vel = {name: np.zeros((len(sel),) + getattr(store, name).shape[1:]) for name in TRAINABLE}
     lrs = {"colors": config.lr_color, "opacities": config.lr_opacity}
     scale_down = 1.0
-    loss, grads = total_loss_grads()
+    loss, grads = loss_grads()
     trace = [loss]
 
     for _ in range(config.iters):
@@ -707,7 +686,7 @@ def optimize_object(
             vel[name] = MOMENTUM * vel[name] + step
             getattr(store, name)[sel] += vel[name]
         store.clamp_parameters(sel)  # frozen Gaussians stay bit-identical
-        new_loss, new_grads = total_loss_grads()
+        new_loss, new_grads = loss_grads()
         if new_loss <= trace[-1]:
             trace.append(new_loss)
             grads = new_grads

@@ -138,6 +138,13 @@ class SceneSpec:
     depth_scale: float = 1000.0
     seed: int = 0
 
+    def __post_init__(self):
+        for name, least in (("n_frames", 0), ("width", 1), ("height", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise InvalidParameterError(
+                    f"scene {name} must be at least {least}, got {getattr(self, name)!r}"
+                )
+
     def camera_at(self, index: int) -> CameraModel:
         R, t = self.trajectory.pose(index, self.n_frames)
         return CameraModel(

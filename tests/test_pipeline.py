@@ -197,33 +197,24 @@ class TestRunPipeline:
                     for w in (1, 3)]
         assert cached[0] == cached[1] == uncached[0] == uncached[1]
 
-    def test_jobs_share_the_fixed_arrays_read_only(self, small_dataset, monkeypatch):
-        """An object job's store owns copies of the TRAINABLE arrays and
-        shares the other four with the frame-start store, read-only."""
+    def test_every_object_starts_from_the_frame_start_store(self, small_dataset,
+                                                             monkeypatch):
+        """Within a frame, every object trains from the same colour and
+        opacity bytes: an earlier object's trained values are put back
+        before the next object trains."""
         optimize = renderer.optimize_object
-        frame_stores, jobs = [], []
+        starts: dict[int, list] = {}
 
-        def building(store, camera):
-            frame_stores.append({name: getattr(store, name) for name in STORE_ARRAYS})
-            return footprint_skeleton(store, camera)
+        def recording(store, object_id, frame, *args, **kwargs):
+            starts.setdefault(frame.index, []).append(
+                [getattr(store, name).tobytes() for name in TRAINABLE])
+            return optimize(store, object_id, frame, *args, **kwargs)
 
-        def recording(store, *args, **kwargs):
-            jobs.append((frame_stores[-1], store))
-            return optimize(store, *args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "footprint_skeleton", building)
         monkeypatch.setattr(renderer, "optimize_object", recording)
-        run_pipeline(small_dataset, fast_config(workers=1))
-        assert jobs
-        for frame_store, local in jobs:
-            for name in STORE_ARRAYS:
-                arr = getattr(local, name)
-                shared = np.shares_memory(arr, frame_store[name])
-                assert shared == (name not in TRAINABLE), name
-                assert arr.flags.writeable == (name in TRAINABLE), name
-        for name in set(STORE_ARRAYS) - set(TRAINABLE):
-            with pytest.raises(ValueError, match="read-only"):
-                getattr(local, name)[0] = 1
+        run_pipeline(small_dataset, fast_config())
+        assert any(len(calls) >= 2 for calls in starts.values())
+        for index, calls in starts.items():
+            assert all(c == calls[0] for c in calls), index
 
     def test_empty_dataset(self, tmp_path):
         d = tmp_path / "empty"
@@ -499,6 +490,12 @@ class TestEvalRecon:
         with pytest.raises(InvalidParameterError):
             eval_recon(np.empty((0, 3)), np.ones((5, 3)))
 
+    @pytest.mark.parametrize("threshold", [float("nan"), -3.0, 0.0, float("inf")])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        pts = np.zeros((4, 3))
+        with pytest.raises(InvalidParameterError, match="threshold_cm"):
+            eval_recon(pts, pts, threshold_cm=threshold)
+
 
 class TestExportAndState:
     def test_export_objects(self, small_dataset, tmp_path):
@@ -749,6 +746,25 @@ class TestCli:
                          str(tmp_path / "s"), "--config", str(bad_cfg)]) == 2
         assert cli_main(["run", "--dataset", small_dataset, "--out-state",
                          str(tmp_path / "s"), "--enable-gaussians", "flase"]) == 2
+        # a scene value out of range names its field
+        for flag, value, name in (("--frames", "-2", "n_frames"), ("--seed", "-1", "seed"),
+                                  ("--width", "0", "width"), ("--height", "0", "height")):
+            capsys.readouterr()
+            assert cli_main(["simulate", "--preset", "sphere", flag, value,
+                             "--out", str(tmp_path / "sim")]) == 2, flag
+            assert name in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+        # a map whose one track matches ground-truth object 1 of small_dataset
+        state = tmp_path / "one_track"
+        state.mkdir()
+        (state / "state.json").write_text(json.dumps({"tracks": [dict(
+            TRACK, object_id=1, class_id=1,
+            **dict(QUADRIC, center=[0, 0, 0.4], semi_axes=[0.3, 0.3, 0.3]))], "next_id": 2}))
+        np.savez(state / "gaussians.npz", **npz_arrays())
+        recon = ["eval-recon", "--state", str(state), "--dataset", small_dataset]
+        assert cli_main(recon + ["--threshold-cm", "5"]) == 0
+        for value in ("nan", "-3", "0", "inf"):
+            assert cli_main(recon + ["--threshold-cm", value]) == 2, value
 
     @pytest.mark.parametrize("digits", [400, 5000])
     def test_config_with_huge_int_exits_2(self, tmp_path, small_dataset, digits):

@@ -464,46 +464,51 @@ class TestSkeleton:
             return project(*args)
 
         monkeypatch.setattr(renderer, "project_gaussian_subset", counting)
-        trace = optimize_object(store.copy(), 1, [frame], idx, config)
+        trace = optimize_object(store.copy(), 1, frame, idx, config)
         assert len(trace) == config.iters + 1
         assert calls == [len(store)]
         skel = renderer.footprint_skeleton(store, frame.camera)
         calls.clear()
-        optimize_object(store.copy(), 1, [frame], idx, config, skeletons=[skel])
+        optimize_object(store.copy(), 1, frame, idx, config, skeleton=skel)
         assert calls == []
 
     def test_training_matches_uncached(self, monkeypatch):
-        """Skeletons passed in, built by optimize_object and none at all give
-        the same store bytes, rejected steps included, over a window with a
-        frame where nothing rasterizes."""
+        """A skeleton passed in, one built by optimize_object and none at all
+        give the same store bytes, rejected steps included, in one run at a
+        frame that sees the object and in another at a frame where nothing
+        rasterizes."""
         cam = camera_64()
         store = array_scene(np.random.default_rng(7), 80)
         store.colors[:] = 0.5
-        frames = [gradcheck_frame(store, cam, 1), away_frame(cam)]
         idx = store.object_indices(1)
         config = TrainConfig(iters=12, lr_color=0.3, lr_opacity=0.2)
-        skeletons = [renderer.footprint_skeleton(store, f.camera) for f in frames]
-        assert len(skeletons[0]["row"]) and not len(skeletons[1]["row"])
+        evaluate = renderer.loss_and_gradients
+        for seen, frame in ((True, gradcheck_frame(store, cam, 1)), (False, away_frame(cam))):
+            skeleton = renderer.footprint_skeleton(store, frame.camera)
+            assert bool(len(skeleton["row"])) == seen
 
-        passed = store.copy()
-        passed_trace = optimize_object(passed, 1, frames, idx, config, skeletons=skeletons)
-        built = store.copy()
-        built_trace = optimize_object(built, 1, frames, idx, config)
-        seen = []
+            passed = store.copy()
+            passed_trace = optimize_object(passed, 1, frame, idx, config, skeleton=skeleton)
+            built = store.copy()
+            built_trace = optimize_object(built, 1, frame, idx, config)
+            used = []
 
-        def uncached(*args, **kwargs):
-            seen.append(kwargs["skeleton"])
-            return loss_and_gradients(*args, **dict(kwargs, skeleton=None))
+            def uncached(*args, **kwargs):
+                used.append(kwargs["skeleton"])
+                return evaluate(*args, **dict(kwargs, skeleton=None))
 
-        monkeypatch.setattr(renderer, "loss_and_gradients", uncached)
-        plain = store.copy()
-        plain_trace = optimize_object(plain, 1, frames, idx, config)
-        assert len(seen[0]["row"]) and not len(seen[1]["row"])
-        assert passed_trace == built_trace == plain_trace
-        assert any(plain_trace[i + 1] == plain_trace[i] for i in range(len(plain_trace) - 1))
-        for name in STORE_ARRAYS:
-            ref = getattr(plain, name).tobytes()
-            assert getattr(passed, name).tobytes() == ref == getattr(built, name).tobytes(), name
+            monkeypatch.setattr(renderer, "loss_and_gradients", uncached)
+            plain = store.copy()
+            plain_trace = optimize_object(plain, 1, frame, idx, config)
+            monkeypatch.undo()
+            assert used and all(bool(len(s["row"])) == seen for s in used)
+            assert passed_trace == built_trace == plain_trace
+            if seen:
+                assert any(plain_trace[i + 1] == plain_trace[i]
+                           for i in range(len(plain_trace) - 1))
+            for name in STORE_ARRAYS:
+                ref = getattr(plain, name).tobytes()
+                assert getattr(passed, name).tobytes() == ref == getattr(built, name).tobytes(), name
 
     def test_misuse_refused(self):
         cam = camera_64()
@@ -521,9 +526,6 @@ class TestSkeleton:
         assert not len(empty_skel["row"])
         with pytest.raises(InvalidParameterError, match="does not fit"):
             loss_and_gradients(grown, idx, away, object_id=1, skeleton=empty_skel)
-        with pytest.raises(InvalidParameterError, match="2 frames"):
-            optimize_object(store.copy(), 1, [frame, frame], idx, TrainConfig(iters=1),
-                            skeletons=[skel])
 
 
 def first_pixel_scene():
@@ -665,11 +667,11 @@ class TestBlockedEvaluation:
         idx = store.object_indices(1)
         config = TrainConfig(iters=6, lr_color=0.3, lr_opacity=0.2)
         blocked = store.copy()
-        blocked_trace = optimize_object(blocked, 1, [frame], idx, config)
+        blocked_trace = optimize_object(blocked, 1, frame, idx, config)
         assert any(a == b for a, b in zip(blocked_trace, blocked_trace[1:]))  # a rejected step
         monkeypatch.setattr(renderer, "loss_and_gradients", oracle_training)
         plain = store.copy()
-        assert optimize_object(plain, 1, [frame], idx, config) == blocked_trace
+        assert optimize_object(plain, 1, frame, idx, config) == blocked_trace
         for name in STORE_ARRAYS:
             assert getattr(blocked, name).tobytes() == getattr(plain, name).tobytes(), name
 
@@ -763,7 +765,7 @@ class TestOptimizeObject:
 
     def test_loss_trace_non_increasing(self):
         cam, frame, fit = self._target_setup(np.random.default_rng(0))
-        trace = optimize_object(fit, 1, [frame], np.array([0]), TrainConfig(iters=40))
+        trace = optimize_object(fit, 1, frame, np.array([0]), TrainConfig(iters=40))
         assert len(trace) == 41
         assert all(trace[i + 1] <= trace[i] + 1e-9 for i in range(len(trace) - 1))
         assert trace[-1] < trace[0]
@@ -771,14 +773,14 @@ class TestOptimizeObject:
     def test_zero_iterations_is_noop(self):
         cam, frame, fit = self._target_setup(np.random.default_rng(0))
         before = fit.copy()
-        optimize_object(fit, 1, [frame], np.array([0]), TrainConfig(iters=0))
+        optimize_object(fit, 1, frame, np.array([0]), TrainConfig(iters=0))
         for name in STORE_ARRAYS:
             assert getattr(fit, name).tobytes() == getattr(before, name).tobytes(), name
 
     def test_empty_trainable_noop(self):
         cam, frame, fit = self._target_setup(np.random.default_rng(0))
         before = fit.copy()
-        trace = optimize_object(fit, 1, [frame], np.empty(0, int), TrainConfig(iters=5))
+        trace = optimize_object(fit, 1, frame, np.empty(0, int), TrainConfig(iters=5))
         assert trace == []
         for name in STORE_ARRAYS:
             assert getattr(fit, name).tobytes() == getattr(before, name).tobytes(), name
@@ -790,7 +792,7 @@ class TestOptimizeObject:
         before = {name: getattr(store, name).copy() for name in STORE_ARRAYS}
         train = store.object_indices(1)[:3]
         frozen = np.setdiff1d(np.arange(len(store)), train)
-        optimize_object(store, 1, [frame], train, TrainConfig(iters=10))
+        optimize_object(store, 1, frame, train, TrainConfig(iters=10))
         for name in TRAINABLE:
             after = getattr(store, name)
             assert after[frozen].tobytes() == before[name][frozen].tobytes(), name
@@ -807,7 +809,7 @@ class TestOptimizeObject:
         store.means[:, :2] += 0.02  # start away from the target
         before = store.copy()
         train = store.object_indices(1)
-        optimize_object(store, 1, [frame], train, TrainConfig())
+        optimize_object(store, 1, frame, train, TrainConfig())
         for name in ("means", "scales", "quats"):
             assert getattr(store, name).tobytes() == getattr(before, name).tobytes(), name
         for name in TRAINABLE:
@@ -815,11 +817,11 @@ class TestOptimizeObject:
                                       getattr(before, name)[train]), name
 
     def test_one_evaluation_per_step(self, monkeypatch):
-        """Every frame of the window is evaluated once at the start and once
-        per step, accepted or rejected."""
+        """The frame is evaluated once at the start and once per step,
+        accepted or rejected."""
         cam = camera_64()
         store = random_scene(np.random.default_rng(5), 12)
-        frames = [gradcheck_frame(store, cam, 1) for _ in range(3)]
+        frame = gradcheck_frame(store, cam, 1)
         store.means[:, :2] += 0.02  # start away from the target
         calls = []
 
@@ -828,18 +830,18 @@ class TestOptimizeObject:
             return loss_and_gradients(*args, **kwargs)
 
         monkeypatch.setattr(renderer, "loss_and_gradients", counting)
-        trace = optimize_object(store, 1, frames, store.object_indices(1),
+        trace = optimize_object(store, 1, frame, store.object_indices(1),
                                 TrainConfig(iters=20, lr_color=0.2))
         rejected = sum(trace[i + 1] == trace[i] for i in range(len(trace) - 1))
         assert len(trace) == 21 and 0 < rejected < 20
-        assert len(calls) == len(frames) * len(trace)
+        assert len(calls) == len(trace)
 
     def test_opacity_class_preserved(self):
         cam, frame, fit = self._target_setup(np.random.default_rng(0))
         fit.extend(store_of([
             prim([0.0, 0.0, 2.05], opacity=0.1, kind=KIND_TRANSPARENT, color=(0.9, 0.1, 0.1)),
         ]))
-        optimize_object(fit, 1, [frame], np.arange(2), TrainConfig(iters=30))
+        optimize_object(fit, 1, frame, np.arange(2), TrainConfig(iters=30))
         assert fit.opacities[0] >= 0.5   # opaque stays opaque
         assert fit.opacities[1] <= 0.5   # transparent stays transparent
 
@@ -866,7 +868,7 @@ class TestOptimizeObject:
         fit.extend(store_of(tg))
         depth_before = render(fit, cam).depth.copy()
         l0, _, p0 = loss_and_gradients(fit, np.empty(0, int), frame, lam=0.0, object_id=1)
-        optimize_object(fit, 1, [frame], np.arange(1, 13), TrainConfig(iters=40))
+        optimize_object(fit, 1, frame, np.arange(1, 13), TrainConfig(iters=40))
         l1, _, p1 = loss_and_gradients(fit, np.empty(0, int), frame, lam=0.0, object_id=1)
         depth_after = render(fit, cam).depth
         assert p1["rgb"] < p0["rgb"]  # color improves

@@ -336,6 +336,13 @@ class TestDataset:
         with pytest.raises(InvalidParameterError):
             generate(SceneSpec(objects=[], n_frames=1), "/tmp/unused")
 
+    @pytest.mark.parametrize("name, value", [
+        ("n_frames", -2), ("width", 0), ("height", 0), ("seed", -1),
+    ])
+    def test_scene_value_out_of_range_rejected(self, name, value):
+        with pytest.raises(InvalidParameterError, match=f"scene {name} must be at least"):
+            one_sphere_spec(**{name: value})
+
 
 class TestSurfaceSampling:
     def test_points_on_surface(self):
