@@ -12,15 +12,14 @@ import numpy as np
 
 logging.disable(logging.WARNING)
 
+from objmap.config import PipelineConfig
 from objmap.gaussians import (
-    DensifyConfig,
     GaussianStore,
-    MaskThresholds,
     compute_update_masks,
     densify_from_mask,
     select_trainable,
 )
-from objmap.renderer import TrainConfig, dump_render_pngs, optimize_object, render
+from objmap.renderer import dump_render_pngs, optimize_object, render
 from objmap.scenes import sphere_scene
 from objmap.simulator import frame_bundles
 
@@ -30,10 +29,10 @@ frame, _ = next(frame_bundles(spec))
 
 store = GaussianStore()
 empty = render(store, frame.camera, instance_ref=frame.instance)
-masks = compute_update_masks(frame, empty, MaskThresholds())
+masks = compute_update_masks(frame, empty, PipelineConfig())
 print(f"fresh map: {np.count_nonzero(masks.geo_mask)} geometry pixels flagged")
 
-new = densify_from_mask(frame, masks, empty, DensifyConfig(stride=1))
+new = densify_from_mask(frame, masks, empty, PipelineConfig(stride=1))
 store.extend(new)
 print(f"densified {len(new)} gaussians from the depth image")
 
@@ -44,7 +43,7 @@ print(f"alpha+transmittance check: max |a+T-1| = "
       f"{np.abs(out.alpha + out.transmittance - 1).max():.2e}")
 
 trainable = select_trainable(store, masks, 1, frame.camera)
-trace = optimize_object(store, 1, frame, trainable, TrainConfig(iters=12))
+trace = optimize_object(store, 1, frame, trainable, PipelineConfig(gaussian_iters=12))
 print("\nloss trace (appearance optimization):")
 print("  " + " -> ".join(f"{v:.1f}" for v in trace[::3]))
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import MODES, PipelineConfig
 from .errors import (
     BehindCameraError,
     CannotInitializeError,
@@ -44,29 +45,11 @@ from .quadrics import (
     quadric_raw_distance,
 )
 
-MODES = ("iou", "qd", "qd+iou")
-
 STATUS_CANDIDATE = "candidate"
 STATUS_INITIALIZED = "initialized"
 STATUS_STABLE = "stable"
 STATUSES = (STATUS_CANDIDATE, STATUS_INITIALIZED, STATUS_STABLE)
 STABLE_OBS = 5  # observations after which an initialized track counts as stable
-
-
-@dataclass
-class AssocConfig:
-    mode: str = "qd+iou"
-    iou_gate: float = 0.3
-    qd_accept: float = 0.6
-    tau: float = 1.0
-    t_thre: float = 0.85
-    merge_d: float = 0.1
-    merge_duplicate_raw: float = 0.1
-    merge_iou3d: float = 0.2
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise InvalidParameterError(f"association mode must be one of {MODES}")
 
 
 @dataclass
@@ -280,9 +263,16 @@ def _observation_quadric(
 
 
 def associate_frame(
-    obj_map: ObjectMap, frame: FrameBundle, config: AssocConfig
+    obj_map: ObjectMap, frame: FrameBundle, config: PipelineConfig
 ) -> AssociationResult:
-    """Run one frame of coarse-to-fine association and occlusion merging."""
+    """Run one frame of coarse-to-fine association and occlusion merging.
+
+    Raises InvalidParameterError when `config.assoc_mode` is not in MODES.
+    """
+    if config.assoc_mode not in MODES:
+        raise InvalidParameterError(
+            f"config key 'assoc_mode' must be one of {MODES}, got {config.assoc_mode!r}"
+        )
     result = AssociationResult()
     dets = frame.detections
     if not dets and len(obj_map) == 0:
@@ -314,7 +304,7 @@ def associate_frame(
         for d_idx, det in enumerate(dets):
             if det.class_id != track.class_id:
                 continue
-            if config.mode in ("iou", "qd+iou"):
+            if config.assoc_mode in ("iou", "qd+iou"):
                 overlap = iou_2d(proj[tid], det.bbox)
                 if overlap < config.iou_gate:
                     continue
@@ -337,13 +327,13 @@ def associate_frame(
         if tid in used_tracks or d_idx in used_dets:
             continue
         track = obj_map.tracks[tid]
-        if config.mode == "qd+iou" and track.quadric is not None:
+        if config.assoc_mode == "qd+iou" and track.quadric is not None:
             obs_q = get_obs_quadric(d_idx)
             if obs_q is not None:
                 qd = quadric_distance(obs_q, track.quadric, config.tau)
                 if qd < config.qd_accept:
                     continue  # rejected pair; both sides stay available
-        elif config.mode == "qd" and score < config.qd_accept:
+        elif config.assoc_mode == "qd" and score < config.qd_accept:
             continue
         used_tracks.add(tid)
         used_dets.add(d_idx)
@@ -369,7 +359,7 @@ def associate_frame(
         result.new_tracks.append(d_idx)
         track_ids[d_idx] = track.object_id
 
-    if config.mode in ("qd", "qd+iou"):
+    if config.assoc_mode in ("qd", "qd+iou"):
         result.merges = merge_occluded(obj_map, frame, config)
     # in merge order, so a keeper popped later passes its detections on
     for keeper, popped in result.merges:
@@ -391,7 +381,7 @@ def _try_initialize(track: ObjectTrack) -> None:
 
 
 def merge_occluded(
-    obj_map: ObjectMap, frame: FrameBundle, config: AssocConfig
+    obj_map: ObjectMap, frame: FrameBundle, config: PipelineConfig
 ) -> list[tuple[int, int]]:
     """Pop redundant same-class tracks (occlusion fragments and twins).
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .errors import DatasetError, InvalidParameterError, ObjmapError
 from .gaussians import KIND_OPAQUE
 from .pipeline import (
     PipelineConfig,
+    check_threshold_cm,
     dataset_cameras,
     eval_pose,
     eval_recon,
@@ -152,12 +153,13 @@ def _cmd_eval_pose(args) -> int:
     print(report.table())
     if args.out:
         with open(args.out, "w") as f:
-            json.dump(report.to_dict(), f, indent=1, sort_keys=True)
+            json.dump(asdict(report), f, indent=1, sort_keys=True)
             f.write("\n")
     return EXIT_OK
 
 
 def _cmd_eval_recon(args) -> int:
+    check_threshold_cm(args.threshold_cm)  # also when no object is matched
     result = load_state(args.state)
     gt = load_gt(args.dataset)
     report = {"threshold_cm": args.threshold_cm, "objects": []}

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import PipelineConfig
 from .errors import InvalidParameterError
 from .frames import FrameBundle
 from .plyio import read_point_ply, write_point_ply
@@ -138,14 +139,6 @@ def import_object_ply(path) -> GaussianStore:
 
 
 @dataclass
-class MaskThresholds:
-    theta_alpha: float = 0.9   # accumulation below this flags missing geometry
-    theta_d: float = 0.1       # meters
-    theta_c: float = 0.1       # max per-channel color error
-    include_background: bool = False
-
-
-@dataclass
 class UpdateMasks:
     geo_mask: np.ndarray
     rgb_mask: np.ndarray
@@ -155,7 +148,7 @@ class UpdateMasks:
         return int(np.count_nonzero(self.geo_mask)), int(np.count_nonzero(self.rgb_mask))
 
 
-def compute_update_masks(frame: FrameBundle, render, thresholds: MaskThresholds) -> UpdateMasks:
+def compute_update_masks(frame: FrameBundle, render, config: PipelineConfig) -> UpdateMasks:
     """Flag pixels whose render disagrees with the frame (geometry / color).
 
     geo: instance accumulation below theta_alpha OR depth error above
@@ -172,13 +165,13 @@ def compute_update_masks(frame: FrameBundle, render, thresholds: MaskThresholds)
     valid_depth = frame.depth > 0
     ins = render.instance
     depth_err = np.abs(frame.depth - render.depth)
-    geo = (ins < thresholds.theta_alpha) | (valid_depth & (depth_err > thresholds.theta_d))
+    geo = (ins < config.theta_alpha) | (valid_depth & (depth_err > config.theta_d))
     geo &= valid_depth
 
     color_err = np.max(np.abs(frame.rgb - render.color), axis=2)
-    rgb = color_err > thresholds.theta_c
+    rgb = color_err > config.theta_c
 
-    mapped = frame.instance >= 0 if thresholds.include_background else frame.instance > 0
+    mapped = frame.instance >= 0 if config.include_background else frame.instance > 0
     geo &= mapped
     rgb &= mapped
     rgb &= ~geo  # geometry fixes take precedence at a pixel
@@ -192,12 +185,6 @@ def compute_update_masks(frame: FrameBundle, render, thresholds: MaskThresholds)
             np.flatnonzero(rgb & sel),
         )
     return UpdateMasks(geo_mask=geo, rgb_mask=rgb, per_object=per_object)
-
-
-@dataclass
-class DensifyConfig:
-    stride: int = 4
-    max_new_per_frame: int = 0  # 0 = unlimited; else cap spawns (scan order)
 
 
 def _spawn(frame: FrameBundle, ys: np.ndarray, xs: np.ndarray, depths: np.ndarray,
@@ -222,16 +209,18 @@ def _spawn(frame: FrameBundle, ys: np.ndarray, xs: np.ndarray, depths: np.ndarra
 
 
 def densify_from_mask(
-    frame: FrameBundle, masks: UpdateMasks, render, config: DensifyConfig | None = None
+    frame: FrameBundle, masks: UpdateMasks, render, config: PipelineConfig | None = None
 ) -> GaussianStore:
     """Spawn Gaussians on a stride grid over the masked pixels.
 
     Geometry pixels back-project at the observed depth as opaque Gaussians;
     color pixels spawn transparent Gaussians at the rendered surface depth.
     Zero-depth pixels are skipped.  The result holds only the new Gaussians:
-    opaque ones first, each kind in pixel scan order.
+    opaque ones first, each kind in pixel scan order, at most
+    `max_new_per_frame` of them when that is above 0.  `config` defaults to
+    `PipelineConfig()`.
     """
-    config = config or DensifyConfig()
+    config = config or PipelineConfig()
     h, w = frame.shape
     stride = max(1, config.stride)
     off = stride // 2

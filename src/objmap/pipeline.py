@@ -27,7 +27,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .association import MODES, STATUSES, AssocConfig, ObjectMap, ObjectTrack, associate_frame
+from .association import STATUSES, ObjectMap, ObjectTrack, associate_frame
+from .config import PipelineConfig
 from .errors import (
     BehindCameraError,
     DatasetError,
@@ -39,183 +40,19 @@ from .frames import FrameBundle, relabel_instances
 from .gaussians import (
     STORE_ARRAYS,
     TRAINABLE,
-    DensifyConfig,
     GaussianStore,
-    MaskThresholds,
     compute_update_masks,
     densify_from_mask,
     export_object_ply,
     select_trainable,
 )
-from .quadric_fit import OptimConfig, optimize_quadric
+from .quadric_fit import optimize_quadric
 from .quadrics import DualQuadric, conic_to_bbox, iou_2d, iou_3d, project_to_conic
-from .renderer import TrainConfig, footprint_skeleton, render
+from .renderer import footprint_skeleton, render
 from .simulator import load, quadric_from_json, quadric_to_json
 from .simulator import dataset_cameras  # noqa: F401  (part of the pipeline API)
 
 logger = logging.getLogger(__name__)
-
-
-_AT_LEAST_0 = ("at least 0", lambda v: v >= 0)
-_UNIT = ("in [0, 1]", lambda v: 0 <= v <= 1)
-
-# allowed values of the numeric PipelineConfig fields; those not listed
-# (learning rates, loss weight, distances, counts) must be at least 0
-_RANGES = {
-    **dict.fromkeys(
-        ("iou_gate", "qd_accept", "t_thre", "merge_d", "merge_iou3d", "theta_alpha"), _UNIT
-    ),
-    "tau": ("above 0", lambda v: v > 0),
-    **dict.fromkeys(("stride", "workers"), ("at least 1", lambda v: v >= 1)),
-    "lr_mean": ("0 (Gaussian means are fixed at spawn)", lambda v: v == 0),
-}
-
-
-@dataclass
-class PipelineConfig:
-    """Every tunable of the mapping loop; serializable as flat JSON."""
-
-    # association
-    assoc_mode: str = "qd+iou"
-    iou_gate: float = 0.3
-    qd_accept: float = 0.6
-    tau: float = 1.0
-    t_thre: float = 0.85
-    merge_d: float = 0.1
-    merge_duplicate_raw: float = 0.1
-    merge_iou3d: float = 0.2
-    # update masks
-    theta_alpha: float = 0.9
-    theta_d: float = 0.1
-    theta_c: float = 0.1
-    include_background: bool = False
-    # gaussians
-    enable_gaussians: bool = True
-    stride: int = 4
-    max_new_per_frame: int = 0
-    gaussian_iters: int = 30
-    lam: float = 0.5
-    lr_mean: float = 0.0  # only 0 is accepted (see _RANGES)
-    lr_color: float = 0.04
-    lr_opacity: float = 0.02
-    train_all: bool = False
-    # quadric optimization
-    quadric_min_obs: int = 3
-    quadric_every: int = 10
-    quadric_iters: int = 60
-    quadric_final_iters: int = 200
-    yaw_only: bool = False
-    # runtime: accepted (at least 1) and has no effect; mapping runs on the
-    # calling thread
-    workers: int = 1
-
-    def assoc(self) -> AssocConfig:
-        return AssocConfig(
-            mode=self.assoc_mode,
-            iou_gate=self.iou_gate,
-            qd_accept=self.qd_accept,
-            tau=self.tau,
-            t_thre=self.t_thre,
-            merge_d=self.merge_d,
-            merge_duplicate_raw=self.merge_duplicate_raw,
-            merge_iou3d=self.merge_iou3d,
-        )
-
-    def thresholds(self) -> MaskThresholds:
-        return MaskThresholds(
-            theta_alpha=self.theta_alpha,
-            theta_d=self.theta_d,
-            theta_c=self.theta_c,
-            include_background=self.include_background,
-        )
-
-    def densify(self) -> DensifyConfig:
-        return DensifyConfig(stride=self.stride, max_new_per_frame=self.max_new_per_frame)
-
-    def training(self) -> TrainConfig:
-        return TrainConfig(
-            iters=self.gaussian_iters,
-            lam=self.lam,
-            lr_color=self.lr_color,
-            lr_opacity=self.lr_opacity,
-        )
-
-    def quadric_optim(self, iters: int | None = None) -> OptimConfig:
-        return OptimConfig(
-            max_iters=self.quadric_iters if iters is None else iters,
-            yaw_only=self.yaw_only,
-        )
-
-    def to_json(self, path: str) -> None:
-        with open(path, "w") as f:
-            json.dump(asdict(self), f, indent=1, sort_keys=True)
-            f.write("\n")
-
-    @classmethod
-    def from_json(cls, path: str) -> "PipelineConfig":
-        try:
-            with open(path) as f:
-                raw = json.load(f)
-        except (OSError, ValueError) as e:  # ValueError: bad JSON, or an int too long to parse
-            raise InvalidParameterError(f"cannot read config {path}: {e}") from e
-        return cls.from_dict(raw)
-
-    def check(self) -> None:
-        """Raise InvalidParameterError naming the first value out of range.
-
-        `assoc_mode` must be one of `association.MODES`, every float must be
-        finite (an int too large for a float is not) and every number lie in
-        its `_RANGES` entry.  `run_pipeline` and `from_dict` call this, so a
-        value set on a constructed config (as the CLI flags are) is checked
-        too.
-        """
-        if self.assoc_mode not in MODES:
-            raise InvalidParameterError(
-                f"config key 'assoc_mode' must be one of {MODES}, got {self.assoc_mode!r}"
-            )
-        for name, f in self.__dataclass_fields__.items():
-            value = getattr(self, name)
-            kind = type(f.default)
-            if kind is float:
-                try:
-                    finite = np.isfinite(float(value))
-                except OverflowError:
-                    raise InvalidParameterError(
-                        f"config key {name!r} must be finite, got an int too large for a float"
-                    ) from None
-                if not finite:
-                    raise InvalidParameterError(
-                        f"config key {name!r} must be finite, got {value!r}"
-                    )
-            if kind in (int, float):
-                text, ok = _RANGES.get(name, _AT_LEAST_0)
-                if not ok(value):
-                    raise InvalidParameterError(
-                        f"config key {name!r} must be {text}, got {value!r}"
-                    )
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "PipelineConfig":
-        """Config from a flat dict.
-
-        Raises InvalidParameterError on unknown keys, on values whose type
-        differs from the field's (a bool is no int, an int is a float) and on
-        values out of range (see `check`).
-        """
-        known = cls.__dataclass_fields__
-        unknown = set(raw) - set(known)
-        if unknown:
-            raise InvalidParameterError(f"unknown config keys: {sorted(unknown)}")
-        for name, value in raw.items():
-            want = type(known[name].default)
-            accepted = (int, float) if want is float else want
-            if isinstance(value, bool) != (want is bool) or not isinstance(value, accepted):
-                raise InvalidParameterError(
-                    f"config key {name!r} must be {want.__name__}, got {value!r}"
-                )
-        config = cls(**raw)
-        config.check()
-        return config
 
 
 @dataclass
@@ -268,20 +105,17 @@ def _optimize_dirty_tracks(obj_map: ObjectMap, dirty: list[int],
 def run_pipeline(dataset_dir: str, config: PipelineConfig | None = None):
     """Process a dataset; returns PipelineResult with per-frame logs.
 
-    Raises InvalidParameterError when a config value is out of range.
+    Raises InvalidParameterError naming a config value `check` refuses.
     """
     config = config or PipelineConfig()
     config.check()
     obj_map = ObjectMap()
     store = GaussianStore()
     logs: list[FrameLog] = []
-    assoc_cfg = config.assoc()
-    thresholds = config.thresholds()
-    densify_cfg = config.densify()
 
     for frame in load(dataset_dir):
         t0 = time.perf_counter()
-        result = associate_frame(obj_map, frame, assoc_cfg)
+        result = associate_frame(obj_map, frame, config)
         for keeper, popped in result.merges:
             store.rewrite_object_id(popped, keeper)
         t_assoc = time.perf_counter() - t0
@@ -295,9 +129,7 @@ def run_pipeline(dataset_dir: str, config: PipelineConfig | None = None):
         t0 = time.perf_counter()
         trainable_total = 0
         if config.enable_gaussians:
-            trainable_total = _map_frame(
-                store, relabel_instances(frame, result.track_ids), config, thresholds, densify_cfg
-            )
+            trainable_total = _map_frame(store, relabel_instances(frame, result.track_ids), config)
         t_map = time.perf_counter() - t0
 
         logs.append(
@@ -324,8 +156,7 @@ def run_pipeline(dataset_dir: str, config: PipelineConfig | None = None):
     return PipelineResult(object_map=obj_map, store=store, logs=logs, config=config)
 
 
-def _map_frame(store: GaussianStore, frame: FrameBundle, config: PipelineConfig,
-               thresholds: MaskThresholds, densify_cfg: DensifyConfig) -> int:
+def _map_frame(store: GaussianStore, frame: FrameBundle, config: PipelineConfig) -> int:
     """Render -> masks -> densify -> per-object optimize; returns trainable count.
 
     `frame.instance` holds track ids (see `relabel_instances`).
@@ -333,8 +164,8 @@ def _map_frame(store: GaussianStore, frame: FrameBundle, config: PipelineConfig,
     from .renderer import optimize_object  # looked up per call: tracing swaps it
 
     out = render(store, frame.camera, instance_ref=frame.instance)
-    masks = compute_update_masks(frame, out, thresholds)
-    store.extend(densify_from_mask(frame, masks, out, densify_cfg))
+    masks = compute_update_masks(frame, out, config)
+    store.extend(densify_from_mask(frame, masks, out, config))
 
     if config.train_all:
         # ablation mode: every object's gaussians train every frame
@@ -358,12 +189,11 @@ def _map_frame(store: GaussianStore, frame: FrameBundle, config: PipelineConfig,
     # once every object has trained.  The map therefore does not depend on
     # the training order.  The geometry is fixed, so the objects share one
     # footprint skeleton of that store.
-    train_cfg = config.training()
     skeleton = footprint_skeleton(store, frame.camera) if selections else None
     trained = []
     for k, sel in selections.items():
         start = [getattr(store, name)[sel] for name in TRAINABLE]
-        optimize_object(store, k, frame, sel, train_cfg, skeleton=skeleton)
+        optimize_object(store, k, frame, sel, config, skeleton=skeleton)
         trained.append((sel, [getattr(store, name)[sel] for name in TRAINABLE]))
         for name, value in zip(TRAINABLE, start):
             getattr(store, name)[sel] = value
@@ -507,18 +337,11 @@ class EvalReport:
     mean_iou_3d: float = 0.0
     mean_iou_2d: float = 0.0
     mean_cde_cm: float = 0.0
-    accuracy_cm: float | None = None
-    completion_cm: float | None = None
-    completion_ratio_pct: float | None = None
     track_count: int = 0
     gt_count: int = 0
     mean_tracking_seconds: float = 0.0
     mean_mapping_seconds: float = 0.0
     fps: float = 0.0
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        return d
 
     def table(self) -> str:
         lines = ["object  track   3D-IoU   2D-IoU   CDE(cm)"]
@@ -531,11 +354,6 @@ class EvalReport:
             f"CDE {self.mean_cde_cm:.2f} cm"
         )
         lines.append(f"tracks {self.track_count} vs GT {self.gt_count}")
-        if self.accuracy_cm is not None:
-            lines.append(
-                f"recon: acc {self.accuracy_cm:.2f} cm  comp {self.completion_cm:.2f} cm  "
-                f"ratio {self.completion_ratio_pct:.1f}%"
-            )
         if self.fps > 0:
             lines.append(
                 f"runtime: tracking {self.mean_tracking_seconds*1e3:.1f} ms/frame  "
@@ -614,6 +432,14 @@ def eval_pose(result: PipelineResult, gt: dict, cameras: list) -> EvalReport:
     return report
 
 
+def check_threshold_cm(threshold_cm: float) -> None:
+    """Raise InvalidParameterError unless threshold_cm is finite and above 0."""
+    if not (math.isfinite(threshold_cm) and threshold_cm > 0):
+        raise InvalidParameterError(
+            f"threshold_cm must be finite and above 0, got {threshold_cm!r}"
+        )
+
+
 def eval_recon(
     est_points: np.ndarray, gt_points: np.ndarray, threshold_cm: float = 5.0
 ) -> tuple[float, float, float]:
@@ -628,10 +454,7 @@ def eval_recon(
     gt = np.asarray(gt_points, dtype=float)
     if len(est) == 0 or len(gt) == 0:
         raise InvalidParameterError("eval_recon requires non-empty point sets")
-    if not (math.isfinite(threshold_cm) and threshold_cm > 0):
-        raise InvalidParameterError(
-            f"threshold_cm must be finite and above 0, got {threshold_cm!r}"
-        )
+    check_threshold_cm(threshold_cm)
     d_est_gt = cKDTree(gt).query(est, k=1)[0]
     d_gt_est = cKDTree(est).query(gt, k=1)[0]
     accuracy = float(d_est_gt.mean() * 100.0)

@@ -61,6 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PipelineConfig
 from .errors import InvalidParameterError
 from .frames import FrameBundle
 from .gaussians import KIND_OPAQUE, TRAINABLE, GaussianStore
@@ -621,31 +622,19 @@ def loss_and_gradients(
     return loss, grads, {"rgb": loss_rgb, "depth": loss_depth, "ins": loss_ins}
 
 
-@dataclass
-class TrainConfig:
-    """Knobs of optimize_object; a group whose learning rate is 0 stays fixed.
-
-    Training moves colors and opacities; a Gaussian's mean, scale and
-    rotation keep their spawn values.
-    """
-
-    iters: int = 30
-    lam: float = 0.5
-    lr_color: float = 0.04
-    lr_opacity: float = 0.02
-
-
 def optimize_object(
     store: GaussianStore,
     object_id: int,
     frame: FrameBundle,
     trainable_idx: np.ndarray,
-    config: TrainConfig | None = None,
+    config: PipelineConfig | None = None,
     skeleton: dict | None = None,
 ) -> list[float]:
     """Momentum descent on the trainable Gaussians of one object at one frame.
 
-    Each step takes an RMS-normalized step per parameter group and rejects
+    `config` (default `PipelineConfig()`) sets the steps (`gaussian_iters`),
+    the loss weight `lam` and the rates `lr_color` and `lr_opacity`.  Each
+    step takes an RMS-normalized step per parameter group and rejects
     (reverts, halves the rate, resets momentum) any step that increases the
     loss, so the returned trace of accepted losses is non-increasing.  Each
     step evaluates once, at the trial point; a rejected step keeps the
@@ -656,7 +645,7 @@ def optimize_object(
     (built from a store with this store's geometry), else built here; a frame
     where nothing rasterizes gets a skeleton with no entries.
     """
-    config = config or TrainConfig()
+    config = config or PipelineConfig()
     trainable_idx = np.asarray(trainable_idx, dtype=int)
     if len(trainable_idx) == 0:
         logger.warning("optimize_object %d: no trainable Gaussians, skipping", object_id)
@@ -675,7 +664,7 @@ def optimize_object(
     loss, grads = loss_grads()
     trace = [loss]
 
-    for _ in range(config.iters):
+    for _ in range(config.gaussian_iters):
         backup = {name: getattr(store, name)[sel] for name in TRAINABLE}  # fancy index: a copy
         for name in TRAINABLE:
             g = getattr(grads, name)

@@ -3,16 +3,16 @@ import pytest
 
 from objmap import association
 from objmap.association import (
-    AssocConfig,
     ObjectMap,
     TrackObservation,
     associate_frame,
     initialize_track,
     merge_occluded,
 )
-from objmap.errors import CannotInitializeError
+from objmap.config import PipelineConfig
+from objmap.errors import CannotInitializeError, InvalidParameterError
 from objmap.frames import UNCLAIMED, Detection2D, FrameBundle, relabel_instances
-from objmap.gaussians import GaussianStore, MaskThresholds, compute_update_masks
+from objmap.gaussians import GaussianStore, compute_update_masks
 from objmap.quadrics import BBox2D, CameraModel, DualQuadric, conic_to_bbox, project_to_conic
 from objmap.renderer import render
 from oracles import camera_looking_at
@@ -93,10 +93,10 @@ class TestAssociateFrame:
         quadric = DualQuadric([0, 0, 4], np.eye(3), [1, 1, 1])
         bbox = conic_to_bbox(project_to_conic(quadric, cam))
         det = Detection2D(bbox=bbox, class_id=7)
-        first = associate_frame(obj_map, make_frame(cam, [det], index=0), AssocConfig())
+        first = associate_frame(obj_map, make_frame(cam, [det], index=0), PipelineConfig())
         assert first.new_tracks == [0]
         tid = obj_map.live_tracks()[0].object_id
-        res = associate_frame(obj_map, make_frame(cam, [det], index=1), AssocConfig())
+        res = associate_frame(obj_map, make_frame(cam, [det], index=1), PipelineConfig())
         assert res.matches == [(tid, 0)]
         assert res.new_tracks == []
         assert len(obj_map) == 1
@@ -109,7 +109,7 @@ class TestAssociateFrame:
         quadric = DualQuadric([0, 0, 4], np.eye(3), [1, 1, 1])
         match = Detection2D(bbox=conic_to_bbox(project_to_conic(quadric, cam)), class_id=7)
         spawn = Detection2D(bbox=BBox2D(0, 0, 20, 20), class_id=7)
-        associate_frame(obj_map, make_frame(cam, [match], index=0), AssocConfig())
+        associate_frame(obj_map, make_frame(cam, [match], index=0), PipelineConfig())
         calls = []
         original = association.center_depth_hint
 
@@ -118,7 +118,7 @@ class TestAssociateFrame:
             return original(frame, bbox, *args, **kwargs)
 
         monkeypatch.setattr(association, "center_depth_hint", counting)
-        res = associate_frame(obj_map, make_frame(cam, [match, spawn], index=1), AssocConfig())
+        res = associate_frame(obj_map, make_frame(cam, [match, spawn], index=1), PipelineConfig())
         assert len(res.matches) == 1 and res.new_tracks == [1]
         assert calls == [match.bbox, spawn.bbox]
 
@@ -131,7 +131,7 @@ class TestAssociateFrame:
         track.status = "initialized"
         det = Detection2D(bbox=BBox2D(0, 0, 20, 20), class_id=7)
         frame = make_frame(cam, [det])
-        res = associate_frame(obj_map, frame, AssocConfig())
+        res = associate_frame(obj_map, frame, PipelineConfig())
         assert res.matches == []
         assert res.new_tracks == [0]
         assert len(obj_map) == 2
@@ -146,7 +146,7 @@ class TestAssociateFrame:
         frame.instance[40:80, 40:80] = 4
         frame.instance[120:160, 120:160] = 9
         obj_map = ObjectMap()
-        res = associate_frame(obj_map, frame, AssocConfig())
+        res = associate_frame(obj_map, frame, PipelineConfig())
         assert list(obj_map.tracks) == [1, 2]
         assert res.track_ids == [1, 2]
 
@@ -158,10 +158,10 @@ class TestAssociateFrame:
         bbox = conic_to_bbox(project_to_conic(quadric, cam))
         obj_map = ObjectMap()
         associate_frame(obj_map, make_frame(cam, [Detection2D(bbox=bbox, class_id=7)]),
-                        AssocConfig())
+                        PipelineConfig())
         twin = BBox2D(bbox.x_min + 1, bbox.y_min + 1, bbox.x_max + 1, bbox.y_max + 1)
         dets = [Detection2D(bbox=bbox, class_id=7), Detection2D(bbox=twin, class_id=7)]
-        res = associate_frame(obj_map, make_frame(cam, dets, index=1), AssocConfig())
+        res = associate_frame(obj_map, make_frame(cam, dets, index=1), PipelineConfig())
         assert res.matches == [(1, 0)] and res.new_tracks == [1]
         assert res.merges == [(1, 2)]
         assert res.track_ids == [1, 1]
@@ -170,8 +170,19 @@ class TestAssociateFrame:
     def test_empty_frame(self):
         obj_map = ObjectMap()
         frame = make_frame(make_camera(), [])
-        res = associate_frame(obj_map, frame, AssocConfig())
+        res = associate_frame(obj_map, frame, PipelineConfig())
         assert res.matches == [] and res.new_tracks == [] and res.merges == []
+
+    def test_unknown_mode_refused(self):
+        """An unknown assoc_mode raises before the map changes; it does not
+        fall through to the quadric-only branch."""
+        cam = make_camera()
+        obj_map = ObjectMap()
+        bbox = conic_to_bbox(project_to_conic(DualQuadric([0, 0, 4], np.eye(3), [1, 1, 1]), cam))
+        frame = make_frame(cam, [Detection2D(bbox=bbox, class_id=7)])
+        with pytest.raises(InvalidParameterError, match="assoc_mode"):
+            associate_frame(obj_map, frame, PipelineConfig(assoc_mode="bogus"))
+        assert len(obj_map) == 0
 
     def test_class_gating(self):
         cam = make_camera()
@@ -181,7 +192,7 @@ class TestAssociateFrame:
         track.quadric = quadric
         bbox = conic_to_bbox(project_to_conic(quadric, cam))
         det = Detection2D(bbox=bbox, class_id=8)  # wrong class
-        res = associate_frame(obj_map, make_frame(cam, [det]), AssocConfig())
+        res = associate_frame(obj_map, make_frame(cam, [det]), PipelineConfig())
         assert res.matches == []
         assert res.new_tracks == [0]
 
@@ -191,13 +202,13 @@ class TestAssociateFrame:
         quadric = DualQuadric([0, 0, 4], np.eye(3), [1, 1, 1])
         bbox = conic_to_bbox(project_to_conic(quadric, cam))
         det = Detection2D(bbox=bbox, class_id=7)
-        associate_frame(obj_map, make_frame(cam, [det], index=0), AssocConfig())
+        associate_frame(obj_map, make_frame(cam, [det], index=0), PipelineConfig())
         assert len(obj_map) == 1
         dets = [
             det,
             Detection2D(bbox=BBox2D(bbox.x_min + 3, bbox.y_min + 3, bbox.x_max + 3, bbox.y_max + 3), class_id=7),
         ]
-        res = associate_frame(obj_map, make_frame(cam, dets, index=1), AssocConfig())
+        res = associate_frame(obj_map, make_frame(cam, dets, index=1), PipelineConfig())
         matched_dets = [d for _, d in res.matches]
         assert len(matched_dets) == len(set(matched_dets)) == 1
         assert set(res.new_tracks) | set(matched_dets) == {0, 1}
@@ -214,7 +225,7 @@ class TestAssociateFrame:
         bbox = conic_to_bbox(project_to_conic(quadric, cam))
         det = Detection2D(bbox=bbox, class_id=7)
         frame = make_frame(cam, [det], depth_value=1.0)  # wrong depth everywhere
-        res = associate_frame(obj_map, frame, AssocConfig(qd_accept=0.6, tau=1.0))
+        res = associate_frame(obj_map, frame, PipelineConfig(qd_accept=0.6, tau=1.0))
         assert res.matches == []
         assert res.new_tracks == [0]
 
@@ -242,7 +253,7 @@ class TestMergeOccluded:
         fragment = DualQuadric([0.3, 0, 3.3], np.eye(3), [0.3, 0.3, 0.3])
         obj_map = self._tracked_pair(parent, fragment)
         frame = make_frame(cam, [])
-        merges = merge_occluded(obj_map, frame, AssocConfig(tau=1.0))
+        merges = merge_occluded(obj_map, frame, PipelineConfig(tau=1.0))
         assert merges == [(1, 2)]
         assert len(obj_map) == 1
 
@@ -251,7 +262,7 @@ class TestMergeOccluded:
         a = DualQuadric([-0.8, 0, 4], np.eye(3), [0.5, 0.5, 0.5])
         b = DualQuadric([0.8, 0, 4], np.eye(3), [0.5, 0.5, 0.5])
         obj_map = self._tracked_pair(a, b)
-        merges = merge_occluded(obj_map, make_frame(cam, []), AssocConfig())
+        merges = merge_occluded(obj_map, make_frame(cam, []), PipelineConfig())
         assert merges == []
         assert len(obj_map) == 2
 
@@ -260,7 +271,7 @@ class TestMergeOccluded:
         a = DualQuadric([0, 0, 4], np.eye(3), [1, 1, 1])
         b = DualQuadric([0.02, 0, 4], np.eye(3), [1.001, 1.0, 1.0])
         obj_map = self._tracked_pair(a, b)
-        merges = merge_occluded(obj_map, make_frame(cam, []), AssocConfig())
+        merges = merge_occluded(obj_map, make_frame(cam, []), PipelineConfig())
         assert len(merges) == 1
         assert len(obj_map) == 1
 
@@ -272,7 +283,7 @@ class TestMergeOccluded:
         for q, cls in ((parent, 1), (fragment, 2)):
             t = obj_map.new_track(cls)
             t.quadric = q
-        merges = merge_occluded(obj_map, make_frame(cam, []), AssocConfig())
+        merges = merge_occluded(obj_map, make_frame(cam, []), PipelineConfig())
         assert merges == []
 
 
@@ -304,7 +315,7 @@ class TestRelabelInstances:
         frame = relabel_instances(self._frame(), [11, 12, 13])
         out = render(GaussianStore(), frame.camera, instance_ref=frame.instance)
         masks = compute_update_masks(
-            frame, out, MaskThresholds(include_background=include_background))
+            frame, out, PipelineConfig(include_background=include_background))
         unclaimed = frame.instance == UNCLAIMED
         assert not (masks.geo_mask & unclaimed).any()
         assert not (masks.rgb_mask & unclaimed).any()

@@ -1,5 +1,5 @@
 """Supplementary coverage: PNG row filters and chunk checks, PLY vertex
-counts and layouts, quadric-only association, config wiring."""
+counts and layouts, quadric-only association."""
 
 import struct
 import zlib
@@ -7,10 +7,10 @@ import zlib
 import numpy as np
 import pytest
 
-from objmap.association import AssocConfig, ObjectMap, associate_frame
+from objmap.association import ObjectMap, associate_frame
+from objmap.config import PipelineConfig
 from objmap.errors import DatasetError
 from objmap.frames import Detection2D, FrameBundle
-from objmap.pipeline import PipelineConfig
 from objmap.plyio import read_point_ply, write_point_ply
 from objmap.png import read_png, write_png
 from objmap.quadrics import BBox2D, CameraModel, DualQuadric, conic_to_bbox, project_to_conic
@@ -144,7 +144,7 @@ class TestQdOnlyMode:
         # provisional quadric still agrees: quadric-only mode re-associates
         cam = camera_64()
         obj_map = ObjectMap()
-        cfg = AssocConfig(mode="qd", tau=0.25, qd_accept=0.2)
+        cfg = PipelineConfig(assoc_mode="qd", tau=0.25, qd_accept=0.2)
         q = DualQuadric([0.1, 0.1, 4.4], np.eye(3), [0.9, 0.9, 0.9])
         bbox = conic_to_bbox(project_to_conic(q, cam))
         det = Detection2D(bbox=bbox, class_id=3)
@@ -163,7 +163,7 @@ class TestQdOnlyMode:
     def test_iou_mode_spawns_for_same_case(self):
         cam = camera_64()
         obj_map = ObjectMap()
-        cfg = AssocConfig(mode="iou", iou_gate=0.3)
+        cfg = PipelineConfig(assoc_mode="iou", iou_gate=0.3)
         q = DualQuadric([0.1, 0.1, 4.4], np.eye(3), [0.9, 0.9, 0.9])
         bbox = conic_to_bbox(project_to_conic(q, cam))
         det = Detection2D(bbox=bbox, class_id=3)
@@ -177,27 +177,3 @@ class TestQdOnlyMode:
         assert res.matches == []
         assert res.new_tracks == [0]
 
-
-class TestConfigWiring:
-    def test_thresholds_reach_masks(self):
-        cfg = PipelineConfig(theta_alpha=0.42, theta_d=0.07, theta_c=0.03,
-                             include_background=True)
-        thr = cfg.thresholds()
-        assert thr.theta_alpha == 0.42
-        assert thr.theta_d == 0.07
-        assert thr.theta_c == 0.03
-        assert thr.include_background
-
-    def test_assoc_wiring(self):
-        cfg = PipelineConfig(assoc_mode="qd", iou_gate=0.11, qd_accept=0.22,
-                             tau=0.33, t_thre=0.44, merge_d=0.055,
-                             merge_duplicate_raw=0.066, merge_iou3d=0.077)
-        a = cfg.assoc()
-        assert (a.mode, a.iou_gate, a.qd_accept, a.tau) == ("qd", 0.11, 0.22, 0.33)
-        assert (a.t_thre, a.merge_d, a.merge_duplicate_raw, a.merge_iou3d) == (
-            0.44, 0.055, 0.066, 0.077)
-
-    def test_training_wiring(self):
-        cfg = PipelineConfig(gaussian_iters=7, lam=0.9, lr_color=0.12, lr_opacity=0.34)
-        t = cfg.training()
-        assert (t.iters, t.lam, t.lr_color, t.lr_opacity) == (7, 0.9, 0.12, 0.34)

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
+from objmap.config import PipelineConfig
 from objmap.errors import InvalidParameterError
 from objmap.frames import FrameBundle
 from objmap.gaussians import (
     KIND_OPAQUE,
     KIND_TRANSPARENT,
     STORE_ARRAYS,
-    DensifyConfig,
     GaussianStore,
-    MaskThresholds,
     UpdateMasks,
     compute_update_masks,
     densify_from_mask,
@@ -129,13 +128,13 @@ class TestMasks:
     def test_perfect_render_empty_masks(self):
         cam = camera()
         frame = synthetic_frame(cam, object_box=(10, 10, 40, 40))
-        masks = compute_update_masks(frame, perfect_render(frame), MaskThresholds())
+        masks = compute_update_masks(frame, perfect_render(frame), PipelineConfig())
         assert masks.masked_counts() == (0, 0)
 
     def test_fresh_map_masks_all_object_pixels(self):
         cam = camera()
         frame = synthetic_frame(cam, object_box=(10, 10, 40, 40))
-        masks = compute_update_masks(frame, empty_render(frame), MaskThresholds())
+        masks = compute_update_masks(frame, empty_render(frame), PipelineConfig())
         assert np.count_nonzero(masks.geo_mask) == 30 * 30
         assert set(masks.per_object) == {1}
 
@@ -143,7 +142,7 @@ class TestMasks:
         cam = camera()
         frame = synthetic_frame(cam, object_box=(10, 10, 40, 40))
         masks = compute_update_masks(
-            frame, empty_render(frame), MaskThresholds(include_background=True)
+            frame, empty_render(frame), PipelineConfig(include_background=True)
         )
         assert np.count_nonzero(masks.geo_mask) == 80 * 60
 
@@ -156,7 +155,7 @@ class TestMasks:
         render_out.instance[7, 7] = 0.95      # fine
         render_out.instance[8, 8] = 0.5       # below theta_alpha: geo
         render_out.color[9, 9, 0] += 0.2      # above theta_c: rgb
-        masks = compute_update_masks(frame, render_out, MaskThresholds())
+        masks = compute_update_masks(frame, render_out, PipelineConfig())
         assert not masks.geo_mask[5, 5]
         assert masks.geo_mask[6, 6]
         assert not masks.geo_mask[7, 7]
@@ -168,7 +167,7 @@ class TestMasks:
         cam = camera()
         frame = synthetic_frame(cam, object_box=(0, 0, 80, 60))
         frame.depth[20, 20] = 0.0
-        masks = compute_update_masks(frame, empty_render(frame), MaskThresholds())
+        masks = compute_update_masks(frame, empty_render(frame), PipelineConfig())
         assert not masks.geo_mask[20, 20]
 
     def test_dimension_mismatch_rejected(self):
@@ -176,7 +175,7 @@ class TestMasks:
         frame = synthetic_frame(cam)
         other = synthetic_frame(camera(w=40, h=30))
         with pytest.raises(InvalidParameterError):
-            compute_update_masks(frame, empty_render(other), MaskThresholds())
+            compute_update_masks(frame, empty_render(other), PipelineConfig())
 
 
 class TestDensify:
@@ -184,8 +183,8 @@ class TestDensify:
         # 100x100 object at stride 4 -> about 625 opaque gaussians
         cam = camera(w=160, h=120, f=100.0)
         frame = synthetic_frame(cam, object_box=(10, 10, 110, 110))
-        masks = compute_update_masks(frame, empty_render(frame), MaskThresholds())
-        new = densify_from_mask(frame, masks, empty_render(frame), DensifyConfig(stride=4))
+        masks = compute_update_masks(frame, empty_render(frame), PipelineConfig())
+        new = densify_from_mask(frame, masks, empty_render(frame), PipelineConfig(stride=4))
         assert len(new) == pytest.approx(625, abs=60)
         assert np.all(new.object_ids == 1) and new.object_ids.dtype == np.int32
         assert np.all(new.kinds == KIND_OPAQUE) and new.kinds.dtype == np.uint8
@@ -194,14 +193,14 @@ class TestDensify:
     def test_empty_masks_no_spawn(self):
         cam = camera()
         frame = synthetic_frame(cam, object_box=(10, 10, 40, 40))
-        masks = compute_update_masks(frame, perfect_render(frame), MaskThresholds())
-        assert len(densify_from_mask(frame, masks, perfect_render(frame), DensifyConfig())) == 0
+        masks = compute_update_masks(frame, perfect_render(frame), PipelineConfig())
+        assert len(densify_from_mask(frame, masks, perfect_render(frame), PipelineConfig())) == 0
 
     def test_backprojection_at_principal_point(self):
         cam = camera(w=80, h=60, f=100.0)
         frame = synthetic_frame(cam, depth_value=2.0, object_box=(0, 0, 80, 60))
-        masks = compute_update_masks(frame, empty_render(frame), MaskThresholds())
-        new = densify_from_mask(frame, masks, empty_render(frame), DensifyConfig(stride=2))
+        masks = compute_update_masks(frame, empty_render(frame), PipelineConfig())
+        new = densify_from_mask(frame, masks, empty_render(frame), PipelineConfig(stride=2))
         # gaussian spawned at the principal point pixel: mean on the optical axis
         best = new.means[np.argmin(np.abs(new.means[:, 0]) + np.abs(new.means[:, 1]))]
         assert np.allclose(best[2], 2.0, atol=1e-9)
@@ -211,8 +210,8 @@ class TestDensify:
         cam = camera()
         frame = synthetic_frame(cam, object_box=(0, 0, 80, 60))
         frame.depth[:, :40] = 0.0
-        masks = compute_update_masks(frame, empty_render(frame), MaskThresholds())
-        new = densify_from_mask(frame, masks, empty_render(frame), DensifyConfig(stride=2))
+        masks = compute_update_masks(frame, empty_render(frame), PipelineConfig())
+        new = densify_from_mask(frame, masks, empty_render(frame), PipelineConfig(stride=2))
         px, _ = frame.camera.project_points(new.means)
         assert np.all(px[:, 0] >= 39.0)
 
@@ -222,9 +221,9 @@ class TestDensify:
         rout = perfect_render(frame)
         rout.color[:, :, 0] += 0.3  # color error everywhere -> rgb mask
         rout.depth[:] = 1.95        # within theta_d, so not a geometry error
-        masks = compute_update_masks(frame, rout, MaskThresholds())
+        masks = compute_update_masks(frame, rout, PipelineConfig())
         assert masks.masked_counts()[0] == 0  # no geo pixels
-        new = densify_from_mask(frame, masks, rout, DensifyConfig(stride=4))
+        new = densify_from_mask(frame, masks, rout, PipelineConfig(stride=4))
         tg = new.kinds == KIND_TRANSPARENT
         assert np.any(tg)
         assert np.all(new.opacities[tg] == 0.1)
@@ -234,12 +233,12 @@ class TestDensify:
     def test_spawn_budget(self):
         cam = camera()
         frame = synthetic_frame(cam, object_box=(0, 0, 80, 60))
-        masks = compute_update_masks(frame, empty_render(frame), MaskThresholds())
+        masks = compute_update_masks(frame, empty_render(frame), PipelineConfig())
         new = densify_from_mask(frame, masks, empty_render(frame),
-                                DensifyConfig(stride=1, max_new_per_frame=100))
+                                PipelineConfig(stride=1, max_new_per_frame=100))
         assert len(new) == 100
         # the cap keeps the first spawns in scan order
-        full = densify_from_mask(frame, masks, empty_render(frame), DensifyConfig(stride=1))
+        full = densify_from_mask(frame, masks, empty_render(frame), PipelineConfig(stride=1))
         for name in STORE_ARRAYS:
             assert np.array_equal(getattr(new, name), getattr(full, name)[:100])
 
@@ -249,8 +248,8 @@ class TestDensify:
         rout = perfect_render(frame)
         rout.color[:, :, 0] += 0.3       # color error everywhere
         rout.depth[:, :40] = 1.5         # depth error on the left half only
-        masks = compute_update_masks(frame, rout, MaskThresholds())
-        new = densify_from_mask(frame, masks, rout, DensifyConfig(stride=2))
+        masks = compute_update_masks(frame, rout, PipelineConfig())
+        new = densify_from_mask(frame, masks, rout, PipelineConfig(stride=2))
         n_geo = np.count_nonzero(new.kinds == KIND_OPAQUE)
         assert 0 < n_geo < len(new)
         assert np.all(new.kinds[:n_geo] == KIND_OPAQUE)
@@ -273,26 +272,26 @@ class TestSelectTrainable:
         bundle, _ = next(frame_bundles(spec))
         store = GaussianStore()
         out = empty_render(bundle)
-        masks = compute_update_masks(bundle, out, MaskThresholds())
-        store.extend(densify_from_mask(bundle, masks, out, DensifyConfig(stride=2)))
+        masks = compute_update_masks(bundle, out, PipelineConfig())
+        store.extend(densify_from_mask(bundle, masks, out, PipelineConfig(stride=2)))
         return bundle, store
 
     def test_empty_masks_select_nothing(self):
         bundle, store = self._scene_with_two_objects()
         pr = perfect_render(bundle)
-        masks = compute_update_masks(bundle, pr, MaskThresholds())
+        masks = compute_update_masks(bundle, pr, PipelineConfig())
         for k in (1, 2):
             assert len(select_trainable(store, masks, k, bundle.camera)) == 0
 
     def test_full_mask_selects_visible_gaussians(self):
         bundle, store = self._scene_with_two_objects()
-        masks = compute_update_masks(bundle, empty_render(bundle), MaskThresholds())
+        masks = compute_update_masks(bundle, empty_render(bundle), PipelineConfig())
         sel = select_trainable(store, masks, 1, bundle.camera)
         assert len(sel) == len(store.object_indices(1))
 
     def test_disjoint_objects_never_cross_select(self):
         bundle, store = self._scene_with_two_objects()
-        masks = compute_update_masks(bundle, empty_render(bundle), MaskThresholds())
+        masks = compute_update_masks(bundle, empty_render(bundle), PipelineConfig())
         # mask only object 1's pixels
         masks.per_object.pop(2, None)
         sel1 = set(select_trainable(store, masks, 1, bundle.camera).tolist())
@@ -303,7 +302,7 @@ class TestSelectTrainable:
 
     def test_unknown_object_empty(self):
         bundle, store = self._scene_with_two_objects()
-        masks = compute_update_masks(bundle, empty_render(bundle), MaskThresholds())
+        masks = compute_update_masks(bundle, empty_render(bundle), PipelineConfig())
         assert len(select_trainable(store, masks, 42, bundle.camera)) == 0
 
     @pytest.mark.parametrize("seed", range(4))

@@ -12,16 +12,13 @@ import pytest
 
 import objmap.pipeline as pipeline
 import objmap.renderer as renderer
-from objmap.association import AssocConfig
 from objmap.cli import main as cli_main
 from objmap.errors import DatasetError, InvalidParameterError
 from objmap.gaussians import (
     KIND_OPAQUE,
     STORE_ARRAYS,
     TRAINABLE,
-    DensifyConfig,
     GaussianStore,
-    MaskThresholds,
 )
 from objmap.pipeline import (
     PipelineConfig,
@@ -35,7 +32,7 @@ from objmap.pipeline import (
 )
 from objmap.png import read_png, write_png
 from objmap.quadrics import DualQuadric
-from objmap.renderer import TrainConfig, footprint_skeleton
+from objmap.renderer import footprint_skeleton
 from objmap.scenes import ablation_config, make_scene, sphere_scene
 from objmap.simulator import ObjectSpec, OrbitTrajectory, SceneSpec, generate, load_gt
 from oracles import brute_force_nn_means
@@ -531,14 +528,6 @@ class TestExportAndState:
             assert ta.class_id == tb.class_id
             assert np.allclose(ta.quadric.center, tb.quadric.center)
 
-    def test_defaults_agree_with_layer_configs(self):
-        """The defaults PipelineConfig repeats equal each layer's own."""
-        cfg = PipelineConfig()
-        assert cfg.assoc() == AssocConfig()
-        assert cfg.thresholds() == MaskThresholds()
-        assert cfg.densify() == DensifyConfig()
-        assert cfg.training() == TrainConfig()
-
     def test_config_json_roundtrip(self, tmp_path):
         cfg = fast_config(tau=0.33, workers=2)
         path = tmp_path / "cfg.json"
@@ -555,11 +544,19 @@ class TestExportAndState:
     @pytest.mark.parametrize("raw", [
         {"stride": "2"}, {"stride": True}, {"stride": 2.0}, {"tau": "1"}, {"tau": False},
         {"enable_gaussians": 0}, {"enable_gaussians": "false"}, {"assoc_mode": 3},
+        {"stride": 2.5}, {"tau": "x"}, {"gaussian_iters": True}, {"include_background": 3},
     ], ids=["str-for-int", "bool-for-int", "float-for-int", "str-for-float", "bool-for-float",
-            "int-for-bool", "str-for-bool", "int-for-str"])
-    def test_config_rejects_wrong_value_types(self, raw):
-        with pytest.raises(InvalidParameterError, match=next(iter(raw))):
+            "int-for-bool", "str-for-bool", "int-for-str", "fraction-for-int",
+            "word-for-float", "bool-for-count", "int-for-flag"])
+    def test_config_rejects_wrong_value_types(self, raw, small_dataset):
+        name = next(iter(raw))
+        with pytest.raises(InvalidParameterError, match=name):
             PipelineConfig.from_dict(raw)
+        # a constructed config is refused by check(), before any frame is mapped
+        with pytest.raises(InvalidParameterError, match=name):
+            PipelineConfig(**raw).check()
+        with pytest.raises(InvalidParameterError, match=name):
+            run_pipeline(small_dataset, PipelineConfig(**raw))
 
     def test_config_accepts_int_for_float(self):
         assert PipelineConfig.from_dict({"tau": 1, "stride": 2}).tau == 1
@@ -765,6 +762,14 @@ class TestCli:
         assert cli_main(recon + ["--threshold-cm", "5"]) == 0
         for value in ("nan", "-3", "0", "inf"):
             assert cli_main(recon + ["--threshold-cm", value]) == 2, value
+        # the threshold is refused also when no object is matched
+        no_track = tmp_path / "no_track"
+        no_track.mkdir()
+        (no_track / "state.json").write_text(json.dumps({"tracks": [], "next_id": 1}))
+        assert cli_main(["eval-recon", "--state", str(no_track), "--dataset", small_dataset,
+                         "--threshold-cm", "5"]) == 0
+        assert cli_main(["eval-recon", "--state", str(no_track), "--dataset", small_dataset,
+                         "--threshold-cm", "nan"]) == 2
 
     @pytest.mark.parametrize("digits", [400, 5000])
     def test_config_with_huge_int_exits_2(self, tmp_path, small_dataset, digits):

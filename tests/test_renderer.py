@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from objmap import renderer
+from objmap.config import PipelineConfig
 from objmap.errors import InvalidParameterError
 from objmap.frames import FrameBundle
 from objmap.gaussians import (
@@ -17,7 +18,6 @@ from objmap.gaussians import (
 from objmap.quadrics import CameraModel
 from objmap.renderer import (
     RenderOutput,
-    TrainConfig,
     dump_render_pngs,
     loss_and_gradients,
     optimize_object,
@@ -455,7 +455,7 @@ class TestSkeleton:
         store = array_scene(np.random.default_rng(0), 20)
         frame = away_frame(camera_64())
         idx = store.object_indices(1)
-        config = TrainConfig(iters=3)
+        config = PipelineConfig(gaussian_iters=3)
         project = renderer.project_gaussian_subset
         calls = []
 
@@ -465,7 +465,7 @@ class TestSkeleton:
 
         monkeypatch.setattr(renderer, "project_gaussian_subset", counting)
         trace = optimize_object(store.copy(), 1, frame, idx, config)
-        assert len(trace) == config.iters + 1
+        assert len(trace) == config.gaussian_iters + 1
         assert calls == [len(store)]
         skel = renderer.footprint_skeleton(store, frame.camera)
         calls.clear()
@@ -481,7 +481,7 @@ class TestSkeleton:
         store = array_scene(np.random.default_rng(7), 80)
         store.colors[:] = 0.5
         idx = store.object_indices(1)
-        config = TrainConfig(iters=12, lr_color=0.3, lr_opacity=0.2)
+        config = PipelineConfig(gaussian_iters=12, lr_color=0.3, lr_opacity=0.2)
         evaluate = renderer.loss_and_gradients
         for seen, frame in ((True, gradcheck_frame(store, cam, 1)), (False, away_frame(cam))):
             skeleton = renderer.footprint_skeleton(store, frame.camera)
@@ -665,7 +665,7 @@ class TestBlockedEvaluation:
         frame = gradcheck_frame(store, cam, 1)
         store.colors[:] = 0.5
         idx = store.object_indices(1)
-        config = TrainConfig(iters=6, lr_color=0.3, lr_opacity=0.2)
+        config = PipelineConfig(gaussian_iters=6, lr_color=0.3, lr_opacity=0.2)
         blocked = store.copy()
         blocked_trace = optimize_object(blocked, 1, frame, idx, config)
         assert any(a == b for a, b in zip(blocked_trace, blocked_trace[1:]))  # a rejected step
@@ -765,7 +765,7 @@ class TestOptimizeObject:
 
     def test_loss_trace_non_increasing(self):
         cam, frame, fit = self._target_setup(np.random.default_rng(0))
-        trace = optimize_object(fit, 1, frame, np.array([0]), TrainConfig(iters=40))
+        trace = optimize_object(fit, 1, frame, np.array([0]), PipelineConfig(gaussian_iters=40))
         assert len(trace) == 41
         assert all(trace[i + 1] <= trace[i] + 1e-9 for i in range(len(trace) - 1))
         assert trace[-1] < trace[0]
@@ -773,14 +773,14 @@ class TestOptimizeObject:
     def test_zero_iterations_is_noop(self):
         cam, frame, fit = self._target_setup(np.random.default_rng(0))
         before = fit.copy()
-        optimize_object(fit, 1, frame, np.array([0]), TrainConfig(iters=0))
+        optimize_object(fit, 1, frame, np.array([0]), PipelineConfig(gaussian_iters=0))
         for name in STORE_ARRAYS:
             assert getattr(fit, name).tobytes() == getattr(before, name).tobytes(), name
 
     def test_empty_trainable_noop(self):
         cam, frame, fit = self._target_setup(np.random.default_rng(0))
         before = fit.copy()
-        trace = optimize_object(fit, 1, frame, np.empty(0, int), TrainConfig(iters=5))
+        trace = optimize_object(fit, 1, frame, np.empty(0, int), PipelineConfig(gaussian_iters=5))
         assert trace == []
         for name in STORE_ARRAYS:
             assert getattr(fit, name).tobytes() == getattr(before, name).tobytes(), name
@@ -792,7 +792,7 @@ class TestOptimizeObject:
         before = {name: getattr(store, name).copy() for name in STORE_ARRAYS}
         train = store.object_indices(1)[:3]
         frozen = np.setdiff1d(np.arange(len(store)), train)
-        optimize_object(store, 1, frame, train, TrainConfig(iters=10))
+        optimize_object(store, 1, frame, train, PipelineConfig(gaussian_iters=10))
         for name in TRAINABLE:
             after = getattr(store, name)
             assert after[frozen].tobytes() == before[name][frozen].tobytes(), name
@@ -801,7 +801,7 @@ class TestOptimizeObject:
         assert np.array_equal(store.kinds, before["kinds"])
 
     def test_default_config_keeps_shape(self):
-        """The default TrainConfig moves colors and opacities; every
+        """The default config moves colors and opacities; every
         Gaussian keeps its mean, scale and rotation bytes."""
         cam = camera_64()
         store = random_scene(np.random.default_rng(11), 12)
@@ -809,7 +809,7 @@ class TestOptimizeObject:
         store.means[:, :2] += 0.02  # start away from the target
         before = store.copy()
         train = store.object_indices(1)
-        optimize_object(store, 1, frame, train, TrainConfig())
+        optimize_object(store, 1, frame, train, PipelineConfig())
         for name in ("means", "scales", "quats"):
             assert getattr(store, name).tobytes() == getattr(before, name).tobytes(), name
         for name in TRAINABLE:
@@ -831,7 +831,7 @@ class TestOptimizeObject:
 
         monkeypatch.setattr(renderer, "loss_and_gradients", counting)
         trace = optimize_object(store, 1, frame, store.object_indices(1),
-                                TrainConfig(iters=20, lr_color=0.2))
+                                PipelineConfig(gaussian_iters=20, lr_color=0.2))
         rejected = sum(trace[i + 1] == trace[i] for i in range(len(trace) - 1))
         assert len(trace) == 21 and 0 < rejected < 20
         assert len(calls) == len(trace)
@@ -841,7 +841,7 @@ class TestOptimizeObject:
         fit.extend(store_of([
             prim([0.0, 0.0, 2.05], opacity=0.1, kind=KIND_TRANSPARENT, color=(0.9, 0.1, 0.1)),
         ]))
-        optimize_object(fit, 1, frame, np.arange(2), TrainConfig(iters=30))
+        optimize_object(fit, 1, frame, np.arange(2), PipelineConfig(gaussian_iters=30))
         assert fit.opacities[0] >= 0.5   # opaque stays opaque
         assert fit.opacities[1] <= 0.5   # transparent stays transparent
 
@@ -868,7 +868,7 @@ class TestOptimizeObject:
         fit.extend(store_of(tg))
         depth_before = render(fit, cam).depth.copy()
         l0, _, p0 = loss_and_gradients(fit, np.empty(0, int), frame, lam=0.0, object_id=1)
-        optimize_object(fit, 1, frame, np.arange(1, 13), TrainConfig(iters=40))
+        optimize_object(fit, 1, frame, np.arange(1, 13), PipelineConfig(gaussian_iters=40))
         l1, _, p1 = loss_and_gradients(fit, np.empty(0, int), frame, lam=0.0, object_id=1)
         depth_after = render(fit, cam).depth
         assert p1["rgb"] < p0["rgb"]  # color improves
