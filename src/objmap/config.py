@@ -99,8 +99,9 @@ class PipelineConfig:
         Every value must have its field's type (a bool is no int, an int is
         a float), every float must be finite (an int too large for a float
         is not), and `assoc_mode` and every number must lie in its `_RANGES`
-        entry.  `run_pipeline` and `from_dict` call this, so a value set on a
-        constructed config (as the CLI flags are) is checked too.
+        entry.  `run_pipeline`, `from_dict`, `compute_update_masks` and
+        `densify_from_mask` call this, so a value set on a constructed config
+        (as the CLI flags are) is checked too.
         """
         for name, f in self.__dataclass_fields__.items():
             value = getattr(self, name)

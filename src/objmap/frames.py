@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -27,12 +28,13 @@ class Detection2D:
 class FrameBundle:
     """Posed RGB-D frame with instance ids and detections.
 
-    rgb: (H,W,3) float in [0,1]; depth: (H,W) meters, 0 = invalid;
+    rgb8: (H,W,3) uint8 colour, as decoded; `rgb` is it as float in [0,1],
+    built on first read and kept; depth: (H,W) meters, 0 = invalid;
     instance: (H,W) integer segment ids, 0 = background; they name segments
     within this frame only (see `relabel_instances`).
     """
 
-    rgb: np.ndarray
+    rgb8: np.ndarray
     depth: np.ndarray
     instance: np.ndarray
     camera: CameraModel
@@ -41,12 +43,20 @@ class FrameBundle:
 
     def __post_init__(self):
         h, w = self.depth.shape
-        if self.rgb.shape != (h, w, 3):
-            raise InvalidParameterError("rgb and depth dimensions disagree")
+        if self.rgb8.dtype != np.uint8:
+            raise InvalidParameterError(f"rgb8 must be uint8, got {self.rgb8.dtype}")
+        if self.rgb8.shape != (h, w, 3):
+            raise InvalidParameterError("rgb8 and depth dimensions disagree")
         if self.instance.shape != (h, w):
             raise InvalidParameterError("instance and depth dimensions disagree")
         if (self.camera.height, self.camera.width) != (h, w):
             raise InvalidParameterError("camera size and image dimensions disagree")
+
+    @cached_property
+    def rgb(self) -> np.ndarray:
+        """(H,W,3) float colour in [0,1]; only the Gaussian layers read it,
+        so a run without Gaussians never builds it."""
+        return self.rgb8 / 255.0
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -66,7 +66,7 @@ def read_png(path) -> np.ndarray:
     if not blob.startswith(_SIGNATURE):
         raise DatasetError(f"{path}: not a PNG file")
     pos = len(_SIGNATURE)
-    idat = b""
+    idat = []
     header = None
     while pos + 8 <= len(blob):
         (length,) = struct.unpack(">I", blob[pos : pos + 4])
@@ -82,7 +82,7 @@ def read_png(path) -> np.ndarray:
                 raise DatasetError(f"{path}: IHDR chunk is {length} bytes, not 13")
             header = struct.unpack(">IIBBBBB", payload)
         elif tag == b"IDAT":
-            idat += payload
+            idat.append(payload)
         elif tag == b"IEND":
             break
         pos += 12 + length
@@ -99,30 +99,24 @@ def read_png(path) -> np.ndarray:
     bpp = channels * (bit_depth // 8)
     stride = w * bpp
     try:
-        decompressed = zlib.decompress(idat)
+        raw = zlib.decompress(b"".join(idat))
     except zlib.error as e:
         raise DatasetError(f"{path}: corrupt PNG data ({e})") from e
-    if len(decompressed) != h * (stride + 1):
+    if len(raw) != h * (stride + 1):
         raise DatasetError(f"{path}: truncated PNG pixel data")
-    out = bytearray(h * stride)
-    prev = bytearray(stride)
-    for r in range(h):
-        ftype = decompressed[r * (stride + 1)]
-        row = bytearray(decompressed[r * (stride + 1) + 1 : (r + 1) * (stride + 1)])
-        if ftype == 1:  # Sub
-            for i in range(bpp, stride):
-                row[i] = (row[i] + row[i - bpp]) & 0xFF
-        elif ftype == 2:  # Up
-            for i in range(stride):
-                row[i] = (row[i] + prev[i]) & 0xFF
-        elif ftype not in (0, 1, 2):
-            raise DatasetError(f"{path}: unsupported PNG row filter {ftype}")
-        out[r * stride : (r + 1) * stride] = row
-        prev = row
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(h, stride + 1)
+    filters = rows[:, 0].copy()
+    if (filters > 2).any():
+        ftype = filters[np.argmax(filters > 2)]
+        raise DatasetError(f"{path}: unsupported PNG row filter {ftype}")
+    data = rows[:, 1:].copy()  # the one copy; filtered rows are rebuilt in it
+    del raw, rows
+    for r in np.flatnonzero(filters):  # in row order: Up reads the rebuilt row above
+        if filters[r] == 1:  # Sub: a running sum over each byte lane of a pixel
+            lanes = data[r].reshape(w, bpp)
+            np.cumsum(lanes, axis=0, dtype=np.uint8, out=lanes)
+        elif r > 0:  # Up; the row above row 0 is zeros
+            data[r] += data[r - 1]
     if bit_depth == 16:
-        arr = np.frombuffer(bytes(out), dtype=">u2").reshape(h, w).astype(np.uint16)
-    elif channels == 3:
-        arr = np.frombuffer(bytes(out), dtype=np.uint8).reshape(h, w, 3).copy()
-    else:
-        arr = np.frombuffer(bytes(out), dtype=np.uint8).reshape(h, w).copy()
-    return arr
+        return data.view(">u2").astype(np.uint16)
+    return data.reshape(h, w, 3) if channels == 3 else data

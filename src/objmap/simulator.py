@@ -11,7 +11,7 @@ seed.
 Dataset layout written by generate():
   intrinsics.json            fx, fy, cx, cy, width, height, depth_scale
   poses.txt                  lines "idx tx ty tz qx qy qz qw" (world-from-camera)
-  rgb/%06d.png               8-bit RGB
+  rgb/%06d.png               8-bit RGB (kept 8-bit in FrameBundle.rgb8)
   depth/%06d.png             16-bit, value = meters * depth_scale
   instance/%06d.png          16-bit object ids (0 = background)
   detections/%06d.json       [{class_id, bbox:[x1,y1,x2,y2], score}]
@@ -412,7 +412,7 @@ def frame_bundles(spec: SceneSpec):
         rgb_q = np.round(rgb * 255.0).astype(np.uint8)
         depth_q = np.clip(np.round(depth * spec.depth_scale), 0, 65535).astype(np.uint16)
         yield FrameBundle(
-            rgb=rgb_q.astype(np.float64) / 255.0,
+            rgb8=rgb_q,
             depth=depth_q.astype(np.float64) / spec.depth_scale,
             instance=instance.astype(np.int32),
             camera=camera,
@@ -680,12 +680,16 @@ def dataset_cameras(dataset_dir: str) -> list[CameraModel]:
 def load(dataset_dir: str):
     """Stream FrameBundles from a dataset directory in index order.
 
+    Each frame holds its colour as the decoded 8-bit image; `FrameBundle.rgb`
+    builds the float image in [0, 1] on first read.  Every PNG is decoded and
+    checked whether or not the run reads its colour.
+
     Raises DatasetError naming the offending file on any malformed input,
     a detections file that is not a list or has a `class_id` that is not a
     JSON integer included; frames before the bad one are yielded normally.
     A missing frame file is named with poses.txt, which lists the frame, and
-    images whose sizes disagree with each other or with intrinsics.json are
-    named with it.
+    images whose sizes or formats disagree with each other or with
+    intrinsics.json are named with it.
     """
     depth_scale, cameras = _read_header(dataset_dir)
     intr_path = os.path.join(dataset_dir, "intrinsics.json")
@@ -702,10 +706,10 @@ def load(dataset_dir: str):
         for p in (rgb_path, depth_path, inst_path, det_path):
             if not os.path.isfile(p):
                 raise DatasetError(f"missing frame file: {p} (frame {idx} of {poses_path})")
-        # scaled in place: a second full-frame copy would set the
-        # mapping run's memory peak
-        rgb = read_png(rgb_path).astype(np.float64)
-        rgb /= 255.0
+        # colour stays 8-bit (FrameBundle.rgb scales it on first read) and
+        # depth is scaled in place: a second full-frame float copy would set
+        # the mapping run's memory peak
+        rgb8 = read_png(rgb_path)
         depth = read_png(depth_path).astype(np.float64)
         depth /= depth_scale
         instance = read_png(inst_path).astype(np.int32)
@@ -724,12 +728,12 @@ def load(dataset_dir: str):
             raise DatasetError(f"malformed detections file {det_path}: {e}") from e
         try:
             return FrameBundle(
-                rgb=rgb, depth=depth, instance=instance,
+                rgb8=rgb8, depth=depth, instance=instance,
                 camera=cameras[idx], detections=dets, index=idx,
             )
         except ValueError as e:
             raise DatasetError(
-                f"image sizes of frame {idx} disagree ({e}): {rgb_path}, {depth_path}, "
+                f"images of frame {idx} disagree ({e}): {rgb_path}, {depth_path}, "
                 f"{inst_path}, camera size from {intr_path}"
             ) from e
 

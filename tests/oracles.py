@@ -9,8 +9,9 @@ over observations.  `reference_flat_entries` is the renderer's footprint
 expansion and composite written as plain expressions, without in-place steps,
 early frees or blocks; `reference_render` and `reference_loss_and_gradients`
 build the images, the loss and the backward on it the same way, each sum one
-`np.bincount` or `np.cumsum` over every entry.  `store_of` builds small test
-stores from rows.
+`np.bincount` or `np.cumsum` over every entry.  `reference_unfilter` undoes
+PNG row filters one byte at a time.  `store_of` builds small test stores from
+rows.
 """
 
 from __future__ import annotations
@@ -448,3 +449,28 @@ def reference_loss_and_gradients(store: GaussianStore, trainable_idx, frame: Fra
     grads = GaussianGradients(colors=grad_color[idx], opacities=grad_opacity[idx])
     return loss, grads, parts
 
+
+def reference_unfilter(stream: bytes, h: int, w: int, channels: int, bit_depth: int):
+    """The image held by a decompressed PNG stream of h rows, each a filter
+    byte (0 None, 1 Sub, 2 Up) and its filtered bytes, undone one byte at a
+    time in a Python loop; 16-bit samples are big-endian."""
+    bpp = channels * bit_depth // 8
+    stride = w * bpp
+    out = bytearray(h * stride)
+    prev = bytearray(stride)
+    for r in range(h):
+        ftype = stream[r * (stride + 1)]
+        assert ftype in (0, 1, 2), ftype
+        row = bytearray(stream[r * (stride + 1) + 1 : (r + 1) * (stride + 1)])
+        if ftype == 1:
+            for i in range(bpp, stride):
+                row[i] = (row[i] + row[i - bpp]) & 0xFF
+        elif ftype == 2:
+            for i in range(stride):
+                row[i] = (row[i] + prev[i]) & 0xFF
+        out[r * stride : (r + 1) * stride] = row
+        prev = row
+    if bit_depth == 16:
+        return np.frombuffer(bytes(out), dtype=">u2").reshape(h, w).astype(np.uint16)
+    shape = (h, w, 3) if channels == 3 else (h, w)
+    return np.frombuffer(bytes(out), dtype=np.uint8).reshape(shape).copy()

@@ -205,9 +205,9 @@ def test_criterion_5_renderer_gradients():
         h, w = 64, 64
         xx, yy = np.meshgrid(np.arange(w), np.arange(h))
         frame = FrameBundle(
-            rgb=np.stack([0.5 + 0.3 * np.sin(2 * np.pi * xx / 17),
-                          0.5 + 0.3 * np.cos(2 * np.pi * yy / 23),
-                          np.ones((h, w))], axis=2),
+            rgb8=np.round(255 * np.stack([0.5 + 0.3 * np.sin(2 * np.pi * xx / 17),
+                                          0.5 + 0.3 * np.cos(2 * np.pi * yy / 23),
+                                          np.ones((h, w))], axis=2)).astype(np.uint8),
             depth=np.where(out.alpha > 0.5, out.depth + 0.5, 0.0),
             instance=np.where(out.instance > 0.5, 1, 0).astype(np.int32),
             camera=cam, detections=[], index=0,

@@ -4,7 +4,6 @@ import pytest
 from objmap import association
 from objmap.association import (
     ObjectMap,
-    TrackObservation,
     associate_frame,
     initialize_track,
     merge_occluded,
@@ -27,7 +26,7 @@ def make_camera(**kw):
 def make_frame(camera, detections, depth_value=4.0, index=0):
     h, w = camera.height, camera.width
     return FrameBundle(
-        rgb=np.zeros((h, w, 3)),
+        rgb8=np.zeros((h, w, 3), dtype=np.uint8),
         depth=np.full((h, w), depth_value),
         instance=np.zeros((h, w), dtype=np.int32),
         camera=camera,

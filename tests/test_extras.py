@@ -14,49 +14,97 @@ from objmap.frames import Detection2D, FrameBundle
 from objmap.plyio import read_point_ply, write_point_ply
 from objmap.png import read_png, write_png
 from objmap.quadrics import BBox2D, CameraModel, DualQuadric, conic_to_bbox, project_to_conic
+from oracles import reference_unfilter
 
 
 def camera_64():
     return CameraModel(fx=80.0, fy=80.0, cx=32.0, cy=32.0, width=64, height=64)
 
 
+def png_chunk(tag: bytes, payload: bytes) -> bytes:
+    return (struct.pack(">I", len(payload)) + tag + payload
+            + struct.pack(">I", zlib.crc32(tag + payload) & 0xFFFFFFFF))
+
+
+def filtered_stream(img: np.ndarray, filters) -> bytes:
+    """The decompressed PNG stream of `img` (uint8 HxW or HxWx3, uint16 HxW)
+    whose row r is filtered with filters[r]: 0 None, 1 Sub (against the
+    pixel to the left), 2 Up (against the row above, zeros above row 0)."""
+    h = img.shape[0]
+    bpp = 3 if img.ndim == 3 else img.itemsize
+    raw = img.astype(img.dtype.newbyteorder(">")).view(np.uint8).reshape(h, -1).astype(int)
+    out = bytearray()
+    prev = np.zeros(raw.shape[1], dtype=int)
+    for row, ftype in zip(raw, filters):
+        left = np.concatenate([np.zeros(bpp, dtype=int), row[:-bpp]])
+        delta = {0: 0, 1: left, 2: prev}.get(int(ftype), 0)
+        out.append(int(ftype))
+        out += ((row - delta) % 256).astype(np.uint8).tobytes()
+        prev = row
+    return bytes(out)
+
+
+def png_bytes(img: np.ndarray, stream: bytes, n_idat: int = 1) -> bytes:
+    """A PNG of `img`'s size and format holding `stream`, its zlib data cut
+    into n_idat IDAT chunks (some may be empty)."""
+    h, w = img.shape[:2]
+    color_type, bit_depth = (2, 8) if img.ndim == 3 else (0, 8 * img.itemsize)
+    z = zlib.compress(stream)
+    cuts = np.linspace(0, len(z), n_idat + 1).astype(int)
+    return (b"\x89PNG\r\n\x1a\n"
+            + png_chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, bit_depth, color_type, 0, 0, 0))
+            + b"".join(png_chunk(b"IDAT", z[a:b]) for a, b in zip(cuts[:-1], cuts[1:]))
+            + png_chunk(b"IEND", b""))
+
+
+def random_image(rng, fmt: str, h: int, w: int) -> np.ndarray:
+    if fmt == "gray16":
+        return rng.integers(0, 65536, size=(h, w), dtype=np.uint16)
+    return rng.integers(0, 256, size=(h, w, 3) if fmt == "rgb8" else (h, w), dtype=np.uint8)
+
+
 class TestPngFilters:
-    def _encode_with_filter(self, img, ftype):
-        """Hand-roll a PNG using Sub (1) or Up (2) row filters."""
-        h, w = img.shape
-        raw = img[:, :, None].astype(np.uint8)
-        stride = w
-        out = bytearray()
-        prev = bytearray(stride)
-        for r in range(h):
-            row = bytearray(raw[r].tobytes())
-            out.append(ftype)
-            if ftype == 1:  # Sub: delta against previous pixel
-                enc = bytearray(row)
-                for i in range(stride - 1, 0, -1):
-                    enc[i] = (row[i] - row[i - 1]) & 0xFF
-                out += enc
-            else:  # Up: delta against previous row
-                enc = bytearray((row[i] - prev[i]) & 0xFF for i in range(stride))
-                out += enc
-            prev = row
-
-        def chunk(tag, payload):
-            return (struct.pack(">I", len(payload)) + tag + payload
-                    + struct.pack(">I", zlib.crc32(tag + payload) & 0xFFFFFFFF))
-
-        header = struct.pack(">IIBBBBB", w, h, 8, 0, 0, 0, 0)
-        return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", header)
-                + chunk(b"IDAT", zlib.compress(bytes(out)))
-                + chunk(b"IEND", b""))
-
     @pytest.mark.parametrize("ftype", [1, 2])
     def test_decoder_handles_filtered_rows(self, tmp_path, ftype):
         rng = np.random.default_rng(0)
         img = rng.integers(0, 256, size=(13, 17), dtype=np.uint8)
         path = tmp_path / "f.png"
-        path.write_bytes(self._encode_with_filter(img, ftype))
+        path.write_bytes(png_bytes(img, filtered_stream(img, [ftype] * 13)))
         assert np.array_equal(read_png(str(path)), img)
+
+    @pytest.mark.parametrize("fmt", ["rgb8", "gray8", "gray16"])
+    def test_mixed_filters_match_bytewise_reference(self, tmp_path, fmt):
+        rng = np.random.default_rng(["rgb8", "gray8", "gray16"].index(fmt))
+        path = tmp_path / "f.png"
+        for trial in range(30):
+            h, w = (int(v) for v in rng.integers(1, 14, 2))
+            img = random_image(rng, fmt, h, w)
+            filters = rng.integers(0, 3, h)
+            filters[0] = trial % 3  # Up on row 0 reads a row of zeros
+            stream = filtered_stream(img, filters)
+            path.write_bytes(png_bytes(img, stream, n_idat=1 + trial % 4))
+            got = read_png(str(path))
+            ref = reference_unfilter(stream, h, w, 3 if fmt == "rgb8" else 1,
+                                     16 if fmt == "gray16" else 8)
+            assert got.dtype == ref.dtype == img.dtype and got.shape == img.shape
+            assert np.array_equal(got, ref) and np.array_equal(got, img)
+            assert got.flags.writeable and got.flags.c_contiguous
+
+    @pytest.mark.parametrize("fmt", ["rgb8", "gray8", "gray16"])
+    def test_many_idat_chunks(self, tmp_path, fmt):
+        rng = np.random.default_rng(7)
+        img = random_image(rng, fmt, 40, 30)
+        stream = filtered_stream(img, rng.integers(0, 3, 40))
+        path = tmp_path / "f.png"
+        path.write_bytes(png_bytes(img, stream, n_idat=500))
+        assert np.array_equal(read_png(str(path)), img)
+
+    def test_unknown_row_filter_rejected(self, tmp_path):
+        img = np.arange(20, dtype=np.uint8).reshape(4, 5)
+        path = tmp_path / "f.png"
+        path.write_bytes(png_bytes(img, filtered_stream(img, [0, 2, 4, 3])))
+        with pytest.raises(DatasetError, match="f.png: unsupported PNG row filter 4"):
+            read_png(str(path))
 
     def test_roundtrip_all_supported_formats(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -135,7 +183,7 @@ class TestQdOnlyMode:
     def _frame(self, cam, dets, index=0):
         h, w = cam.height, cam.width
         depth = np.full((h, w), 4.0)
-        return FrameBundle(rgb=np.zeros((h, w, 3)), depth=depth,
+        return FrameBundle(rgb8=np.zeros((h, w, 3), np.uint8), depth=depth,
                            instance=np.zeros((h, w), dtype=np.int32),
                            camera=cam, detections=dets, index=index)
 

@@ -31,13 +31,13 @@ def camera(w=80, h=60, f=70.0):
 
 def synthetic_frame(cam, depth_value=2.0, object_box=None):
     h, w = cam.height, cam.width
-    rgb = np.full((h, w, 3), 0.5)
+    rgb8 = np.full((h, w, 3), 128, dtype=np.uint8)
     depth = np.full((h, w), depth_value)
     instance = np.zeros((h, w), dtype=np.int32)
     if object_box:
         x0, y0, x1, y1 = object_box
         instance[y0:y1, x0:x1] = 1
-    return FrameBundle(rgb=rgb, depth=depth, instance=instance, camera=cam,
+    return FrameBundle(rgb8=rgb8, depth=depth, instance=instance, camera=cam,
                        detections=[], index=0)
 
 
@@ -255,6 +255,21 @@ class TestDensify:
         assert np.all(new.kinds[:n_geo] == KIND_OPAQUE)
         assert np.all(new.kinds[n_geo:] == KIND_TRANSPARENT)
         assert np.all(new.opacities[:n_geo] == 0.9) and np.all(new.opacities[n_geo:] == 0.1)
+
+
+@pytest.mark.parametrize("layer, config", [
+    ("densify", PipelineConfig(stride=0)),            # was densified at stride 1
+    ("densify", PipelineConfig(stride=2.5)),          # was a bare TypeError
+    ("masks", PipelineConfig(theta_d=float("nan"))),  # flagged no geometry pixel
+])
+def test_layers_refuse_a_config_check_refuses(layer, config):
+    frame = synthetic_frame(camera(), object_box=(10, 10, 40, 40))
+    masks = compute_update_masks(frame, empty_render(frame), PipelineConfig())
+    with pytest.raises(InvalidParameterError, match="must be"):
+        if layer == "masks":
+            compute_update_masks(frame, empty_render(frame), config)
+        else:
+            densify_from_mask(frame, masks, empty_render(frame), config)
 
 
 class TestSelectTrainable:

@@ -15,7 +15,6 @@ import objmap.renderer as renderer
 from objmap.cli import main as cli_main
 from objmap.errors import DatasetError, InvalidParameterError
 from objmap.gaussians import (
-    KIND_OPAQUE,
     STORE_ARRAYS,
     TRAINABLE,
     GaussianStore,
@@ -33,7 +32,7 @@ from objmap.pipeline import (
 from objmap.png import read_png, write_png
 from objmap.quadrics import DualQuadric
 from objmap.renderer import footprint_skeleton
-from objmap.scenes import ablation_config, make_scene, sphere_scene
+from objmap.scenes import ablation_config, make_scene
 from objmap.simulator import ObjectSpec, OrbitTrajectory, SceneSpec, generate, load_gt
 from oracles import brute_force_nn_means
 
@@ -223,6 +222,16 @@ class TestRunPipeline:
         assert res.track_count() == 0
         assert len(res.store) == 0
 
+    def test_corrupt_colour_fails_a_run_without_gaussians(self, tmp_path):
+        d = tmp_path / "bad_rgb"
+        generate(small_scene(n_frames=2), str(d))
+        bad = d / "rgb" / "000001.png"
+        blob = bytearray(bad.read_bytes())
+        blob[blob.index(b"IDAT") + 4] ^= 0xFF  # the first IDAT payload byte
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(DatasetError, match=r"rgb/000001\.png: CRC mismatch"):
+            run_pipeline(str(d), fast_config(enable_gaussians=False))
+
     def test_detections_withheld(self, tmp_path):
         d = tmp_path / "nodet"
         generate(small_scene(detection_dropout=1.0), str(d))
@@ -268,22 +277,25 @@ class TestMappingMemory:
     """Peak traced heap of one warm `run_pipeline` pass on a 4-frame 96x72
     pose4 set, map-pose4's scene.  Measured 1,756 KB at workers=1 and 1,753
     KB at workers=2, since every object trains on the calling thread, one
-    evaluation at a time; the bound leaves about 18%.  With a pool of
-    workers=2 threads tracemalloc saw both object jobs' evaluations at once
-    and the workers=2 pass peaked at 2,649 KB.  With blocks of 8,192 entries
-    the two passes peaked at 2,295 and 3,744 KB.  The workers=1 pass peaked
-    at 2,815 KB when each evaluation composited, took the loss and ran the
-    backward over the whole frame at once, and at 3,843 KB when footprints
-    were also expanded all at once, the frame-start render stayed alive
-    through training and each object job copied the whole store."""
+    evaluation at a time; the bound leaves about 18%.  Frames that keep their
+    8-bit colour until the Gaussians read it add one 20 KB image (1,758 KB at
+    workers=1).  With a pool of workers=2 threads tracemalloc saw both object
+    jobs' evaluations at once and the workers=2 pass peaked at 2,649 KB.
+    With blocks of 8,192 entries the two passes peaked at 2,295 and 3,744 KB.
+    The workers=1 pass peaked at 2,815 KB when each evaluation composited,
+    took the loss and ran the backward over the whole frame at once, and at
+    3,843 KB when footprints were also expanded all at once, the frame-start
+    render stayed alive through training and each object job copied the
+    whole store."""
 
     PEAK_BOUND_KB = 2070
+    # a pass without Gaussians on a 4-frame 200x150 ablation8 set, the
+    # assoc-ablation8 scene: 526 KB, and 1,204 KB while every frame was
+    # decoded to float colour through a row-by-row PNG decoder
+    NO_GAUSSIANS_PEAK_BOUND_KB = 620
 
     @staticmethod
-    def _warm_pass_peak(tmp_path, workers: int) -> int:
-        ds = str(tmp_path / "ds")
-        generate(make_scene("pose4", n_frames=4, width=96, height=72), ds)
-        config = PipelineConfig(tau=0.25, qd_accept=0.2, stride=2, workers=workers)
+    def _warm_pass_peak(ds: str, config: PipelineConfig) -> int:
         run_pipeline(ds, config)  # warm: first-call imports and caches stay out
         tracemalloc.start()
         try:
@@ -292,17 +304,47 @@ class TestMappingMemory:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert len(result.store) > 0
+        assert len(result.object_map) > 0
+        assert (len(result.store) > 0) == config.enable_gaussians
         return peak
 
+    def _pose4_peak(self, tmp_path, workers: int) -> int:
+        ds = str(tmp_path / "ds")
+        generate(make_scene("pose4", n_frames=4, width=96, height=72), ds)
+        config = PipelineConfig(tau=0.25, qd_accept=0.2, stride=2, workers=workers)
+        return self._warm_pass_peak(ds, config)
+
     def test_warm_pass_peak_bounded(self, tmp_path):
-        peak = self._warm_pass_peak(tmp_path, workers=1)
+        peak = self._pose4_peak(tmp_path, workers=1)
         assert peak <= self.PEAK_BOUND_KB * 1024, peak / 1024
 
     def test_warm_two_worker_pass_peak_bounded(self, tmp_path):
-        peak = self._warm_pass_peak(tmp_path, workers=2)
+        peak = self._pose4_peak(tmp_path, workers=2)
         assert peak <= self.PEAK_BOUND_KB * 1024, peak / 1024
 
+    def test_warm_pass_without_gaussians_peak_bounded(self, tmp_path):
+        ds = str(tmp_path / "ds")
+        generate(make_scene("ablation8", seed=2, n_frames=4, width=200, height=150), ds)
+        peak = self._warm_pass_peak(ds, ablation_config("qd+iou"))
+        assert peak <= self.NO_GAUSSIANS_PEAK_BOUND_KB * 1024, peak / 1024
+
+    def test_run_without_gaussians_keeps_colour_8_bit(self, tmp_path, monkeypatch):
+        """No frame of a run without Gaussians builds its float colour."""
+        ds = str(tmp_path / "ds")
+        generate(make_scene("ablation8", seed=2, n_frames=4, width=64, height=48), ds)
+        load, frames = pipeline.load, []
+
+        def recorded(dataset_dir):
+            for frame in load(dataset_dir):
+                frames.append(frame)
+                yield frame
+
+        monkeypatch.setattr(pipeline, "load", recorded)
+        config = ablation_config("qd+iou")
+        assert not config.enable_gaussians
+        run_pipeline(ds, config)
+        assert len(frames) == 4
+        assert all("rgb" not in vars(frame) for frame in frames)
 
     def test_frame_released_before_next_is_decoded(self, tmp_path, monkeypatch):
         """Neither the loader nor the mapping loop holds frame k while frame
@@ -319,7 +361,7 @@ class TestMappingMemory:
                 frame = next(frames, None)
                 if frame is None:
                     return
-                decoded.append(weakref.ref(frame.rgb))
+                decoded.append(weakref.ref(frame.rgb8))  # frame.rgb would build a float copy
                 yield frame
                 del frame
 

@@ -13,7 +13,6 @@ from objmap.quadrics import (
     BBox2D,
     CameraModel,
     DualConic,
-    DualQuadric,
     assemble_dual_quadric,
     backproject_bbox_planes,
     conic_to_bbox,

@@ -85,6 +85,11 @@ def _rand_quat(rng):
     return q / np.linalg.norm(q)
 
 
+def to_rgb8(color: np.ndarray) -> np.ndarray:
+    """A float image in [0, 1] as a frame's 8-bit colour."""
+    return np.round(color * 255.0).astype(np.uint8)
+
+
 def gradcheck_frame(store, cam, k):
     """Target images with residuals bounded away from the abs-kinks."""
     out = render(store, cam)
@@ -98,7 +103,7 @@ def gradcheck_frame(store, cam, k):
     )
     depth = np.where(out.alpha > 0.5, out.depth + 0.5, 0.0)
     inst = np.where(out.instance > 0.5, k, 0).astype(np.int32)
-    return FrameBundle(rgb=rgb, depth=depth, instance=inst, camera=cam,
+    return FrameBundle(rgb8=to_rgb8(rgb), depth=depth, instance=inst, camera=cam,
                        detections=[], index=0)
 
 
@@ -236,11 +241,12 @@ class TestGradients:
         store = random_scene(np.random.default_rng(42), 3)
         out = render(store, cam)
         frame = FrameBundle(
-            rgb=out.color.copy(),
+            rgb8=to_rgb8(out.color),
             depth=np.zeros_like(out.depth),  # no valid target depth
             instance=np.zeros(out.depth.shape, dtype=np.int32),
             camera=cam, detections=[], index=0,
         )
+        frame.rgb = out.color.copy()  # the render itself, finer than 8 bits
         loss, grads, _ = loss_and_gradients(store, np.arange(len(store)), frame,
                                             lam=0.0, object_id=1)
         assert loss == pytest.approx(0.0, abs=1e-9)
@@ -397,7 +403,7 @@ def away_frame(cam):
     away = CameraModel(fx=cam.fx, fy=cam.fy, cx=cam.cx, cy=cam.cy, width=cam.width,
                        height=cam.height, translation=np.array([0.0, 0.0, 5.0]))
     h, w = cam.height, cam.width
-    return FrameBundle(rgb=np.full((h, w, 3), 0.4), depth=np.zeros((h, w)),
+    return FrameBundle(rgb8=np.full((h, w, 3), 102, np.uint8), depth=np.zeros((h, w)),
                        instance=np.zeros((h, w), np.int32), camera=away,
                        detections=[], index=1)
 
@@ -753,7 +759,7 @@ class TestOptimizeObject:
         ])
         t_out = render(target, cam, instance_id=1)
         frame = FrameBundle(
-            rgb=t_out.color,
+            rgb8=to_rgb8(t_out.color),
             depth=np.where(t_out.alpha > 0.5, t_out.depth, 0.0),
             instance=(t_out.instance > 0.5).astype(np.int32),
             camera=cam, detections=[], index=0,
@@ -851,7 +857,7 @@ class TestOptimizeObject:
             [prim([0.0, 0.0, 2.0], scale=0.12, opacity=0.95, color=(0.9, 0.2, 0.2))])
         t_out = render(target, cam, instance_id=1)
         frame = FrameBundle(
-            rgb=t_out.color,
+            rgb8=to_rgb8(t_out.color),
             depth=np.where(t_out.alpha > 0.5, t_out.depth, 0.0),
             instance=(t_out.instance > 0.5).astype(np.int32),
             camera=cam, detections=[], index=0,

@@ -2,13 +2,15 @@ import hashlib
 import json
 import os
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from objmap.errors import DatasetError, InvalidParameterError
+from objmap.frames import FrameBundle
 from objmap.png import write_png
-from objmap.quadrics import conic_to_bbox, project_to_conic
+from objmap.quadrics import CameraModel, conic_to_bbox, project_to_conic
 from objmap.simulator import (
     ObjectSpec,
     OrbitTrajectory,
@@ -268,6 +270,14 @@ class TestDataset:
             next(stream)
         assert os.path.join(d, "rgb", "000001.png") in str(err.value)
 
+    @pytest.mark.parametrize("image", [np.zeros((120, 160), np.uint8),
+                                       np.zeros((120, 160), np.uint16)])
+    def test_rgb_png_not_8_bit_colour_names_frame_files(self, tmp_path, image):
+        d = generate(one_sphere_spec(n_frames=1), str(tmp_path / "ds"))
+        write_png(os.path.join(d, "rgb", "000000.png"), image)
+        with pytest.raises(DatasetError, match=r"rgb/000000\.png"):
+            list(load(d))
+
     def test_dataset_cameras_read_only_poses(self, tmp_path):
         d = generate(one_sphere_spec(n_frames=3), str(tmp_path / "ds"))
         expected = [f.camera for f in load(d)]
@@ -342,6 +352,38 @@ class TestDataset:
     def test_scene_value_out_of_range_rejected(self, name, value):
         with pytest.raises(InvalidParameterError, match=f"scene {name} must be at least"):
             one_sphere_spec(**{name: value})
+
+
+def colour_frame(rgb8: np.ndarray, h: int, w: int) -> FrameBundle:
+    """An h x w frame of colour `rgb8` and depth 1 m."""
+    return FrameBundle(
+        rgb8=rgb8, depth=np.ones((h, w)), instance=np.zeros((h, w), np.int32),
+        camera=CameraModel(fx=50.0, fy=50.0, cx=w / 2, cy=h / 2, width=w, height=h),
+        detections=[],
+    )
+
+
+class TestFrameColour:
+    def test_rgb_is_the_float_conversion_of_every_value(self):
+        rgb8 = np.repeat(np.arange(256, dtype=np.uint8), 3).reshape(1, 256, 3)
+        frame = colour_frame(rgb8, 1, 256)
+        assert "rgb" not in vars(frame)  # built on first read
+        old = rgb8.astype(np.float64)
+        old /= 255.0
+        assert frame.rgb.dtype == np.float64
+        assert frame.rgb.tobytes() == old.tobytes()
+        assert frame.rgb is frame.rgb  # kept
+        assert "rgb" not in vars(replace(frame, index=1))  # a copy builds its own
+
+    @pytest.mark.parametrize("rgb8", [
+        np.full((4, 5, 3), 0.5),                # float colour
+        np.zeros((4, 5, 3), np.uint16),
+        np.zeros((4, 5), np.uint8),             # grey
+        np.zeros((5, 4, 3), np.uint8),          # transposed
+    ])
+    def test_rgb8_must_be_an_8_bit_colour_image(self, rgb8):
+        with pytest.raises(InvalidParameterError, match="rgb8"):
+            colour_frame(rgb8, 4, 5)
 
 
 class TestSurfaceSampling:
