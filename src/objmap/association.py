@@ -25,13 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import MODES, PipelineConfig
-from .errors import (
-    BehindCameraError,
-    CannotInitializeError,
-    DegenerateConicError,
-    InvalidParameterError,
-)
+from .config import PipelineConfig
+from .errors import BehindCameraError, CannotInitializeError, DegenerateConicError
 from .frames import Detection2D, FrameBundle, bbox_pixel_rect, dominant_instance_id
 from .quadrics import (
     BBox2D,
@@ -265,14 +260,7 @@ def _observation_quadric(
 def associate_frame(
     obj_map: ObjectMap, frame: FrameBundle, config: PipelineConfig
 ) -> AssociationResult:
-    """Run one frame of coarse-to-fine association and occlusion merging.
-
-    Raises InvalidParameterError when `config.assoc_mode` is not in MODES.
-    """
-    if config.assoc_mode not in MODES:
-        raise InvalidParameterError(
-            f"config key 'assoc_mode' must be one of {MODES}, got {config.assoc_mode!r}"
-        )
+    """Run one frame of coarse-to-fine association and occlusion merging."""
     result = AssociationResult()
     dets = frame.detections
     if not dets and len(obj_map) == 0:

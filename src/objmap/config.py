@@ -2,7 +2,10 @@
 
 Association, update masks, densification, Gaussian training and quadric
 refinement each read their values from the `PipelineConfig` they are given;
-a library call made without one uses `PipelineConfig()`.
+a library call made without one uses `PipelineConfig()`.  A config refuses a
+bad value where it enters: when the config is built (`PipelineConfig(...)`,
+`from_dict`, `from_json`, `dataclasses.replace`) or a field is assigned.  So
+every layer reads only accepted values and checks none itself.
 """
 
 from __future__ import annotations
@@ -70,6 +73,39 @@ class PipelineConfig:
     # calling thread
     workers: int = 1
 
+    def __setattr__(self, name: str, value) -> None:
+        """Store `value` as field `name`, or raise InvalidParameterError naming it.
+
+        The value must have the field's type (a bool is no int, an int is a
+        float), a float must be finite (an int too large for a float is not),
+        and `assoc_mode` and every number must lie in its `_RANGES` entry.  A
+        refused value leaves the field as it was.  `__init__` assigns through
+        here too, in field order, so no config holds a refused value.
+        """
+        f = self.__dataclass_fields__.get(name)
+        if f is None:
+            raise InvalidParameterError(f"unknown config key {name!r}")
+        want = type(f.default)
+        accepted = (int, float) if want is float else want
+        if isinstance(value, bool) != (want is bool) or not isinstance(value, accepted):
+            raise InvalidParameterError(
+                f"config key {name!r} must be {want.__name__}, got {value!r}"
+            )
+        if want is float:
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:
+                raise InvalidParameterError(
+                    f"config key {name!r} must be finite, got an int too large for a float"
+                ) from None
+            if not finite:
+                raise InvalidParameterError(f"config key {name!r} must be finite, got {value!r}")
+        if want is not bool:  # the numbers and assoc_mode
+            text, ok = _RANGES.get(name, _AT_LEAST_0)
+            if not ok(value):
+                raise InvalidParameterError(f"config key {name!r} must be {text}, got {value!r}")
+        object.__setattr__(self, name, value)
+
     def quadric_optim(self, iters: int | None = None):
         """`quadric_fit.OptimConfig` of `iters` (default `quadric_iters`) steps."""
         from .quadric_fit import OptimConfig  # deferred: this module imports no layer
@@ -93,52 +129,14 @@ class PipelineConfig:
             raise InvalidParameterError(f"cannot read config {path}: {e}") from e
         return cls.from_dict(raw)
 
-    def check(self) -> None:
-        """Raise InvalidParameterError naming the first value refused.
-
-        Every value must have its field's type (a bool is no int, an int is
-        a float), every float must be finite (an int too large for a float
-        is not), and `assoc_mode` and every number must lie in its `_RANGES`
-        entry.  `run_pipeline`, `from_dict`, `compute_update_masks` and
-        `densify_from_mask` call this, so a value set on a constructed config
-        (as the CLI flags are) is checked too.
-        """
-        for name, f in self.__dataclass_fields__.items():
-            value = getattr(self, name)
-            want = type(f.default)
-            accepted = (int, float) if want is float else want
-            if isinstance(value, bool) != (want is bool) or not isinstance(value, accepted):
-                raise InvalidParameterError(
-                    f"config key {name!r} must be {want.__name__}, got {value!r}"
-                )
-            if want is float:
-                try:
-                    finite = math.isfinite(value)
-                except OverflowError:
-                    raise InvalidParameterError(
-                        f"config key {name!r} must be finite, got an int too large for a float"
-                    ) from None
-                if not finite:
-                    raise InvalidParameterError(
-                        f"config key {name!r} must be finite, got {value!r}"
-                    )
-            if want is not bool:  # the numbers and assoc_mode
-                text, ok = _RANGES.get(name, _AT_LEAST_0)
-                if not ok(value):
-                    raise InvalidParameterError(
-                        f"config key {name!r} must be {text}, got {value!r}"
-                    )
-
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
         """Config from a flat dict.
 
-        Raises InvalidParameterError on unknown keys and on every value
-        `check` refuses.
+        Raises InvalidParameterError on unknown keys, then on the first value
+        refused in field order.
         """
         unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise InvalidParameterError(f"unknown config keys: {sorted(unknown)}")
-        config = cls(**raw)
-        config.check()
-        return config
+        return cls(**raw)

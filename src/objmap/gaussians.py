@@ -155,10 +155,8 @@ def compute_update_masks(frame: FrameBundle, render, config: PipelineConfig) -> 
     theta_d (only where the observed depth is valid).  rgb: max channel
     error above theta_c.  Both masks are restricted to pixels with a positive
     instance id, or a non-negative one when include_background is set: a
-    negative id marks a segment that is not mapped in this frame.  Raises
-    InvalidParameterError on a config that `PipelineConfig.check` refuses.
+    negative id marks a segment that is not mapped in this frame.
     """
-    config.check()
     h, w = frame.shape
     if render.color.shape[:2] != (h, w):
         raise InvalidParameterError(
@@ -220,11 +218,9 @@ def densify_from_mask(
     Zero-depth pixels are skipped.  The result holds only the new Gaussians:
     opaque ones first, each kind in pixel scan order, at most
     `max_new_per_frame` of them when that is above 0.  `config` defaults to
-    `PipelineConfig()`; one that `PipelineConfig.check` refuses raises
-    InvalidParameterError.
+    `PipelineConfig()`.
     """
     config = config or PipelineConfig()
-    config.check()
     h, w = frame.shape
     stride = config.stride
     off = stride // 2

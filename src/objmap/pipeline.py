@@ -103,12 +103,8 @@ def _optimize_dirty_tracks(obj_map: ObjectMap, dirty: list[int],
 
 
 def run_pipeline(dataset_dir: str, config: PipelineConfig | None = None):
-    """Process a dataset; returns PipelineResult with per-frame logs.
-
-    Raises InvalidParameterError naming a config value `check` refuses.
-    """
+    """Process a dataset; returns PipelineResult with per-frame logs."""
     config = config or PipelineConfig()
-    config.check()
     obj_map = ObjectMap()
     store = GaussianStore()
     logs: list[FrameLog] = []

@@ -173,15 +173,15 @@ class TestAssociateFrame:
         assert res.matches == [] and res.new_tracks == [] and res.merges == []
 
     def test_unknown_mode_refused(self):
-        """An unknown assoc_mode raises before the map changes; it does not
-        fall through to the quadric-only branch."""
-        cam = make_camera()
-        obj_map = ObjectMap()
-        bbox = conic_to_bbox(project_to_conic(DualQuadric([0, 0, 4], np.eye(3), [1, 1, 1]), cam))
-        frame = make_frame(cam, [Detection2D(bbox=bbox, class_id=7)])
+        """An unknown assoc_mode is refused when the config is built or
+        assigned, so it never reaches the map or falls through to the
+        quadric-only branch."""
         with pytest.raises(InvalidParameterError, match="assoc_mode"):
-            associate_frame(obj_map, frame, PipelineConfig(assoc_mode="bogus"))
-        assert len(obj_map) == 0
+            PipelineConfig(assoc_mode="bogus")
+        config = PipelineConfig()
+        with pytest.raises(InvalidParameterError, match="assoc_mode"):
+            config.assoc_mode = "bogus"
+        assert config.assoc_mode == "qd+iou"
 
     def test_class_gating(self):
         cam = make_camera()

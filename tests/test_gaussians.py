@@ -18,7 +18,7 @@ from objmap.gaussians import (
     select_trainable,
 )
 from objmap.quadrics import CameraModel
-from objmap.renderer import RenderOutput, render
+from objmap.renderer import RenderOutput
 from objmap.simulator import ObjectSpec, OrbitTrajectory, SceneSpec, frame_bundles
 from oracles import per_gaussian_select_trainable, store_of
 
@@ -255,21 +255,6 @@ class TestDensify:
         assert np.all(new.kinds[:n_geo] == KIND_OPAQUE)
         assert np.all(new.kinds[n_geo:] == KIND_TRANSPARENT)
         assert np.all(new.opacities[:n_geo] == 0.9) and np.all(new.opacities[n_geo:] == 0.1)
-
-
-@pytest.mark.parametrize("layer, config", [
-    ("densify", PipelineConfig(stride=0)),            # was densified at stride 1
-    ("densify", PipelineConfig(stride=2.5)),          # was a bare TypeError
-    ("masks", PipelineConfig(theta_d=float("nan"))),  # flagged no geometry pixel
-])
-def test_layers_refuse_a_config_check_refuses(layer, config):
-    frame = synthetic_frame(camera(), object_box=(10, 10, 40, 40))
-    masks = compute_update_masks(frame, empty_render(frame), PipelineConfig())
-    with pytest.raises(InvalidParameterError, match="must be"):
-        if layer == "masks":
-            compute_update_masks(frame, empty_render(frame), config)
-        else:
-            densify_from_mask(frame, masks, empty_render(frame), config)
 
 
 class TestSelectTrainable:

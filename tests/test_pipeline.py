@@ -5,7 +5,8 @@ import shutil
 import threading
 import tracemalloc
 import weakref
-from dataclasses import replace
+from copy import deepcopy
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -590,15 +591,14 @@ class TestExportAndState:
     ], ids=["str-for-int", "bool-for-int", "float-for-int", "str-for-float", "bool-for-float",
             "int-for-bool", "str-for-bool", "int-for-str", "fraction-for-int",
             "word-for-float", "bool-for-count", "int-for-flag"])
-    def test_config_rejects_wrong_value_types(self, raw, small_dataset):
+    def test_config_rejects_wrong_value_types(self, raw):
         name = next(iter(raw))
         with pytest.raises(InvalidParameterError, match=name):
             PipelineConfig.from_dict(raw)
-        # a constructed config is refused by check(), before any frame is mapped
         with pytest.raises(InvalidParameterError, match=name):
-            PipelineConfig(**raw).check()
+            PipelineConfig(**raw)
         with pytest.raises(InvalidParameterError, match=name):
-            run_pipeline(small_dataset, PipelineConfig(**raw))
+            setattr(PipelineConfig(), name, raw[name])
 
     def test_config_accepts_int_for_float(self):
         assert PipelineConfig.from_dict({"tau": 1, "stride": 2}).tau == 1
@@ -618,13 +618,52 @@ class TestExportAndState:
     def test_config_rejects_out_of_range_values(self, name, value):
         with pytest.raises(InvalidParameterError, match=name):
             PipelineConfig.from_dict({name: value})
+        # a value set after construction is refused by the assignment itself
         config = PipelineConfig()
-        setattr(config, name, value)
         with pytest.raises(InvalidParameterError, match=name):
-            config.check()
-        # a value set after construction is caught before the dataset is read
+            setattr(config, name, value)
+        assert config == PipelineConfig()
+
+    @pytest.mark.parametrize("name, value", [
+        # optimize_object reads these: a bare TypeError, silent NaN training, and
+        # a flipped instance term
+        ("gaussian_iters", 2.5), ("lr_color", float("nan")), ("lam", -1.0),
+        # densify_from_mask and compute_update_masks read these: densified at
+        # stride 1, a bare TypeError, and no geometry pixel flagged
+        ("stride", 0), ("stride", 2.5), ("theta_d", float("nan")),
+    ])
+    def test_config_refuses_what_a_layer_would_misread(self, name, value):
         with pytest.raises(InvalidParameterError, match=name):
-            run_pipeline("/does/not/exist", config)
+            PipelineConfig(**{name: value})
+        config = PipelineConfig()
+        with pytest.raises(InvalidParameterError, match=name):
+            setattr(config, name, value)
+
+    def test_refused_assignment_keeps_old_value(self):
+        config = PipelineConfig(stride=2, tau=0.5)
+        with pytest.raises(InvalidParameterError, match="stride"):
+            config.stride = -1
+        with pytest.raises(InvalidParameterError, match="tau"):
+            config.tau = float("inf")
+        assert (config.stride, config.tau) == (2, 0.5)
+        config.stride = 3
+        assert config.stride == 3
+
+    def test_config_refuses_unknown_name(self):
+        config = PipelineConfig()
+        with pytest.raises(InvalidParameterError, match="strid"):
+            config.strid = 3  # a misspelt field is no new attribute
+        assert not hasattr(config, "strid")
+
+    def test_config_replace_checks_values(self):
+        with pytest.raises(InvalidParameterError, match="theta_c"):
+            replace(PipelineConfig(), theta_c=-1.0)
+        assert replace(PipelineConfig(), theta_c=0.2).theta_c == 0.2
+
+    def test_config_copies_roundtrip(self):
+        cfg = fast_config(assoc_mode="qd", tau=0.33, include_background=True)
+        assert deepcopy(cfg) == cfg
+        assert PipelineConfig.from_dict(asdict(cfg)) == cfg
 
     def test_config_accepts_range_edges(self):
         edges = {"stride": 1, "workers": 1, "gaussian_iters": 0, "max_new_per_frame": 0,
