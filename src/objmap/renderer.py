@@ -9,10 +9,15 @@ bit-identical images: the entry order is a pure lexicographic sort and all
 reductions are fixed-order numpy sums.
 
 The forward pass is two steps.  `_skeleton` does everything that depends
-only on geometry: the expansion, the support cut, the kernel value `raw`,
-the sort and the pixel segments.  It expands footprints in blocks of whole
-Gaussians and keeps only each block's entries inside the support, so no
-array the size of the uncut expansion is ever built.  `_composite` forms
+only on geometry: the expansion, the support cut, the sort, the kernel
+value `raw` and the pixel segments.  It expands footprints in blocks of
+whole Gaussians and keeps one int64 key per entry inside the support,
+`pix * n + rank[row]` (n Gaussians projected, `rank` a Gaussian's place in
+stable depth-then-index order), so no array the size of the uncut expansion
+is ever built.  One in-place sort of the unique keys gives the (pixel,
+depth, index) order, as 3D Gaussian Splatting sorts one (tile, depth) key
+per instance; the entries' int32 `row` and `pix` decode from the sorted
+keys, and `raw` is computed once, in sorted order.  `_composite` forms
 alpha from the opacities and then the transmittance and blending weights,
 the sort-then-composite of 3D Gaussian Splatting (Kerbl et al., SIGGRAPH
 2023).  Every render and every training evaluation composites over a
@@ -199,8 +204,8 @@ def _skeleton(proj: dict, h: int, w: int) -> dict:
     """Expand footprints into flat entries sorted by (pixel, depth, index).
 
     Returns the per-entry arrays that do not depend on opacity or color:
-    `row` (Gaussian), `pix` and `raw` (the windowed kernel value), and the
-    pixel segments `seg_starts`, `seg_ends`, all empty when nothing
+    `row` (Gaussian) and `pix` (int32), `raw` (the windowed kernel value),
+    and the pixel segments `seg_starts`, `seg_ends`, all empty when nothing
     rasterizes; `depth` is the camera depth of every Gaussian projected (an
     entry's depth is its Gaussian's) and `size` is (Gaussians projected, h,
     w).  The arrays are read-only, so one skeleton serves every composite
@@ -208,14 +213,21 @@ def _skeleton(proj: dict, h: int, w: int) -> dict:
 
     Footprints are expanded in blocks of whole Gaussians of at most BLOCK
     entries before the support cut (a Gaussian whose box alone is larger
-    makes a block of its own), and each block keeps only the entries inside
-    the support, so the expansion's temporaries are bounded by the block,
-    not by the frame.  Every value is elementwise and the sort key (pixel,
-    depth, index) is unique, so the entries, their order and their bits do
-    not depend on the blocking.  `_composite` and the backward then walk the
-    sorted entries in blocks of whole pixel segments of at most BLOCK
-    entries, carrying each running sum from block to block.
+    makes a block of its own), and each block keeps only one int64 key per
+    entry inside the support, `pix * n + rank[row]`: n Gaussians projected,
+    `rank` each one's place in stable (depth, index) order.  The keys are
+    unique, so one in-place sort gives the (pixel, depth, index) order
+    whatever the blocking, and `pix` and `row` decode from the sorted keys.
+    `raw` is then computed in sorted order, block by block, with the
+    expansion's elementwise expression, so it has the bits of any other
+    order.  `_composite` and the backward walk the sorted entries in blocks
+    of whole pixel segments of at most BLOCK entries, carrying each running
+    sum from block to block.
     """
+    n = len(proj["z"])
+    by_depth = np.argsort(proj["z"], kind="stable").astype(np.int32)
+    rank = np.empty(n, np.intp)
+    rank[by_depth] = np.arange(n)
     rows = np.flatnonzero(proj["valid"])
     means2d = proj["means2d"]
     u = means2d[rows, 0]
@@ -228,22 +240,25 @@ def _skeleton(proj: dict, h: int, w: int) -> dict:
     widths = np.maximum(x1 - x0, 0)
     counts = widths * np.maximum(y1 - y0, 0)
 
-    kept = {"row": [np.empty(0, int)], "pix": [np.empty(0, int)], "raw": [np.empty(0)]}
+    kept = [np.empty(0, np.int64)]
     for first, last in _block_bounds(np.cumsum(counts)):
         block = slice(first, last)
-        for name, arr in zip(kept, _expand(
-                proj, rows[block], x0[block], y0[block], widths[block], counts[block], w)):
-            kept[name].append(arr)
-    # each array's blocks are joined and then dropped before the next one's
-    entry_row, pix, raw = (np.concatenate(kept.pop(name)) for name in ("row", "pix", "raw"))
-
-    # sorting before alpha is formed gives the same bits: alpha is an
-    # elementwise product, which commutes with the permutation
-    order = np.lexsort((entry_row, proj["z"][entry_row], pix))
-    entry_row = entry_row[order]
-    pix = pix[order]
-    raw = raw[order]
-    del order
+        key, entry_row = _expand(proj, rows[block], x0[block], y0[block], widths[block],
+                                 counts[block], w)
+        key *= n
+        key += rank[entry_row]
+        kept.append(key)
+    key = np.concatenate(kept)
+    del kept
+    key.sort()
+    entry_row = by_depth.take(key % n)
+    pix = np.floor_divide(key, n, out=np.empty(len(key), np.int32), casting="unsafe")
+    del key
+    raw = np.empty(len(pix))
+    for s in range(0, len(pix), BLOCK):
+        e = slice(s, s + BLOCK)
+        q = _quad_form(proj, entry_row[e], pix[e], w)
+        np.multiply(np.exp(-0.5 * q), _support_window(q), out=raw[e])
 
     is_start = np.empty(len(pix), dtype=bool)
     is_start[:1] = True
@@ -266,10 +281,10 @@ def _skeleton(proj: dict, h: int, w: int) -> dict:
     return skel
 
 
-def _expand(proj: dict, rows, x0, y0, widths, counts, w: int) -> list:
+def _expand(proj: dict, rows, x0, y0, widths, counts, w: int) -> tuple:
     """The entries of one block of footprints that fall inside the support,
-    [row, pix, raw], in expansion order (Gaussian, then row-major over its
-    box)."""
+    (pix, row) as int64, in expansion order (Gaussian, then row-major over
+    its box)."""
     # pixel (px, py) of each entry: footprint corner + divmod(offset, width)
     total = int(counts.sum())
     entry_row = np.repeat(rows, counts)
@@ -284,11 +299,16 @@ def _expand(proj: dict, rows, x0, y0, widths, counts, w: int) -> list:
     pix = py * w
     pix += px
     del px, py
+    inside = _quad_form(proj, entry_row, pix, w) < Q_MAX
+    return pix[inside], entry_row[inside]
 
-    # q = d^T Sigma2D^-1 d, d the pixel centre's offset from the projected
-    # mean; pixel coordinates are integers, so divmod gives them exactly, and
-    # the in-place steps keep the operation order of
-    # q = ia*du*du + 2*ib*du*dv + ic*dv*dv
+
+def _quad_form(proj: dict, entry_row, pix, w: int) -> np.ndarray:
+    """q = d^T Sigma2D^-1 d of each entry, d the pixel centre's offset from
+    its Gaussian's projected mean; pixel coordinates are integers, so divmod
+    gives them exactly, and the in-place steps keep the operation order of
+    q = ia*du*du + 2*ib*du*dv + ic*dv*dv, so every entry's q has the same
+    bits in any order and block."""
     means2d = proj["means2d"]
     du = pix % w + 0.5
     du -= means2d[entry_row, 0]
@@ -308,19 +328,7 @@ def _expand(proj: dict, rows, x0, y0, widths, counts, w: int) -> list:
     t *= dv
     t *= dv
     q += t
-    del t, du, dv
-
-    inside = q < Q_MAX
-    out = [entry_row[inside], pix[inside]]
-    del entry_row, pix
-    q = q[inside]
-    del inside
-
-    G = np.exp(-0.5 * q)
-    s_win = _support_window(q)
-    del q
-    out.append(G * s_win)
-    return out
+    return q
 
 
 def _composite(skel: dict, opacities: np.ndarray):

@@ -276,11 +276,13 @@ def map_bytes(result) -> list:
 
 class TestMappingMemory:
     """Peak traced heap of one warm `run_pipeline` pass on a 4-frame 96x72
-    pose4 set, map-pose4's scene.  Measured 1,756 KB at workers=1 and 1,753
+    pose4 set, map-pose4's scene.  Measured 1,603 KB at workers=1 and 1,601
     KB at workers=2, since every object trains on the calling thread, one
-    evaluation at a time; the bound leaves about 18%.  Frames that keep their
+    evaluation at a time; the bound leaves about 18%.  While each skeleton
+    sorted its entries by a lexsort of three keys and kept 64-bit indices,
+    the two passes peaked at 1,761 and 1,758 KB.  Frames that keep their
     8-bit colour until the Gaussians read it add one 20 KB image (1,758 KB at
-    workers=1).  With a pool of workers=2 threads tracemalloc saw both object
+    workers=1, before the one-key sort).  With a pool of workers=2 threads tracemalloc saw both object
     jobs' evaluations at once and the workers=2 pass peaked at 2,649 KB.
     With blocks of 8,192 entries the two passes peaked at 2,295 and 3,744 KB.
     The workers=1 pass peaked at 2,815 KB when each evaluation composited,
@@ -289,7 +291,7 @@ class TestMappingMemory:
     render stayed alive through training and each object job copied the
     whole store."""
 
-    PEAK_BOUND_KB = 2070
+    PEAK_BOUND_KB = 1890
     # a pass without Gaussians on a 4-frame 200x150 ablation8 set, the
     # assoc-ablation8 scene: 526 KB, and 1,204 KB while every frame was
     # decoded to float colour through a row-by-row PNG decoder
@@ -761,6 +763,49 @@ class TestExportAndState:
             np.savez(tmp_path / "gaussians.npz", **arrays)
         with pytest.raises(DatasetError, match=bad_file):
             load_state(str(tmp_path))
+
+    @pytest.mark.parametrize("name, value", [
+        ("kinds", np.array([0, 7], np.uint8)),
+        ("kinds", np.array([256, 0], np.int64)),  # uint8 would read 0
+        ("means", np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])),
+        ("quats", np.array([[1.0, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]])),
+        ("opacities", np.array([0.9, 5.0])),
+        ("opacities", np.array([-0.1, 0.9])),
+        ("object_ids", np.array([1.0, 1.5])),
+        ("object_ids", np.array([1, 2**32 + 1], np.int64)),  # int32 would read 1
+        ("scales", np.array([[0.01, 0.0, 0.01], [0.01, 0.01, 0.01]])),
+        ("scales", np.array([[0.01, 0.01, 0.01], [0.01, -0.01, 0.01]])),
+        ("scales", np.array([[0.01, 0.01, np.inf], [0.01, 0.01, 0.01]])),
+        ("colors", np.array([[0.0, 0.0, 0.0], [0.0, 1.5, 0.0]])),
+        ("colors", np.array([[0.0, -0.5, 0.0], [0.0, 0.0, 0.0]])),
+        ("colors", np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])),
+    ], ids=["kind-7", "kind-beyond-uint8", "mean-nan", "quat-inf", "opacity-5", "opacity-negative",
+            "object-id-fractional", "object-id-beyond-int32", "scale-zero",
+            "scale-negative", "scale-inf", "color-above-1", "color-negative", "color-nan"])
+    def test_load_state_rejects_values_the_mapper_never_writes(self, tmp_path, name, value):
+        (tmp_path / "state.json").write_text(
+            json.dumps({"tracks": [dict(TRACK, object_id=1)], "next_id": 2}))
+        np.savez(tmp_path / "gaussians.npz", **npz_arrays())
+        assert len(load_state(str(tmp_path)).store) == 2
+        np.savez(tmp_path / "gaussians.npz", **dict(npz_arrays(), **{name: value}))
+        with pytest.raises(DatasetError, match=f"gaussians.npz: {name} hold"):
+            load_state(str(tmp_path))
+
+    def test_load_state_accepts_the_range_ends(self, tmp_path):
+        """Opacities and colours of exactly 0 and 1, both kinds, any finite
+        mean and the largest int32 id load unchanged."""
+        top = np.iinfo(np.int32).max
+        (tmp_path / "state.json").write_text(
+            json.dumps({"tracks": [dict(TRACK, object_id=top)], "next_id": top + 1}))
+        arrays = dict(npz_arrays(), opacities=np.array([0.0, 1.0]),
+                      colors=np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]),
+                      means=np.array([[-1e300, 0.0, 0.0], [0.0, 1e300, 2.0]]),
+                      object_ids=np.array([0, top], np.int64),
+                      kinds=np.array([0, 1], np.int64))
+        np.savez(tmp_path / "gaussians.npz", **arrays)
+        store = load_state(str(tmp_path)).store
+        for key, value in arrays.items():
+            assert np.array_equal(getattr(store, key), value), key
 
     def test_load_state_keeps_every_track(self, tmp_path):
         # tracks listed out of id order all load, and the next new track

@@ -347,9 +347,13 @@ class TestBlockedExpansion:
         for key in self.KEYS:
             if ref is None:
                 assert len(skel[key]) == 0, key
-            else:
-                assert skel[key].dtype == ref[key].dtype, key
-                assert skel[key].tobytes() == ref[key].tobytes(), key
+                continue
+            want = ref[key]
+            if key in ("row", "pix"):  # the skeleton keeps its indices 32-bit
+                assert skel[key].dtype == np.int32, key
+                want = want.astype(np.int32)
+            assert skel[key].dtype == want.dtype, key
+            assert skel[key].tobytes() == want.tobytes(), key
         if ref is not None:  # an entry's depth is its Gaussian's
             assert skel["depth"][skel["row"]].tobytes() == ref["z"].tobytes()
         return 0 if ref is None else len(ref["row"])
@@ -383,6 +387,35 @@ class TestBlockedExpansion:
         assert self._check(store, cam) == kept
         assert blocks == [blocks[0], 193 * 193, blocks[2]]
         assert max(blocks[0], blocks[2]) <= renderer.BLOCK < 193 * 193
+
+    def test_equal_depths_come_out_in_index_order(self):
+        """Gaussians at one camera depth that share pixels are sorted by
+        index at each pixel, whatever their order in x."""
+        cam = camera_64()
+        xs = [0.1, -0.05, 0.0, 0.05, -0.1, 0.02]
+        store = store_of([prim([x, 0.01 * i, 2.0], scale=0.08) for i, x in enumerate(xs)])
+        proj = renderer.project_gaussian_subset(store, np.arange(len(store)), cam)
+        assert np.all(proj["z"] == 2.0)
+        assert self._check(store, cam) > 0
+        skel = renderer._skeleton(proj, cam.height, cam.width)
+        shared = 0
+        for s0, s1 in zip(skel["seg_starts"], skel["seg_ends"] + 1):
+            rows = skel["row"][s0:s1]
+            assert np.all(np.diff(rows) > 0), rows
+            shared += len(rows) == len(xs)
+        assert shared > 0  # some pixel holds every Gaussian
+
+    def test_invalid_gaussians_skipped(self):
+        """Gaussians behind the near plane, among valid ones, have no entry
+        and leave the others' order and bits as the reference gives them."""
+        cam = camera_64()
+        store = array_scene(np.random.default_rng(4), 60)
+        store.means[::3, 2] = np.linspace(-1.0, renderer.Z_NEAR, 20)
+        proj = renderer.project_gaussian_subset(store, np.arange(len(store)), cam)
+        assert (~proj["valid"]).sum() == 20
+        assert self._check(store, cam) > 0
+        skel = renderer._skeleton(proj, cam.height, cam.width)
+        assert proj["valid"][skel["row"]].all()
 
     def test_empty_store_and_nothing_rasterizes(self):
         cam = camera_64()
@@ -686,12 +719,14 @@ class TestMemory:
     """Peak traced heap of one render, of one evaluation given no skeleton
     (it builds its own), of one evaluation given a prebuilt skeleton and of
     the skeleton build alone, in units of kept entries x 8 bytes, on a fixed
-    2,000-Gaussian scene with 68,100 kept entries.  Measured 5.9 (render),
-    5.6 (build and evaluation), 2.2 (evaluation given the skeleton) and 5.6
-    (skeleton); the bounds leave 18%.  With blocks of 8,192 entries and six
-    bincounts and four np.add.at per block the first three peaked at 6.1,
-    6.3 and 3.2 (the skeleton at 6.1 while the projection also kept the mean
-    gradient's camera-space terms).  While Gaussian means trained, an
+    2,000-Gaussian scene with 68,100 kept entries.  Measured 4.9 (render),
+    4.9 (build and evaluation), 2.2 (evaluation given the skeleton) and 3.2
+    (skeleton); the bounds leave 18%.  While the skeleton sorted its entries
+    by a lexsort of three keys and permuted three 64-bit arrays by the order
+    it gave, the four peaked at 5.9, 5.6, 2.2 and 5.6.  With blocks of 8,192
+    entries and six bincounts and four np.add.at per block the first three
+    peaked at 6.1, 6.3 and 3.2 (the skeleton at 6.1 while the projection
+    also kept the mean gradient's camera-space terms).  While Gaussian means trained, an
     evaluation given no skeleton also ran the mean gradient and peaked at
     9.3 (11.5 when the skeleton kept each entry's du, dv and d raw / d q).
     With whole-frame compositing, loss and backward (and expansion blocks of
@@ -699,10 +734,10 @@ class TestMemory:
     expanding every footprint at once, with a per-entry segment id and an
     out-of-place backward, at 17.6, 17.8, 12.7 and 17.6."""
 
-    RENDER_BOUND = 6.9
-    EVAL_BOUND = 6.6
+    RENDER_BOUND = 5.7
+    EVAL_BOUND = 5.7
     SKELETON_EVAL_BOUND = 2.6
-    SKELETON_BOUND = 6.6
+    SKELETON_BOUND = 3.7
 
     @staticmethod
     def _peak(fn) -> int:
