@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import InvalidParameterError
+from .errors import DatasetError, InvalidParameterError
 from .frames import FrameBundle
 from .plyio import read_point_ply, write_point_ply
 from .quadrics import CameraModel
@@ -37,10 +37,20 @@ SCALE_MIN = 1e-4
 SCALE_MAX = 1.0
 SPAWN_SCALE = 0.5  # a new Gaussian's scale = depth / fx * stride * SPAWN_SCALE
 
-# the per-Gaussian arrays of a GaussianStore, and the ones training updates
-# (means, scales and quats keep their spawn values)
-STORE_ARRAYS = ("means", "scales", "quats", "opacities", "colors", "object_ids", "kinds")
-TRAINABLE = ("colors", "opacities")
+# each per-Gaussian array of a store: what the mapper writes into it, as the
+# bounds a given value lies within (lowest, highest, bounds included?)
+VALID_VALUES = {
+    "means": ("finite", -np.inf, np.inf, False),
+    "scales": ("finite and positive", 0.0, np.inf, False),
+    "quats": ("finite", -np.inf, np.inf, False),
+    "opacities": ("in [0, 1]", 0.0, 1.0, True),
+    "colors": ("in [0, 1]", 0.0, 1.0, True),
+    "object_ids": ("int32", np.iinfo(np.int32).min, np.iinfo(np.int32).max, True),
+    "kinds": (f"{KIND_OPAQUE} (opaque) or {KIND_TRANSPARENT} (transparent)",
+              KIND_OPAQUE, KIND_TRANSPARENT, True),
+}
+STORE_ARRAYS = tuple(VALID_VALUES)
+TRAINABLE = ("colors", "opacities")  # means, scales and quats keep their spawn values
 
 
 class GaussianStore:
@@ -59,6 +69,26 @@ class GaussianStore:
         self.colors = np.asarray(colors, dtype=float).reshape(-1, 3)
         self.object_ids = np.asarray(object_ids, dtype=np.int32).reshape(-1)
         self.kinds = np.asarray(kinds, dtype=np.uint8).reshape(-1)
+
+    @classmethod
+    def checked(cls, arrays: dict, source) -> "GaussianStore":
+        """The store of `arrays` (others start empty) read from file `source`; DatasetError
+        naming it when a value breaks its rule in VALID_VALUES or the arrays differ in length."""
+        try:
+            for name, given in arrays.items():
+                if name in ("object_ids", "kinds") and given.dtype.kind not in "iu":
+                    raise ValueError(f"{name} hold {given.dtype} values, not integers")
+                rule, low, high, closed = VALID_VALUES[name]
+                ok = ((low <= given) & (given <= high) if closed
+                      else (low < given) & (given < high)).reshape(-1)
+                if not ok.all():
+                    raise ValueError(f"{name} hold {given.reshape(-1)[np.argmin(ok)]}, not {rule}")
+            store = cls(**arrays)
+            if len({len(getattr(store, name)) for name in arrays}) > 1:
+                raise ValueError("arrays differ in length")
+        except (TypeError, ValueError) as e:  # TypeError: a non-numeric dtype
+            raise DatasetError(f"{source}: {e}") from e
+        return store
 
     def __len__(self) -> int:
         return len(self.means)
@@ -124,10 +154,11 @@ def export_object_ply(store: GaussianStore, object_id: int, path) -> int:
 
 
 def import_object_ply(path) -> GaussianStore:
-    """Read a point cloud back as isotropic, axis-aligned Gaussians."""
+    """Read a point cloud back as isotropic, axis-aligned Gaussians; a value
+    that breaks its rule in VALID_VALUES raises DatasetError naming the file."""
     data = read_point_ply(path)
     n = len(data["points"])
-    return GaussianStore(
+    return GaussianStore.checked(dict(
         means=data["points"],
         scales=np.full((n, 3), 0.01),
         quats=np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)),
@@ -135,7 +166,7 @@ def import_object_ply(path) -> GaussianStore:
         colors=data["colors"],
         object_ids=data["object_ids"],
         kinds=np.where(data["opacities"] > OPACITY_SPLIT, KIND_OPAQUE, KIND_TRANSPARENT),
-    )
+    ), path)
 
 
 @dataclass

@@ -38,8 +38,6 @@ from .errors import (
 )
 from .frames import FrameBundle, relabel_instances
 from .gaussians import (
-    KIND_OPAQUE,
-    KIND_TRANSPARENT,
     STORE_ARRAYS,
     TRAINABLE,
     GaussianStore,
@@ -261,12 +259,8 @@ def load_state(state_dir: str) -> PipelineResult:
     unknown key, a non-integer count or a timing that is not a finite real
     of at least 0, a duplicate track id or a track id outside [1, next_id);
     and naming gaussians.npz when it is not a readable archive, lacks a store
-    array, its arrays differ in length, a Gaussian's object id is neither 0
-    nor a track id, or it holds a value the mapper never writes: an object
-    id or kind that is not an integer the store's int32 ids and uint8 kinds
-    hold exactly, a kind other than opaque (0) or transparent (1), a mean
-    or quaternion that is not finite, a scale that is not finite and
-    positive, or an opacity or colour outside [0, 1].
+    array, a Gaussian's object id is neither 0 nor a track id, or
+    `GaussianStore.checked` refuses it (see `gaussians.VALID_VALUES`).
     """
     path = os.path.join(state_dir, "state.json")
     if not os.path.isfile(path):
@@ -305,44 +299,18 @@ def load_state(state_dir: str) -> PipelineResult:
     if os.path.isfile(gz):
         try:
             with np.load(gz) as data:
-                store = _checked_store({name: data[name] for name in STORE_ARRAYS})
+                arrays = {name: data[name] for name in STORE_ARRAYS}
         # what a damaged archive raises from zipfile, zlib and numpy's reader
         except (KeyError, ValueError, EOFError, OSError, RuntimeError, NotImplementedError,
                 zipfile.BadZipFile, zlib.error) as e:
             raise DatasetError(f"malformed Gaussian file {gz}: {e}") from e
+        store = GaussianStore.checked(arrays, gz)
         stray = set(store.present_ids()) - {0} - set(obj_map.tracks)
         if stray:
             raise DatasetError(
                 f"malformed Gaussian file {gz}: object ids {sorted(stray)} name no track"
             )
     return PipelineResult(object_map=obj_map, store=store, logs=logs, config=config)
-
-
-def _checked_store(arrays: dict) -> GaussianStore:
-    """The store of `arrays`; ValueError when their lengths differ or they
-    hold a value the mapper never writes (see `load_state`)."""
-    for name in ("object_ids", "kinds"):
-        if arrays[name].dtype.kind not in "iu":
-            raise ValueError(f"{name} hold {arrays[name].dtype} values, not integers")
-    store = GaussianStore(**arrays)
-    if len({len(getattr(store, name)) for name in STORE_ARRAYS}) > 1:
-        raise ValueError("arrays differ in length")
-    kinds = arrays["kinds"].reshape(-1)  # before uint8 wraps 256 to 0
-    rules = (
-        ("object_ids", store.object_ids == arrays["object_ids"].reshape(-1), "int32"),
-        ("kinds", (kinds == KIND_OPAQUE) | (kinds == KIND_TRANSPARENT),
-         f"{KIND_OPAQUE} (opaque) or {KIND_TRANSPARENT} (transparent)"),
-        ("means", np.isfinite(store.means), "finite"),
-        ("quats", np.isfinite(store.quats), "finite"),
-        ("scales", (store.scales > 0) & (store.scales < np.inf), "finite and positive"),
-        ("opacities", (store.opacities >= 0) & (store.opacities <= 1), "in [0, 1]"),
-        ("colors", (store.colors >= 0) & (store.colors <= 1), "in [0, 1]"),
-    )
-    for name, ok, rule in rules:
-        if not ok.all():
-            value = arrays[name].reshape(-1)[np.argmin(ok.reshape(-1))]
-            raise ValueError(f"{name} hold {value}, not {rule}")
-    return store
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from objmap.config import PipelineConfig
-from objmap.errors import InvalidParameterError
+from objmap.errors import DatasetError, InvalidParameterError
 from objmap.frames import FrameBundle
 from objmap.gaussians import (
     KIND_OPAQUE,
@@ -17,6 +17,7 @@ from objmap.gaussians import (
     import_object_ply,
     select_trainable,
 )
+from objmap.plyio import write_point_ply
 from objmap.quadrics import CameraModel
 from objmap.renderer import RenderOutput
 from objmap.simulator import ObjectSpec, OrbitTrajectory, SceneSpec, frame_bundles
@@ -365,3 +366,29 @@ class TestPlyRoundtrip:
         assert np.allclose(store.means[store.object_indices(4)], back.means, atol=1e-6)
         assert np.all(back.scales == 0.01) and np.all(back.quats == IDENTITY)
         assert np.all(back.kinds == KIND_OPAQUE)
+
+    # the cases of test_load_state_rejects_values_the_mapper_never_writes that
+    # a PLY can hold, plus an infinite mean and a NaN opacity
+    @pytest.mark.parametrize("name, means, opacities", [
+        ("means", [[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]], [0.9, 0.9]),
+        ("means", [[0.0, 0.0, 0.0], [0.0, -np.inf, 0.0]], [0.9, 0.9]),
+        ("opacities", [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [0.9, 5.0]),
+        ("opacities", [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [-0.1, 0.9]),
+        ("opacities", [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [0.9, np.nan]),
+    ], ids=["mean-nan", "mean-inf", "opacity-5", "opacity-negative", "opacity-nan"])
+    def test_import_rejects_values_the_mapper_never_writes(self, tmp_path, name, means,
+                                                           opacities):
+        path = tmp_path / "obj1.ply"
+        write_point_ply(path, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], opacities=[0.9, 0.9])
+        assert len(import_object_ply(path)) == 2
+        write_point_ply(path, means, opacities=opacities)
+        with pytest.raises(DatasetError, match=rf"obj1\.ply: {name} hold"):
+            import_object_ply(path)
+
+    def test_import_accepts_the_range_ends(self, tmp_path):
+        """Opacities of exactly 0 and 1 import unchanged, as one Gaussian of each kind."""
+        path = tmp_path / "obj1.ply"
+        write_point_ply(path, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], opacities=[0.0, 1.0])
+        back = import_object_ply(path)
+        assert np.array_equal(back.opacities, [0.0, 1.0])
+        assert np.array_equal(back.kinds, [KIND_TRANSPARENT, KIND_OPAQUE])

@@ -9,6 +9,7 @@ import pytest
 
 from objmap.errors import DatasetError, InvalidParameterError
 from objmap.frames import FrameBundle
+from objmap.plyio import read_point_ply, write_point_ply
 from objmap.png import write_png
 from objmap.quadrics import CameraModel, conic_to_bbox, project_to_conic
 from objmap.simulator import (
@@ -328,6 +329,15 @@ class TestDataset:
         with open(os.path.join(d, "gt", "objects.json"), "w") as f:
             f.write(content)
         with pytest.raises(DatasetError, match=r"objects\.json"):
+            load_gt(d)
+
+    def test_gt_point_not_finite(self, tmp_path):
+        d = generate(one_sphere_spec(n_frames=1), str(tmp_path / "ds"))
+        ply = os.path.join(d, "gt", "points_001.ply")
+        points = read_point_ply(ply)["points"]
+        points[5, 1] = np.nan
+        write_point_ply(ply, points)
+        with pytest.raises(DatasetError, match=r"points_001\.ply: means hold nan"):
             load_gt(d)
 
     def test_well_formed_gt_entry_loads(self, tmp_path):
