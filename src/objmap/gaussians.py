@@ -37,17 +37,15 @@ SCALE_MIN = 1e-4
 SCALE_MAX = 1.0
 SPAWN_SCALE = 0.5  # a new Gaussian's scale = depth / fx * stride * SPAWN_SCALE
 
-# each per-Gaussian array of a store: what the mapper writes into it, as the
-# bounds a given value lies within (lowest, highest, bounds included?)
-VALID_VALUES = {
-    "means": ("finite", -np.inf, np.inf, False),
-    "scales": ("finite and positive", 0.0, np.inf, False),
-    "quats": ("finite", -np.inf, np.inf, False),
-    "opacities": ("in [0, 1]", 0.0, 1.0, True),
-    "colors": ("in [0, 1]", 0.0, 1.0, True),
-    "object_ids": ("int32", np.iinfo(np.int32).min, np.iinfo(np.int32).max, True),
+VALID_VALUES = {  # each per-Gaussian array of a store: the rule every value the mapper writes keeps
+    "means": ("finite", np.isfinite),
+    "scales": ("finite and positive", lambda a: (a > 0) & (a < np.inf)),
+    "quats": ("finite", np.isfinite),
+    "opacities": ("in [0, 1]", lambda a: (a >= 0) & (a <= 1)),
+    "colors": ("in [0, 1]", lambda a: (a >= 0) & (a <= 1)),
+    "object_ids": ("int32", lambda a: (a >= -2**31) & (a < 2**31)),
     "kinds": (f"{KIND_OPAQUE} (opaque) or {KIND_TRANSPARENT} (transparent)",
-              KIND_OPAQUE, KIND_TRANSPARENT, True),
+              lambda a: (a == KIND_OPAQUE) | (a == KIND_TRANSPARENT)),
 }
 STORE_ARRAYS = tuple(VALID_VALUES)
 TRAINABLE = ("colors", "opacities")  # means, scales and quats keep their spawn values
@@ -72,20 +70,20 @@ class GaussianStore:
 
     @classmethod
     def checked(cls, arrays: dict, source) -> "GaussianStore":
-        """The store of `arrays` (others start empty) read from file `source`; DatasetError
-        naming it when a value breaks its rule in VALID_VALUES or the arrays differ in length."""
+        """The store of `arrays`; DatasetError naming file `source` if one breaks VALID_VALUES."""
         try:
-            for name, given in arrays.items():
-                if name in ("object_ids", "kinds") and given.dtype.kind not in "iu":
-                    raise ValueError(f"{name} hold {given.dtype} values, not integers")
-                rule, low, high, closed = VALID_VALUES[name]
-                ok = ((low <= given) & (given <= high) if closed
-                      else (low < given) & (given < high)).reshape(-1)
-                if not ok.all():
-                    raise ValueError(f"{name} hold {given.reshape(-1)[np.argmin(ok)]}, not {rule}")
-            store = cls(**arrays)
+            with np.errstate(all="ignore"):  # a value the cast wraps or overflows is refused below
+                store = cls(**arrays)
             if len({len(getattr(store, name)) for name in arrays}) > 1:
                 raise ValueError("arrays differ in length")
+            for name, given in arrays.items():
+                rule, holds = VALID_VALUES[name]
+                if name in ("object_ids", "kinds") and given.dtype.kind not in "iu":
+                    raise ValueError(f"{name} hold {given.dtype} values, not integers")
+                # integers as given, before int32 or uint8 wrap them; floats as cast to float64
+                ok = holds(given if given.dtype.kind in "iu" else getattr(store, name)).reshape(-1)
+                if not ok.all():
+                    raise ValueError(f"{name} hold {given.reshape(-1)[np.argmin(ok)]}, not {rule}")
         except (TypeError, ValueError) as e:  # TypeError: a non-numeric dtype
             raise DatasetError(f"{source}: {e}") from e
         return store
@@ -154,8 +152,7 @@ def export_object_ply(store: GaussianStore, object_id: int, path) -> int:
 
 
 def import_object_ply(path) -> GaussianStore:
-    """Read a point cloud back as isotropic, axis-aligned Gaussians; a value
-    that breaks its rule in VALID_VALUES raises DatasetError naming the file."""
+    """Read a point cloud back as isotropic, axis-aligned Gaussians checked against VALID_VALUES."""
     data = read_point_ply(path)
     n = len(data["points"])
     return GaussianStore.checked(dict(

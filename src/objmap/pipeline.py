@@ -254,13 +254,13 @@ def load_state(state_dir: str) -> PipelineResult:
     Raises DatasetError naming state.json when it is missing, is not JSON,
     lacks a required key (also in a track entry), carries config keys
     PipelineConfig does not know or config values it refuses (see
-    `PipelineConfig.from_dict`), or holds
-    non-integer ids or frames, an unknown track status, a frame log with an
-    unknown key, a non-integer count or a timing that is not a finite real
-    of at least 0, a duplicate track id or a track id outside [1, next_id);
-    and naming gaussians.npz when it is not a readable archive, lacks a store
-    array, a Gaussian's object id is neither 0 nor a track id, or
-    `GaussianStore.checked` refuses it (see `gaussians.VALID_VALUES`).
+    `PipelineConfig.from_dict`), or holds non-integer ids or frames, an
+    unknown track status, a frame log with an unknown key, a non-integer
+    count or a timing that is not a finite real of at least 0, a duplicate
+    track id or a track id outside [1, next_id); and naming gaussians.npz
+    when it is not a readable archive, lacks a store array, a Gaussian's
+    object id is neither 0 nor a track id, or `GaussianStore.checked`
+    refuses it (see `gaussians.VALID_VALUES`).
     """
     path = os.path.join(state_dir, "state.json")
     if not os.path.isfile(path):

@@ -73,10 +73,9 @@ def read_point_ply(path) -> dict[str, np.ndarray]:
     """Read a PLY written by write_point_ply.
 
     Returns dict with 'points' (N,3) float32, 'colors' (N,3) float32 in [0,1],
-    'opacities' (N,), 'object_ids' (N,).  A point or opacity that breaks the
-    means or opacities rule of `gaussians.VALID_VALUES` raises DatasetError.
+    'opacities' (N,), 'object_ids' (N,).  A non-finite x, y, z or opacity
+    raises DatasetError; `gaussians.VALID_VALUES` holds the other value rules.
     """
-    from .gaussians import GaussianStore  # gaussians imports this module
     with open(path, "rb") as f:
         blob = f.read()
     end = blob.find(b"end_header\n")
@@ -106,8 +105,10 @@ def read_point_ply(path) -> dict[str, np.ndarray]:
     if len(body) < count * _DTYPE.itemsize:
         raise DatasetError(f"{path}: truncated PLY body")
     rec = np.frombuffer(body, dtype=_DTYPE, count=count)
+    for name in ("x", "y", "z", "opacity"):
+        if not np.isfinite(rec[name]).all():
+            raise DatasetError(f"{path}: a vertex has a non-finite {name}")
     points = np.stack([rec["x"], rec["y"], rec["z"]], axis=1).astype(np.float32)
-    GaussianStore.checked({"means": points, "opacities": rec["opacity"]}, path)
     colors = np.stack([rec["red"], rec["green"], rec["blue"]], axis=1).astype(np.float32) / 255.0
     return {
         "points": points,

@@ -369,20 +369,20 @@ class TestPlyRoundtrip:
 
     # the cases of test_load_state_rejects_values_the_mapper_never_writes that
     # a PLY can hold, plus an infinite mean and a NaN opacity
-    @pytest.mark.parametrize("name, means, opacities", [
-        ("means", [[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]], [0.9, 0.9]),
-        ("means", [[0.0, 0.0, 0.0], [0.0, -np.inf, 0.0]], [0.9, 0.9]),
-        ("opacities", [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [0.9, 5.0]),
-        ("opacities", [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [-0.1, 0.9]),
-        ("opacities", [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [0.9, np.nan]),
+    @pytest.mark.parametrize("refusal, means, opacities", [
+        ("a vertex has a non-finite x", [[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]], [0.9, 0.9]),
+        ("a vertex has a non-finite y", [[0.0, 0.0, 0.0], [0.0, -np.inf, 0.0]], [0.9, 0.9]),
+        ("opacities hold 5.0,", [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [0.9, 5.0]),
+        ("opacities hold -0.1", [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [-0.1, 0.9]),
+        ("a vertex has a non-finite opacity", [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [0.9, np.nan]),
     ], ids=["mean-nan", "mean-inf", "opacity-5", "opacity-negative", "opacity-nan"])
-    def test_import_rejects_values_the_mapper_never_writes(self, tmp_path, name, means,
+    def test_import_rejects_values_the_mapper_never_writes(self, tmp_path, refusal, means,
                                                            opacities):
         path = tmp_path / "obj1.ply"
         write_point_ply(path, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], opacities=[0.9, 0.9])
         assert len(import_object_ply(path)) == 2
         write_point_ply(path, means, opacities=opacities)
-        with pytest.raises(DatasetError, match=rf"obj1\.ply: {name} hold"):
+        with pytest.raises(DatasetError, match=rf"obj1\.ply: {refusal}"):
             import_object_ply(path)
 
     def test_import_accepts_the_range_ends(self, tmp_path):

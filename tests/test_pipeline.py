@@ -779,9 +779,14 @@ class TestExportAndState:
         ("colors", np.array([[0.0, 0.0, 0.0], [0.0, 1.5, 0.0]])),
         ("colors", np.array([[0.0, -0.5, 0.0], [0.0, 0.0, 0.0]])),
         ("colors", np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])),
+        # long doubles beyond float64's range: float64 would read inf and 0
+        ("means", np.array([[0.0, 0.0, 0.0], [np.longdouble("1e400"), 0.0, 0.0]], np.longdouble)),
+        ("scales", np.array([[0.01, 0.01, 0.01], [np.longdouble("1e-400"), 0.01, 0.01]],
+                            np.longdouble)),
     ], ids=["kind-7", "kind-beyond-uint8", "mean-nan", "quat-inf", "opacity-5", "opacity-negative",
             "object-id-fractional", "object-id-beyond-int32", "scale-zero",
-            "scale-negative", "scale-inf", "color-above-1", "color-negative", "color-nan"])
+            "scale-negative", "scale-inf", "color-above-1", "color-negative", "color-nan",
+            "mean-beyond-float64", "scale-below-float64"])
     def test_load_state_rejects_values_the_mapper_never_writes(self, tmp_path, name, value):
         (tmp_path / "state.json").write_text(
             json.dumps({"tracks": [dict(TRACK, object_id=1)], "next_id": 2}))

@@ -337,7 +337,7 @@ class TestDataset:
         points = read_point_ply(ply)["points"]
         points[5, 1] = np.nan
         write_point_ply(ply, points)
-        with pytest.raises(DatasetError, match=r"points_001\.ply: means hold nan"):
+        with pytest.raises(DatasetError, match=r"points_001\.ply: a vertex has a non-finite y"):
             load_gt(d)
 
     def test_well_formed_gt_entry_loads(self, tmp_path):
