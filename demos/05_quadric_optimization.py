@@ -11,7 +11,7 @@ import numpy as np
 
 logging.disable(logging.WARNING)
 
-from objmap.quadric_fit import OptimConfig, optimize_quadric
+from objmap.quadric_fit import optimize_quadric
 from objmap.quadrics import DualQuadric, iou_3d
 from objmap.scenes import pose_scene
 from objmap.simulator import frame_bundles
@@ -34,8 +34,8 @@ print(f"initial:   center {np.round(init.center, 3)}, axes {np.round(init.semi_a
 print(f"           center error {np.linalg.norm(init.center - gt.center)*100:.1f} cm, "
       f"3D IoU {iou_3d(init, gt):.3f}")
 
-result = optimize_quadric(init, observations, OptimConfig(max_iters=300, patience=8))
-recovered = result.params.to_quadric()
+result = optimize_quadric(init, observations, iters=300)
+recovered = result.quadric
 print(f"\noptimized in {result.iterations} iterations, "
       f"loss {result.initial_loss:.2f} -> {result.loss:.4f}")
 print(f"recovered: center {np.round(recovered.center, 3)}, "

@@ -36,7 +36,7 @@ from .pipeline import (
 )
 from .renderer import dump_render_pngs, render
 from .scenes import PRESETS, make_scene
-from .simulator import generate, load, load_gt
+from .simulator import _read_header, generate, load_gt
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -223,14 +223,10 @@ def _cmd_export(args) -> int:
 
 def _cmd_render_frame(args) -> int:
     result = load_state(args.state)
-    frame = None
-    for f in load(args.dataset):
-        if f.index == args.frame:
-            frame = f
-            break
-    if frame is None:
+    _, cameras = _read_header(args.dataset)  # the camera only: no image is decoded
+    if args.frame not in cameras:
         raise DatasetError(f"frame {args.frame} not found in {args.dataset}")
-    out = render(result.store, frame.camera)
+    out = render(result.store, cameras[args.frame])
     paths = dump_render_pngs(out, args.out_prefix)
     print("wrote " + ", ".join(paths))
     return EXIT_OK

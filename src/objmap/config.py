@@ -106,15 +106,6 @@ class PipelineConfig:
                 raise InvalidParameterError(f"config key {name!r} must be {text}, got {value!r}")
         object.__setattr__(self, name, value)
 
-    def quadric_optim(self, iters: int | None = None):
-        """`quadric_fit.OptimConfig` of `iters` (default `quadric_iters`) steps."""
-        from .quadric_fit import OptimConfig  # deferred: this module imports no layer
-
-        return OptimConfig(
-            max_iters=self.quadric_iters if iters is None else iters,
-            yaw_only=self.yaw_only,
-        )
-
     def to_json(self, path: str) -> None:
         with open(path, "w") as f:
             json.dump(asdict(self), f, indent=1, sort_keys=True)

@@ -93,13 +93,12 @@ def _optimize_dirty_tracks(obj_map: ObjectMap, dirty: list[int],
             continue
         obs = [(o.bbox, o.camera) for o in track.observations]
         try:
-            res = optimize_quadric(track.quadric, obs, config.quadric_optim(iters))
+            res = optimize_quadric(track.quadric, obs, config, iters)
         except UnoptimizableError as e:
             logger.warning("track %d: pose optimization failed (%s), continuing",
                            track.object_id, e)
             continue
-        if res.loss <= res.initial_loss:
-            track.quadric = res.params.to_quadric()
+        track.quadric = res.quadric
 
 
 def run_pipeline(dataset_dir: str, config: PipelineConfig | None = None):

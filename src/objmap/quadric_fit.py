@@ -16,47 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PipelineConfig
 from .errors import InvalidParameterError, UnoptimizableError
 from .quadrics import BBox2D, CameraModel, DualQuadric
 
 logger = logging.getLogger(__name__)
 
 Observation = tuple[BBox2D, CameraModel]
-
-
-@dataclass
-class QuadricParams:
-    """Optimization variables: center, axis-angle rotation, log semi-axes."""
-
-    center: np.ndarray
-    rot_axis_angle: np.ndarray
-    log_semi_axes: np.ndarray
-
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float).copy()
-        self.rot_axis_angle = np.asarray(self.rot_axis_angle, dtype=float).copy()
-        self.log_semi_axes = np.asarray(self.log_semi_axes, dtype=float).copy()
-        if not np.all(np.isfinite(self.as_vector())):
-            raise InvalidParameterError("quadric parameters must be finite")
-
-    @classmethod
-    def from_quadric(cls, q: DualQuadric) -> "QuadricParams":
-        return cls(q.center, rotation_to_axis_angle(q.rotation), np.log(q.semi_axes))
-
-    def to_quadric(self) -> DualQuadric:
-        return DualQuadric(
-            self.center,
-            axis_angle_to_rotation(self.rot_axis_angle),
-            np.exp(self.log_semi_axes),
-        )
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.center, self.rot_axis_angle, self.log_semi_axes])
-
-    @classmethod
-    def from_vector(cls, v: np.ndarray) -> "QuadricParams":
-        v = np.asarray(v, dtype=float)
-        return cls(v[:3], v[3:6], v[6:9])
 
 
 def axis_angle_to_rotation(w: np.ndarray) -> np.ndarray:
@@ -91,15 +57,8 @@ def rotation_to_axis_angle(R: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class OptimConfig:
-    max_iters: int = 200
-    patience: int = 5
-    yaw_only: bool = False
-
-
-@dataclass
 class OptimResult:
-    params: QuadricParams
+    quadric: DualQuadric
     loss: float
     iterations: int
     initial_loss: float
@@ -110,6 +69,7 @@ STEP = 0.01           # preconditioner scale of every block: meters, radians, lo
 FD_EPS = 1e-5         # central-difference half step
 REL_TOL = 1e-4        # relative improvement below which a step counts as a stall
 MAX_BACKTRACKS = 30
+PATIENCE = 5          # stalled steps in a row that end the descent
 _YAW_ONLY = np.array([0, 1, 2, 5, 6, 7, 8])  # the x/y rotation components stay frozen
 
 
@@ -159,13 +119,6 @@ def _losses(X: np.ndarray, prep: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np
     return np.cumsum(terms, axis=1)[:, -1], np.count_nonzero(unprojectable, axis=1)
 
 
-def pose_loss(params: QuadricParams, observations: list[Observation]) -> float:
-    """Sum of (1 - IoU) between projected and observed boxes."""
-    if not observations:
-        raise InvalidParameterError("pose_loss requires at least one observation")
-    return float(_losses(params.as_vector()[None], _prepare(observations))[0][0])
-
-
 def _gradient(x: np.ndarray, prep: tuple[np.ndarray, ...], active: np.ndarray) -> np.ndarray:
     """Central finite differences over the active components, in one kernel call."""
     n = len(active)
@@ -195,23 +148,31 @@ def observation_geometry_rank(observations: list[Observation], center: np.ndarra
     return float(sv[1]) if len(sv) > 1 else 0.0
 
 
+def _vector(q: DualQuadric) -> np.ndarray:
+    """Optimization variables of a quadric: center, axis-angle rotation, log semi-axes."""
+    return np.concatenate([q.center, rotation_to_axis_angle(q.rotation), np.log(q.semi_axes)])
+
+
 def optimize_quadric(
     quadric: DualQuadric,
     observations: list[Observation],
-    config: OptimConfig | None = None,
+    config: PipelineConfig | None = None,
+    iters: int | None = None,
 ) -> OptimResult:
     """Refine a quadric against its observation set.
 
     Preconditioned finite-difference descent with backtracking; accepted
-    steps never increase the loss.  Raises UnoptimizableError when every
-    observation is unprojectable from the start.
+    steps never increase the loss.  It takes at most `iters` steps (default
+    `config.quadric_iters`), moves only yaw when `config.yaw_only`, and stops
+    after PATIENCE stalled steps in a row.  Raises UnoptimizableError when
+    every observation is unprojectable from the start.
     """
-    config = config or OptimConfig()
+    config = config or PipelineConfig()
     if not observations:
         raise InvalidParameterError("optimize_quadric requires observations")
 
     prep = _prepare(observations)
-    x = QuadricParams.from_quadric(quadric).as_vector()
+    x = _vector(quadric)
     losses, counts = _losses(x[None], prep)
     loss, skipped = float(losses[0]), int(counts[0])
     if skipped == len(observations):
@@ -229,7 +190,8 @@ def optimize_quadric(
     alpha = 1.0
     stall = 0
     iterations = 0
-    for iterations in range(1, config.max_iters + 1):
+    max_iters = config.quadric_iters if iters is None else iters
+    for iterations in range(1, max_iters + 1):
         g = _gradient(x, prep, active)
         if not np.any(g):
             break
@@ -247,11 +209,11 @@ def optimize_quadric(
                 stall = stall + 1 if improvement < REL_TOL else 0
                 break
             step *= 0.5
-        if not accepted or stall >= config.patience or loss <= 1e-12:
+        if not accepted or stall >= PATIENCE or loss <= 1e-12:
             break
 
     return OptimResult(
-        params=QuadricParams.from_vector(x),
+        quadric=DualQuadric(x[:3], axis_angle_to_rotation(x[3:6]), np.exp(x[6:9])),
         loss=loss,
         iterations=iterations,
         initial_loss=initial_loss,

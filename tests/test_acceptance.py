@@ -17,7 +17,7 @@ logging.disable(logging.WARNING)
 
 from objmap.gaussians import KIND_OPAQUE
 from objmap.pipeline import PipelineConfig, eval_pose, eval_recon, run_pipeline
-from objmap.quadric_fit import OptimConfig, optimize_quadric
+from objmap.quadric_fit import optimize_quadric
 from objmap.quadrics import (
     DualQuadric,
     assemble_dual_quadric,
@@ -151,8 +151,7 @@ def _pose_recovery(jitter: float):
         init = DualQuadric(
             np.asarray(gt.center) + 0.2 * d, np.eye(3), np.asarray(gt.semi_axes) * 1.25
         )
-        res = optimize_quadric(init, obs[k], OptimConfig(max_iters=300, patience=8))
-        rec = res.params.to_quadric()
+        rec = optimize_quadric(init, obs[k], iters=300).quadric
         rows.append((np.linalg.norm(rec.center - gt.center) * 100.0, iou_3d(rec, gt)))
     return rows
 

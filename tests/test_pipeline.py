@@ -825,7 +825,7 @@ class TestExportAndState:
 
 
 class TestCli:
-    def test_full_cycle(self, tmp_path):
+    def test_full_cycle(self, tmp_path, capsys):
         ds = str(tmp_path / "ds")
         state = str(tmp_path / "state")
         assert cli_main(["simulate", "--preset", "sphere", "--frames", "6",
@@ -842,6 +842,19 @@ class TestCli:
         assert cli_main(["export", "--state", state, "--out", str(tmp_path / "objs")]) == 0
         assert cli_main(["render-frame", "--state", state, "--dataset", ds,
                          "--frame", "2", "--out-prefix", str(tmp_path / "f2")]) == 0
+        for png in ("color", "depth", "instance"):
+            assert read_png(str(tmp_path / f"f2_{png}.png")).shape[:2] == (48, 64)
+        # render-frame takes the camera from the dataset header and decodes
+        # no frame image, so a frame whose images are gone still renders
+        for sub in ("rgb", "depth", "instance"):
+            os.remove(os.path.join(ds, sub, "000001.png"))
+        assert cli_main(["render-frame", "--state", state, "--dataset", ds,
+                         "--frame", "1", "--out-prefix", str(tmp_path / "f1")]) == 0
+        capsys.readouterr()
+        assert cli_main(["render-frame", "--state", state, "--dataset", ds,
+                         "--frame", "999", "--out-prefix", str(tmp_path / "f999")]) == 1
+        assert f"frame 999 not found in {ds}" in capsys.readouterr().err
+        assert not (tmp_path / "f999_color.png").exists()
         report = json.loads((tmp_path / "pose.json").read_text())
         assert report["gt_count"] == 1
         track_id = report["per_object"][0]["track_id"]

@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 
+from objmap.config import PipelineConfig
 from objmap.errors import InvalidParameterError, UnoptimizableError
 from objmap.quadric_fit import (
     _YAW_ONLY,
     FD_EPS,
-    OptimConfig,
-    QuadricParams,
     _gradient,
     _losses,
     _prepare,
+    _vector,
     axis_angle_to_rotation,
     observation_geometry_rank,
     optimize_quadric,
-    pose_loss,
     rotation_to_axis_angle,
 )
 from objmap.quadrics import (
@@ -71,29 +70,27 @@ class TestAxisAngle:
 
 
 class TestPoseLoss:
+    """The loss a refinement of no step reports: that of the quadric it is given."""
+
     def test_zero_at_ground_truth(self):
         obs = ring_observations(GT)
-        assert pose_loss(QuadricParams.from_quadric(GT), obs) <= 1e-6
+        assert optimize_quadric(GT, obs, iters=0).loss <= 1e-6
 
     def test_equals_count_when_disjoint(self):
         obs = ring_observations(GT)
-        far = QuadricParams.from_quadric(
-            DualQuadric(np.asarray(GT.center) + [50.0, 0, 0], np.eye(3), GT.semi_axes)
-        )
+        far = DualQuadric(np.asarray(GT.center) + [50.0, 0, 0], np.eye(3), GT.semi_axes)
         # projections far off-image: every term contributes its full miss
-        assert pose_loss(far, obs) == pytest.approx(len(obs))
+        assert optimize_quadric(far, obs, iters=0).loss == pytest.approx(len(obs))
 
     def test_empty_observations_rejected(self):
         with pytest.raises(InvalidParameterError):
-            pose_loss(QuadricParams.from_quadric(GT), [])
+            optimize_quadric(GT, [], iters=0)
 
     def test_permutation_invariant(self):
         obs = ring_observations(GT, n=10)
-        p = QuadricParams.from_quadric(
-            DualQuadric(np.asarray(GT.center) + [0.05, 0, 0], np.eye(3), GT.semi_axes)
-        )
-        a = pose_loss(p, obs)
-        b = pose_loss(p, obs[::-1])
+        p = DualQuadric(np.asarray(GT.center) + [0.05, 0, 0], np.eye(3), GT.semi_axes)
+        a = optimize_quadric(p, obs, iters=0).loss
+        b = optimize_quadric(p, obs[::-1], iters=0).loss
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_matches_sampling_oracle(self):
@@ -113,16 +110,16 @@ class TestPoseLoss:
             inter = max(0, ix) * max(0, iy)
             union = ref.area + bbox_obs.area - inter
             expected += 1.0 - inter / union
-        got = pose_loss(QuadricParams.from_quadric(q), obs)
+        got = optimize_quadric(q, obs, iters=0).loss
         assert got == pytest.approx(expected, abs=1e-3)
 
 
 class TestOptimize:
     def test_ground_truth_is_fixed_point(self):
         obs = ring_observations(GT)
-        res = optimize_quadric(GT, obs)
+        res = optimize_quadric(GT, obs, iters=200)
         assert res.loss <= 1e-6
-        rec = res.params.to_quadric()
+        rec = res.quadric
         assert np.allclose(rec.center, GT.center, atol=1e-4)
 
     def test_recovers_perturbed_center(self):
@@ -132,15 +129,33 @@ class TestOptimize:
             np.eye(3),
             np.asarray(GT.semi_axes) * 1.3,
         )
-        res = optimize_quadric(bad, obs)
-        rec = res.params.to_quadric()
+        res = optimize_quadric(bad, obs, iters=200)
+        rec = res.quadric
         assert np.linalg.norm(rec.center - GT.center) <= 0.03
         assert iou_3d(rec, GT) >= 0.5
         assert res.loss <= res.initial_loss
 
     def test_empty_observations_rejected(self):
         with pytest.raises(InvalidParameterError):
-            optimize_quadric(GT, [])
+            optimize_quadric(GT, [], iters=200)
+
+    def test_zero_iterations_return_the_input(self):
+        q = DualQuadric(np.asarray(GT.center) + [0.1, 0, -0.05],
+                        axis_angle_to_rotation([0.3, -0.2, 0.5]), np.asarray(GT.semi_axes) * 1.2)
+        res = optimize_quadric(q, ring_observations(GT), iters=0)
+        assert res.iterations == 0 and res.loss == res.initial_loss > 0
+        assert res.quadric.center.tolist() == q.center.tolist()
+        assert np.allclose(res.quadric.rotation, q.rotation, rtol=0, atol=1e-12)
+        assert np.allclose(res.quadric.semi_axes, q.semi_axes, rtol=1e-12, atol=0)
+
+    def test_config_bounds_the_iterations(self):
+        obs = ring_observations(GT)
+        bad = DualQuadric(np.asarray(GT.center) + [0.13, -0.11, 0.09], np.eye(3),
+                          np.asarray(GT.semi_axes) * 1.3)
+        config = PipelineConfig(quadric_iters=4)
+        assert optimize_quadric(bad, obs, iters=200).iterations > 4
+        assert optimize_quadric(bad, obs, config).iterations == 4
+        assert optimize_quadric(bad, obs, config, iters=6).iterations == 6
 
     def test_all_behind_camera_unoptimizable(self):
         obs = ring_observations(GT, n=4)
@@ -148,7 +163,7 @@ class TestOptimize:
         behind = DualQuadric([0, 0, 100.0], np.eye(3), [0.3, 0.3, 0.3])
         bad_obs = [(b, c) for b, c in obs]
         with pytest.raises(UnoptimizableError):
-            optimize_quadric(behind, bad_obs)
+            optimize_quadric(behind, bad_obs, iters=200)
 
     def test_loss_non_increasing_trace(self):
         # monotonicity is enforced by backtracking; spot-check final <= initial
@@ -160,7 +175,7 @@ class TestOptimize:
                 np.eye(3),
                 np.asarray(GT.semi_axes) * rng.uniform(0.7, 1.4),
             )
-            res = optimize_quadric(bad, obs, OptimConfig(max_iters=40))
+            res = optimize_quadric(bad, obs, iters=40)
             assert res.loss <= res.initial_loss
 
     def test_yaw_only_mode(self):
@@ -168,8 +183,8 @@ class TestOptimize:
         bad = DualQuadric(
             np.asarray(GT.center) + np.array([0.1, 0.0, 0.0]), np.eye(3), GT.semi_axes
         )
-        res = optimize_quadric(bad, obs, OptimConfig(yaw_only=True, max_iters=60))
-        w = res.params.rot_axis_angle
+        res = optimize_quadric(bad, obs, PipelineConfig(yaw_only=True), iters=60)
+        w = rotation_to_axis_angle(res.quadric.rotation)
         assert w[0] == pytest.approx(0.0, abs=1e-12)
         assert w[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -180,17 +195,15 @@ class TestOptimize:
             cam = camera_looking_at(np.array([d, 0, 0.5]), np.asarray(q.center),
                                     fx=120, fy=120, width=160, height=120)
             obs.append((conic_to_bbox(project_to_conic(q, cam)), cam))
-        res = optimize_quadric(q, obs)
+        res = optimize_quadric(q, obs, iters=200)
         assert res.degenerate_geometry
 
     def test_gradient_slope_consistency(self):
         # directional secants with halved steps converge toward a stable slope
         obs = ring_observations(GT, n=12)
         prep = _prepare(obs)
-        x0 = QuadricParams.from_quadric(
-            DualQuadric(np.asarray(GT.center) + [0.06, -0.04, 0.05], np.eye(3),
-                        np.asarray(GT.semi_axes) * 1.15)
-        ).as_vector()
+        x0 = _vector(DualQuadric(np.asarray(GT.center) + [0.06, -0.04, 0.05], np.eye(3),
+                                 np.asarray(GT.semi_axes) * 1.15))
         rng = np.random.default_rng(7)
         checked = 0
         for _ in range(10):
@@ -228,7 +241,7 @@ def random_track(rng):
         except ValueError:  # behind the camera or no real ellipse
             box = BBox2D(10, 10, 50, 60)
         obs.append((box, cam))
-    return QuadricParams.from_quadric(q).as_vector(), obs
+    return _vector(q), obs
 
 
 class TestLossKernel:
