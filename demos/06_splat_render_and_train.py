@@ -36,7 +36,7 @@ new = densify_from_mask(frame, masks, empty, PipelineConfig(stride=1))
 store.extend(new)
 print(f"densified {len(new)} gaussians from the depth image")
 
-out = render(store, frame.camera, instance_id=1)
+out = render(store, frame.camera, instance_ref=np.full(frame.shape, 1))
 paths = dump_render_pngs(out, os.path.join("demo_output", "splat"))
 print("wrote", ", ".join(paths))
 print(f"alpha+transmittance check: max |a+T-1| = "

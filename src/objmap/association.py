@@ -13,7 +13,7 @@ frame's instance segments, which may change ids from frame to frame.
 
 Two merge routes are tried for every same-class pair:
   - fragment: the nested track's quadric is very DISSIMILAR (similarity
-    below `merge_d`), the signature of a piece of an occlusion-split object;
+    below MERGE_D), the signature of a piece of an occlusion-split object;
   - duplicate: the two quadrics describe the same volume (near-zero raw
     distance, overlapping ellipsoid boxes, or one center inside the other's
     box), the signature of a twin hypothesis of one object.
@@ -45,6 +45,10 @@ STATUS_INITIALIZED = "initialized"
 STATUS_STABLE = "stable"
 STATUSES = (STATUS_CANDIDATE, STATUS_INITIALIZED, STATUS_STABLE)
 STABLE_OBS = 5  # observations after which an initialized track counts as stable
+IOU_GATE = 0.3  # least 2D IoU of a track's projection and a detection to pair them
+T_THRE = 0.85  # least share of the smaller projection inside the larger to nest them
+MERGE_D = 0.1  # QD similarity below which a nested track is a fragment
+MERGE_IOU3D = 0.2  # 3D IoU above which two same-class tracks are duplicates
 
 
 @dataclass
@@ -118,10 +122,10 @@ def _median(values, axis: int | None = None):
 
 
 def initialize_track(
-    detections: list[tuple[BBox2D, CameraModel]],
-    depth_hints: float | list[float] | None = None,
+    detections: list[tuple[BBox2D, CameraModel]], depth_hints: list[float]
 ) -> DualQuadric:
-    """Initial quadric from one or more (bbox, camera) observations.
+    """Initial quadric from one or more (bbox, camera) observations and one
+    depth hint per view (0 = none).
 
     Single view: bbox center back-projected at the depth hint.  Two views:
     midpoint of closest approach of the two center rays (fallback to the
@@ -135,14 +139,9 @@ def initialize_track(
     if not detections:
         raise CannotInitializeError("no observations")
     n = len(detections)
-    if depth_hints is None:
-        hints = [0.0] * n
-    elif np.isscalar(depth_hints):
-        hints = [float(depth_hints)] * n
-    else:
-        hints = [float(h) for h in depth_hints]
-        if len(hints) != n:
-            raise CannotInitializeError("depth_hints length mismatch")
+    hints = [float(h) for h in depth_hints]
+    if len(hints) != n:
+        raise CannotInitializeError("depth_hints length mismatch")
 
     center = None
     singles = [
@@ -252,7 +251,7 @@ def _observation_quadric(
     if hint <= 0:
         return None
     try:
-        return initialize_track([(det.bbox, camera)], hint)
+        return initialize_track([(det.bbox, camera)], [hint])
     except CannotInitializeError:
         return None
 
@@ -294,7 +293,7 @@ def associate_frame(
                 continue
             if config.assoc_mode in ("iou", "qd+iou"):
                 overlap = iou_2d(proj[tid], det.bbox)
-                if overlap < config.iou_gate:
+                if overlap < IOU_GATE:
                     continue
                 candidates.append((overlap, tid, d_idx))
             else:  # qd only: rank every same-class pair by QD
@@ -375,11 +374,11 @@ def merge_occluded(
 
     Two routes, the duplicate one tried first for each pair:
       - fragment: projections nest this frame (for the pair with
-        Area(box_j) < Area(box_i), t = overlap / Area(box_j) exceeds t_thre)
-        and the quadrics are very dissimilar (QD similarity < merge_d) --
+        Area(box_j) < Area(box_i), t = overlap / Area(box_j) exceeds T_THRE)
+        and the quadrics are very dissimilar (QD similarity < MERGE_D) --
         the signature of a piece of an occlusion-split object;
       - duplicate: the ellipsoids overlap substantially in 3D
-        (iou_3d > merge_iou3d, or raw distance < merge_duplicate_raw) --
+        (iou_3d > MERGE_IOU3D, or raw distance < merge_duplicate_raw) --
         two hypotheses of one object, which distinct rigid neighbors of the
         same class never produce.
     The survivor keeps the union of both observation histories and its
@@ -416,7 +415,7 @@ def merge_occluded(
             if (
                 raw < config.merge_duplicate_raw
                 or center_inside
-                or iou_3d(tj.quadric, ti.quadric) > config.merge_iou3d
+                or iou_3d(tj.quadric, ti.quadric) > MERGE_IOU3D
             ):
                 best_i = i
                 break
@@ -430,10 +429,10 @@ def merge_occluded(
             iy = min(bi.y_max, bj.y_max) - max(bi.y_min, bj.y_min)
             overlap = max(0.0, ix) * max(0.0, iy)
             t_score = overlap / area_j
-            if t_score <= config.t_thre:
+            if t_score <= T_THRE:
                 continue
             qd = quadric_distance(tj.quadric, ti.quadric, config.tau)
-            if qd < config.merge_d:
+            if qd < MERGE_D:
                 best_i = i
                 break
         if best_i is not None:

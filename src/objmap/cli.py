@@ -90,7 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, default=None)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("run", help="run the mapping pipeline")
+    # no abbreviations: a flag that is no config key (`--merge-d`) is refused,
+    # not read as a field it prefixes (`--merge-duplicate-raw`)
+    p = sub.add_parser("run", help="run the mapping pipeline", allow_abbrev=False)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out-state", required=True)
     p.add_argument("--config", default=None, help="JSON config file")

@@ -2,7 +2,9 @@
 
 Association, update masks, densification, Gaussian training and quadric
 refinement each read their values from the `PipelineConfig` they are given;
-a library call made without one uses `PipelineConfig()`.  A config refuses a
+a library call made without one uses `PipelineConfig()`.  A threshold that
+every run uses at one value is instead a constant of the module that reads
+it (`association.IOU_GATE`, `pipeline.QUADRIC_MIN_OBS`).  A config refuses a
 bad value where it enters: when the config is built (`PipelineConfig(...)`,
 `from_dict`, `from_json`, `dataclasses.replace`) or a field is assigned.  So
 every layer reads only accepted values and checks none itself.
@@ -25,9 +27,7 @@ _UNIT = ("in [0, 1]", lambda v: 0 <= v <= 1)
 # not listed (learning rates, loss weight, distances, counts) must be at least 0
 _RANGES = {
     "assoc_mode": (f"one of {MODES}", lambda v: v in MODES),
-    **dict.fromkeys(
-        ("iou_gate", "qd_accept", "t_thre", "merge_d", "merge_iou3d", "theta_alpha"), _UNIT
-    ),
+    **dict.fromkeys(("qd_accept", "theta_alpha"), _UNIT),
     "tau": ("above 0", lambda v: v > 0),
     **dict.fromkeys(("stride", "workers"), ("at least 1", lambda v: v >= 1)),
     "lr_mean": ("0 (Gaussian means are fixed at spawn)", lambda v: v == 0),
@@ -40,13 +40,9 @@ class PipelineConfig:
 
     # association
     assoc_mode: str = "qd+iou"  # one of MODES
-    iou_gate: float = 0.3
     qd_accept: float = 0.6
     tau: float = 1.0
-    t_thre: float = 0.85
-    merge_d: float = 0.1
     merge_duplicate_raw: float = 0.1
-    merge_iou3d: float = 0.2
     # update masks
     theta_alpha: float = 0.9  # accumulation below this flags missing geometry
     theta_d: float = 0.1      # meters
@@ -55,7 +51,6 @@ class PipelineConfig:
     # gaussians
     enable_gaussians: bool = True
     stride: int = 4
-    max_new_per_frame: int = 0  # 0 = unlimited; else cap spawns (scan order)
     gaussian_iters: int = 30
     lam: float = 0.5
     # learning rates of Gaussian training; a group whose rate is 0 stays fixed
@@ -64,11 +59,9 @@ class PipelineConfig:
     lr_opacity: float = 0.02
     train_all: bool = False
     # quadric optimization
-    quadric_min_obs: int = 3
     quadric_every: int = 10
     quadric_iters: int = 60
     quadric_final_iters: int = 200
-    yaw_only: bool = False
     # runtime: accepted (at least 1) and has no effect; mapping runs on the
     # calling thread
     workers: int = 1

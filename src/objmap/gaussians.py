@@ -244,8 +244,7 @@ def densify_from_mask(
     Geometry pixels back-project at the observed depth as opaque Gaussians;
     color pixels spawn transparent Gaussians at the rendered surface depth.
     Zero-depth pixels are skipped.  The result holds only the new Gaussians:
-    opaque ones first, each kind in pixel scan order, at most
-    `max_new_per_frame` of them when that is above 0.  `config` defaults to
+    opaque ones first, each kind in pixel scan order.  `config` defaults to
     `PipelineConfig()`.
     """
     config = config or PipelineConfig()
@@ -264,8 +263,6 @@ def densify_from_mask(
     usable = rendered_depth > 0
     out.extend(_spawn(frame, ys[usable], xs[usable], rendered_depth[usable],
                       KIND_TRANSPARENT, stride))
-    if config.max_new_per_frame > 0:
-        out = out.subset(slice(config.max_new_per_frame))
     return out
 
 

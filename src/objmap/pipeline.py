@@ -54,6 +54,8 @@ from .simulator import dataset_cameras  # noqa: F401  (part of the pipeline API)
 
 logger = logging.getLogger(__name__)
 
+QUADRIC_MIN_OBS = 3  # observations a track needs before its quadric is refined
+
 
 @dataclass
 class FrameLog:
@@ -89,7 +91,7 @@ def _optimize_dirty_tracks(obj_map: ObjectMap, dirty: list[int],
     for tid in sorted(set(dirty)):
         track = obj_map.tracks.get(tid)
         if (track is None or track.quadric is None
-                or len(track.observations) < config.quadric_min_obs):
+                or len(track.observations) < QUADRIC_MIN_OBS):
             continue
         obs = [(o.bbox, o.camera) for o in track.observations]
         try:

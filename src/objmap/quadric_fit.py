@@ -70,7 +70,6 @@ FD_EPS = 1e-5         # central-difference half step
 REL_TOL = 1e-4        # relative improvement below which a step counts as a stall
 MAX_BACKTRACKS = 30
 PATIENCE = 5          # stalled steps in a row that end the descent
-_YAW_ONLY = np.array([0, 1, 2, 5, 6, 7, 8])  # the x/y rotation components stay frozen
 
 
 def _prepare(observations: list[Observation]) -> tuple[np.ndarray, ...]:
@@ -119,16 +118,14 @@ def _losses(X: np.ndarray, prep: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np
     return np.cumsum(terms, axis=1)[:, -1], np.count_nonzero(unprojectable, axis=1)
 
 
-def _gradient(x: np.ndarray, prep: tuple[np.ndarray, ...], active: np.ndarray) -> np.ndarray:
-    """Central finite differences over the active components, in one kernel call."""
-    n = len(active)
-    X = np.tile(x, (2 * n, 1))
-    X[np.arange(n), active] += FD_EPS
-    X[np.arange(n, 2 * n), active] -= FD_EPS
+def _gradient(x: np.ndarray, prep: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Central finite differences over all nine components, in one kernel call."""
+    i = np.arange(9)
+    X = np.tile(x, (18, 1))
+    X[i, i] += FD_EPS
+    X[i + 9, i] -= FD_EPS
     losses, _ = _losses(X, prep)
-    g = np.zeros(9)
-    g[active] = (losses[:n] - losses[n:]) / (2 * FD_EPS)
-    return g
+    return (losses[:9] - losses[9:]) / (2 * FD_EPS)
 
 
 def observation_geometry_rank(observations: list[Observation], center: np.ndarray) -> float:
@@ -162,10 +159,10 @@ def optimize_quadric(
     """Refine a quadric against its observation set.
 
     Preconditioned finite-difference descent with backtracking; accepted
-    steps never increase the loss.  It takes at most `iters` steps (default
-    `config.quadric_iters`), moves only yaw when `config.yaw_only`, and stops
-    after PATIENCE stalled steps in a row.  Raises UnoptimizableError when
-    every observation is unprojectable from the start.
+    steps never increase the loss.  It moves all nine parameters, takes at
+    most `iters` steps (default `config.quadric_iters`) and stops after
+    PATIENCE stalled steps in a row.  Raises UnoptimizableError when every
+    observation is unprojectable from the start.
     """
     config = config or PipelineConfig()
     if not observations:
@@ -186,13 +183,12 @@ def optimize_quadric(
         logger.warning("observation geometry is near-collinear; pose weakly constrained")
 
     initial_loss = loss
-    active = _YAW_ONLY if config.yaw_only else np.arange(9)
     alpha = 1.0
     stall = 0
     iterations = 0
     max_iters = config.quadric_iters if iters is None else iters
     for iterations in range(1, max_iters + 1):
-        g = _gradient(x, prep, active)
+        g = _gradient(x, prep)
         if not np.any(g):
             break
         direction = -STEP**2 * g

@@ -110,6 +110,10 @@ class CameraModel:
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
+        for name in ("fx", "fy", "cx", "cy"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise InvalidParameterError(f"camera {name} must be finite, got {value!r}")
         if self.fx <= 0 or self.fy <= 0:
             raise InvalidParameterError("focal lengths must be > 0")
         if self.width <= 0 or self.height <= 0:

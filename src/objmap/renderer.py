@@ -422,14 +422,14 @@ def _image_rows(contrib: np.ndarray, local: np.ndarray, size: int,
 def render(
     store: GaussianStore,
     camera: CameraModel,
-    instance_id: int | None = None,
     instance_ref: np.ndarray | None = None,
 ) -> RenderOutput:
     """Composite the full map into color/depth/instance/alpha images.
 
-    The instance channel accumulates opaque Gaussians of `instance_id` when
-    given; with `instance_ref` (an (H,W) id map) each pixel accumulates the
-    opaque Gaussians of its reference id; otherwise all foreground objects.
+    With `instance_ref` (an (H,W) id map) each pixel of the instance channel
+    accumulates the opaque Gaussians of its reference id, so
+    `np.full((H, W), k)` gives object k's channel; without it, the opaque
+    Gaussians of all foreground objects.
     Raises InvalidParameterError when `instance_ref` is not (H,W).
     """
     h, w = camera.height, camera.width
@@ -440,9 +440,7 @@ def render(
         )
     skel = footprint_skeleton(store, camera)
     counted = store.kinds == KIND_OPAQUE
-    if instance_id is not None:
-        counted &= store.object_ids == instance_id
-    elif instance_ref is None:
+    if instance_ref is None:
         counted &= store.object_ids > 0
     table = _value_table(store, skel, counted)
     img, log_tn = np.zeros((6, h * w)), np.zeros(h * w)

@@ -197,10 +197,7 @@ def ablation_config(mode: str = "qd+iou") -> PipelineConfig:
         assoc_mode=mode,
         tau=0.25,
         qd_accept=0.2,
-        iou_gate=0.3,
-        merge_d=0.1,
         merge_duplicate_raw=0.15,
-        merge_iou3d=0.2,
         enable_gaussians=False,
         quadric_every=5,
         quadric_iters=40,

@@ -257,7 +257,7 @@ def test_criterion_6_compositing_invariants():
     cam = CameraModel(fx=80.0, fy=80.0, cx=32.0, cy=32.0, width=64, height=64)
     rng = np.random.default_rng(606)
     store = _gradcheck_scene(rng, 25)
-    out = render(store, cam, instance_id=1)
+    out = render(store, cam, instance_ref=np.full((cam.height, cam.width), 1))
     unity = float(np.abs(out.alpha + out.transmittance - 1.0).max())
     ins_ok = out.instance.min() >= 0.0 and out.instance.max() <= 1.0
 

@@ -39,7 +39,7 @@ class TestInitializeTrack:
     def test_single_view_with_depth(self):
         cam = make_camera()
         bbox = BBox2D(74.18, 74.18, 125.82, 125.82)
-        q = initialize_track([(bbox, cam)], 4.0)
+        q = initialize_track([(bbox, cam)], [4.0])
         assert np.allclose(q.center, [0, 0, 4], atol=1e-6)
         assert q.semi_axes[0] == pytest.approx(1.0328, abs=1e-3)
         assert q.semi_axes[1] == pytest.approx(1.0328, abs=1e-3)
@@ -48,11 +48,15 @@ class TestInitializeTrack:
     def test_single_view_no_depth_fails(self):
         cam = make_camera()
         with pytest.raises(CannotInitializeError):
-            initialize_track([(BBox2D(10, 10, 50, 50), cam)], 0.0)
+            initialize_track([(BBox2D(10, 10, 50, 50), cam)], [0.0])
 
     def test_no_observations_fails(self):
         with pytest.raises(CannotInitializeError):
-            initialize_track([])
+            initialize_track([], [])
+
+    def test_one_hint_per_view(self):
+        with pytest.raises(CannotInitializeError, match="length"):
+            initialize_track([(BBox2D(10, 10, 50, 50), make_camera())], [4.0, 4.0])
 
     def test_two_views_ray_midpoint(self):
         target = np.array([0.2, -0.1, 0.4])
@@ -65,7 +69,7 @@ class TestInitializeTrack:
             px, _ = cam.project_points(target[None, :])
             u, v = px[0]
             dets.append((BBox2D(u - 10, v - 10, u + 10, v + 10), cam))
-        q = initialize_track(dets)  # no depth hints at all
+        q = initialize_track(dets, [0.0, 0.0])  # no depth hints at all
         assert np.allclose(q.center, target, atol=1e-6)
 
     def test_parallel_views_fall_back_to_depth(self):
@@ -80,7 +84,7 @@ class TestInitializeTrack:
         cam2 = make_camera(translation=np.array([0.0, 0.0, -1.0]))
         bbox = BBox2D(90, 90, 110, 110)
         with pytest.raises(CannotInitializeError):
-            initialize_track([(bbox, cam1), (bbox, cam2)])
+            initialize_track([(bbox, cam1), (bbox, cam2)], [0.0, 0.0])
 
 
 class TestAssociateFrame:

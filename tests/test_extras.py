@@ -211,7 +211,7 @@ class TestQdOnlyMode:
     def test_iou_mode_spawns_for_same_case(self):
         cam = camera_64()
         obj_map = ObjectMap()
-        cfg = PipelineConfig(assoc_mode="iou", iou_gate=0.3)
+        cfg = PipelineConfig(assoc_mode="iou")
         q = DualQuadric([0.1, 0.1, 4.4], np.eye(3), [0.9, 0.9, 0.9])
         bbox = conic_to_bbox(project_to_conic(q, cam))
         det = Detection2D(bbox=bbox, class_id=3)

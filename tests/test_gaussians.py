@@ -231,18 +231,6 @@ class TestDensify:
         cam_depth = cam.to_camera(new.means[tg])[:, 2]
         assert np.allclose(cam_depth, 1.95, atol=1e-9)
 
-    def test_spawn_budget(self):
-        cam = camera()
-        frame = synthetic_frame(cam, object_box=(0, 0, 80, 60))
-        masks = compute_update_masks(frame, empty_render(frame), PipelineConfig())
-        new = densify_from_mask(frame, masks, empty_render(frame),
-                                PipelineConfig(stride=1, max_new_per_frame=100))
-        assert len(new) == 100
-        # the cap keeps the first spawns in scan order
-        full = densify_from_mask(frame, masks, empty_render(frame), PipelineConfig(stride=1))
-        for name in STORE_ARRAYS:
-            assert np.array_equal(getattr(new, name), getattr(full, name)[:100])
-
     def test_geometry_spawns_before_color(self):
         cam = camera()
         frame = synthetic_frame(cam, object_box=(0, 0, 80, 60))

@@ -243,8 +243,7 @@ class TestRunPipeline:
     def test_detections_withheld_background_only(self, tmp_path):
         d = tmp_path / "nodet_bg"
         generate(small_scene(detection_dropout=1.0, n_frames=2), str(d))
-        res = run_pipeline(str(d), fast_config(include_background=True,
-                                               max_new_per_frame=200))
+        res = run_pipeline(str(d), fast_config(include_background=True))
         assert res.track_count() == 0
         assert len(res.store) > 0
         assert set(res.store.present_ids()) == {0}
@@ -606,12 +605,11 @@ class TestExportAndState:
         assert PipelineConfig.from_dict({"tau": 1, "stride": 2}).tau == 1
 
     @pytest.mark.parametrize("name, value", [
-        ("theta_d", float("nan")), ("iou_gate", float("nan")), ("tau", float("inf")),
+        ("theta_d", float("nan")), ("qd_accept", float("nan")), ("tau", float("inf")),
         ("lr_color", float("-inf")), ("stride", 0), ("workers", -3), ("workers", 0),
-        ("gaussian_iters", -2), ("max_new_per_frame", -1), ("quadric_min_obs", -1),
-        ("quadric_every", -1), ("quadric_iters", -1), ("quadric_final_iters", -1),
-        ("iou_gate", 2.0), ("qd_accept", -0.1), ("t_thre", 1.5), ("merge_d", -1e-9),
-        ("merge_iou3d", 1.01), ("theta_alpha", -0.5), ("tau", 0.0), ("tau", -1.0),
+        ("gaussian_iters", -2), ("quadric_every", -1), ("quadric_iters", -1),
+        ("quadric_final_iters", -1), ("qd_accept", 2.0), ("qd_accept", -0.1),
+        ("theta_alpha", 1.01), ("theta_alpha", -0.5), ("tau", 0.0), ("tau", -1.0),
         ("lr_color", -0.5), ("lr_mean", -1e-3), ("lr_opacity", -1.0), ("lam", -0.5),
         ("theta_d", -0.1), ("theta_c", -0.1), ("merge_duplicate_raw", -0.1),
         ("lr_mean", 0.004),  # Gaussian means are fixed at spawn
@@ -668,14 +666,13 @@ class TestExportAndState:
         assert PipelineConfig.from_dict(asdict(cfg)) == cfg
 
     def test_config_accepts_range_edges(self):
-        edges = {"stride": 1, "workers": 1, "gaussian_iters": 0, "max_new_per_frame": 0,
-                 "quadric_min_obs": 0, "quadric_every": 0, "quadric_iters": 0,
+        edges = {"stride": 1, "workers": 1, "gaussian_iters": 0,
+                 "quadric_every": 0, "quadric_iters": 0,
                  "quadric_final_iters": 0, "tau": 1e-300, "lam": 0.0, "lr_mean": 0.0,
                  "lr_color": 0.0, "lr_opacity": 0.0, "theta_d": 0.0, "theta_c": 0.0,
                  "merge_duplicate_raw": 0.0}
         assert PipelineConfig.from_dict(edges).stride == 1
-        for name in ("iou_gate", "qd_accept", "t_thre", "merge_d", "merge_iou3d",
-                     "theta_alpha"):
+        for name in ("qd_accept", "theta_alpha"):
             for value in (0.0, 1.0):
                 assert getattr(PipelineConfig.from_dict({name: value}), name) == value
 
@@ -763,6 +760,20 @@ class TestExportAndState:
             np.savez(tmp_path / "gaussians.npz", **arrays)
         with pytest.raises(DatasetError, match=bad_file):
             load_state(str(tmp_path))
+
+    def test_load_state_refuses_deleted_config_keys(self, tmp_path):
+        """A state.json whose config holds the keys PipelineConfig no longer
+        has (four association thresholds and quadric_min_obs, now module
+        constants; yaw_only and max_new_per_frame) is refused, naming the
+        file and the keys."""
+        old = {"iou_gate": 0.3, "t_thre": 0.85, "merge_d": 0.1, "merge_iou3d": 0.2,
+               "max_new_per_frame": 0, "quadric_min_obs": 3, "yaw_only": False}
+        (tmp_path / "state.json").write_text(json.dumps(
+            {"tracks": [], "next_id": 1, "config": {**asdict(PipelineConfig()), **old}}))
+        with pytest.raises(DatasetError, match="state.json") as err:
+            load_state(str(tmp_path))
+        for key in old:
+            assert key in str(err.value)
 
     @pytest.mark.parametrize("name, value", [
         ("kinds", np.array([0, 7], np.uint8)),
@@ -924,11 +935,26 @@ class TestCli:
         assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("flag, value", [
-        ("--theta-d", "nan"), ("--iou-gate", "nan"), ("--stride", "0"), ("--workers", "-3"),
-        ("--gaussian-iters", "-2"), ("--iou-gate", "2.0"), ("--lr-color", "-0.5"),
+        ("--theta-d", "nan"), ("--qd-accept", "nan"), ("--stride", "0"), ("--workers", "-3"),
+        ("--gaussian-iters", "-2"), ("--qd-accept", "2.0"), ("--lr-color", "-0.5"),
         ("--tau", "0"), ("--lr-mean", "0.004"),
     ])
     def test_out_of_range_flag_exits_2(self, tmp_path, small_dataset, flag, value):
         assert cli_main(["run", "--dataset", small_dataset, "--out-state",
                          str(tmp_path / "s"), flag, value]) == 2
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("flag", ["--yaw-only", "--iou-gate", "--merge-d"])
+    def test_flag_of_no_config_key_exits_2(self, tmp_path, small_dataset, flag):
+        """A deleted config key has no flag, and a flag is not read as a
+        longer one it prefixes (`--merge-duplicate-raw`)."""
+        assert cli_main(["run", "--dataset", small_dataset, "--out-state",
+                         str(tmp_path / "s"), flag, "1"]) == 2
+        assert not (tmp_path / "s").exists()
+
+    def test_config_file_with_deleted_key_exits_2(self, tmp_path, small_dataset):
+        cfg = tmp_path / "old.json"
+        cfg.write_text('{"t_thre": 0.85}')
+        assert cli_main(["run", "--dataset", small_dataset, "--out-state",
+                         str(tmp_path / "s"), "--config", str(cfg)]) == 2
         assert not (tmp_path / "s").exists()

@@ -4,7 +4,6 @@ import pytest
 from objmap.config import PipelineConfig
 from objmap.errors import InvalidParameterError, UnoptimizableError
 from objmap.quadric_fit import (
-    _YAW_ONLY,
     FD_EPS,
     _gradient,
     _losses,
@@ -178,16 +177,6 @@ class TestOptimize:
             res = optimize_quadric(bad, obs, iters=40)
             assert res.loss <= res.initial_loss
 
-    def test_yaw_only_mode(self):
-        obs = ring_observations(GT)
-        bad = DualQuadric(
-            np.asarray(GT.center) + np.array([0.1, 0.0, 0.0]), np.eye(3), GT.semi_axes
-        )
-        res = optimize_quadric(bad, obs, PipelineConfig(yaw_only=True), iters=60)
-        w = rotation_to_axis_angle(res.quadric.rotation)
-        assert w[0] == pytest.approx(0.0, abs=1e-12)
-        assert w[1] == pytest.approx(0.0, abs=1e-12)
-
     def test_degenerate_geometry_flagged(self):
         q = DualQuadric([0, 0, 0.5], np.eye(3), [0.3, 0.3, 0.3])
         obs = []
@@ -288,25 +277,21 @@ class TestLossKernel:
         X = np.array([x0, UNIT_AT_2, [0, 0, 1.0, 0, 0, 0, 0, 0, 0], [0, 0, -2.0, 0, 0, 0, 0, 0, 0]])
         self.assert_matches_loop(X, obs)
 
-    @pytest.mark.parametrize("yaw_only", [False, True])
-    def test_gradient_rows(self, yaw_only):
+    def test_gradient_rows(self):
         rng = np.random.default_rng(5)
-        active = _YAW_ONLY if yaw_only else np.arange(9)
         for _ in range(10):
             x0, obs = random_track(rng)
             x = x0 + rng.normal(size=9) * 0.05
             ref_prep = per_observation_prep(obs)
             expected = np.zeros(9)
-            for k in active:
+            for k in range(9):
                 xp, xm = x.copy(), x.copy()
                 xp[k] += FD_EPS
                 xm[k] -= FD_EPS
                 expected[k] = (_fast_terms(xp, ref_prep)[0]
                                - _fast_terms(xm, ref_prep)[0]) / (2 * FD_EPS)
-            g = _gradient(x, _prepare(obs), active)
+            g = _gradient(x, _prepare(obs))
             assert g.tolist() == expected.tolist()
-            if yaw_only:
-                assert g[3] == g[4] == 0.0
 
 
 class TestGeometryRank:

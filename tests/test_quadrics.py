@@ -39,6 +39,14 @@ def default_camera(**kw):
     return CameraModel(**args)
 
 
+class TestCameraModel:
+    @pytest.mark.parametrize("name", ["fx", "fy", "cx", "cy"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_intrinsic_refused(self, name, value):
+        with pytest.raises(InvalidParameterError, match=f"camera {name} must be finite"):
+            default_camera(**{name: value})
+
+
 class TestAssembleDecompose:
     def test_unit_sphere_at_origin(self):
         q = assemble_dual_quadric([0, 0, 0], np.eye(3), [1, 1, 1])

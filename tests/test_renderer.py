@@ -141,7 +141,7 @@ class TestForward:
 
     def test_instance_channel_bounds_and_support(self):
         store = random_scene(np.random.default_rng(4), 20)
-        out = render(store, camera_64(), instance_id=1)
+        out = render(store, camera_64(), instance_ref=np.full((64, 64), 1))
         assert out.instance.min() >= 0.0
         assert out.instance.max() <= 1.0
         # zero where no object-1 gaussian projects: check far corner
@@ -168,7 +168,7 @@ class TestForward:
             prim([0.5 / 80 * z, 0.5 / 80 * z, z], opacity=0.4, kind=KIND_TRANSPARENT,
                  object_id=1),
         ])
-        out = render(store, cam, instance_id=1)
+        out = render(store, cam, instance_ref=np.full((cam.height, cam.width), 1))
         assert out.instance.max() == 0.0  # transparent gaussians excluded
         assert out.alpha.max() > 0.0
 
@@ -623,8 +623,11 @@ class TestBlockedEvaluation:
         skeleton) match the oracles; returns the reference entries."""
         cam = frame.camera
         ref_ids = np.random.default_rng(1).integers(0, 4, (cam.height, cam.width))
-        for kw in ({}, {"instance_id": object_id}, {"instance_ref": ref_ids}):
-            assert_same_render(render(store, cam, **kw), reference_render(store, cam, **kw))
+        only_object = np.full((cam.height, cam.width), object_id)
+        for kw, ref_kw in (({}, {}),
+                           ({"instance_ref": only_object}, {"instance_id": object_id}),
+                           ({"instance_ref": ref_ids}, {"instance_ref": ref_ids})):
+            assert_same_render(render(store, cam, **kw), reference_render(store, cam, **ref_kw))
         idx = store.object_indices(object_id)
         skel = renderer.footprint_skeleton(store, cam)
         for skeleton in (None, skel):
@@ -792,7 +795,7 @@ class TestOptimizeObject:
         target = store_of([
             prim([0.0, 0.0, 2.0], scale=0.12, opacity=0.95, color=(0.2, 0.8, 0.3)),
         ])
-        t_out = render(target, cam, instance_id=1)
+        t_out = render(target, cam, instance_ref=np.full((cam.height, cam.width), 1))
         frame = FrameBundle(
             rgb8=to_rgb8(t_out.color),
             depth=np.where(t_out.alpha > 0.5, t_out.depth, 0.0),
@@ -890,7 +893,7 @@ class TestOptimizeObject:
         cam = camera_64()
         target = store_of(
             [prim([0.0, 0.0, 2.0], scale=0.12, opacity=0.95, color=(0.9, 0.2, 0.2))])
-        t_out = render(target, cam, instance_id=1)
+        t_out = render(target, cam, instance_ref=np.full((cam.height, cam.width), 1))
         frame = FrameBundle(
             rgb8=to_rgb8(t_out.color),
             depth=np.where(t_out.alpha > 0.5, t_out.depth, 0.0),
@@ -920,7 +923,7 @@ class TestOptimizeObject:
 class TestPngDump:
     def test_dump_channels(self, tmp_path):
         store = random_scene(np.random.default_rng(8), 6)
-        out = render(store, camera_64(), instance_id=1)
+        out = render(store, camera_64(), instance_ref=np.full((64, 64), 1))
         paths = dump_render_pngs(out, str(tmp_path / "frame"))
         assert len(paths) == 3
         from objmap.png import read_png
